@@ -10,23 +10,53 @@ Three built-in families:
 
 Axioms (nonnegativity, normalization, identity, commutativity, associativity)
 are *checked*, not assumed: defective tables and recurrences are constructible
-and `check_axioms` reports the first counterexample per axiom.
+and `check_axioms` reports the first counterexample per axiom.  The checks run
+on the structure constants of a point sample (:class:`Structure`), a dense
+array C[i, j, k] = weight at k of delta_i * delta_j.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from typing import Any, Callable, Iterable, Mapping, Sequence
+from functools import cached_property
+from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .config import Tolerance, default_tolerance, scale_of
+from .config import Tolerance, default_tolerance
 from .errors import DecompositionError, DomainError
-from .measures import CFunction, Measure, Point, convolve, dirac, measure_residual
+from .measures import CFunction, Measure, Point
 from .reports import Report
 
 CoeffRow = tuple[float, float, float]
+
+# linearizations memoized per polynomial carrier; the oldest entry goes first
+LIN_MEMO = 4096
+# associativity sample of an infinite carrier, in points
+ASSOC_CAP = 48
+# entries of one dense structure array (64 MB of float64); larger ones are refused
+DENSE_CAP = 1 << 23
+
+
+def _capped(shape: tuple[int, ...]) -> tuple[int, ...]:
+    if math.prod(shape) > DENSE_CAP:
+        raise DomainError(f"structure array of shape {shape} exceeds {DENSE_CAP} entries; use a smaller sample")
+    return shape
+
+
+class Structure(NamedTuple):
+    """Point convolutions d_xs[i] * d_ys[j]: ``c[i, j, k]`` is the weight at
+    ``points[k]``, ``err[i, j]`` the message of an undefined pair ("" where
+    defined; such a pair has a zero row)."""
+
+    c: np.ndarray
+    points: np.ndarray
+    err: np.ndarray
+
+
+def _defined(c: np.ndarray) -> np.ndarray:
+    return np.full(c.shape[:2], "", dtype=object)
 
 
 class Hypergroup:
@@ -36,6 +66,10 @@ class Hypergroup:
     identity: Point = 0
 
     def _mix(self, x: Point, y: Point) -> tuple[tuple[Point, float], ...]:
+        raise NotImplementedError
+
+    def _tensor(self, xs: np.ndarray, ys: np.ndarray) -> Structure:
+        """Structure constants of the points xs against the points ys."""
         raise NotImplementedError
 
     def validate_point(self, x: Any) -> Point:
@@ -51,9 +85,6 @@ class Hypergroup:
         y = self.validate_point(y)
         return Measure.from_items(self, self._mix(x, y))
 
-    def dirac(self, x: Point) -> Measure:
-        return dirac(self, x)
-
     def sample_points(self, bound: int) -> list[Point]:
         """Deterministic point sample used by axiom and identity checks."""
         raise NotImplementedError
@@ -62,7 +93,7 @@ class Hypergroup:
         return self.kind
 
     def __eq__(self, other: Any) -> bool:
-        return isinstance(other, Hypergroup) and self.signature == other.signature
+        return self is other or (isinstance(other, Hypergroup) and self.signature == other.signature)
 
     def __hash__(self) -> int:
         return hash(self.signature)
@@ -103,9 +134,25 @@ class FiniteHypergroup(Hypergroup):
                     self._table[(i, j)] = entries[(j, i)]
                 else:
                     raise DomainError(f"table entry for pair ({i},{j}) missing")
+        rows = tuple(self._table[(i, j)] for i in range(size) for j in range(size))
+        self._signature = ("finite", self.size, self.identity, rows)
 
     def _mix(self, x: Point, y: Point) -> tuple[tuple[Point, float], ...]:
         return self._table[(x, y)]
+
+    @cached_property
+    def tensor(self) -> np.ndarray:
+        """Structure constants C[i, j, k] = weight at k of delta_i * delta_j."""
+        c = np.zeros(_capped((self.size,) * 3))
+        for (i, j), row in self._table.items():
+            for k, w in row:
+                c[i, j, k] = w
+        return c
+
+    def _tensor(self, xs: np.ndarray, ys: np.ndarray) -> Structure:
+        _capped((len(xs), len(ys), self.size))
+        c = self.tensor[np.ix_(xs, ys)]
+        return Structure(c, np.arange(self.size), _defined(c))
 
     def validate_point(self, x: Any) -> int:
         if isinstance(x, bool) or not isinstance(x, (int, np.integer)):
@@ -118,19 +165,9 @@ class FiniteHypergroup(Hypergroup):
     def sample_points(self, bound: int = 0) -> list[Point]:
         return list(range(self.size))
 
-    def translation_matrix(self, x: int) -> np.ndarray:
-        """T_x[j, k] = weight of the point mass at k in delta_x * delta_j."""
-        x = self.validate_point(x)
-        mat = np.zeros((self.size, self.size), dtype=complex)
-        for j in range(self.size):
-            for k, w in self._table[(x, j)]:
-                mat[j, k] += w
-        return mat
-
     @property
     def signature(self) -> tuple:
-        rows = tuple(self._table[(i, j)] for i in range(self.size) for j in range(self.size))
-        return ("finite", self.size, self.identity, rows)
+        return self._signature
 
     def describe(self) -> str:
         return f"finite(size={self.size}, identity={self.identity})"
@@ -165,7 +202,8 @@ class PolynomialHypergroup(Hypergroup):
     Parametrisation: P_0 = 1, P_1(x) = (x - b0)/a0 with a0 > 0, a0 + b0 = 1,
     and for n >= 1 the recurrence P_1 * P_n = a_n P_{n+1} + b_n P_n + c_n P_{n-1}
     with a_n, c_n > 0, b_n >= 0, a_n + b_n + c_n = 1.  The convolution of point
-    masses at m, n is the linearization of P_m * P_n in the P-basis.
+    masses at m, n is the linearization of P_m * P_n in the P-basis.  A named
+    family (the presets) compares equal by name, a0 and b0.
     """
 
     kind = "polynomial"
@@ -194,7 +232,10 @@ class PolynomialHypergroup(Hypergroup):
             self._coeff_fn = None
             self._coeff_list = tuple((float(a), float(b), float(c)) for a, b, c in coeffs)
         self._rows: dict[int, CoeffRow] = {}
-        # linearization cache; fills are idempotent so concurrent reads are safe
+        # recurrence rows as an array for `_lin_table`; row 0 is P_1 * P_0 = P_1
+        self._abc = np.array([[1.0, 0.0, 0.0]])
+        self._row_errors: dict[int, str] = {}
+        # memo of requested linearizations, oldest evicted first (not thread-safe)
         self._lin: dict[tuple[int, int], tuple[tuple[int, float], ...]] = {}
 
     def coefficient_row(self, n: int) -> CoeffRow:
@@ -223,69 +264,120 @@ class PolynomialHypergroup(Hypergroup):
         self._rows[n] = (a, b, c)
         return self._rows[n]
 
+    def _row_block(self, hi: int) -> np.ndarray:
+        """Rows 0..hi as an array; an invalid row is zeros, its error kept aside."""
+        fresh = []
+        for n in range(len(self._abc), hi + 1):
+            try:
+                fresh.append(self.coefficient_row(n))
+            except DomainError as exc:
+                self._row_errors[n] = str(exc)
+                fresh.append((0.0, 0.0, 0.0))
+        if fresh:
+            self._abc = np.concatenate([self._abc, fresh])
+        return self._abc[: hi + 1]
+
     def linearization(self, m: int, n: int, tol: Tolerance | None = None) -> tuple[tuple[int, float], ...]:
         """Coefficients [(l, c(m,n,l)), ...] of P_m * P_n in the P-basis.
 
-        Computed by induction on m: P_0 * P_n = P_n, P_1 * P_n from the
-        recurrence row, and
-        P_m * P_n = (1/a_{m-1}) [ P_1*(P_{m-1}*P_n) - b_{m-1} P_{m-1}*P_n - c_{m-1} P_{m-2}*P_n ].
-        Results are memoized per instance.  Coefficients are lazily checked
-        for nonnegativity; a violation raises rather than being accepted.
+        Computed by `_lin_table` and memoized per instance for the requested
+        pair only (at most LIN_MEMO pairs).  A coefficient that is negative,
+        or outside [|n-m|, n+m], beyond tolerance raises rather than being accepted.
         """
-        if m < 0 or n < 0:
-            raise DomainError("linearization indices must be nonnegative")
-        tol = tol or default_tolerance()
-        key = (m, n)
-        cached = self._lin.get(key)
+        cached = self._lin.get((m, n))
         if cached is not None:
             return cached
-        if m == 0:
-            result = {n: 1.0}
-        elif m == 1:
-            if n == 0:
-                result = {1: 1.0}
-            else:
-                a, b, c = self.coefficient_row(n)
-                result = {n + 1: a, n - 1: c}
-                if b != 0.0:
-                    result[n] = result.get(n, 0.0) + b
-        else:
-            a, b, c = self.coefficient_row(m - 1)
-            mid = self.linearization(m - 1, n, tol)
-            low = self.linearization(m - 2, n, tol)
-            acc: dict[int, float] = {}
-            for l, w in mid:
-                for l2, w2 in self.linearization(1, l, tol):
-                    acc[l2] = acc.get(l2, 0.0) + w * w2
-                acc[l] = acc.get(l, 0.0) - b * w
-            for l, w in low:
-                acc[l] = acc.get(l, 0.0) - c * w
-            result = {l: w / a for l, w in acc.items()}
-        lo, hi = abs(n - m), n + m
-        cleaned: dict[int, float] = {}
-        for l, w in result.items():
-            if w == 0.0:
-                continue
-            if l < lo or l > hi:
-                # analytically an exact cancellation; keep only float dust out
-                if abs(w) > tol.bound(1.0):
-                    raise DomainError(
-                        f"linearization({m},{n}) produced coefficient {w} at l={l} outside [{lo},{hi}]"
-                    )
-                continue
-            if w < -tol.bound(1.0):
-                raise DomainError(
-                    f"linearization({m},{n}) produced negative coefficient {w} at l={l}; "
-                    "the recurrence does not define a hypergroup"
-                )
-            cleaned[l] = w
-        out = tuple(sorted(cleaned.items()))
-        self._lin[key] = out
+        if m < 0 or n < 0:
+            raise DomainError("linearization indices must be nonnegative")
+        vals, err = self._lin_table(np.array([m]), np.array([n]), tol)
+        if err[0]:
+            raise DomainError(err[0])
+        row = vals[0]
+        nz = np.flatnonzero(row)
+        if len(self._lin) >= LIN_MEMO:
+            del self._lin[next(iter(self._lin))]
+        self._lin[(m, n)] = out = tuple(zip(nz.tolist(), row[nz].tolist()))
         return out
+
+    def _lin_table(self, ms: np.ndarray, ns: np.ndarray, tol: Tolerance | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """Dense rows of P_ms[i] * P_ns[i] and their errors ("" where defined).
+
+        The recurrence runs in m, without recursion, over every requested
+        column n at once, as numpy vectors over l and in the float order of
+        the scalar recurrence: P_0 * P_n = P_n and, with (a_0, b_0, c_0) = (1, 0, 0),
+        P_m * P_n = [P_1*(P_{m-1}*P_n) - b_{m-1} P_{m-1}*P_n - c_{m-1} P_{m-2}*P_n] / a_{m-1}.
+        A pair (m, n) first needs rows m-1, ..., 1: the highest invalid one is
+        its error.  Otherwise a step that leaves the axioms (a coefficient below
+        -tol, or above tol outside [|n-m|, n+m]) or uses an invalid row ends its
+        column: every pair read from the column afterwards gets that step's message.
+        """
+        bound = (tol or default_tolerance()).bound(1.0)
+        order = np.argsort(ms, kind="stable")  # pairs are read step by step
+        reads = np.searchsorted(ms[order], np.arange(int(ms.max()) + 2))
+        cols = np.unique(ns)
+        col_of = np.searchsorted(cols, ns)
+        last = np.full(len(cols), -1)
+        last[col_of[order]] = ms[order]  # the last step each column is read at
+        top, width = int(ms.max()), int(cols[-1] + ms.max()) + 1
+        rows = np.zeros((width, 3))
+        block = self._row_block(width - 2)
+        rows[: len(block)] = block
+        a_l, b_l, c_l = rows.T
+        bad_l = np.zeros(width, dtype=bool)
+        bad_l[[r for r in self._row_errors if r < width]] = True
+        highest_bad = np.maximum.accumulate(np.where(bad_l, np.arange(width), 0))[np.maximum(ms - 1, 0)]
+        vals, err = np.zeros(_capped((len(ms), width))), np.full(len(ms), "", dtype=object)
+        dead, alive = np.full(len(cols), "", dtype=object), np.ones(len(cols), dtype=bool)
+        low, mid = np.zeros((2, len(cols), width))
+        mid[np.arange(len(cols)), cols] = 1.0
+        for m in range(top + 1):
+            if m > 1 and bad_l[m - 1]:
+                break  # every pair read from here on has an invalid row below it
+            if m:
+                a, b, c = rows[m - 1] if m > 1 else (1.0, 0.0, 0.0)
+                new = mid * b_l  # the b_l term; float addition commutes with the a_l term
+                new[:, 1:] += mid[:, :-1] * a_l[:-1]
+                if b:
+                    new -= b * mid
+                new[:, :-1] += mid[:, 1:] * c_l[1:]
+                new -= c * low
+                new /= a
+                below = np.arange(width) < np.abs(cols - m)[:, None]
+                viol = (new < -bound) | (below & (new > bound))
+                uses_bad = (mid != 0) & bad_l
+                for i in np.flatnonzero(alive & (last >= m) & (viol.any(axis=1) | uses_bad.any(axis=1))):
+                    dead[i], alive[i] = self._step_error(m, int(cols[i]), new[i], viol[i], uses_bad[i]), False
+                new[below] = 0.0
+                new[~alive | (last < m)] = 0.0
+                low, mid = mid, new
+            at = order[reads[m] : reads[m + 1]]
+            vals[at] = mid[col_of[at]]
+            err[at] = dead[col_of[at]]
+        for i in np.flatnonzero(highest_bad):
+            err[i] = self._row_errors[int(highest_bad[i])]
+        return vals, err
+
+    def _step_error(self, m: int, n: int, new: np.ndarray, viol: np.ndarray, uses_bad: np.ndarray) -> str:
+        """Message for the first failure of step m in column n."""
+        if uses_bad.any():
+            return self._row_errors[int(np.argmax(uses_bad))]
+        l = int(np.argmax(viol))
+        w, lo = float(new[l]), abs(n - m)
+        if l < lo:
+            return f"linearization({m},{n}) produced coefficient {w} at l={l} outside [{lo},{n + m}]"
+        return (
+            f"linearization({m},{n}) produced negative coefficient {w} at l={l}; "
+            "the recurrence does not define a hypergroup"
+        )
 
     def _mix(self, x: Point, y: Point) -> tuple[tuple[Point, float], ...]:
         # sorted key makes convolve_points exactly symmetric in (x, y)
         return self.linearization(min(x, y), max(x, y))
+
+    def _tensor(self, xs: np.ndarray, ys: np.ndarray) -> Structure:
+        lo, hi = np.minimum.outer(xs, ys), np.maximum.outer(xs, ys)
+        vals, err = self._lin_table(lo.ravel(), hi.ravel())
+        return Structure(vals.reshape(lo.shape + (-1,)), np.arange(vals.shape[1]), err.reshape(lo.shape))
 
     def validate_point(self, x: Any) -> int:
         if isinstance(x, bool) or not isinstance(x, (int, np.integer)):
@@ -339,13 +431,25 @@ class PolynomialHypergroup(Hypergroup):
 
 
 class RealLineHypergroup(Hypergroup):
-    """The group (R, +) as a hypergroup: delta_x * delta_y = delta_{x+y}."""
+    """The group (R, +) as a hypergroup: delta_x * delta_y = delta_{x+y}.
+
+    Measures stay dict-based and merge support points bitwise.  The structure
+    constants of a sample are the shift onto the distinct sums x + y, which
+    are exact on the dyadic sample points.
+    """
 
     kind = "realline"
     identity = 0.0
 
     def _mix(self, x: Point, y: Point) -> tuple[tuple[Point, float], ...]:
         return ((x + y, 1.0),)
+
+    def _tensor(self, xs: np.ndarray, ys: np.ndarray) -> Structure:
+        sums = np.add.outer(xs, ys)
+        points, where = np.unique(sums, return_inverse=True)
+        c = np.zeros(_capped(sums.shape + points.shape))
+        np.put_along_axis(c, where.reshape(sums.shape + (1,)), 1.0, axis=2)
+        return Structure(c, points, _defined(c))
 
     def validate_point(self, x: Any) -> float:
         if isinstance(x, bool) or not isinstance(x, (int, float, np.integer, np.floating)):
@@ -428,11 +532,58 @@ def exponential_function(hg: Hypergroup, param: Any) -> CFunction:
 # axiom checking
 
 
+def assoc_sample(hg: Hypergroup, n_points: int) -> np.ndarray:
+    """Indices into the point sample used for the associativity check.
+
+    Every point on a finite carrier.  On an infinite carrier every point up to
+    ASSOC_CAP (48) points, beyond that ASSOC_CAP evenly spaced points with
+    both ends included, so the sample never shrinks as the bound grows.
+    """
+    if isinstance(hg, FiniteHypergroup) or n_points <= ASSOC_CAP:
+        return np.arange(n_points)
+    return np.rint(np.linspace(0, n_points - 1, ASSOC_CAP)).astype(np.int64)
+
+
+def _residuals(lhs: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per case, over the last axis: worst weight difference and max(1, |weights|)."""
+    scl = np.maximum(1.0, np.maximum(np.abs(lhs).max(axis=-1), np.abs(rhs).max(axis=-1)))
+    return np.abs(lhs - rhs).max(axis=-1).ravel(), scl.ravel()
+
+
+def _scan(blocks: Iterable[tuple], tol: Tolerance) -> tuple[float, float, int | None, str]:
+    """Walk case blocks (residual, scale, messages) in check order, as a case loop does.
+
+    Tracks the worst residual/scale and stops at the first case that fails or
+    errs (has a message; None when no case of the block errs).  Returns
+    (worst, its scale, the stopping case or None, its message).
+    """
+    worst, worst_scale, offset = 0.0, 1.0, 0
+    for res, scl, msg in blocks:
+        fails = ~(res <= np.maximum(tol.abs_floor, tol.rel * scl))
+        hit = np.flatnonzero(fails if msg is None else fails | msg.astype(bool))
+        end = int(hit[0]) + 1 if hit.size else res.size
+        if hit.size and msg is not None and msg[end - 1]:
+            return worst, worst_scale, offset + end - 1, msg[end - 1]
+        ratio = res[:end] / scl[:end]
+        if end and ratio.max() > worst / worst_scale:
+            i = int(np.argmax(ratio))
+            worst, worst_scale = float(res[i]), float(scl[i])
+        if hit.size:
+            return worst, worst_scale, offset + end - 1, ""
+        offset += res.size
+    return worst, worst_scale, None, ""
+
+
 def check_axioms(hg: Hypergroup, sample_bound: int = 8, tol: Tolerance | None = None) -> Report:
     """Check the hypergroup axioms on a bounded sample; failures become report entries.
 
     For finite carriers the check is exhaustive; for infinite carriers points
-    are restricted by `sample_bound`.  Associativity is compared to tolerance.
+    are restricted by `sample_bound`, and associativity uses `assoc_sample`.
+    Every check reads the structure constants of the sample, in slices of x
+    that keep each array within DENSE_CAP entries (a sample whose single
+    slice exceeds it raises DomainError).  Records, statuses and
+    counterexamples are those of a case-by-case loop that stops at the first
+    failure.  An undefined convolution gives an error record.
     """
     if sample_bound < 1:
         raise DomainError("sample_bound must be >= 1")
@@ -442,92 +593,117 @@ def check_axioms(hg: Hypergroup, sample_bound: int = 8, tol: Tolerance | None = 
         title=f"hypergroup axioms: {hg.describe()}",
         meta={"sample_bound": sample_bound, "points": len(pts)},
     )
-
-    def conv(x: Point, y: Point) -> Measure:
-        return hg.convolve_points(x, y)
+    n, grid = len(pts), np.asarray(pts)
+    step = max(1, DENSE_CAP // (4 * n * n))  # under 2n points reached; half the cap for temporaries
+    parts = []
+    for xs in np.split(grid, range(step, n, step)):
+        rows = hg._tensor(xs, grid)
+        cols = rows if len(xs) == n else hg._tensor(grid, xs)
+        mass = np.cumsum(rows.c, axis=2)[:, :, -1].copy()  # summed in support order, as total_mass
+        comm, comm_scl = _residuals(rows.c, cols.c.transpose(1, 0, 2))
+        parts.append((np.maximum(-rows.c.min(axis=2), 0.0), mass, rows.err, cols.err.T, comm, comm_scl))
+    neg, mass, err, err_t, comm, comm_scl = (np.concatenate(part).reshape(n, n) for part in zip(*parts))
 
     # nonnegativity and normalization of every sampled point convolution
-    worst_neg = 0.0
-    neg_ce = None
-    worst_norm = 0.0
-    norm_ce = None
-    error: str | None = None
-    for x in pts:
+    bad = err.astype(bool)
+    i, j = divmod(int(np.argmax(bad)), n)
+    for name, law, res in (
+        ("nonnegativity", "weights of dx*dy are >= 0", neg),
+        ("normalization", "weights of dx*dy sum to 1", np.abs(mass - 1.0)),
+    ):
+        if bad.any():
+            report.add(name, law, False, error=True, detail=f"({pts[i]},{pts[j]}): {err[i, j]}")
+            continue
+        x, y = divmod(int(np.argmax(res)), n)
+        worst = float(res[x, y]) or 0.0
+        if tol.ok(worst):
+            report.add(name, law, True, worst, 1.0)
+            continue
+        if name == "nonnegativity":
+            one = hg._tensor(grid[[x]], grid[[y]])
+            witness = one.points[np.flatnonzero(one.c[0, 0])].tolist()
+        else:
+            witness = [float(mass[x, y]), 0.0]
+        report.add(name, law, False, worst, 1.0, counterexample=[pts[x], pts[y], witness])
+
+    def record(name: str, law: str, blocks: Iterable, label: Callable[[int], list]) -> None:
+        worst, scale, stop, error = _scan(blocks, tol)
         if error:
-            break
-        for y in pts:
-            try:
-                mu = conv(x, y)
-            except DomainError as exc:
-                error = f"({x},{y}): {exc}"
-                break
-            low = min((w.real for _, w in mu.support), default=0.0)
-            if -low > worst_neg:
-                worst_neg, neg_ce = -low, [x, y, list(mu.points)]
-            drift = abs(mu.total_mass() - 1.0)
-            if drift > worst_norm:
-                worst_norm, norm_ce = drift, [x, y, [mu.total_mass().real, mu.total_mass().imag]]
-    if error:
-        report.add("nonnegativity", "weights of dx*dy are >= 0", False, error=True, detail=error)
-        report.add("normalization", "weights of dx*dy sum to 1", False, error=True, detail=error)
+            report.add(name, law, False, error=True, detail=error)
+        else:
+            report.add(name, law, stop is None, worst, scale, counterexample=None if stop is None else label(stop))
+
+    ident = hg._tensor(np.asarray([hg.identity]), grid)
+    dirac_rows = np.zeros(ident.c.shape[1:])
+    dirac_rows[np.arange(n), np.searchsorted(ident.points, grid)] = 1.0
+    record("identity", "do * dx = dx", [(*_residuals(ident.c[0], dirac_rows), ident.err[0])], lambda i: ["o", pts[i]])
+    blocks = [(comm.ravel(), comm_scl.ravel(), np.where(bad, err, err_t).ravel())]
+    record("commutativity", "dx * dy = dy * dx", blocks, lambda k: [pts[k // n], pts[k % n]])
+    idx = assoc_sample(hg, n)
+    small, s = grid[idx], len(idx)
+    if len(parts) == 1:  # the one slice holds every pair of the sample
+        pair = Structure(rows.c[np.ix_(idx, idx)], rows.points, err[np.ix_(idx, idx)])
     else:
-        report.add(
-            "nonnegativity",
-            "weights of dx*dy are >= 0",
-            tol.ok(worst_neg),
-            worst_neg,
-            1.0,
-            counterexample=None if tol.ok(worst_neg) else neg_ce,
-        )
-        report.add(
-            "normalization",
-            "weights of dx*dy sum to 1",
-            tol.ok(worst_norm),
-            worst_norm,
-            1.0,
-            counterexample=None if tol.ok(worst_norm) else norm_ce,
-        )
-
-    def first_failure(name: str, law: str, gen) -> None:
-        worst = 0.0
-        worst_scale = 1.0
-        ce = None
-        try:
-            for label, lhs, rhs in gen:
-                res, scl = measure_residual(lhs, rhs)
-                if res / scl > worst / worst_scale:
-                    worst, worst_scale = res, scl
-                if not tol.ok(res, scl):
-                    ce = label
-                    break
-        except DomainError as exc:
-            report.add(name, law, False, error=True, detail=str(exc))
-            return
-        report.add(name, law, ce is None, worst, worst_scale, counterexample=ce)
-
-    o = hg.identity
-    first_failure(
-        "identity",
-        "do * dx = dx",
-        ((["o", x], conv(o, x), hg.dirac(x)) for x in pts),
-    )
-    first_failure(
-        "commutativity",
-        "dx * dy = dy * dx",
-        (([x, y], conv(x, y), conv(y, x)) for x in pts for y in pts),
-    )
-    small = pts if len(pts) <= 24 else pts[:: max(1, len(pts) // 24)]
-    first_failure(
+        pair = hg._tensor(small, small)
+    record(
         "associativity",
         "(dx*dy)*dz = dx*(dy*dz)",
-        (
-            ([x, y, z], convolve(conv(x, y), hg.dirac(z)), convolve(hg.dirac(x), conv(y, z)))
-            for x in small
-            for y in small
-            for z in small
-        ),
+        _associativity(hg, pair, small, 3 * n),
+        lambda k: [small[k // (s * s)].item(), small[k // s % s].item(), small[k % s].item()],
     )
     return report
+
+
+def _reached(mask: np.ndarray) -> np.ndarray:
+    """Closure points reached, as a mask; the first point if none is."""
+    return mask if mask.any() else np.arange(len(mask)) == 0
+
+
+def _on(c: np.ndarray, points: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """Weights c over the sorted `points` moved onto their sorted superset `target`."""
+    if len(points) == len(target):
+        return c
+    out = np.zeros(c.shape[:-1] + (len(target),))
+    out[..., np.searchsorted(target, points)] = c
+    return out
+
+
+def _associativity(hg: Hypergroup, pair: Structure, small: np.ndarray, width: int) -> Iterator[tuple]:
+    """Case blocks of (dx*dy)*dz against dx*(dy*dz), one x of the sample at a time.
+
+    With C[y, z, k] the convolutions `pair` of the sample, the left side contracts
+    C[x, y, k] with C[k, z, .] and the right side C[y, z, k] with C[x, k, .].
+    Runs of x share the tensors dk*dz and dx*dk, kept within DENSE_CAP by
+    `width`, a bound on the points they reach.  A case that needs an undefined
+    convolution errs with the first message in the structures of its run.
+    """
+    s = len(small)
+    nz, bad = pair.c != 0, pair.err.astype(bool)
+    used = _reached(nz.any(axis=(0, 1)))
+    closure = pair.c[:, :, used].reshape(s * s, -1)
+    closure_nz = closure != 0
+    first = 0
+    while first < s:
+        reach = np.logical_or.accumulate(nz[first:].any(axis=1), axis=0).sum(axis=1)
+        cost = (reach * s + np.arange(1, s - first + 1) * used.sum()) * width
+        end = first + max(1, int(np.sum(cost <= DENSE_CAP)))
+        mask = _reached(nz[first:end].any(axis=(0, 1)))
+        right = hg._tensor(pair.points[mask], small)  # dk * dz
+        left = hg._tensor(small[first:end], pair.points[used])  # dx * dk
+        target = np.union1d(right.points, left.points)
+        right_flat, right_bad, left_bad = right.c.reshape(mask.sum(), -1), right.err.astype(bool), left.err.astype(bool)
+        msg = next((m for e in (pair.err, right.err, left.err) for m in e[e.astype(bool)]), None)
+        run = pair.c[first:end][:, :, mask]
+        for i in range(first, end):
+            t = run[i - first]
+            lhs = _on((t @ right_flat).reshape(s, s, -1), right.points, target)
+            rhs = _on((closure @ left.c[i - first]).reshape(s, s, -1), left.points, target)
+            if msg is None:
+                yield (*_residuals(lhs, rhs), None)
+                continue
+            errs = bad[i][:, None] | ((t != 0) @ right_bad) | bad | (closure_nz @ left_bad[i - first]).reshape(s, s)
+            yield (*_residuals(lhs, rhs), np.where(errs.ravel(), msg, "").astype(object))
+        first = end
 
 
 # ---------------------------------------------------------------------------
@@ -548,17 +724,17 @@ def _cluster_indices(values: np.ndarray, tol: float) -> list[list[int]]:
 def enumerate_exponentials(hg: FiniteHypergroup, tol: Tolerance | None = None) -> list[CFunction]:
     """All exponentials of a finite hypergroup.
 
-    An exponential is a joint eigenvector of the translation matrices T_x,
-    normalised to 1 at the identity.  Eigenspaces are intersected across all
-    generators; if the refinement does not end in one-dimensional joint
-    eigenspaces, or a candidate fails re-verification against the defining
-    equation, a DecompositionError names the defect.
+    An exponential is a joint eigenvector of the translation matrices
+    T_x = C[x], normalised to 1 at the identity.  Eigenspaces are intersected
+    across all generators; if the refinement does not end in one-dimensional
+    joint eigenspaces, or a candidate fails re-verification against the
+    defining equation, a DecompositionError names the defect.
     """
     tol = tol or default_tolerance()
     n = hg.size
-    mats = [hg.translation_matrix(x) for x in range(n)]
+    c = hg.tensor
     blocks: list[np.ndarray] = [np.eye(n, dtype=complex)]
-    for x, T in enumerate(mats):
+    for x, T in enumerate(c.astype(complex)):
         refined: list[np.ndarray] = []
         for basis in blocks:
             if basis.shape[1] == 1:
@@ -583,29 +759,27 @@ def enumerate_exponentials(hg: FiniteHypergroup, tol: Tolerance | None = None) -
                 "all translations; the translation algebra is not (numerically) semisimple"
             )
     o = hg.identity
-    functions: list[CFunction] = []
+    found: list[np.ndarray] = []
     for basis in blocks:
         v = basis[:, 0]
         pivot = v[o]
         if abs(pivot) < 1e-10 * float(np.linalg.norm(v)):
-            raise DecompositionError("joint eigenvector vanishes at the identity")
-        v = v / pivot
-        worst = 0.0
-        worst_scale = 1.0
-        for x in range(n):
-            for y in range(n):
-                lhs = sum(w * v[k] for k, w in hg._mix(x, y))
-                rhs = v[x] * v[y]
-                res = abs(lhs - rhs)
-                scl = scale_of(lhs, rhs)
-                if res / scl > worst / worst_scale:
-                    worst, worst_scale = res, scl
-        if not tol.ok(worst, worst_scale):
+            break
+        found.append(v / pivot)
+    # re-verification: <dx*dy, v> = v(x) v(y) for every pair, per candidate
+    vs = np.array(found).reshape(len(found), n)
+    lhs = np.einsum("xyk,bk->bxy", c, vs)
+    rhs = vs[:, :, None] * vs[:, None, :]
+    res = np.abs(lhs - rhs).reshape(len(found), -1)
+    scl = np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs))).reshape(len(found), -1)
+    for b, i in enumerate(np.argmax(res / scl, axis=1)):
+        if not tol.ok(res[b, i], scl[b, i]):
             raise DecompositionError(
-                f"joint eigenvector failed exponential re-verification (residual {worst:.3e})"
+                f"joint eigenvector failed exponential re-verification (residual {res[b, i]:.3e})"
             )
-        values = {x: complex(v[x]) for x in range(n)}
-        functions.append(CFunction.from_table(values, kind="exponential"))
+    if len(found) < len(blocks):
+        raise DecompositionError("joint eigenvector vanishes at the identity")
+    functions = [CFunction.from_table({x: complex(v[x]) for x in range(n)}, kind="exponential") for v in found]
     functions.sort(
         key=lambda f: tuple(
             (-round(f(x).real, 10), -round(f(x).imag, 10)) for x in range(n)

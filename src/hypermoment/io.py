@@ -99,7 +99,7 @@ def hypergroup_from_dict(data: dict) -> Hypergroup:
             preset = _POLY_PRESETS[coeffs]()
             if "a0" not in data and "b0" not in data:
                 return preset
-            return PolynomialHypergroup(a0, b0, preset.coefficient_row)
+            return PolynomialHypergroup(a0, b0, preset.coefficient_row, name=f"{coeffs}, a0={a0}, b0={b0}")
         if isinstance(coeffs, list):
             try:
                 rows = [(float(a), float(b), float(c)) for a, b, c in coeffs]

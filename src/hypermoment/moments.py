@@ -26,7 +26,6 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .config import Tolerance, default_tolerance
 from .errors import DomainError, PreconditionError
@@ -530,53 +529,37 @@ def extend_moment_sequence(
     n = hg.size
     pts = list(range(n))
     zero = (0,) * len(alpha)
+    c = hg.tensor
+    values = {beta: np.array([entries[beta](x) for x in pts], dtype=complex) for beta in needed}
 
     # precondition: identities of the fixed lower entries hold
     for beta in needed:
-        worst = 0.0
-        worst_scale = 1.0
-        witness = None
-        for x in pts:
-            for y in pts:
-                lhs = pair(hg.convolve_points(x, y), entries[beta])
-                rhs = 0j
-                top = abs(lhs)
-                for gamma in lower_indices(beta):
-                    term = (
-                        multi_binomial(beta, gamma)
-                        * entries[gamma](x)
-                        * entries[index_sub(beta, gamma)](y)
-                    )
-                    rhs += term
-                    top = max(top, abs(term))
-                res = abs(lhs - rhs)
-                scl = max(1.0, top)
-                if res / scl > worst / worst_scale:
-                    worst, worst_scale, witness = res, scl, (x, y)
-        if not tol.ok(worst, worst_scale):
+        lhs = np.einsum("xyk,k->xy", c, values[beta])
+        rhs = np.zeros((n, n), dtype=complex)
+        top = np.abs(lhs)
+        for gamma in lower_indices(beta):
+            term = (multi_binomial(beta, gamma) * values[gamma])[:, None] * values[index_sub(beta, gamma)]
+            rhs += term
+            top = np.maximum(top, np.abs(term))
+        res = np.abs(lhs - rhs)
+        scl = np.maximum(1.0, top)
+        x, y = divmod(int(np.argmax(res / scl)), n)
+        if not tol.ok(res[x, y], scl[x, y]):
             raise PreconditionError(
                 f"lower entry phi_{list(beta)} violates its moment identity at "
-                f"{witness} (residual {worst:.3e})"
+                f"{(x, y)} (residual {res[x, y]:.3e})"
             )
 
-    phi0 = entries[zero]
-    rows: list[list[complex]] = []
-    rhs_vec: list[complex] = []
-    strict = [beta for beta in needed if beta != zero]
-    for x in pts:
-        for y in pts:
-            row = [0j] * n
-            for k, w in hg.convolve_points(x, y).support:
-                row[k] += w
-            row[y] -= phi0(x)
-            row[x] -= phi0(y)
-            b = 0j
-            for beta in strict:
-                b += multi_binomial(alpha, beta) * entries[beta](x) * entries[index_sub(alpha, beta)](y)
-            rows.append(row)
-            rhs_vec.append(b)
-    a_mat = np.array(rows, dtype=complex)
-    b_mat = np.array(rhs_vec, dtype=complex)
+    # one row per ordered pair (x, y): <dx*dy, phi_alpha> - phi_alpha(y) phi_0(x) - phi_alpha(x) phi_0(y)
+    phi0 = values[zero]
+    xs, ys = np.divmod(np.arange(n * n), n)
+    a_mat = c.reshape(n * n, n).astype(complex)
+    a_mat[xs * n + ys, ys] -= phi0[xs]
+    a_mat[xs * n + ys, xs] -= phi0[ys]
+    b_mat = np.zeros(n * n, dtype=complex)
+    for beta in needed:
+        if beta != zero:
+            b_mat += (multi_binomial(alpha, beta) * values[beta])[xs] * values[index_sub(alpha, beta)][ys]
     solution, *_ = np.linalg.lstsq(a_mat, b_mat, rcond=None)
     residual = float(np.max(np.abs(a_mat @ solution - b_mat))) if len(b_mat) else 0.0
     scale = max(
@@ -585,8 +568,11 @@ def extend_moment_sequence(
         float(np.max(np.abs(a_mat))) * float(np.max(np.abs(solution), initial=0.0)),
     )
     consistent = tol.ok(residual, scale)
-    null = scipy.linalg.null_space(a_mat)
-    rank = int(np.linalg.matrix_rank(a_mat))
+    # null space by SVD, counting singular values above eps * max(shape) * s_max
+    # as rank (the rule of scipy.linalg.null_space and numpy's matrix_rank)
+    _, sing, vh = np.linalg.svd(a_mat, full_matrices=False)  # n^2 rows >= n columns
+    rank = int(np.sum(sing > np.finfo(float).eps * max(a_mat.shape) * np.max(sing, initial=0.0)))
+    null = vh[rank:].conj().T
     return AffineSolutionSet(
         points=tuple(pts),
         consistent=consistent,

@@ -1,0 +1,381 @@
+"""The structure-tensor kernel against the case-by-case definitions it replaces.
+
+`reference_check_axioms` is the pairwise loop that `check_axioms` ran before
+the kernel: every case is a `Measure` convolution, compared with
+`measure_residual`, stopping at the first failure.  The kernel must give the
+same records in the same order, with the same statuses, counterexamples and
+residuals (within 1e-15 of the scale), and the same details except on an
+associativity error, which names the first undefined convolution of its run
+of x.  `reference_linearization` is the recursive definition of the
+linearization coefficients, errors included.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import hypermoment
+from hypermoment import (
+    DomainError,
+    FiniteHypergroup,
+    PolynomialHypergroup,
+    Report,
+    check_axioms,
+    chebyshev,
+    convolve,
+    dirac,
+    legendre,
+    measure_residual,
+    real_line,
+    two_point,
+)
+from hypermoment.config import default_tolerance
+from hypermoment.hypergroups import assoc_sample
+from hypermoment.io import load_hypergroup
+
+
+def reference_check_axioms(hg, sample_bound: int) -> Report:
+    tol = default_tolerance()
+    pts = hg.sample_points(sample_bound)
+    report = Report(title="reference")
+
+    def conv(x, y):
+        return hg.convolve_points(x, y)
+
+    worst_neg, neg_ce, worst_norm, norm_ce, error = 0.0, None, 0.0, None, None
+    for x in pts:
+        if error:
+            break
+        for y in pts:
+            try:
+                mu = conv(x, y)
+            except DomainError as exc:
+                error = f"({x},{y}): {exc}"
+                break
+            low = min((w.real for _, w in mu.support), default=0.0)
+            if -low > worst_neg:
+                worst_neg, neg_ce = -low, [x, y, list(mu.points)]
+            drift = abs(mu.total_mass() - 1.0)
+            if drift > worst_norm:
+                worst_norm, norm_ce = drift, [x, y, [mu.total_mass().real, mu.total_mass().imag]]
+    for name, worst, ce in (("nonnegativity", worst_neg, neg_ce), ("normalization", worst_norm, norm_ce)):
+        if error:
+            report.add(name, "", False, error=True, detail=error)
+        else:
+            report.add(name, "", tol.ok(worst), worst, 1.0, counterexample=None if tol.ok(worst) else ce)
+
+    def first_failure(name, gen):
+        worst, worst_scale, ce = 0.0, 1.0, None
+        try:
+            for label, lhs, rhs in gen:
+                res, scl = measure_residual(lhs, rhs)
+                if res / scl > worst / worst_scale:
+                    worst, worst_scale = res, scl
+                if not tol.ok(res, scl):
+                    ce = label
+                    break
+        except DomainError as exc:
+            report.add(name, "", False, error=True, detail=str(exc))
+            return
+        report.add(name, "", ce is None, worst, worst_scale, counterexample=ce)
+
+    o = hg.identity
+    first_failure("identity", ((["o", x], conv(o, x), dirac(hg, x)) for x in pts))
+    first_failure("commutativity", (([x, y], conv(x, y), conv(y, x)) for x in pts for y in pts))
+    small = [pts[i] for i in assoc_sample(hg, len(pts))]
+    first_failure(
+        "associativity",
+        (
+            ([x, y, z], convolve(conv(x, y), dirac(hg, z)), convolve(dirac(hg, x), conv(y, z)))
+            for x in small
+            for y in small
+            for z in small
+        ),
+    )
+    return report
+
+
+def _python_scalars(value) -> bool:
+    if isinstance(value, list):
+        return all(_python_scalars(v) for v in value)
+    return value is None or type(value) in (int, float, str)
+
+
+def assert_matches_reference(make, bound: int = 8, reference_carrier=None) -> None:
+    got = check_axioms(make(), sample_bound=bound)
+    want = reference_check_axioms(reference_carrier or make(), bound)
+    assert [r.name for r in got.records] == [r.name for r in want.records]
+    for g, w in zip(got.records, want.records):
+        assert (g.name, g.status, g.counterexample) == (w.name, w.status, w.counterexample)
+        assert g.detail == w.detail or (g.name, g.status) == ("associativity", "error")
+        assert _python_scalars(g.counterexample), g.counterexample
+        assert abs(g.residual - w.residual) <= 1e-15 * w.scale
+        assert abs(g.scale - w.scale) <= 1e-15 * w.scale
+
+
+# ---------------------------------------------------------------------------
+# tables
+
+
+def cyclic(n: int) -> list:
+    return [[a, b, [[(a + b) % n, 1.0]]] for a in range(n) for b in range(n)]
+
+
+def redirected(n: int, i: int, j: int) -> list:
+    """Z_n with the pair {i, j} sent one step further: commutative, not associative."""
+    return [[a, b, [[(a + b + 1) % n if {a, b} == {i, j} else (a + b) % n, 1.0]]] for a in range(n) for b in range(n)]
+
+
+def two_point_table(theta: float) -> list:
+    return [[0, 0, [[0, 1.0]]], [0, 1, [[1, 1.0]]], [1, 0, [[1, 1.0]]], [1, 1, [[0, theta], [1, 1.0 - theta]]]]
+
+
+def product(theta1: float, theta2: float) -> FiniteHypergroup:
+    """D(theta1) x D(theta2) on {0,1,2,3}, the point (a, b) at index 2a + b."""
+    t1, t2 = (dict(((a, b), row) for a, b, row in two_point_table(t)) for t in (theta1, theta2))
+    table = [
+        [2 * a1 + a2, 2 * b1 + b2, [[2 * k1 + k2, w1 * w2] for k1, w1 in t1[a1, b1] for k2, w2 in t2[a2, b2]]]
+        for a1 in range(2) for a2 in range(2) for b1 in range(2) for b2 in range(2)
+    ]
+    return FiniteHypergroup(4, 0, table)
+
+
+def chebyshev_dip(row: int, a: float, bound: int) -> PolynomialHypergroup:
+    """Chebyshev rows with row `row` replaced by (a, 0, 1-a): some coefficient goes negative."""
+    rows = [(0.5, 0.0, 0.5)] * (2 * bound + 2)
+    return PolynomialHypergroup(1.0, 0.0, rows[: row - 1] + [(a, 0.0, 1.0 - a)] + rows[row:])
+
+
+# ---------------------------------------------------------------------------
+# the kernel against the reference loop
+
+
+@pytest.mark.parametrize("n", range(3, 13))
+def test_cyclic_groups(n):
+    assert_matches_reference(lambda: FiniteHypergroup(n, 0, cyclic(n)))
+
+
+@pytest.mark.parametrize("theta", [0.05, 0.3, 0.5, 0.77, 1.0])
+def test_two_point_and_products(theta):
+    assert_matches_reference(lambda: two_point(theta))
+    assert_matches_reference(lambda: product(theta, 1.1 - theta))
+
+
+@pytest.mark.parametrize("theta", [1.05, 1.3, 1.9])
+def test_negative_weight_tables(theta):
+    assert_matches_reference(lambda: FiniteHypergroup(2, 0, two_point_table(theta)))
+    assert_matches_reference(lambda: product(theta, 0.4))
+
+
+@pytest.mark.parametrize("n,i,j", [(4, 1, 2), (5, 1, 2), (6, 2, 5), (7, 3, 3), (8, 1, 7)])
+def test_redirected_cyclic_tables(n, i, j):
+    assert_matches_reference(lambda: FiniteHypergroup(n, 0, redirected(n, i, j)))
+
+
+@pytest.mark.parametrize(
+    "row,a,bound", [(2, 0.1, 6), (2, 0.3, 7), (3, 0.8, 8), (3, 0.9, 9), (4, 0.7, 10), (5, 0.3, 12), (6, 0.05, 16)]
+)
+def test_chebyshev_row_dips(row, a, bound):
+    # an error record wherever the case loop meets the negative coefficient,
+    # including pairs beyond the sample that only associativity reaches
+    for b in (3, 5, bound):
+        assert_matches_reference(lambda: chebyshev_dip(row, a, bound), b)
+
+
+def test_invalid_and_exhausted_rows():
+    for b in (2, 4, 6):
+        assert_matches_reference(lambda: PolynomialHypergroup(1.0, 0.0, [(0.5, 0.0, 0.5)] * 5), b)
+    bad_row = lambda n: (0.0, 0.5, 0.5) if n == 7 else (0.5, 0.0, 0.5)  # noqa: E731
+    for b in (3, 5, 8):
+        assert_matches_reference(lambda: PolynomialHypergroup(1.0, 0.0, bad_row), b)
+    assert_matches_reference(lambda: PolynomialHypergroup(0.25, 0.75, lambda n: (0.05, 0.9, 0.05)), 6)
+
+
+WARM = {"chebyshev": chebyshev(), "legendre": legendre()}
+
+
+@pytest.mark.parametrize("bound", range(1, 17))
+@pytest.mark.parametrize("preset", ["chebyshev", "legendre"])
+def test_polynomial_presets(preset, bound):
+    # the kernel gets a fresh carrier; the reference loop reuses a warm one
+    assert_matches_reference({"chebyshev": chebyshev, "legendre": legendre}[preset], bound, WARM[preset])
+
+
+@pytest.mark.parametrize("bound", [1, 2, 5, 8])
+def test_real_line(bound):
+    assert_matches_reference(real_line, bound)
+
+
+@st.composite
+def small_tables(draw):
+    n = draw(st.integers(1, 4))
+    weight = st.one_of(st.sampled_from([1.0, 0.5, 0.25, -0.25]), st.floats(-1, 1, allow_nan=False))
+    table = []
+    for a in range(n):
+        for b in range(n):
+            support = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True))
+            table.append([a, b, [[k, draw(weight)] for k in support]])
+    return n, draw(st.integers(0, n - 1)), table
+
+
+@pytest.mark.parametrize("cap,assoc_cap", [(20000, 6), (40000, 8)])
+def test_slices_and_runs_match_reference(monkeypatch, cap, assoc_cap):
+    # small caps cut the pair checks into x-slices and associativity into runs of x
+    monkeypatch.setattr(hypermoment.hypergroups, "DENSE_CAP", cap)
+    monkeypatch.setattr(hypermoment.hypergroups, "ASSOC_CAP", assoc_cap)
+    for make in (chebyshev, legendre, real_line, lambda: chebyshev_dip(3, 0.8, 30)):
+        assert_matches_reference(make, 30)
+
+
+def test_oversized_slice_is_refused(monkeypatch):
+    monkeypatch.setattr(hypermoment.hypergroups, "DENSE_CAP", 500)
+    with pytest.raises(DomainError, match="exceeds 500 entries"):
+        check_axioms(chebyshev(), 12)
+
+
+def test_large_real_line_bound_stays_within_memory():
+    # dense P x P x W arrays would take about 1 GB each at this bound
+    tracemalloc.start()
+    try:
+        assert check_axioms(real_line(), 200).passed
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 8 * hypermoment.hypergroups.DENSE_CAP
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_tables())
+def test_random_small_tables(spec):
+    n, identity, table = spec
+    assert_matches_reference(lambda: FiniteHypergroup(n, identity, table))
+
+
+# ---------------------------------------------------------------------------
+# linearization table
+
+
+def reference_linearization(hg, m: int, n: int) -> dict:
+    """P_m * P_n by the recursion in m, checking rows and coefficients in its order."""
+    bound = default_tolerance().bound(1.0)
+    if m == 0:
+        result = {n: 1.0}
+    elif m == 1:
+        result = {1: 1.0}
+        if n:
+            a, b, c = hg.coefficient_row(n)
+            result = {n + 1: a, n - 1: c} | ({n: b} if b else {})
+    else:
+        a, b, c = hg.coefficient_row(m - 1)
+        mid, low = reference_linearization(hg, m - 1, n), reference_linearization(hg, m - 2, n)
+        acc: dict[int, float] = {}
+        for l, w in sorted(mid.items()):
+            for l2, w2 in sorted(reference_linearization(hg, 1, l).items()):
+                acc[l2] = acc.get(l2, 0.0) + w * w2
+            acc[l] = acc.get(l, 0.0) - b * w
+        for l, w in sorted(low.items()):
+            acc[l] = acc.get(l, 0.0) - c * w
+        result = {l: w / a for l, w in acc.items()}
+    lo, hi = abs(n - m), n + m
+    for l, w in result.items():
+        if w != 0.0 and not lo <= l <= hi and abs(w) > bound:
+            raise DomainError(f"linearization({m},{n}) produced coefficient {w} at l={l} outside [{lo},{hi}]")
+        if w != 0.0 and lo <= l <= hi and w < -bound:
+            raise DomainError(
+                f"linearization({m},{n}) produced negative coefficient {w} at l={l}; "
+                "the recurrence does not define a hypergroup"
+            )
+    return {l: w for l, w in result.items() if w != 0.0 and lo <= l <= hi}
+
+
+def _outcome(fn) -> dict | str:
+    try:
+        return dict(fn())
+    except DomainError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        chebyshev,
+        legendre,
+        lambda: PolynomialHypergroup(0.6, 0.4, lambda n: (0.5, 0.2, 0.3)),
+        lambda: PolynomialHypergroup(1.0, 0.0, [(0.5, 0.0, 0.5)] * 5),
+        lambda: PolynomialHypergroup(1.0, 0.0, lambda n: (0.0, 0.5, 0.5) if n in (4, 7) else (0.5, 0.0, 0.5)),
+        lambda: chebyshev_dip(3, 0.8, 12),
+    ],
+)
+def test_linearization_equals_recursion_bit_for_bit(make):
+    # values and error messages; the kernel carrier keeps its memo across calls
+    hg, ref = make(), make()
+    for m in range(12):
+        for n in range(12):
+            assert _outcome(lambda: hg.linearization(m, n)) == _outcome(lambda: reference_linearization(ref, m, n))
+
+
+def test_linearization_reports_the_highest_invalid_row_below_m():
+    hg = PolynomialHypergroup(1.0, 0.0, [(0.5, 0.0, 0.5)] * 5)
+    with pytest.raises(DomainError, match="row 6 requested"):
+        hg.linearization(7, 7)
+    with pytest.raises(DomainError, match="row 7 requested"):
+        hg.linearization(8, 5)
+
+
+def test_linearization_deep_in_m():
+    # the recursion raised RecursionError here; Chebyshev closed form T_m T_n = (T_{m+n} + T_{|m-n|})/2
+    assert chebyshev().linearization(1200, 3) == ((1197, 0.5), (1203, 0.5))
+    assert chebyshev().linearization(5000, 5000) == ((0, 0.5), (10000, 0.5))
+
+
+def test_linearization_memo_is_bounded(monkeypatch):
+    monkeypatch.setattr(hypermoment.hypergroups, "LIN_MEMO", 8)
+    hg = chebyshev()
+    for n in range(20):
+        hg.linearization(2, n)
+    assert list(hg._lin) == [(2, n) for n in range(12, 20)]
+    assert hg.linearization(2, 19) is hg.linearization(2, 19)
+
+
+# ---------------------------------------------------------------------------
+# sample rule, carrier equality, import weight
+
+
+@pytest.mark.parametrize("bound,cheb,line", [(23, 24, 47), (40, 41, 48), (47, 48, 48), (80, 48, 48)])
+def test_associativity_sample_size(bound, cheb, line):
+    for hg, size in ((chebyshev(), cheb), (real_line(), line)):
+        n = len(hg.sample_points(bound))
+        idx = assoc_sample(hg, n)
+        assert len(idx) == size
+        assert idx[0] == 0 and idx[-1] == n - 1 and all(idx[1:] > idx[:-1])
+
+
+def test_associativity_sample_is_exhaustive_on_finite_carriers():
+    assert len(assoc_sample(FiniteHypergroup(60, 0, cyclic(60)), 60)) == 60
+
+
+def test_same_polynomial_spec_loads_equal():
+    spec = '{"kind": "polynomial", "coeffs": "chebyshev", "a0": 0.5, "b0": 0.5}'
+    first, second = load_hypergroup(spec), load_hypergroup(spec)
+    assert first == second and hash(first) == hash(second)
+    mu = hypermoment.Measure.from_items(first, [(1, 1.0)])
+    nu = hypermoment.Measure.from_items(second, [(2, 1.0)])
+    assert convolve(mu, nu).support == ((1, 0.5 + 0j), (3, 0.5 + 0j))
+    assert first != chebyshev()
+    assert first.describe() == "polynomial(chebyshev, a0=0.5, b0=0.5)"
+
+
+def test_import_does_not_load_scipy():
+    env = dict(os.environ, PYTHONPATH=str(Path(hypermoment.__file__).parents[1]))
+    code = "import sys, hypermoment, json; print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert json.loads(out.stdout) == []
