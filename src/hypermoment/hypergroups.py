@@ -11,8 +11,9 @@ Three built-in families:
 Axioms (nonnegativity, normalization, identity, commutativity, associativity)
 are *checked*, not assumed: defective tables and recurrences are constructible
 and `check_axioms` reports the first counterexample per axiom.  The checks run
-on the structure constants of a point sample (:class:`Structure`), a dense
-array C[i, j, k] = weight at k of delta_i * delta_j.
+on structure constants (:class:`Structure`): for a list of point pairs, the
+dense array C[p, k] = weight at k of delta_x[p] * delta_y[p] (`_pairs`, one
+per carrier); on a grid of points the pair axis splits into C[i, j, k].
 """
 
 from __future__ import annotations
@@ -46,17 +47,18 @@ def _capped(shape: tuple[int, ...]) -> tuple[int, ...]:
 
 
 class Structure(NamedTuple):
-    """Point convolutions d_xs[i] * d_ys[j]: ``c[i, j, k]`` is the weight at
-    ``points[k]``, ``err[i, j]`` the message of an undefined pair ("" where
-    defined; such a pair has a zero row)."""
+    """Point convolutions of pairs: ``c[p, k]`` is the weight at ``points[k]``
+    of the p-th convolution, ``err[p]`` the message of an undefined pair (""
+    where defined; such a pair has a zero row).  On a grid of xs against ys
+    the pair axis splits into (i, j)."""
 
     c: np.ndarray
     points: np.ndarray
     err: np.ndarray
 
 
-def _defined(c: np.ndarray) -> np.ndarray:
-    return np.full(c.shape[:2], "", dtype=object)
+def _defined(count: int) -> np.ndarray:
+    return np.full(count, "", dtype=object)
 
 
 class Hypergroup:
@@ -68,9 +70,18 @@ class Hypergroup:
     def _mix(self, x: Point, y: Point) -> tuple[tuple[Point, float], ...]:
         raise NotImplementedError
 
-    def _tensor(self, xs: np.ndarray, ys: np.ndarray) -> Structure:
-        """Structure constants of the points xs against the points ys."""
+    def _pairs(self, xs: np.ndarray, ys: np.ndarray) -> Structure:
+        """Structure constants of the pairs (xs[p], ys[p]) of validated points."""
         raise NotImplementedError
+
+    def _width(self, xs: np.ndarray, ys: np.ndarray) -> int:
+        """The number of points `_pairs(xs, ys)` returns, without building it."""
+        raise NotImplementedError
+
+    def _tensor(self, xs: np.ndarray, ys: np.ndarray) -> Structure:
+        """Structure constants of the points xs against the points ys: ``c[i, j, k]``."""
+        s = self._pairs(np.repeat(xs, len(ys)), np.tile(ys, len(xs)))
+        return Structure(s.c.reshape(len(xs), len(ys), -1), s.points, s.err.reshape(len(xs), len(ys)))
 
     def validate_point(self, x: Any) -> Point:
         raise NotImplementedError
@@ -149,10 +160,12 @@ class FiniteHypergroup(Hypergroup):
                 c[i, j, k] = w
         return c
 
-    def _tensor(self, xs: np.ndarray, ys: np.ndarray) -> Structure:
-        _capped((len(xs), len(ys), self.size))
-        c = self.tensor[np.ix_(xs, ys)]
-        return Structure(c, np.arange(self.size), _defined(c))
+    def _pairs(self, xs: np.ndarray, ys: np.ndarray) -> Structure:
+        _capped((len(xs), self.size))
+        return Structure(self.tensor[xs, ys], np.arange(self.size), _defined(len(xs)))
+
+    def _width(self, xs: np.ndarray, ys: np.ndarray) -> int:
+        return self.size
 
     def validate_point(self, x: Any) -> int:
         if isinstance(x, bool) or not isinstance(x, (int, np.integer)):
@@ -374,10 +387,12 @@ class PolynomialHypergroup(Hypergroup):
         # sorted key makes convolve_points exactly symmetric in (x, y)
         return self.linearization(min(x, y), max(x, y))
 
-    def _tensor(self, xs: np.ndarray, ys: np.ndarray) -> Structure:
-        lo, hi = np.minimum.outer(xs, ys), np.maximum.outer(xs, ys)
-        vals, err = self._lin_table(lo.ravel(), hi.ravel())
-        return Structure(vals.reshape(lo.shape + (-1,)), np.arange(vals.shape[1]), err.reshape(lo.shape))
+    def _pairs(self, xs: np.ndarray, ys: np.ndarray) -> Structure:
+        vals, err = self._lin_table(np.minimum(xs, ys), np.maximum(xs, ys))
+        return Structure(vals, np.arange(vals.shape[1]), err)
+
+    def _width(self, xs: np.ndarray, ys: np.ndarray) -> int:
+        return int(np.maximum(xs, ys).max() + np.minimum(xs, ys).max()) + 1
 
     def validate_point(self, x: Any) -> int:
         if isinstance(x, bool) or not isinstance(x, (int, np.integer)):
@@ -444,12 +459,14 @@ class RealLineHypergroup(Hypergroup):
     def _mix(self, x: Point, y: Point) -> tuple[tuple[Point, float], ...]:
         return ((x + y, 1.0),)
 
-    def _tensor(self, xs: np.ndarray, ys: np.ndarray) -> Structure:
-        sums = np.add.outer(xs, ys)
-        points, where = np.unique(sums, return_inverse=True)
-        c = np.zeros(_capped(sums.shape + points.shape))
-        np.put_along_axis(c, where.reshape(sums.shape + (1,)), 1.0, axis=2)
-        return Structure(c, points, _defined(c))
+    def _pairs(self, xs: np.ndarray, ys: np.ndarray) -> Structure:
+        points, where = np.unique(xs + ys, return_inverse=True)
+        c = np.zeros(_capped((len(xs), len(points))))
+        c[np.arange(len(xs)), where] = 1.0
+        return Structure(c, points, _defined(len(xs)))
+
+    def _width(self, xs: np.ndarray, ys: np.ndarray) -> int:
+        return len(np.unique(xs + ys))
 
     def validate_point(self, x: Any) -> float:
         if isinstance(x, bool) or not isinstance(x, (int, float, np.integer, np.floating)):
@@ -467,6 +484,55 @@ class RealLineHypergroup(Hypergroup):
     @property
     def signature(self) -> tuple:
         return ("realline",)
+
+
+class PairSupports(NamedTuple):
+    """Point convolutions of a list of pairs as flat entries, in pair order and
+    within a pair in point order, as `convolve_points` lists its support: the
+    convolution of pair ``rows[e]`` has weight ``weights[e]`` at ``points[e]``."""
+
+    rows: np.ndarray
+    points: list
+    weights: np.ndarray
+    count: int
+
+    def pairings(self, values: np.ndarray) -> np.ndarray:
+        """<dx*dy, f> of every pair from f's values at the entries (last axis),
+        each summed in support order, as `measures.pair` sums."""
+        out = np.zeros(values.shape[:-1] + (self.count,), dtype=complex)
+        np.add.at(out.T, self.rows, (values * self.weights).T)
+        return out
+
+
+def pair_supports(hg: Hypergroup, pairs: Sequence[tuple[Point, Point]]) -> PairSupports:
+    """The point convolutions of `pairs`, read by `_pairs` in blocks within DENSE_CAP.
+
+    Raises the DomainError that `convolve_points` raises first in a loop over
+    the pairs: an invalid point or an undefined convolution.
+    """
+    valid, failure = [], None
+    for x, y in pairs:
+        try:
+            valid.append((hg.validate_point(x), hg.validate_point(y)))
+        except DomainError as exc:
+            failure = exc
+            break
+    rows, points, weights = [np.zeros(0, dtype=np.intp)], [], [np.zeros(0)]
+    if valid:
+        xs, ys = np.array(valid).T
+        step = max(1, DENSE_CAP // hg._width(xs, ys))
+        for start in range(0, len(xs), step):
+            block = hg._pairs(xs[start : start + step], ys[start : start + step])
+            bad = block.err.astype(bool)
+            if bad.any():
+                raise DomainError(block.err[np.argmax(bad)])
+            r, k = np.nonzero(block.c)
+            rows.append(r + start)
+            points += block.points[k].tolist()
+            weights.append(block.c[r, k])
+    if failure is not None:
+        raise failure
+    return PairSupports(np.concatenate(rows), points, np.concatenate(weights), len(valid))
 
 
 # ---------------------------------------------------------------------------
@@ -594,10 +660,16 @@ def check_axioms(hg: Hypergroup, sample_bound: int = 8, tol: Tolerance | None = 
         meta={"sample_bound": sample_bound, "points": len(pts)},
     )
     n, grid = len(pts), np.asarray(pts)
+    idx = assoc_sample(hg, n)
+    small, s = grid[idx], len(idx)
+    pair = hg._tensor(small, small)
+    _refuse_lone_runs(hg, pair, small, 3 * n)
     step = max(1, DENSE_CAP // (4 * n * n))  # under 2n points reached; half the cap for temporaries
+    if step == 1:  # slices of a single x, the last of which reaches the most points
+        _capped((n, hg._width(np.full(n, grid[-1]), grid)))
     parts = []
     for xs in np.split(grid, range(step, n, step)):
-        rows = hg._tensor(xs, grid)
+        rows = pair if len(xs) == s == n else hg._tensor(xs, grid)
         cols = rows if len(xs) == n else hg._tensor(grid, xs)
         mass = np.cumsum(rows.c, axis=2)[:, :, -1].copy()  # summed in support order, as total_mass
         comm, comm_scl = _residuals(rows.c, cols.c.transpose(1, 0, 2))
@@ -639,12 +711,6 @@ def check_axioms(hg: Hypergroup, sample_bound: int = 8, tol: Tolerance | None = 
     record("identity", "do * dx = dx", [(*_residuals(ident.c[0], dirac_rows), ident.err[0])], lambda i: ["o", pts[i]])
     blocks = [(comm.ravel(), comm_scl.ravel(), np.where(bad, err, err_t).ravel())]
     record("commutativity", "dx * dy = dy * dx", blocks, lambda k: [pts[k // n], pts[k % n]])
-    idx = assoc_sample(hg, n)
-    small, s = grid[idx], len(idx)
-    if len(parts) == 1:  # the one slice holds every pair of the sample
-        pair = Structure(rows.c[np.ix_(idx, idx)], rows.points, err[np.ix_(idx, idx)])
-    else:
-        pair = hg._tensor(small, small)
     record(
         "associativity",
         "(dx*dy)*dz = dx*(dy*dz)",
@@ -657,6 +723,34 @@ def check_axioms(hg: Hypergroup, sample_bound: int = 8, tol: Tolerance | None = 
 def _reached(mask: np.ndarray) -> np.ndarray:
     """Closure points reached, as a mask; the first point if none is."""
     return mask if mask.any() else np.arange(len(mask)) == 0
+
+
+def _refuse_lone_runs(hg: Hypergroup, pair: Structure, small: np.ndarray, width: int) -> None:
+    """Raise, before any check runs, the DomainError `_associativity` would meet.
+
+    Runs of x are sized to fit on `width`, a bound on the points reached; an
+    x that does not fit on that bound runs alone, with arrays sized here as
+    `_associativity` builds them.  The scan never reaches such an x when a
+    convolution that an earlier x needs is undefined: it stops there first.
+    """
+    s = len(small)
+    nz = pair.c != 0
+    used = pair.points[_reached(nz.any(axis=(0, 1)))]
+    reach = nz.any(axis=1)
+    for i in np.flatnonzero((reach.sum(axis=1) * s + len(used)) * width > DENSE_CAP):
+        ks = pair.points[_reached(reach[i])]
+        xs, ys = np.repeat(ks, s), np.tile(small, len(ks))
+        shapes = [(len(xs), hg._width(xs, ys)), (len(used), hg._width(np.full(len(used), small[i]), used))]
+        if all(math.prod(shape) <= DENSE_CAP for shape in shapes):
+            continue
+        before = pair.points[reach[:i].any(axis=0)].tolist()
+        try:
+            pair_supports(hg, [(k, z) for k in before for z in small.tolist()] + [
+                (x, k) for x in small[:i].tolist() for k in used.tolist()])
+        except DomainError:
+            return
+        for shape in shapes:
+            _capped(shape)
 
 
 def _on(c: np.ndarray, points: np.ndarray, target: np.ndarray) -> np.ndarray:

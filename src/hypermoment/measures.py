@@ -13,6 +13,8 @@ import math
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Mapping, Union
 
+import numpy as np
+
 from .errors import DomainError
 
 Point = Union[int, float]
@@ -108,12 +110,7 @@ class CFunction:
         self.params = dict(params or {})
 
     def __call__(self, x: Point) -> complex:
-        try:
-            return complex(self._fn(x))
-        except DomainError:
-            raise
-        except Exception as exc:
-            raise DomainError(f"function evaluation failed at point {x!r}: {exc}") from exc
+        return _evaluate(self._fn, x)
 
     @classmethod
     def constant(cls, value: Any) -> "CFunction":
@@ -160,17 +157,36 @@ class CFunction:
 ONE = CFunction.constant(1.0)
 
 
+def _evaluate(f: CFunction | Callable[[Point], Any], x: Point) -> complex:
+    """f(x) as a complex number; any failure other than a DomainError is wrapped in one."""
+    try:
+        return complex(f(x))
+    except DomainError:
+        raise
+    except Exception as exc:
+        raise DomainError(f"function evaluation failed at point {x!r}: {exc}") from exc
+
+
+def complex_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a * b elementwise, rounded as Python rounds a complex product (NumPy's
+    own complex product can differ in the last bit)."""
+    a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=complex)
+    out.real = a.real * b.real - a.imag * b.imag
+    out.imag = a.real * b.imag + a.imag * b.real
+    return out
+
+
+def complex_abs(z: np.ndarray) -> np.ndarray:
+    """|z| elementwise, as Python's abs of a complex number computes it."""
+    return np.hypot(z.real, z.imag)
+
+
 def pair(mu: Measure, f: CFunction | Callable[[Point], Any]) -> complex:
     """Integrate f against mu: sum of f(x) * mu({x}) over the support."""
     total = 0j
     for x, w in mu.support:
-        try:
-            value = complex(f(x))
-        except DomainError:
-            raise
-        except Exception as exc:
-            raise DomainError(f"function evaluation failed at point {x!r}: {exc}") from exc
-        total += value * w
+        total += _evaluate(f, x) * w
     return total
 
 
@@ -188,16 +204,7 @@ def convolve(mu: Measure, nu: Measure) -> Measure:
 
 def module_action(phi: CFunction | Callable[[Point], Any], mu: Measure) -> Measure:
     """Multiplication of a measure by a function: weight at x becomes phi(x)*mu({x})."""
-    items = []
-    for x, w in mu.support:
-        try:
-            value = complex(phi(x))
-        except DomainError:
-            raise
-        except Exception as exc:
-            raise DomainError(f"function evaluation failed at point {x!r}: {exc}") from exc
-        items.append((x, value * w))
-    return Measure.from_items(mu.hypergroup, items)
+    return Measure.from_items(mu.hypergroup, [(x, _evaluate(phi, x) * w) for x, w in mu.support])
 
 
 def measure_residual(mu: Measure, nu: Measure) -> tuple[float, float]:

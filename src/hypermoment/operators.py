@@ -10,14 +10,20 @@ homomorphism is multiplicative iff its symbol is an exponential.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable
+from typing import Any, Callable, Iterable, Sequence
+
+import numpy as np
 
 from .config import Tolerance, default_tolerance, scale_of
+from .hypergroups import PairSupports, pair_supports
 from .measures import (
     CFunction,
     Measure,
     Point,
+    _evaluate,
     as_literal,
+    complex_abs,
+    complex_product,
     convolve,
     dirac,
     measure_residual,
@@ -88,60 +94,23 @@ def is_module_hom(
     tol = tol or default_tolerance()
     report = Report(title=f"module homomorphism: {op.name}")
 
-    add = (0.0, 1.0, None)
     measures = [mu for mu, _ in samples]
-    for i in range(len(measures)):
-        for j in range(i + 1, len(measures)):
-            mu, nu = measures[i], measures[j]
-            res, scl = measure_residual(op(mu + nu), op(mu) + op(nu))
-            add = _worst(add, res, scl, [as_literal(mu), as_literal(nu)])
-    if len(measures) == 1:
-        mu = measures[0]
-        res, scl = measure_residual(op(mu + mu), op(mu) + op(mu))
-        add = _worst(add, res, scl, [as_literal(mu), as_literal(mu)])
-    ok = tol.ok(add[0], add[1])
-    report.add(
-        "additivity",
-        "F(mu+nu) = F(mu) + F(nu)",
-        ok,
-        add[0],
-        add[1],
-        counterexample=None if ok else add[2],
+    sums = [(mu, nu) for i, mu in enumerate(measures) for nu in measures[i + 1 :]] or [(measures[0],) * 2]
+    res, scl = np.array([measure_residual(op(mu + nu), op(mu) + op(nu)) for mu, nu in sums]).T
+    report.add_worst("additivity", "F(mu+nu) = F(mu) + F(nu)", res, scl, tol, lambda i: [*map(as_literal, sums[i])])
+
+    res, scl = np.array([measure_residual(op(module_action(phi, mu)), module_action(phi, op(mu))) for mu, phi in samples]).T
+    report.add_worst(
+        "module-homogeneity", "F(phi mu) = phi F(mu)", res, scl, tol,
+        lambda i: [as_literal(samples[i][0]), samples[i][1].describe()],
     )
 
-    hom = (0.0, 1.0, None)
-    for mu, phi in samples:
-        res, scl = measure_residual(op(module_action(phi, mu)), module_action(phi, op(mu)))
-        hom = _worst(hom, res, scl, [as_literal(mu), phi.describe()])
-    ok = tol.ok(hom[0], hom[1])
-    report.add(
-        "module-homogeneity",
-        "F(phi mu) = phi F(mu)",
-        ok,
-        hom[0],
-        hom[1],
-        counterexample=None if ok else hom[2],
-    )
-
-    hg = op.hypergroup
-    support: list[Point] = []
-    for mu in measures:
-        for x in mu.points:
-            if x not in support:
-                support.append(x)
+    support = list(dict.fromkeys(x for mu in measures for x in mu.points))
     sym = symbol_of(op, support) if support else CFunction.constant(0.0)
-    symres = (0.0, 1.0, None)
-    for mu in measures:
-        res, scl = measure_residual(op(mu), module_action(sym, mu))
-        symres = _worst(symres, res, scl, as_literal(mu))
-    ok = tol.ok(symres[0], symres[1])
-    report.add(
-        "symbol-identity",
-        "F(mu) = symbol(F) mu with symbol(F)(x) = <F(dx), 1>",
-        ok,
-        symres[0],
-        symres[1],
-        counterexample=None if ok else symres[2],
+    res, scl = np.array([measure_residual(op(mu), module_action(sym, mu)) for mu in measures]).T
+    report.add_worst(
+        "symbol-identity", "F(mu) = symbol(F) mu with symbol(F)(x) = <F(dx), 1>", res, scl, tol,
+        lambda i: as_literal(measures[i]),
     )
     return report
 
@@ -209,20 +178,41 @@ def is_exponential(
         1.0,
         counterexample=None if ok0 else [hg.identity, at_identity],
     )
-    worst = (0.0, 1.0, None)
-    for x, y in samples:
-        lhs = pair(hg.convolve_points(x, y), f)
-        rhs = f(x) * f(y)
-        res = abs(lhs - rhs)
-        scl = scale_of(lhs, rhs)
-        worst = _worst(worst, res, scl, [x, y, lhs, rhs])
-    ok = tol.ok(worst[0], worst[1])
-    report.add(
-        "multiplicativity-on-pairs",
-        "<dx*dy, f> = f(x) f(y)",
-        ok,
-        worst[0],
-        worst[1],
-        counterexample=None if ok else worst[2],
+    sup, at_k, at_x, at_y = tabulate_on_pairs(hg, samples, [f])
+    lhs, rhs = sup.pairings(at_k[0]), complex_product(at_x[0], at_y[0])
+    report.add_worst(
+        "multiplicativity-on-pairs", "<dx*dy, f> = f(x) f(y)", complex_abs(lhs - rhs),
+        np.maximum(1.0, np.maximum(complex_abs(lhs), complex_abs(rhs))), tol,
+        lambda i: [*samples[i], complex(lhs[i]), complex(rhs[i])],
     )
     return report
+
+
+def tabulate_on_pairs(
+    hg: Any, pairs: Sequence[tuple[Point, Point]], fns: Sequence[CFunction]
+) -> tuple[PairSupports, np.ndarray, np.ndarray, np.ndarray]:
+    """The pairs' point convolutions, and every f in `fns` evaluated once per distinct point.
+
+    Returns the supports and the values fns[a] at their entries, at each x
+    and at each y.  Points are evaluated in the order a loop over the pairs
+    first meets them: each pair's support, then x and y, y first for every
+    function after the first, as the lower terms of the moment identity reach them.
+    """
+    sup = pair_supports(hg, pairs)
+    ends = np.searchsorted(sup.rows, np.arange(1, sup.count + 1)).tolist()
+    meet_xy, meet_yx, start = [], [], 0
+    for (x, y), end in zip(pairs, ends):
+        meet_xy += sup.points[start:end] + [x, y]
+        meet_yx += sup.points[start:end] + [y, x]
+        start = end
+    orders = (list(dict.fromkeys(meet_xy)), list(dict.fromkeys(meet_yx)))
+    index = {p: i for i, p in enumerate(orders[1])}
+    values = np.empty((len(fns), len(index)), dtype=complex)
+    for a, f in enumerate(fns):
+        order = orders[a > 0]
+        values[a, [index[p] for p in order]] = [_evaluate(f, p) for p in order]
+
+    def at(points: Iterable[Point]) -> np.ndarray:
+        return values[:, [index[p] for p in points]]
+
+    return sup, at(sup.points), at(x for x, _ in pairs), at(y for _, y in pairs)

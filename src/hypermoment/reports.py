@@ -4,7 +4,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Callable
+
+import numpy as np
+
+from .config import Tolerance
 
 PASS = "pass"
 FAIL = "fail"
@@ -87,6 +91,21 @@ class Report:
         )
         self.records.append(rec)
         return rec
+
+    def add_worst(
+        self, name: str, law: str, residuals: np.ndarray, scales: np.ndarray, tol: Tolerance,
+        witness: Callable[[int], Any], detail: str = "",
+    ) -> CheckRecord:
+        """Record the first case of largest residual/scale, as a loop that keeps a
+        strictly larger ratio finds it from residual 0 at scale 1 (NaN never wins).
+        `witness(i)` is the counterexample of case i, in flattened order."""
+        res, scl = np.ravel(residuals), np.ravel(scales)
+        ratio = res / scl
+        ratio[np.isnan(ratio)] = 0.0
+        i = int(np.argmax(ratio)) if ratio.size else 0
+        worst, scale = (float(res[i]), float(scl[i])) if ratio.size and ratio[i] > 0.0 else (0.0, 1.0)
+        ok = tol.ok(worst, scale)
+        return self.add(name, law, ok, worst, scale, counterexample=None if ok else witness(i), detail=detail)
 
     def extend(self, other: "Report", prefix: str = "") -> None:
         for r in other.records:

@@ -15,6 +15,7 @@ from hypermoment import (
     DerivationFamily,
     DomainError,
     Measure,
+    MomentSequence,
     chebyshev,
     convolve,
     derivation_from_moments,
@@ -22,12 +23,14 @@ from hypermoment import (
     dirac,
     fourier_derivative_identity,
     hat_derivation,
+    legendre,
     make_module_hom,
     module_action,
     p_to_monomial,
     pair,
     poly_derivative_moments,
     poly_residual,
+    rank_lift,
     taylor_reconstruct,
     transform,
     transform_eval,
@@ -154,6 +157,49 @@ class TestFourierLeibniz:
         measures = [random_measure(cheb, rng, range(4), max_support=2) for _ in range(6)]
         samples = [(measures[i], measures[(i + 1) % 6]) for i in range(6)]
         assert verify_leibniz(fam, samples).passed == verify_fourier_leibniz(fam, samples).passed
+
+
+class TestFourierLeibnizHighDegree:
+    """Samples holding the point 12 or 30 convolve to degree 24 or 60, where the
+    monomial coefficients of a transform evaluated at z = 1 cancel to a false FAIL."""
+
+    @staticmethod
+    def family(hg, order, rank, eps=None):
+        seq = poly_derivative_moments(hg, complex(0.35, -0.2), order)
+        if rank == 2:
+            seq = rank_lift(seq, [1.0, complex(0.5, 0.25)])
+        if eps is not None:
+            entries = dict(seq.entries)
+            entries[(1,) * rank] = entries[(1,) * rank] + CFunction.constant(eps)
+            seq = MomentSequence.build(hg, rank, order, entries, check_phi0=False)
+        return derivation_from_moments(seq, skip_verification=True)
+
+    @staticmethod
+    def samples(hg, top, rng):
+        ms = [Measure.from_items(hg, [(top, complex(rng.uniform(-1, 1), rng.uniform(-1, 1))),
+                                      (rng.randrange(top), complex(rng.uniform(-1, 1), rng.uniform(-1, 1)))])
+              for _ in range(6)]
+        return [(ms[i], ms[(i + 1) % 6]) for i in range(6)]
+
+    @pytest.mark.parametrize("make", [chebyshev, legendre])
+    @pytest.mark.parametrize("order,rank", [(2, 1), (3, 2)])
+    @pytest.mark.parametrize("top", [12, 30])
+    def test_valid_family_passes(self, make, order, rank, top, rng):
+        hg = make()
+        fam, samples = self.family(hg, order, rank), self.samples(hg, top, rng)
+        assert verify_leibniz(fam, samples).passed
+        assert verify_fourier_leibniz(fam, samples).passed
+
+    @pytest.mark.parametrize("make", [chebyshev, legendre])
+    @pytest.mark.parametrize("top", [12, 30])
+    def test_perturbed_family_fails_at_the_measure_side_alpha(self, make, top, rng):
+        hg = make()
+        fam, samples = self.family(hg, 3, 2, eps=0.05), self.samples(hg, top, rng)
+        measure_side, transform_side = verify_leibniz(fam, samples), verify_fourier_leibniz(fam, samples)
+        assert not measure_side.passed
+        failed = [r.name.split("=")[1] for r in measure_side.failed_records]
+        assert failed[0] == "[1, 1]"
+        assert [r.name.split("=")[1] for r in transform_side.failed_records] == failed
 
 
 class TestDerivativeIdentity:

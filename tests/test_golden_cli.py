@@ -1,0 +1,106 @@
+"""CLI JSON output against recorded golden files.
+
+Each case runs `hypermoment.cli.main` with `--format json` and compares the
+exit code, the parsed report and standard error with `golden/<case>.json`.
+Everything must match exactly except the `residual` and `scale` of a record,
+which may move by 1e-11 of the recorded scale.  Spec files the cases read are
+in `golden/specs/`.
+
+To record a golden file again (only when a change of behaviour is intended
+and explained), write the output of `run_case(argv)` as JSON.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+from pathlib import Path
+
+import pytest
+
+from hypermoment.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+SPECS = GOLDEN / "specs"
+
+CHEB_FAMILY = '{"family": "polynomial-derivative", "z": [0.3, 0.1]}'
+LEG_FAMILY = '{"family": "polynomial-derivative", "z": [-0.5, 0.2]}'
+LINE_FAMILY = '{"family": "realline-moment", "lambda": [0.2, -0.1]}'
+CHEB_SAMPLES = "[[[[0, [1, 0]], [3, [0.5, -0.25]]], [[2, [0, 1]]]], [[[1, [-1, 0.5]]], [[4, [0.25, 0]], [5, [1, 1]]]]]"
+
+CASES = {
+    "axioms-chebyshev": ["axioms", "--hypergroup", "chebyshev", "--bound", "6"],
+    "axioms-legendre": ["axioms", "--hypergroup", "legendre", "--bound", "5"],
+    "axioms-realline": ["axioms", "--hypergroup", "realline", "--bound", "3"],
+    "axioms-dtheta": ["axioms", "--hypergroup", "dtheta:0.35"],
+    "axioms-Z5": ["axioms", "--hypergroup", "{specs}/Z5.json"],
+    "axioms-nonassoc": ["axioms", "--hypergroup", "{specs}/nonassoc.json"],
+    "axioms-dip": ["axioms", "--hypergroup", "{specs}/dip.json", "--bound", "6"],
+    "exponentials-Z5": ["exponentials", "--hypergroup", "{specs}/Z5.json"],
+    "exponentials-Z8": ["exponentials", "--hypergroup", "{specs}/Z8.json"],
+    "exponentials-product": ["exponentials", "--hypergroup", "{specs}/product.json"],
+    "exponentials-dtheta": ["exponentials", "--hypergroup", "dtheta:0.6"],
+    "verify-moments-chebyshev": ["verify-moments", "--hypergroup", "chebyshev", "--family", CHEB_FAMILY,
+                                 "--order", "3", "--bound", "4"],
+    "verify-moments-legendre-rank2": ["verify-moments", "--hypergroup", "legendre", "--family", LEG_FAMILY,
+                                      "--order", "3", "--rank", "2", "--bound", "3"],
+    # the default 50 random pairs, where a grid-shaped structure would hold 50 x 50 x 2500 weights
+    "verify-moments-realline": ["verify-moments", "--hypergroup", "realline", "--family", LINE_FAMILY, "--order", "3"],
+    "verify-moments-realline-seeded": ["verify-moments", "--hypergroup", "realline", "--family", LINE_FAMILY,
+                                       "--order", "4", "--rank", "2", "--seed", "5", "--count", "20"],
+    "verify-moments-pairs": ["verify-moments", "--hypergroup", "chebyshev", "--family", CHEB_FAMILY,
+                             "--pairs", "[[0, 3], [5, 2], [7, 7], [12, 1]]"],
+    "verify-moments-Z5-fails": ["verify-moments", "--hypergroup", "{specs}/Z5.json",
+                                "--family", "{specs}/Z5-family.json", "--order", "2"],
+    "leibniz-chebyshev": ["leibniz", "--hypergroup", "chebyshev", "--family", CHEB_FAMILY, "--order", "2",
+                          "--bound", "3"],
+    "leibniz-legendre-rank2": ["leibniz", "--hypergroup", "legendre", "--family", LEG_FAMILY, "--order", "3",
+                               "--rank", "2", "--bound", "4", "--count", "8"],
+    "leibniz-realline": ["leibniz", "--hypergroup", "realline", "--family", LINE_FAMILY, "--order", "3",
+                         "--bound", "3"],
+    "leibniz-samples": ["leibniz", "--hypergroup", "chebyshev", "--family", CHEB_FAMILY, "--order", "3",
+                        "--samples", CHEB_SAMPLES],
+    "leibniz-chebyshev-bound12": ["leibniz", "--hypergroup", "chebyshev", "--family", CHEB_FAMILY, "--order", "2",
+                                  "--bound", "12", "--count", "6"],
+    "leibniz-legendre-bound12": ["leibniz", "--hypergroup", "legendre", "--family", LEG_FAMILY, "--order", "3",
+                                 "--rank", "2", "--bound", "12", "--count", "10"],
+    "leibniz-Z5-precondition": ["leibniz", "--hypergroup", "{specs}/Z5.json", "--family", "{specs}/Z5-family.json",
+                                "--order", "2"],
+    "search-moments-Z5": ["search-moments", "--hypergroup", "{specs}/Z5.json", "--phi0", "m0", "--alpha", "2"],
+    "search-moments-product": ["search-moments", "--hypergroup", "{specs}/product.json", "--phi0", "m1",
+                               "--alpha", "1,1"],
+    "search-moments-dtheta": ["search-moments", "--hypergroup", "dtheta:0.3", "--phi0", "m1", "--alpha", "3"],
+}
+
+
+def run_case(argv: list[str]) -> dict:
+    """Exit code, parsed JSON report (None when nothing was printed) and stderr."""
+    argv = [a.replace("{specs}", str(SPECS)) for a in argv] + ["--format", "json"]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return {"exit": code, "report": json.loads(out.getvalue()) if out.getvalue() else None,
+            "stderr": err.getvalue().replace(str(SPECS), "{specs}")}
+
+
+def assert_matches(got, want, path: str = "") -> None:
+    if isinstance(want, dict):
+        assert isinstance(got, dict) and sorted(got) == sorted(want), path
+        for key in want:
+            if key in ("residual", "scale") and isinstance(want[key], float):
+                assert abs(got[key] - want[key]) <= 1e-11 * want.get("scale", 1.0), f"{path}.{key}"
+            else:
+                assert_matches(got[key], want[key], f"{path}.{key}")
+    elif isinstance(want, list):
+        assert isinstance(got, list) and len(got) == len(want), path
+        for i, (g, w) in enumerate(zip(got, want)):
+            assert_matches(g, w, f"{path}[{i}]")
+    else:
+        assert got == want and type(got) is type(want), f"{path}: {got!r} != {want!r}"
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_cli_json_matches_golden(case):
+    want = json.loads((GOLDEN / f"{case}.json").read_text())
+    assert_matches(run_case(CASES[case]), want)

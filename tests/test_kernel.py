@@ -242,6 +242,58 @@ def test_oversized_slice_is_refused(monkeypatch):
         check_axioms(chebyshev(), 12)
 
 
+def far_dip() -> PolynomialHypergroup:
+    """Legendre rows with row 50 replaced: a linearization goes negative only past degree 50."""
+    return PolynomialHypergroup(
+        1.0, 0.0, lambda n: (0.3, 0.0, 0.7) if n == 50 else ((n + 1) / (2 * n + 1), 0.0, n / (2 * n + 1))
+    )
+
+
+CARRIERS = {"chebyshev": chebyshev, "legendre": legendre, "realline": real_line,
+            "dip": lambda: chebyshev_dip(3, 0.8, 40), "far-dip": far_dip}
+# (carrier, bound, DENSE_CAP, ASSOC_CAP), as the parent commit treated them: it refused the first
+# list, after its pair checks and, for most, after associativity runs; it accepted the second, two
+# of them because a convolution an earlier x needs is undefined and ends the scan first
+PARENT_REFUSED = [("legendre", 20, 6000, 6), ("chebyshev", 30, 6000, 6), ("realline", 20, 1500, 6),
+                  ("chebyshev", 9, 2000, 48), ("legendre", 30, 12000, 6), ("dip", 20, 1500, 6),
+                  ("far-dip", 20, 3000, 6), ("realline", 6, 4000, 48)]
+PARENT_ACCEPTED = [("dip", 30, 6000, 6), ("far-dip", 30, 12000, 6), ("chebyshev", 20, 6000, 6),
+                   ("legendre", 12, 16000, 48), ("dip", 10, 1500, 6), ("realline", 30, 6000, 6),
+                   ("far-dip", 30, 20000, 6), ("dip", 12, 8000, 48)]
+
+
+def _capped_run(monkeypatch, name, bound, cap, assoc_cap):
+    monkeypatch.setattr(hypermoment.hypergroups, "DENSE_CAP", cap)
+    monkeypatch.setattr(hypermoment.hypergroups, "ASSOC_CAP", assoc_cap)
+    hg, grids = CARRIERS[name](), []
+    tensor = hg._tensor
+    monkeypatch.setattr(hg, "_tensor", lambda xs, ys: grids.append((len(xs), len(ys))) or tensor(xs, ys))
+    return hg, grids
+
+
+@pytest.mark.parametrize("name,bound,cap,assoc_cap", PARENT_REFUSED)
+def test_oversized_sample_is_refused_before_the_pair_checks(monkeypatch, name, bound, cap, assoc_cap):
+    hg, grids = _capped_run(monkeypatch, name, bound, cap, assoc_cap)
+    with pytest.raises(DomainError, match="exceeds"):
+        check_axioms(hg, bound)
+    s = len(assoc_sample(hg, len(hg.sample_points(bound))))
+    assert grids == [(s, s)]  # the associativity sample's structure only: no slice of the pair checks
+
+
+@pytest.mark.parametrize("name,bound,cap,assoc_cap", PARENT_ACCEPTED)
+def test_samples_the_parent_accepted_are_accepted(monkeypatch, name, bound, cap, assoc_cap):
+    hg, _ = _capped_run(monkeypatch, name, bound, cap, assoc_cap)
+    assert check_axioms(hg, bound).records[-1].name == "associativity"
+
+
+def test_legendre_bound_200_is_refused_before_the_pair_checks(monkeypatch):
+    # the parent ran its pair checks and 32 associativity runs (15.5 s) before this refusal
+    hg, grids = _capped_run(monkeypatch, "legendre", 200, hypermoment.hypergroups.DENSE_CAP, 48)
+    with pytest.raises(DomainError, match=r"shape \(15792, 537\) exceeds"):
+        check_axioms(hg, 200)
+    assert grids == [(48, 48)]
+
+
 def test_large_real_line_bound_stays_within_memory():
     # dense P x P x W arrays would take about 1 GB each at this bound
     tracemalloc.start()

@@ -1,0 +1,405 @@
+"""The moment-identity kernel against the case-by-case loops it replaces.
+
+`reference_verify_moment_sequence`, `reference_verify_leibniz` and
+`reference_is_exponential` are the loops those verifiers ran before the
+kernel: every case a `Measure` convolution and a `pair`, every entry
+evaluated where the loop needs it.  `reference_verify_fourier_leibniz` is
+the transform-side loop with the total mass of each measure in place of its
+monomial-basis transform evaluated at z = 1.  The kernel must give the same
+records in the same order, with the same statuses, details and
+counterexample alpha and points; residuals, scales and the two sides named in
+a counterexample agree within 1e-11 of the scale, two orders under the
+default tolerance.  Errors must carry the loop's message.
+"""
+
+from __future__ import annotations
+
+import cmath
+import random
+
+import pytest
+
+import hypermoment
+from hypermoment import (
+    CFunction,
+    DomainError,
+    FiniteHypergroup,
+    Measure,
+    MomentSequence,
+    PolynomialHypergroup,
+    Report,
+    chebyshev,
+    convolve,
+    derivation_from_moments,
+    enumerate_exponentials,
+    exponential_function,
+    is_exponential,
+    legendre,
+    lower_indices,
+    multi_binomial,
+    pair,
+    poly_derivative_moments,
+    rank_lift,
+    real_line,
+    realline_moments,
+    two_point,
+    verify_fourier_leibniz,
+    verify_leibniz,
+    verify_moment_sequence,
+)
+from hypermoment.config import default_tolerance, scale_of
+from hypermoment.measures import as_literal
+from hypermoment.moments import index_order, index_sub
+
+# ---------------------------------------------------------------------------
+# the loops the kernel replaces
+
+
+def _record(report, name, law, worst, tol, detail=""):
+    ok = tol.ok(worst[0], worst[1])
+    report.add(name, law, ok, worst[0], worst[1], counterexample=None if ok else worst[2], detail=detail)
+
+
+def reference_verify_moment_sequence(seq, pairs) -> Report:
+    tol = default_tolerance()
+    report = Report(title="moment sequence identity")
+    for alpha in seq.alphas:
+        worst = (0.0, 1.0, None)
+        for x, y in pairs:
+            conv = seq.hypergroup.convolve_points(x, y)
+            lhs = pair(conv, seq.phi(alpha))
+            rhs = 0j
+            top = abs(lhs)
+            for beta in lower_indices(alpha):
+                term = multi_binomial(alpha, beta) * seq.phi(beta)(x) * seq.phi(index_sub(alpha, beta))(y)
+                rhs += term
+                top = max(top, abs(term))
+            res = abs(lhs - rhs)
+            scl = max(1.0, top)
+            if res / scl > worst[0] / worst[1]:
+                worst = (res, scl, [list(alpha), x, y, lhs, rhs])
+        _record(report, f"moment-identity alpha={list(alpha)}",
+                "<dx*dy, phi_a> = sum_{b<=a} binom(a,b) phi_b(x) phi_{a-b}(y)", worst, tol)
+    return report
+
+
+def _reference_leibniz(family, samples, probes, value, name, law, details) -> Report:
+    tol = default_tolerance()
+    report = Report(title="reference")
+    for alpha in family.alphas:
+        worst = (0.0, 1.0, None)
+        for mu, nu in samples:
+            lhs = family.op(alpha)(convolve(mu, nu))
+            pieces = [
+                (multi_binomial(alpha, beta), family.op(beta)(mu), family.op(index_sub(alpha, beta))(nu))
+                for beta in lower_indices(alpha)
+            ]
+            for f in probes:
+                lv = value(lhs, f)
+                terms = [value(b, c, d, f) for b, c, d in pieces]
+                rv = sum(terms, 0j)
+                res = abs(lv - rv)
+                scl = max(1.0, abs(lv), *(abs(t) for t in terms))
+                if res / scl > worst[0] / worst[1]:
+                    worst = (res, scl, [list(alpha), as_literal(mu), as_literal(nu), lv, rv])
+        order = index_order(alpha)
+        _record(report, f"{name} alpha={list(alpha)}", law, worst, tol, details[order] if order < len(details) else "")
+    return report
+
+
+def reference_verify_leibniz(family, samples, probes=None) -> Report:
+    def value(*args):
+        if len(args) == 2:
+            return pair(*args)
+        binom, mu, nu, f = args
+        return pair(binom * convolve(mu, nu), f)
+
+    return _reference_leibniz(
+        family, samples, probes or [CFunction.constant(1.0)], value, "leibniz",
+        "D_a(mu*nu) = sum_{b<=a} binom(a,b) D_b mu * D_{a-b} nu, paired with probes",
+        ("order 0: reduces to multiplicativity of D_0", "order 1: reduces to D_0 mu * D_a nu + D_a mu * D_0 nu"),
+    )
+
+
+def reference_verify_fourier_leibniz(family, samples) -> Report:
+    def value(*args):
+        if len(args) == 2:
+            return args[0].total_mass()
+        binom, mu, nu, _ = args
+        return binom * (mu.total_mass() * nu.total_mass())
+
+    return _reference_leibniz(
+        family, samples, [None], value, "fourier-leibniz",
+        "d_a(mu^ nu^) = sum_{b<=a} binom(a,b) d_b mu^ d_{a-b} nu^, at the total-mass point", (),
+    )
+
+
+def reference_is_exponential(hg, f, samples) -> Report:
+    tol = default_tolerance()
+    report = Report(title="reference")
+    at_identity = f(hg.identity)
+    res0 = abs(at_identity - 1.0)
+    _record(report, "normalization-at-identity", "f(o) = 1", (res0, 1.0, [hg.identity, at_identity]), tol)
+    worst = (0.0, 1.0, None)
+    for x, y in samples:
+        lhs = pair(hg.convolve_points(x, y), f)
+        rhs = f(x) * f(y)
+        res, scl = abs(lhs - rhs), scale_of(lhs, rhs)
+        if res / scl > worst[0] / worst[1]:
+            worst = (res, scl, [x, y, lhs, rhs])
+    _record(report, "multiplicativity-on-pairs", "<dx*dy, f> = f(x) f(y)", worst, tol)
+    return report
+
+
+def assert_same(got: Report, want: Report) -> None:
+    assert [r.name for r in got.records] == [r.name for r in want.records]
+    for g, w in zip(got.records, want.records):
+        assert (g.name, g.law, g.status, g.detail) == (w.name, w.law, w.status, w.detail)
+        assert abs(g.residual - w.residual) <= 1e-11 * w.scale, (g, w)
+        assert abs(g.scale - w.scale) <= 1e-11 * w.scale, (g, w)
+        if w.counterexample is None:
+            assert g.counterexample is None
+            continue
+        # alpha and points (or measures) exactly, the two sides within the scale
+        assert g.counterexample[:-2] == w.counterexample[:-2]
+        for gv, wv in zip(g.counterexample[-2:], w.counterexample[-2:]):
+            assert abs(complex(*gv) - complex(*wv)) <= 1e-11 * w.scale, (g, w)
+
+
+def outcome(fn):
+    try:
+        return fn()
+    except DomainError as exc:
+        return f"DomainError: {exc}"
+
+
+def assert_same_outcome(kernel, reference) -> None:
+    got, want = outcome(kernel), outcome(reference)
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert_same(got, want)
+
+
+# ---------------------------------------------------------------------------
+# the corpus
+
+
+def dtheta_product(t1: float, t2: float) -> FiniteHypergroup:
+    """D(t1) x D(t2) on {0, 1, 2, 3}, the point (a, b) at index 2a + b."""
+    rows = [{(0, 0): [(0, 1.0)], (0, 1): [(1, 1.0)], (1, 0): [(1, 1.0)], (1, 1): [(0, t), (1, 1.0 - t)]}
+            for t in (t1, t2)]
+    table = [
+        [2 * a1 + a2, 2 * b1 + b2, [[2 * k1 + k2, w1 * w2] for k1, w1 in rows[0][a1, b1] for k2, w2 in rows[1][a2, b2]]]
+        for a1 in range(2) for a2 in range(2) for b1 in range(2) for b2 in range(2)
+    ]
+    return FiniteHypergroup(4, 0, table)
+
+
+def cyclic(n: int) -> FiniteHypergroup:
+    return FiniteHypergroup(n, 0, [[a, b, [[(a + b) % n, 1.0]]] for a in range(n) for b in range(n)])
+
+
+def trivial_family(hg, phi0: CFunction, rank: int, order: int) -> MomentSequence:
+    """phi_0 an exponential and every higher entry zero: a moment sequence on any carrier."""
+    zero = CFunction.constant(0.0)
+    return MomentSequence.build(hg, rank, order, lambda a: phi0 if not any(a) else zero, check_phi0=False)
+
+
+def perturbed(seq: MomentSequence, alpha, eps: complex) -> MomentSequence:
+    entries = dict(seq.entries)
+    entries[alpha] = entries[alpha] + CFunction.constant(eps)
+    return MomentSequence.build(seq.hypergroup, seq.rank, seq.order, entries, check_phi0=False)
+
+
+def families(rng: random.Random):
+    """(carrier name, sequence, points) for ranks 1-2, orders 0-5, valid and perturbed."""
+    out = []
+    for name, hg in (("chebyshev", chebyshev()), ("legendre", legendre())):
+        for order in range(6):
+            seq = poly_derivative_moments(hg, complex(rng.uniform(-1.5, 1.5), rng.uniform(-1, 1)), order)
+            out.append((name, seq, list(range(5))))
+    line = real_line()
+    for order in range(6):
+        out.append(("realline", realline_moments(complex(rng.uniform(-1, 1), rng.uniform(-1, 1)), order, line),
+                    [-1.0, -0.5, 0.0, 0.5, 1.0, 1.25]))
+    finite = [("two-point", two_point(0.37)), ("Z5", cyclic(5)), ("D(0.3)xD(0.8)", dtheta_product(0.3, 0.8))]
+    for name, hg in finite:
+        for k, phi0 in enumerate(enumerate_exponentials(hg)[:2]):
+            out.append((name, trivial_family(hg, phi0, 1, 2 + k), hg.sample_points()))
+    for name, seq, points in list(out):
+        if seq.order in (1, 3, 4):
+            if name in ("chebyshev", "legendre", "realline"):
+                lift = rank_lift(seq, [1.0, complex(rng.uniform(-1, 1), rng.uniform(-1, 1))])
+            else:
+                lift = trivial_family(seq.hypergroup, seq.phi((0,)), 2, seq.order)
+            out.append((name, lift, points))
+    bad = []
+    for name, seq, points in out:
+        if seq.order >= 2:
+            alpha = rng.choice([a for a in seq.alphas if sum(a) >= 2])
+            bad.append((name, perturbed(seq, alpha, complex(rng.choice([-1, 1]) * 0.05, 0.02)), points))
+    return out + bad
+
+
+def measure(hg, rng: random.Random, points, k: int = 2) -> Measure:
+    return Measure.from_items(
+        hg, [(x, complex(rng.uniform(-1, 1), rng.uniform(-1, 1))) for x in rng.sample(list(points), k)]
+    )
+
+
+def cyclic_samples(hg, rng, points, count: int = 5):
+    ms = [measure(hg, rng, points, k=min(2, len(points))) for _ in range(count)]
+    return [(ms[i], ms[(i + 1) % count]) for i in range(count)]
+
+
+CORPUS = families(random.Random(31337))
+IDS = [f"{name}-r{seq.rank}-o{seq.order}-{i}" for i, (name, seq, _) in enumerate(CORPUS)]
+
+
+# ---------------------------------------------------------------------------
+# the kernel against the loops
+
+
+@pytest.mark.parametrize("case", CORPUS, ids=IDS)
+def test_moment_identity_matches_loop(case):
+    _, seq, points = case
+    pairs = [(x, y) for x in points for y in points]
+    assert_same(verify_moment_sequence(seq, pairs), reference_verify_moment_sequence(seq, pairs))
+
+
+@pytest.mark.parametrize("case", CORPUS, ids=IDS)
+def test_leibniz_matches_loop(case):
+    name, seq, points = case
+    rng = random.Random(len(points) * 100 + seq.order * 10 + seq.rank)
+    family = derivation_from_moments(seq, skip_verification=True)
+    samples = cyclic_samples(seq.hypergroup, rng, points)
+    assert_same(verify_leibniz(family, samples), reference_verify_leibniz(family, samples))
+    if name in ("chebyshev", "legendre"):
+        assert_same(verify_fourier_leibniz(family, samples), reference_verify_fourier_leibniz(family, samples))
+
+
+def test_realline_leibniz_with_probes():
+    rng = random.Random(5)
+    line = real_line()
+    probes = [CFunction(lambda x: x * x), CFunction(lambda x: cmath.exp(0.2j * x)), CFunction.constant(1.0)]
+    for order in range(5):
+        seq = realline_moments(complex(rng.uniform(-1, 1), rng.uniform(-1, 1)), order, line)
+        for s in (seq, perturbed(seq, (order,), 0.03)) if order >= 2 else (seq,):
+            family = derivation_from_moments(s, skip_verification=True)
+            samples = cyclic_samples(line, rng, [0.25 * k for k in range(-6, 7)], count=4)
+            assert_same(
+                verify_leibniz(family, samples, probes), reference_verify_leibniz(family, samples, probes)
+            )
+
+
+@pytest.mark.parametrize("make", [chebyshev, legendre, real_line, lambda: two_point(0.6), lambda: cyclic(6),
+                                  lambda: dtheta_product(0.5, 0.25)])
+def test_is_exponential_matches_loop(make):
+    rng = random.Random(11)
+    hg = make()
+    if isinstance(hg, FiniteHypergroup):
+        fns = enumerate_exponentials(hg)
+        pairs = [(x, y) for x in range(hg.size) for y in range(hg.size)]
+    else:
+        points = hg.sample_points(4)
+        fns = [exponential_function(hg, complex(rng.uniform(-1, 1), rng.uniform(-1, 1))) for _ in range(3)]
+        pairs = [(rng.choice(points), rng.choice(points)) for _ in range(30)]
+    for f in fns + [f * CFunction(lambda x: 1.0 + 0.01 * (x == 1)) for f in fns[:2]]:
+        assert_same(is_exponential(hg, f, pairs), reference_is_exponential(hg, f, pairs))
+
+
+def test_split_blocks_match_loop(monkeypatch):
+    # a cap this small holds a few pairs per block: every pair list splits
+    monkeypatch.setattr(hypermoment.hypergroups, "DENSE_CAP", 40)
+    for name, seq, points in CORPUS[::3]:
+        pairs = [(x, y) for x in points for y in points]
+        assert_same(verify_moment_sequence(seq, pairs), reference_verify_moment_sequence(seq, pairs))
+        family = derivation_from_moments(seq, skip_verification=True)
+        samples = cyclic_samples(seq.hypergroup, random.Random(3), points)
+        assert_same(verify_leibniz(family, samples), reference_verify_leibniz(family, samples))
+        assert_same(is_exponential(seq.hypergroup, seq.phi((0,) * seq.rank), pairs),
+                    reference_is_exponential(seq.hypergroup, seq.phi((0,) * seq.rank), pairs))
+
+
+# ---------------------------------------------------------------------------
+# errors
+
+
+def negative_dip() -> PolynomialHypergroup:
+    """Chebyshev rows with row 3 replaced by (0.8, 0, 0.2): some linearization goes negative."""
+    rows = [(0.5, 0.0, 0.5)] * 26
+    return PolynomialHypergroup(1.0, 0.0, rows[:2] + [(0.8, 0.0, 0.2)] + rows[3:])
+
+
+def test_undefined_convolution_gives_the_loop_error():
+    hg = negative_dip()
+    z = 0.3 + 0.1j
+    entry = lambda a: CFunction(lambda n: hg.eval_poly_derivative(n, z, a[0]))  # noqa: E731
+    seq = MomentSequence.build(hg, 1, 3, entry, check_phi0=False)
+    for pairs in ([(x, y) for x in range(7) for y in range(7)], [(0, 4), (1, 1), (2, 2), (3, 1)], [(0, 1), (2, 3)]):
+        assert_same_outcome(lambda: verify_moment_sequence(seq, pairs),
+                            lambda: reference_verify_moment_sequence(seq, pairs))
+        assert_same_outcome(lambda: is_exponential(hg, seq.phi((0,)), pairs),
+                            lambda: reference_is_exponential(hg, seq.phi((0,)), pairs))
+    assert outcome(lambda: verify_moment_sequence(seq, [(0, 4), (2, 2)])).startswith("DomainError: linearization(2,2)")
+    family = derivation_from_moments(seq, skip_verification=True)
+    rng = random.Random(8)
+    samples = [(measure(hg, rng, range(2)), measure(hg, rng, range(7))) for _ in range(3)]
+    for middle in ((0, 1), (2, 3), (1, 2)):
+        odd = (Measure.from_items(hg, [(middle[0], 0.5j), (middle[1], 1.0)]), measure(hg, rng, range(2, 6)))
+        both = samples[:2] + [odd] + samples[2:]
+        assert_same_outcome(
+            lambda: verify_leibniz(family, both), lambda: reference_verify_leibniz(family, both)
+        )
+
+
+def test_invalid_point_gives_the_loop_error():
+    hg = chebyshev()
+    seq = poly_derivative_moments(hg, 0.2, 2)
+    for bad in ([(0, 1), (2, -1), (1, 1)], [(1, 2), (0.5, 1)], [(3, True)]):
+        assert_same_outcome(lambda: verify_moment_sequence(seq, bad),
+                            lambda: reference_verify_moment_sequence(seq, bad))
+
+
+def _raising(at: int) -> CFunction:
+    return CFunction(lambda n: 1.0 / (n - at))
+
+
+def _missing(at: int) -> CFunction:
+    return CFunction.from_table({n: 0.1 * n for n in range(12) if n != at})
+
+
+def test_points_are_met_in_the_loop_order():
+    # the entry fails at both points of the pair and at neither point of its support:
+    # the loop meets x first for phi_0, y first for the higher entries (beta = 0 comes first)
+    hg = chebyshev()
+    base, bad = poly_derivative_moments(hg, 0.4, 2), CFunction.from_table({n: 1.0 for n in range(12) if n not in (1, 3)})
+    for entry, point in (((0,), 1), ((1,), 3), ((2,), 3)):
+        seq = MomentSequence.build(hg, 1, 2, lambda a: bad if a == entry else base.phi(a), check_phi0=False)
+        want = f"DomainError: function table has no value at point {point}"
+        assert outcome(lambda: reference_verify_moment_sequence(seq, [(1, 3)])) == want
+        assert outcome(lambda: verify_moment_sequence(seq, [(1, 3)])) == want
+
+
+@pytest.mark.parametrize("entry", [(0,), (1,), (2,)])
+@pytest.mark.parametrize("broken", [_raising, _missing])
+def test_failing_entry_gives_the_loop_error(entry, broken):
+    hg = chebyshev()
+    base = poly_derivative_moments(hg, 0.4, 2)
+    for at in (0, 2, 3, 5):
+        seq = MomentSequence.build(hg, 1, 2, lambda a: broken(at) if a == entry else base.phi(a), check_phi0=False)
+        for pairs in ([(x, y) for x in range(4) for y in range(4)], [(3, 1), (1, 3), (0, 5)], [(2, 5), (5, 2)]):
+            assert_same_outcome(lambda: verify_moment_sequence(seq, pairs),
+                                lambda: reference_verify_moment_sequence(seq, pairs))
+            if entry == (0,):
+                f = seq.phi(entry)
+                assert_same_outcome(lambda: is_exponential(hg, f, pairs), lambda: reference_is_exponential(hg, f, pairs))
+        family = derivation_from_moments(seq, skip_verification=True)
+        rng = random.Random(at)
+        samples = [(measure(hg, rng, range(6)), measure(hg, rng, range(6))) for _ in range(4)]
+        assert_same_outcome(
+        lambda: verify_leibniz(family, samples), lambda: reference_verify_leibniz(family, samples)
+    )
+        assert_same_outcome(lambda: verify_fourier_leibniz(family, samples),
+                            lambda: reference_verify_fourier_leibniz(family, samples))
