@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import random
 import sys
-from dataclasses import dataclass
+from typing import Callable
 
 from .config import Tolerance, default_tolerance
 from .errors import DomainError, HypermomentError, PreconditionError, SpecError
@@ -52,57 +52,31 @@ from .operators import is_exponential
 from .reports import Report
 
 
-@dataclass
-class RunConfig:
-    """Settings common to every subcommand."""
-
-    hypergroup: str
-    tol: Tolerance
-    seed: int
-    fmt: str
-    bound: int
-    order: int
-    rank: int
-
-
-def _config(args: argparse.Namespace) -> RunConfig:
-    tol = default_tolerance() if args.tol is None else Tolerance(rel=args.tol)
-    return RunConfig(
-        hypergroup=args.hypergroup,
-        tol=tol,
-        seed=args.seed,
-        fmt=args.format,
-        bound=args.bound,
-        order=args.order,
-        rank=args.rank,
-    )
-
-
-def _meta(cfg: RunConfig, hg: Hypergroup, command: str) -> dict:
+def _meta(args: argparse.Namespace, hg: Hypergroup, command: str) -> dict:
     return {
         "command": command,
         "hypergroup": hg.describe(),
-        "seed": cfg.seed,
-        "tolerance": cfg.tol.rel,
+        "seed": args.seed,
+        "tolerance": args.tol.rel,
     }
 
 
-def _sample_pairs(hg: Hypergroup, cfg: RunConfig, count: int = 50) -> list[tuple[Point, Point]]:
+def _sample_pairs(hg: Hypergroup, args: argparse.Namespace) -> list[tuple[Point, Point]]:
     if isinstance(hg, RealLineHypergroup):
-        rng = random.Random(cfg.seed)
-        return [(rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0)) for _ in range(count)]
-    pts = hg.sample_points(cfg.bound)
+        rng = random.Random(args.seed)
+        return [(rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0)) for _ in range(args.count)]
+    pts = hg.sample_points(args.bound)
     return [(x, y) for x in pts for y in pts]
 
 
-def _sample_measures(hg: Hypergroup, cfg: RunConfig, count: int = 20) -> list[Measure]:
-    rng = random.Random(cfg.seed + 1)
+def _sample_measures(hg: Hypergroup, args: argparse.Namespace) -> list[Measure]:
+    rng = random.Random(args.seed + 1)
     if isinstance(hg, RealLineHypergroup):
-        pts = hg.sample_points(2 * cfg.bound)
+        pts = hg.sample_points(2 * args.bound)
     else:
-        pts = hg.sample_points(cfg.bound)
+        pts = hg.sample_points(args.bound)
     out = []
-    for _ in range(count):
+    for _ in range(args.count):
         support = rng.sample(pts, k=min(2, len(pts)))
         out.append(
             Measure.from_items(
@@ -112,47 +86,38 @@ def _sample_measures(hg: Hypergroup, cfg: RunConfig, count: int = 20) -> list[Me
     return out
 
 
-def _load_family(hg: Hypergroup, cfg: RunConfig, spec: str) -> MomentSequence:
-    seq = family_from_literal(hg, spec, order=cfg.order)
-    if cfg.rank > seq.rank:
+def _load_family(hg: Hypergroup, args: argparse.Namespace) -> MomentSequence:
+    seq = family_from_literal(hg, args.family, order=args.order)
+    if args.rank > seq.rank:
         if seq.rank != 1:
             raise SpecError("--rank can only lift rank-1 families")
-        weights = [complex(2.0 ** (-i)) for i in range(cfg.rank)]
+        weights = [complex(2.0 ** (-i)) for i in range(args.rank)]
         seq = rank_lift(seq, weights)
     return seq
 
 
-def _emit(report: Report, cfg: RunConfig) -> None:
-    if cfg.fmt == "json":
-        print(report.to_json())
-    else:
-        print(report.summary())
-
-
-def _finish(report: Report, cfg: RunConfig) -> int:
-    _emit(report, cfg)
+def _finish(report: Report, args: argparse.Namespace) -> int:
+    print(report.to_json() if args.format == "json" else report.summary())
     return 0 if report.passed else 1
 
 
 def cmd_axioms(args: argparse.Namespace) -> int:
-    cfg = _config(args)
-    hg = load_hypergroup(cfg.hypergroup)
-    report = check_axioms(hg, sample_bound=cfg.bound, tol=cfg.tol)
-    report.meta.update(_meta(cfg, hg, "axioms"))
-    return _finish(report, cfg)
+    hg = load_hypergroup(args.hypergroup)
+    report = check_axioms(hg, sample_bound=args.bound, tol=args.tol)
+    report.meta.update(_meta(args, hg, "axioms"))
+    return _finish(report, args)
 
 
 def cmd_exponentials(args: argparse.Namespace) -> int:
-    cfg = _config(args)
-    hg = load_hypergroup(cfg.hypergroup)
+    hg = load_hypergroup(args.hypergroup)
     if not isinstance(hg, FiniteHypergroup):
         raise SpecError("exponential enumeration needs a finite hypergroup")
-    expos = enumerate_exponentials(hg, tol=cfg.tol)
+    expos = enumerate_exponentials(hg, tol=args.tol)
     pairs = [(x, y) for x in range(hg.size) for y in range(hg.size)]
-    report = Report(title="exponentials", meta=_meta(cfg, hg, "exponentials"))
+    report = Report(title="exponentials", meta=_meta(args, hg, "exponentials"))
     report.meta["count"] = len(expos)
     for i, m in enumerate(expos):
-        sub = is_exponential(hg, m, pairs, tol=cfg.tol)
+        sub = is_exponential(hg, m, pairs, tol=args.tol)
         values = {str(x): [m(x).real, m(x).imag] for x in range(hg.size)}
         report.add(
             f"m{i}",
@@ -163,43 +128,40 @@ def cmd_exponentials(args: argparse.Namespace) -> int:
             counterexample=None if sub.passed else values,
             detail=str(values),
         )
-    return _finish(report, cfg)
+    return _finish(report, args)
 
 
 def cmd_verify_moments(args: argparse.Namespace) -> int:
-    cfg = _config(args)
-    hg = load_hypergroup(cfg.hypergroup)
-    seq = _load_family(hg, cfg, args.family)
+    hg = load_hypergroup(args.hypergroup)
+    seq = _load_family(hg, args)
     if args.pairs:
         pairs = pairs_from_literal(hg, args.pairs)
     else:
-        pairs = _sample_pairs(hg, cfg, count=args.count)
-    report = verify_moment_sequence(seq, pairs, tol=cfg.tol)
-    report.meta.update(_meta(cfg, hg, "verify-moments"))
-    return _finish(report, cfg)
+        pairs = _sample_pairs(hg, args)
+    report = verify_moment_sequence(seq, pairs, tol=args.tol)
+    report.meta.update(_meta(args, hg, "verify-moments"))
+    return _finish(report, args)
 
 
 def cmd_leibniz(args: argparse.Namespace) -> int:
-    cfg = _config(args)
-    hg = load_hypergroup(cfg.hypergroup)
-    seq = _load_family(hg, cfg, args.family)
+    hg = load_hypergroup(args.hypergroup)
+    seq = _load_family(hg, args)
     if args.samples:
         measures = None
         samples = samples_from_literal(hg, args.samples)
     else:
-        measures = _sample_measures(hg, cfg, count=args.count)
+        measures = _sample_measures(hg, args)
         samples = [(measures[i], measures[(i + 1) % len(measures)]) for i in range(len(measures))]
-    family = derivation_from_moments(seq, tol=cfg.tol)
-    report = verify_leibniz(family, samples, tol=cfg.tol)
-    report.meta.update(_meta(cfg, hg, "leibniz"))
+    family = derivation_from_moments(seq, tol=args.tol)
+    report = verify_leibniz(family, samples, tol=args.tol)
+    report.meta.update(_meta(args, hg, "leibniz"))
     if isinstance(hg, PolynomialHypergroup):
-        report.extend(verify_fourier_leibniz(family, samples, tol=cfg.tol), prefix="transform: ")
-    return _finish(report, cfg)
+        report.extend(verify_fourier_leibniz(family, samples, tol=args.tol), prefix="transform: ")
+    return _finish(report, args)
 
 
 def cmd_search_moments(args: argparse.Namespace) -> int:
-    cfg = _config(args)
-    hg = load_hypergroup(cfg.hypergroup)
+    hg = load_hypergroup(args.hypergroup)
     if not isinstance(hg, FiniteHypergroup):
         raise SpecError("search-moments needs a finite hypergroup")
     try:
@@ -207,18 +169,17 @@ def cmd_search_moments(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise SpecError(f"bad multi-index {args.alpha!r}: {exc}") from exc
     phi0 = resolve_phi0(hg, args.phi0)
-    report, _entries = iterated_extension(hg, phi0, alpha, tol=cfg.tol)
-    report.meta.update(_meta(cfg, hg, "search-moments"))
+    report, _entries = iterated_extension(hg, phi0, alpha, tol=args.tol)
+    report.meta.update(_meta(args, hg, "search-moments"))
     report.meta["phi0"] = args.phi0
-    return _finish(report, cfg)
+    return _finish(report, args)
 
 
 def cmd_transform(args: argparse.Namespace) -> int:
-    cfg = _config(args)
-    hg = load_hypergroup(cfg.hypergroup)
+    hg = load_hypergroup(args.hypergroup)
     mu = measure_from_literal(hg, args.measure)
     poly = transform(hg, mu)  # raises DomainError off polynomial carriers
-    report = Report(title="transform", meta=_meta(cfg, hg, "transform"))
+    report = Report(title="transform", meta=_meta(args, hg, "transform"))
     report.meta["coefficients"] = [[c.real, c.imag] for c in poly.coeffs]
     report.meta["polynomial"] = poly.pretty()
     report.add("transform", "mu^(z) = sum_n mu({n}) P_n(z)", True, detail=poly.pretty())
@@ -226,35 +187,19 @@ def cmd_transform(args: argparse.Namespace) -> int:
         z = complex(args.z)
         report.meta["value"] = [poly(z).real, poly(z).imag]
         for k in range(args.k + 1):
-            sub = fourier_derivative_identity(hg, mu, k, z, tol=cfg.tol)
+            sub = fourier_derivative_identity(hg, mu, k, z, tol=args.tol)
             report.extend(sub)
     if args.taylor:
         top = max(mu.points, default=0)
         values = derivative_moments(hg, mu, int(top), z=0.0)
         rebuilt = taylor_reconstruct(hg, values, degree=args.degree)
-        res, scl = poly_residual(rebuilt, poly)
-        ok = cfg.tol.ok(res, scl)
         truncated = args.degree is not None and args.degree < top
-        report.add(
-            "taylor-reconstruction",
-            "mu^(lam) = sum_k lam^k/k! <D_k mu, 1>",
-            ok,
-            res,
-            scl,
-            counterexample=None if ok else [[c.real, c.imag] for c in rebuilt.coeffs],
+        report.check(
+            "taylor-reconstruction", "mu^(lam) = sum_k lam^k/k! <D_k mu, 1>", *poly_residual(rebuilt, poly), args.tol,
+            lambda: [[c.real, c.imag] for c in rebuilt.coeffs],
             detail="truncated reconstruction" if truncated else rebuilt.pretty("lam"),
         )
-    return _finish(report, cfg)
-
-
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--hypergroup", required=True, help="preset name or spec file path")
-    p.add_argument("--tol", type=float, default=None, help="relative tolerance override")
-    p.add_argument("--seed", type=int, default=0, help="seed for sampled checks")
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument("--bound", type=int, default=8, help="index/coordinate bound for sampling")
-    p.add_argument("--order", type=int, default=4, help="truncation order N")
-    p.add_argument("--rank", type=int, default=1, help="family rank (lifts rank-1 families)")
+    return _finish(report, args)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -263,44 +208,43 @@ def build_parser() -> argparse.ArgumentParser:
         description="Verification tools for measure algebras on commutative hypergroups.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--hypergroup", required=True, help="preset name or spec file path")
+    common.add_argument("--tol", type=float, default=None, help="relative tolerance override")
+    common.add_argument("--seed", type=int, default=0, help="seed for sampled checks")
+    common.add_argument("--format", choices=("text", "json"), default="text")
+    common.add_argument("--bound", type=int, default=8, help="index/coordinate bound for sampling")
+    common.add_argument("--order", type=int, default=4, help="truncation order N")
+    common.add_argument("--rank", type=int, default=1, help="family rank (lifts rank-1 families)")
 
-    p = sub.add_parser("axioms", help="check the hypergroup axioms")
-    _add_common(p)
-    p.set_defaults(fn=cmd_axioms)
+    def command(name: str, fn: Callable[[argparse.Namespace], int], summary: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, parents=[common], help=summary)
+        p.set_defaults(fn=fn)
+        return p
 
-    p = sub.add_parser("exponentials", help="enumerate exponentials of a finite hypergroup")
-    _add_common(p)
-    p.set_defaults(fn=cmd_exponentials)
+    command("axioms", cmd_axioms, "check the hypergroup axioms")
+    command("exponentials", cmd_exponentials, "enumerate exponentials of a finite hypergroup")
 
-    p = sub.add_parser("verify-moments", help="verify a moment function sequence")
-    _add_common(p)
+    p = command("verify-moments", cmd_verify_moments, "verify a moment function sequence")
     p.add_argument("--family", required=True, help="family literal (inline JSON or path)")
     p.add_argument("--pairs", default=None, help="point pairs literal (inline JSON or path)")
     p.add_argument("--count", type=int, default=50, help="sampled pair count (real line)")
-    p.set_defaults(fn=cmd_verify_moments)
 
-    p = sub.add_parser("leibniz", help="verify the generalized Leibniz rule")
-    _add_common(p)
+    p = command("leibniz", cmd_leibniz, "verify the generalized Leibniz rule")
     p.add_argument("--family", required=True)
     p.add_argument("--samples", default=None, help="measure sample pairs (inline JSON or path)")
     p.add_argument("--count", type=int, default=12, help="sampled measure count")
-    p.set_defaults(fn=cmd_leibniz)
 
-    p = sub.add_parser("search-moments", help="solve for moment extensions of phi_0")
-    _add_common(p)
+    p = command("search-moments", cmd_search_moments, "solve for moment extensions of phi_0")
     p.add_argument("--phi0", required=True, help="'m<i>' or a function literal")
     p.add_argument("--alpha", required=True, help="target multi-index, e.g. '3' or '1,1'")
-    p.set_defaults(fn=cmd_search_moments)
 
-    p = sub.add_parser("transform", help="transform a measure; optionally check identities")
-    _add_common(p)
+    p = command("transform", cmd_transform, "transform a measure; optionally check identities")
     p.add_argument("--measure", required=True, help="measure literal (inline JSON or path)")
     p.add_argument("--z", type=complex, default=None, help="evaluate and check derivatives at z")
     p.add_argument("--k", type=int, default=2, help="max derivative order checked with --z")
     p.add_argument("--taylor", action="store_true", help="check the Taylor reconstruction")
     p.add_argument("--degree", type=int, default=None, help="truncate the reconstruction")
-    p.set_defaults(fn=cmd_transform)
-
     return parser
 
 
@@ -310,6 +254,7 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    args.tol = default_tolerance() if args.tol is None else Tolerance(rel=args.tol)
     try:
         return args.fn(args)
     except (SpecError, DomainError) as exc:

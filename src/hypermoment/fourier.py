@@ -204,15 +204,9 @@ def verify_transform_multiplicativity(
     report = Report(title="transform multiplicativity")
     lhs = transform(hg, convolve(mu, nu))
     rhs = transform(hg, mu) * transform(hg, nu)
-    res, scl = poly_residual(lhs, rhs)
-    ok = tol.ok(res, scl)
-    report.add(
-        "transform-multiplicativity",
-        "(mu*nu)^ = mu^ nu^",
-        ok,
-        res,
-        scl,
-        counterexample=None if ok else [as_literal(mu), as_literal(nu)],
+    report.check(
+        "transform-multiplicativity", "(mu*nu)^ = mu^ nu^", *poly_residual(lhs, rhs), tol,
+        lambda: [as_literal(mu), as_literal(nu)],
     )
     return report
 
@@ -252,14 +246,14 @@ def verify_fourier_leibniz(
     )
     lhs, applied = apply_family(family, samples)
     mass = {key: m.total_mass() for key, m in applied.items()}
-    beta, gamma, coef, _ = binomial_terms(family.rank, family.order)
+    beta, gamma, coef, _ = binomial_terms(tuple(family.alphas))
     at_mu, at_nu = (
         np.array([[mass[b, id(sample[side])] for sample in samples] for b in range(len(family.alphas))])
         for side in (0, 1)
     )
     law = "d_a(mu^ nu^) = sum_{b<=a} binom(a,b) d_b mu^ d_{a-b} nu^, at the total-mass point"
     _identity_records(
-        report, "fourier-leibniz", law, family, np.array([[m.total_mass() for m in row] for row in lhs]),
+        report, "fourier-leibniz", law, family.alphas, np.array([[m.total_mass() for m in row] for row in lhs]),
         coef[:, None] * complex_product(at_mu[beta], at_nu[gamma]), tol, lambda i: [*map(as_literal, samples[i])],
     )
     return report
@@ -291,17 +285,10 @@ def fourier_derivative_identity(
     z = complex(z)
     lhs = sum((w * hg.eval_poly_derivative(n, z, k) for n, w in mu.support), 0j)
     rhs = transform(hg, mu).derivative(k)(z)
-    res = abs(lhs - rhs)
-    scl = scale_of(lhs, rhs)
     report = Report(title="derivative identity of the transform", meta={"k": k, "z": [z.real, z.imag]})
-    ok = tol.ok(res, scl)
-    report.add(
-        f"derivative-identity k={k}",
-        "<D_k mu, 1> = (mu^)^(k)(z)",
-        ok,
-        res,
-        scl,
-        counterexample=None if ok else [as_literal(mu), lhs, rhs],
+    report.check(
+        f"derivative-identity k={k}", "<D_k mu, 1> = (mu^)^(k)(z)", abs(lhs - rhs), scale_of(lhs, rhs), tol,
+        lambda: [as_literal(mu), lhs, rhs],
     )
     return report
 

@@ -616,30 +616,6 @@ def _residuals(lhs: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return np.abs(lhs - rhs).max(axis=-1).ravel(), scl.ravel()
 
 
-def _scan(blocks: Iterable[tuple], tol: Tolerance) -> tuple[float, float, int | None, str]:
-    """Walk case blocks (residual, scale, messages) in check order, as a case loop does.
-
-    Tracks the worst residual/scale and stops at the first case that fails or
-    errs (has a message; None when no case of the block errs).  Returns
-    (worst, its scale, the stopping case or None, its message).
-    """
-    worst, worst_scale, offset = 0.0, 1.0, 0
-    for res, scl, msg in blocks:
-        fails = ~(res <= np.maximum(tol.abs_floor, tol.rel * scl))
-        hit = np.flatnonzero(fails if msg is None else fails | msg.astype(bool))
-        end = int(hit[0]) + 1 if hit.size else res.size
-        if hit.size and msg is not None and msg[end - 1]:
-            return worst, worst_scale, offset + end - 1, msg[end - 1]
-        ratio = res[:end] / scl[:end]
-        if end and ratio.max() > worst / worst_scale:
-            i = int(np.argmax(ratio))
-            worst, worst_scale = float(res[i]), float(scl[i])
-        if hit.size:
-            return worst, worst_scale, offset + end - 1, ""
-        offset += res.size
-    return worst, worst_scale, None, ""
-
-
 def check_axioms(hg: Hypergroup, sample_bound: int = 8, tol: Tolerance | None = None) -> Report:
     """Check the hypergroup axioms on a bounded sample; failures become report entries.
 
@@ -679,42 +655,30 @@ def check_axioms(hg: Hypergroup, sample_bound: int = 8, tol: Tolerance | None = 
     # nonnegativity and normalization of every sampled point convolution
     bad = err.astype(bool)
     i, j = divmod(int(np.argmax(bad)), n)
-    for name, law, res in (
-        ("nonnegativity", "weights of dx*dy are >= 0", neg),
-        ("normalization", "weights of dx*dy sum to 1", np.abs(mass - 1.0)),
+
+    def negative(k: int) -> list:
+        one = hg._tensor(grid[[k // n]], grid[[k % n]])
+        return [pts[k // n], pts[k % n], one.points[np.flatnonzero(one.c[0, 0])].tolist()]
+
+    for name, law, res, witness in (
+        ("nonnegativity", "weights of dx*dy are >= 0", neg, negative),
+        ("normalization", "weights of dx*dy sum to 1", np.abs(mass - 1.0),
+         lambda k: [pts[k // n], pts[k % n], [float(mass.flat[k]), 0.0]]),
     ):
         if bad.any():
             report.add(name, law, False, error=True, detail=f"({pts[i]},{pts[j]}): {err[i, j]}")
-            continue
-        x, y = divmod(int(np.argmax(res)), n)
-        worst = float(res[x, y]) or 0.0
-        if tol.ok(worst):
-            report.add(name, law, True, worst, 1.0)
-            continue
-        if name == "nonnegativity":
-            one = hg._tensor(grid[[x]], grid[[y]])
-            witness = one.points[np.flatnonzero(one.c[0, 0])].tolist()
         else:
-            witness = [float(mass[x, y]), 0.0]
-        report.add(name, law, False, worst, 1.0, counterexample=[pts[x], pts[y], witness])
-
-    def record(name: str, law: str, blocks: Iterable, label: Callable[[int], list]) -> None:
-        worst, scale, stop, error = _scan(blocks, tol)
-        if error:
-            report.add(name, law, False, error=True, detail=error)
-        else:
-            report.add(name, law, stop is None, worst, scale, counterexample=None if stop is None else label(stop))
+            report.add_worst(name, law, res, np.ones(res.shape), tol, witness)
 
     ident = hg._tensor(np.asarray([hg.identity]), grid)
     dirac_rows = np.zeros(ident.c.shape[1:])
     dirac_rows[np.arange(n), np.searchsorted(ident.points, grid)] = 1.0
-    record("identity", "do * dx = dx", [(*_residuals(ident.c[0], dirac_rows), ident.err[0])], lambda i: ["o", pts[i]])
+    blocks = [(*_residuals(ident.c[0], dirac_rows), ident.err[0])]
+    report.add_first_failure("identity", "do * dx = dx", blocks, tol, lambda i: ["o", pts[i]])
     blocks = [(comm.ravel(), comm_scl.ravel(), np.where(bad, err, err_t).ravel())]
-    record("commutativity", "dx * dy = dy * dx", blocks, lambda k: [pts[k // n], pts[k % n]])
-    record(
-        "associativity",
-        "(dx*dy)*dz = dx*(dy*dz)",
-        _associativity(hg, pair, small, 3 * n),
+    report.add_first_failure("commutativity", "dx * dy = dy * dx", blocks, tol, lambda k: [pts[k // n], pts[k % n]])
+    report.add_first_failure(
+        "associativity", "(dx*dy)*dz = dx*(dy*dz)", _associativity(hg, pair, small, 3 * n), tol,
         lambda k: [small[k // (s * s)].item(), small[k // s % s].item(), small[k % s].item()],
     )
     return report

@@ -46,6 +46,14 @@ def parse_complex(value: Any) -> complex:
     raise SpecError(f"expected a number or [re, im], got {value!r}")
 
 
+def _number(data: dict, key: str, default: Any, kind: type = float) -> Any:
+    """data[key] (or the default) as `kind`, a SpecError when it is not one."""
+    try:
+        return kind(data.get(key, default))
+    except (TypeError, ValueError) as exc:
+        raise SpecError(f"bad {key!r}: {exc}") from exc
+
+
 def complex_to_json(z: complex) -> list[float]:
     z = complex(z)
     return [z.real, z.imag]
@@ -91,8 +99,8 @@ def hypergroup_from_dict(data: dict) -> Hypergroup:
             raise SpecError(str(exc)) from exc
     if kind == "polynomial":
         coeffs = data.get("coeffs")
-        a0 = float(data.get("a0", 1.0))
-        b0 = float(data.get("b0", 0.0))
+        a0 = _number(data, "a0", 1.0)
+        b0 = _number(data, "b0", 0.0)
         if isinstance(coeffs, str):
             if coeffs not in _POLY_PRESETS:
                 raise SpecError(f"unknown polynomial preset {coeffs!r}")
@@ -180,7 +188,7 @@ def function_from_literal(hg: Hypergroup, data: Any) -> CFunction:
         if isinstance(hg, FiniteHypergroup):
             if "index" in data:
                 try:
-                    return exponential_function(hg, int(data["index"]))
+                    return exponential_function(hg, _number(data, "index", None, int))
                 except DomainError as exc:
                     raise SpecError(str(exc)) from exc
             if "values" in data:
@@ -189,7 +197,7 @@ def function_from_literal(hg: Hypergroup, data: Any) -> CFunction:
             raise SpecError("finite exponential needs 'index' or 'values'")
         raise SpecError(f"no exponential family for kind {hg.kind!r}")
     if kind == "moment":
-        k = int(data.get("k", 0))
+        k = _number(data, "k", 0, int)
         if isinstance(hg, RealLineHypergroup):
             lam = parse_complex(data.get("lambda", 0.0))
             seq = realline_moments(lam, k, hg)
@@ -212,7 +220,7 @@ def family_from_literal(
         raise SpecError("family literal must be an object")
     if "family" in data:
         name = data["family"]
-        n = order if order is not None else int(data.get("order", 4))
+        n = order if order is not None else _number(data, "order", 4, int)
         if name == "realline-moment":
             if not isinstance(hg, RealLineHypergroup):
                 raise SpecError("realline-moment family needs the real line")
@@ -229,10 +237,12 @@ def family_from_literal(
     except (KeyError, TypeError, ValueError) as exc:
         raise SpecError(f"bad family literal: {exc}") from exc
     entries: dict[tuple[int, ...], CFunction] = {}
-    for alpha, fn in raw_entries:
-        if isinstance(alpha, int):
-            alpha = [alpha]
-        key = tuple(int(a) for a in alpha)
+    for entry in raw_entries:
+        try:
+            alpha, fn = entry
+            key = tuple(int(a) for a in ([alpha] if isinstance(alpha, int) else alpha))
+        except (TypeError, ValueError) as exc:
+            raise SpecError(f"bad family entry {entry!r}: {exc}") from exc
         entries[key] = function_from_literal(hg, fn)
     try:
         return MomentSequence.build(hg, rank, n, entries)

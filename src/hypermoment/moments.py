@@ -247,11 +247,10 @@ def rank_lift(seq: MomentSequence, weights: Sequence[complex]) -> MomentSequence
 
 
 @functools.lru_cache(maxsize=32)
-def binomial_terms(rank: int, order: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The terms binom(a, b) (b, a-b) of every alpha of `indices_up_to(rank, order)`:
-    the rows of beta and of alpha - beta in that list, the binomial, and the
-    row of alpha (betas run lexicographically within it)."""
-    alphas = indices_up_to(rank, order)
+def binomial_terms(alphas: tuple[MultiIndex, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The terms binom(a, b) (b, a-b) of every alpha of `alphas`, a list closed
+    under beta <= alpha: the rows of beta and of alpha - beta in that list, the
+    binomial, and the row of alpha (betas run lexicographically within it)."""
     at = {alpha: i for i, alpha in enumerate(alphas)}
     lower = [lower_indices(alpha) for alpha in alphas]
     terms = [
@@ -264,18 +263,18 @@ def binomial_terms(rank: int, order: int) -> tuple[np.ndarray, np.ndarray, np.nd
 
 
 def _identity_records(
-    report: Report, name: str, law: str, family: Any, lhs: np.ndarray, terms: np.ndarray, tol: Tolerance,
-    witness: Callable[[int], list], details: Sequence[str] = (),
+    report: Report, name: str, law: str, alphas: Sequence[MultiIndex], lhs: np.ndarray, terms: np.ndarray,
+    tol: Tolerance, witness: Callable[[int], list], details: Sequence[str] = (),
 ) -> None:
-    """One record per alpha of `family`: lhs[a] against the sum of its `binomial_terms`
+    """One record per alpha of `alphas`: lhs[a] against the sum of its `binomial_terms`
     rows of `terms`, taken in order, scaled by max(1, |lhs|, |term|); cases run
     along the other axes."""
-    owner = binomial_terms(family.rank, family.order)[3]
+    owner = binomial_terms(tuple(alphas))[3]
     rhs, top = np.zeros(lhs.shape, dtype=complex), np.zeros(lhs.shape)
     np.add.at(rhs, owner, terms)
     np.maximum.at(top, owner, complex_abs(terms))
     res, scl = complex_abs(lhs - rhs), np.maximum(1.0, np.maximum(complex_abs(lhs), top))
-    for a, alpha in enumerate(family.alphas):
+    for a, alpha in enumerate(alphas):
         report.add_worst(
             f"{name} alpha={list(alpha)}", law, res[a], scl[a], tol,
             lambda i: [list(alpha), *witness(i), complex(lhs[a].flat[i]), complex(rhs[a].flat[i])],
@@ -302,10 +301,10 @@ def verify_moment_sequence(
         meta={"rank": seq.rank, "order": seq.order, "pairs": len(pairs)},
     )
     sup, at_k, at_x, at_y = tabulate_on_pairs(seq.hypergroup, pairs, [seq.phi(a) for a in seq.alphas])
-    beta, gamma, coef, _ = binomial_terms(seq.rank, seq.order)
+    beta, gamma, coef, _ = binomial_terms(tuple(seq.alphas))
     law = "<dx*dy, phi_a> = sum_{b<=a} binom(a,b) phi_b(x) phi_{a-b}(y)"
     terms = complex_product(coef[:, None] * at_x[beta], at_y[gamma])
-    _identity_records(report, "moment-identity", law, seq, sup.pairings(at_k), terms, tol, lambda i: pairs[i])
+    _identity_records(report, "moment-identity", law, seq.alphas, sup.pairings(at_k), terms, tol, lambda i: pairs[i])
     return report
 
 
@@ -415,7 +414,7 @@ def verify_leibniz(
     )
     lhs, applied = apply_family(family, samples)
     n = len(family.alphas)
-    beta, gamma, coef, _ = binomial_terms(family.rank, family.order)
+    beta, gamma, coef, _ = binomial_terms(tuple(family.alphas))
     # the weights of every D_b m on the union of their supports, per sample measure m
     grids = {}
     for m in {id(m): m for sample in samples for m in sample}.values():
@@ -449,7 +448,8 @@ def verify_leibniz(
     law = "D_a(mu*nu) = sum_{b<=a} binom(a,b) D_b mu * D_{a-b} nu, paired with probes"
     details = ("order 0: reduces to multiplicativity of D_0", "order 1: reduces to D_0 mu * D_a nu + D_a mu * D_0 nu")
     _identity_records(
-        report, "leibniz", law, family, lv, terms, tol, lambda i: [*map(as_literal, samples[i // len(probes)])], details
+        report, "leibniz", law, family.alphas, lv, terms, tol,
+        lambda i: [*map(as_literal, samples[i // len(probes)])], details,
     )
     return report
 
@@ -494,23 +494,15 @@ def verify_d0_derivation(
     one = CFunction.constant(1.0)
     report = Report(title=f"{d0.name}-derivation: {d.name}")
     report.extend(is_multiplicative_hom(d0, samples, tol), prefix="precondition: ")
-    worst = (0.0, 1.0, None)
-    for mu, nu in samples:
-        lv = pair(d(convolve(mu, nu)), one)
-        t1 = pair(convolve(d0(mu), d(nu)), one)
-        t2 = pair(convolve(d(mu), d0(nu)), one)
-        res = abs(lv - (t1 + t2))
-        scl = max(1.0, abs(lv), abs(t1), abs(t2))
-        if res / scl > worst[0] / worst[1]:
-            worst = (res, scl, [as_literal(mu), as_literal(nu), lv, t1 + t2])
-    ok = tol.ok(worst[0], worst[1])
-    report.add(
-        "product-rule",
-        "<D(mu*nu), 1> = <D0 mu * D nu, 1> + <D mu * D0 nu, 1>",
-        ok,
-        worst[0],
-        worst[1],
-        counterexample=None if ok else worst[2],
+    sides = [
+        (pair(d(convolve(mu, nu)), one), pair(convolve(d0(mu), d(nu)), one), pair(convolve(d(mu), d0(nu)), one))
+        for mu, nu in samples
+    ]
+    lv, t1, t2 = np.array(sides).T
+    report.add_worst(
+        "product-rule", "<D(mu*nu), 1> = <D0 mu * D nu, 1> + <D mu * D0 nu, 1>", complex_abs(lv - (t1 + t2)),
+        np.maximum.reduce([np.ones(len(samples)), complex_abs(lv), complex_abs(t1), complex_abs(t2)]), tol,
+        lambda i: [*map(as_literal, samples[i]), complex(lv[i]), complex(t1[i] + t2[i])],
     )
     return report
 
@@ -586,22 +578,18 @@ def extend_moment_sequence(
     values = {beta: np.array([entries[beta](x) for x in pts], dtype=complex) for beta in needed}
 
     # precondition: identities of the fixed lower entries hold
-    for beta in needed:
-        lhs = np.einsum("xyk,k->xy", c, values[beta])
-        rhs = np.zeros((n, n), dtype=complex)
-        top = np.abs(lhs)
-        for gamma in lower_indices(beta):
-            term = (multi_binomial(beta, gamma) * values[gamma])[:, None] * values[index_sub(beta, gamma)]
-            rhs += term
-            top = np.maximum(top, np.abs(term))
-        res = np.abs(lhs - rhs)
-        scl = np.maximum(1.0, top)
-        x, y = divmod(int(np.argmax(res / scl)), n)
-        if not tol.ok(res[x, y], scl[x, y]):
-            raise PreconditionError(
-                f"lower entry phi_{list(beta)} violates its moment identity at "
-                f"{(x, y)} (residual {res[x, y]:.3e})"
-            )
+    table = np.array([values[beta] for beta in needed])
+    rows_b, rows_g, coef, _ = binomial_terms(tuple(needed))
+    terms = (coef[:, None] * table[rows_b])[:, :, None] * table[rows_g][:, None, :]
+    lhs = np.array([np.einsum("xyk,k->xy", c, v) for v in table])
+    checked = Report(title="lower entries")
+    _identity_records(checked, "", "", needed, lhs, terms, tol, lambda i: [divmod(i, n)])
+    if checked.failed_records:
+        rec = checked.failed_records[0]
+        raise PreconditionError(
+            f"lower entry phi_{rec.counterexample[0]} violates its moment identity at "
+            f"{tuple(rec.counterexample[1])} (residual {rec.residual:.3e})"
+        )
 
     # one row per ordered pair (x, y): <dx*dy, phi_alpha> - phi_alpha(y) phi_0(x) - phi_alpha(x) phi_0(y)
     phi0 = values[zero]

@@ -14,7 +14,7 @@ from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
 
-from .config import Tolerance, default_tolerance, scale_of
+from .config import Tolerance, default_tolerance
 from .hypergroups import PairSupports, pair_supports
 from .measures import (
     CFunction,
@@ -76,13 +76,6 @@ def symbol_of(op: MeasureOperator, points: Iterable[Point]) -> CFunction:
     return CFunction.from_table(values)
 
 
-def _worst(tracked: tuple[float, float, Any], residual: float, scale: float, witness: Any) -> tuple[float, float, Any]:
-    res, scl, ce = tracked
-    if residual / scale > res / scl:
-        return residual, scale, witness
-    return tracked
-
-
 def is_module_hom(
     op: MeasureOperator,
     samples: list[tuple[Measure, CFunction]],
@@ -132,26 +125,14 @@ def is_multiplicative_hom(
     tol = tol or default_tolerance()
     one = CFunction.constant(1.0)
     report = Report(title=f"multiplicative homomorphism: {op.name}")
-    worst = (0.0, 1.0, None)
-    top = 0.0
-    for mu, nu in samples:
-        lhs = pair(op(convolve(mu, nu)), one)
-        rhs = pair(convolve(op(mu), op(nu)), one)
-        top = max(top, abs(lhs), abs(rhs))
-        res = abs(lhs - rhs)
-        scl = scale_of(lhs, rhs)
-        worst = _worst(worst, res, scl, [as_literal(mu), as_literal(nu), lhs, rhs])
-    ok = tol.ok(worst[0], worst[1])
-    report.add(
-        "multiplicativity",
-        "<F(mu*nu), 1> = <F(mu)*F(nu), 1>",
-        ok,
-        worst[0],
-        worst[1],
-        counterexample=None if ok else worst[2],
-        detail="operator is zero on all samples; multiplicativity holds trivially"
-        if top <= tol.bound(1.0)
-        else "",
+    sides = [(pair(op(convolve(mu, nu)), one), pair(convolve(op(mu), op(nu)), one)) for mu, nu in samples]
+    lhs, rhs = np.array(sides).T
+    size = np.maximum(complex_abs(lhs), complex_abs(rhs))
+    zero = size.max() <= tol.bound(1.0)
+    report.add_worst(
+        "multiplicativity", "<F(mu*nu), 1> = <F(mu)*F(nu), 1>", complex_abs(lhs - rhs), np.maximum(1.0, size), tol,
+        lambda i: [*map(as_literal, samples[i]), complex(lhs[i]), complex(rhs[i])],
+        detail="operator is zero on all samples; multiplicativity holds trivially" if zero else "",
     )
     return report
 
@@ -168,15 +149,8 @@ def is_exponential(
     tol = tol or default_tolerance()
     report = Report(title=f"exponential: {f.describe()}")
     at_identity = f(hg.identity)
-    res0 = abs(at_identity - 1.0)
-    ok0 = tol.ok(res0, 1.0)
-    report.add(
-        "normalization-at-identity",
-        "f(o) = 1",
-        ok0,
-        res0,
-        1.0,
-        counterexample=None if ok0 else [hg.identity, at_identity],
+    report.check(
+        "normalization-at-identity", "f(o) = 1", abs(at_identity - 1.0), 1.0, tol, lambda: [hg.identity, at_identity]
     )
     sup, at_k, at_x, at_y = tabulate_on_pairs(hg, samples, [f])
     lhs, rhs = sup.pairings(at_k[0]), complex_product(at_x[0], at_y[0])

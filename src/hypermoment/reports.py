@@ -3,8 +3,8 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from typing import Any, Callable
+from dataclasses import asdict, dataclass, field, replace
+from typing import Any, Callable, Iterable
 
 import numpy as np
 
@@ -92,34 +92,65 @@ class Report:
         self.records.append(rec)
         return rec
 
+    def check(
+        self, name: str, law: str, residual: float, scale: float, tol: Tolerance,
+        witness: Callable[[], Any], detail: str = "",
+    ) -> CheckRecord:
+        """Record one case: PASS when `tol.ok(residual, scale)`, else FAIL with the
+        counterexample `witness()`, built only then.  A case whose residual/scale
+        is NaN fails, and adds nothing to the recorded residual (0 at scale 1)."""
+        ok = tol.ok(residual, scale)
+        if not residual / scale >= 0.0:
+            ok, residual, scale = False, 0.0, 1.0
+        return self.add(name, law, ok, residual, scale, counterexample=None if ok else witness(), detail=detail)
+
     def add_worst(
         self, name: str, law: str, residuals: np.ndarray, scales: np.ndarray, tol: Tolerance,
         witness: Callable[[int], Any], detail: str = "",
     ) -> CheckRecord:
         """Record the first case of largest residual/scale, as a loop that keeps a
-        strictly larger ratio finds it from residual 0 at scale 1 (NaN never wins).
-        `witness(i)` is the counterexample of case i, in flattened order."""
+        strictly larger ratio finds it from residual 0 at scale 1.  A case whose
+        ratio is NaN fails the record and is its counterexample, the first such
+        case; the residual is the worst of the others.  `witness(i)` is the
+        counterexample of case i, in flattened order."""
         res, scl = np.ravel(residuals), np.ravel(scales)
         ratio = res / scl
-        ratio[np.isnan(ratio)] = 0.0
+        nan = np.isnan(ratio)
+        ratio[nan] = 0.0
         i = int(np.argmax(ratio)) if ratio.size else 0
         worst, scale = (float(res[i]), float(scl[i])) if ratio.size and ratio[i] > 0.0 else (0.0, 1.0)
-        ok = tol.ok(worst, scale)
-        return self.add(name, law, ok, worst, scale, counterexample=None if ok else witness(i), detail=detail)
+        if nan.any():
+            return self.add(name, law, False, worst, scale, witness(int(np.argmax(nan))), detail)
+        return self.check(name, law, worst, scale, tol, lambda: witness(i), detail)
+
+    def add_first_failure(
+        self, name: str, law: str, blocks: Iterable[tuple], tol: Tolerance, witness: Callable[[int], Any],
+    ) -> CheckRecord:
+        """Walk case blocks (residuals, scales, messages) in check order, as a case
+        loop does, up to the first case that fails or errs (has a message; None
+        for a block where no case errs).  Records the worst residual/scale of the
+        cases walked, NaN ones aside, and FAIL with `witness(k)` of the failing
+        case k, in flattened order, or ERROR with the message as the detail."""
+        worst, worst_scale, offset = 0.0, 1.0, 0
+        for res, scl, msg in blocks:
+            fails = ~(res <= np.maximum(tol.abs_floor, tol.rel * scl))
+            hit = np.flatnonzero(fails if msg is None else fails | msg.astype(bool))
+            end = int(hit[0]) + 1 if hit.size else res.size
+            if hit.size and msg is not None and msg[end - 1]:
+                return self.add(name, law, False, error=True, detail=msg[end - 1])
+            ratio = res[:end] / scl[:end]
+            if hit.size and np.isnan(ratio[-1]):  # only the stopping case can be NaN, as NaN fails
+                ratio = ratio[:-1]
+            if ratio.size and ratio.max() > worst / worst_scale:
+                i = int(np.argmax(ratio))
+                worst, worst_scale = float(res[i]), float(scl[i])
+            if hit.size:
+                return self.add(name, law, False, worst, worst_scale, witness(offset + end - 1))
+            offset += res.size
+        return self.add(name, law, True, worst, worst_scale)
 
     def extend(self, other: "Report", prefix: str = "") -> None:
-        for r in other.records:
-            self.records.append(
-                CheckRecord(
-                    name=prefix + r.name,
-                    law=r.law,
-                    status=r.status,
-                    residual=r.residual,
-                    scale=r.scale,
-                    counterexample=r.counterexample,
-                    detail=r.detail,
-                )
-            )
+        self.records += [replace(r, name=prefix + r.name) for r in other.records]
 
     def summary(self) -> str:
         lines = [f"# {self.title}"]
@@ -141,18 +172,7 @@ class Report:
             "title": self.title,
             "meta": jsonable(self.meta),
             "passed": self.passed,
-            "records": [
-                {
-                    "name": r.name,
-                    "law": r.law,
-                    "status": r.status,
-                    "residual": r.residual,
-                    "scale": r.scale,
-                    "counterexample": r.counterexample,
-                    "detail": r.detail,
-                }
-                for r in self.records
-            ],
+            "records": [asdict(r) for r in self.records],
         }
 
     def to_json(self) -> str:
@@ -161,18 +181,7 @@ class Report:
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "Report":
         report = cls(title=data["title"], meta=dict(data.get("meta", {})))
-        for r in data.get("records", []):
-            report.records.append(
-                CheckRecord(
-                    name=r["name"],
-                    law=r["law"],
-                    status=r["status"],
-                    residual=r["residual"],
-                    scale=r["scale"],
-                    counterexample=r.get("counterexample"),
-                    detail=r.get("detail", ""),
-                )
-            )
+        report.records += [CheckRecord(**r) for r in data.get("records", [])]
         return report
 
     @classmethod

@@ -71,6 +71,12 @@ CASES = {
     "search-moments-product": ["search-moments", "--hypergroup", "{specs}/product.json", "--phi0", "m1",
                                "--alpha", "1,1"],
     "search-moments-dtheta": ["search-moments", "--hypergroup", "dtheta:0.3", "--phi0", "m1", "--alpha", "3"],
+    # phi_0 = 1 at both points is not an exponential, so the extension precondition refuses it
+    "search-moments-dtheta-precondition": ["search-moments", "--hypergroup", "dtheta:0.5", "--phi0",
+                                           '{"kind":"table","values":[[0,1],[1,0.5]]}', "--alpha", "2"],
+    # degree 7, well below the false FAIL of the monomial form
+    "transform-chebyshev-taylor": ["transform", "--hypergroup", "chebyshev", "--measure",
+                                   "[[0,1],[3,[0.5,-0.25]],[7,2]]", "--z", "0.4", "--k", "3", "--taylor"],
 }
 
 

@@ -427,6 +427,23 @@ class TestCliExitCodes:
     def test_unknown_command_usage_error(self, capsys):
         assert main(["frobnicate"]) == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["axioms", "--hypergroup", '{"kind":"polynomial","a0":"x","coeffs":"chebyshev"}'],
+            ["verify-moments", "--hypergroup", "chebyshev", "--family", '{"rank":1,"order":1,"entries":[1,2]}'],
+            ["verify-moments", "--hypergroup", "chebyshev", "--family",
+             '{"rank":1,"order":0,"entries":[[[0],{"kind":"moment","k":"a"}]]}'],
+            ["search-moments", "--hypergroup", "dtheta:0.5", "--phi0", '{"kind":"moment","k":"a"}', "--alpha", "1"],
+            ["search-moments", "--hypergroup", "dtheta:0.5", "--phi0", '{"kind":"exponential","index":"q"}',
+             "--alpha", "1"],
+        ],
+        ids=["polynomial-a0", "family-entry", "moment-k-in-family", "moment-k-as-phi0", "exponential-index"],
+    )
+    def test_malformed_number_is_usage_error(self, argv, capsys):
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
 
 class TestDeterminism:
     def test_reports_byte_identical_for_fixed_seed(self, capsys):

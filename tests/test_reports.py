@@ -4,10 +4,21 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hypermoment import (
+    CFunction,
+    MomentSequence,
+    Tolerance,
+    chebyshev,
+    is_exponential,
+    poly_derivative_moments,
+    two_point,
+    verify_moment_sequence,
+)
 from hypermoment.reports import ERROR, FAIL, PASS, CheckRecord, Report, jsonable
 
 finite_floats = st.floats(allow_nan=False, allow_infinity=False, width=32)
@@ -90,3 +101,50 @@ class TestRoundTrip:
         report.add("a", "l", ok=True, residual=1e-3, scale=1e6)
         report.add("b", "l", ok=True, residual=1e-5, scale=1.0)
         assert report.worst_residual() == pytest.approx(1e-5)
+
+
+class TestNanCases:
+    """A case whose residual/scale is NaN fails, and the first such case is the counterexample."""
+
+    @staticmethod
+    def assert_nan_failure(report: Report, name: str, counterexample_head: list) -> None:
+        rec = next(r for r in report.records if r.name == name)
+        assert rec.status == FAIL and not report.passed
+        assert rec.counterexample[: len(counterexample_head)] == counterexample_head
+        assert Report.from_json(report.to_json()).to_json() == report.to_json()
+
+    def test_accumulators(self):
+        tol = Tolerance()
+        report = Report(title="t")
+        res, scl = np.array([1e-13, math.nan, 0.0, math.nan]), np.ones(4)
+        rec = report.add_worst("worst", "l", res, scl, tol, lambda i: [i])
+        assert (rec.status, rec.counterexample, rec.residual, rec.scale) == (FAIL, [1], 1e-13, 1.0)
+        rec = report.check("one", "l", math.nan, 1.0, tol, lambda: ["case"])
+        assert (rec.status, rec.counterexample, rec.residual, rec.scale) == (FAIL, ["case"], 0.0, 1.0)
+        rec = report.check("inf/inf", "l", math.inf, math.inf, tol, lambda: ["case"])
+        assert rec.status == FAIL
+        rec = report.add_first_failure("first", "l", [(res, scl, None)], tol, lambda k: [k])
+        assert (rec.status, rec.counterexample, rec.residual) == (FAIL, [1], 1e-13)
+        assert Report.from_json(report.to_json()).records == report.records
+
+    def test_is_exponential_with_a_nan_value(self):
+        f = CFunction(lambda x: math.nan if x == 1 else 1.0)
+        report = is_exponential(two_point(0.5), f, [(0, 0), (0, 1), (1, 0), (1, 1)])
+        assert report.records[0].status == PASS  # f(o) = 1
+        self.assert_nan_failure(report, "multiplicativity-on-pairs", [0, 1])
+
+    def test_is_exponential_nan_at_the_identity(self):
+        f = CFunction(lambda x: math.nan if x == 0 else -0.5)
+        report = is_exponential(two_point(0.5), f, [(1, 1)])
+        self.assert_nan_failure(report, "normalization-at-identity", [0])
+
+    def test_moment_sequence_with_a_nan_entry(self):
+        hg = chebyshev()
+        base = poly_derivative_moments(hg, 0.3 + 0.1j, 3)
+        broken = CFunction(lambda n: math.nan if n == 3 else base.phi((2,))(n))
+        seq = MomentSequence.build(hg, 1, 3, lambda a: broken if a == (2,) else base.phi(a), check_phi0=False)
+        pairs = [(x, y) for x in range(5) for y in range(5)]
+        report = verify_moment_sequence(seq, pairs)
+        assert [r.status for r in report.records] == [PASS, PASS, FAIL, FAIL]
+        # (0, 3) is the first pair that reaches phi_2(3), through its support {3}
+        self.assert_nan_failure(report, "moment-identity alpha=[2]", [[2], 0, 3])

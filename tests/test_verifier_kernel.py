@@ -5,8 +5,10 @@
 kernel: every case a `Measure` convolution and a `pair`, every entry
 evaluated where the loop needs it.  `reference_verify_fourier_leibniz` is
 the transform-side loop with the total mass of each measure in place of its
-monomial-basis transform evaluated at z = 1.  The kernel must give the same
-records in the same order, with the same statuses, details and
+monomial-basis transform evaluated at z = 1.  `reference_is_multiplicative_hom`
+and `reference_verify_d0_derivation` are the worst-case loops of the operator
+checks, which now hand arrays of residuals to `Report.add_worst`.  The
+kernel must give the same records in the same order, with the same statuses, details and
 counterexample alpha and points; residuals, scales and the two sides named in
 a counterexample agree within 1e-11 of the scale, two orders under the
 default tolerance.  Errors must carry the loop's message.
@@ -25,6 +27,7 @@ from hypermoment import (
     DomainError,
     FiniteHypergroup,
     Measure,
+    MeasureOperator,
     MomentSequence,
     PolynomialHypergroup,
     Report,
@@ -33,9 +36,12 @@ from hypermoment import (
     derivation_from_moments,
     enumerate_exponentials,
     exponential_function,
+    identity_operator,
     is_exponential,
+    is_multiplicative_hom,
     legendre,
     lower_indices,
+    make_module_hom,
     multi_binomial,
     pair,
     poly_derivative_moments,
@@ -43,9 +49,11 @@ from hypermoment import (
     real_line,
     realline_moments,
     two_point,
+    verify_d0_derivation,
     verify_fourier_leibniz,
     verify_leibniz,
     verify_moment_sequence,
+    zero_operator,
 )
 from hypermoment.config import default_tolerance, scale_of
 from hypermoment.measures import as_literal
@@ -148,6 +156,44 @@ def reference_is_exponential(hg, f, samples) -> Report:
         if res / scl > worst[0] / worst[1]:
             worst = (res, scl, [x, y, lhs, rhs])
     _record(report, "multiplicativity-on-pairs", "<dx*dy, f> = f(x) f(y)", worst, tol)
+    return report
+
+
+def _worst(tracked, residual, scale, witness):
+    if residual / scale > tracked[0] / tracked[1]:
+        return residual, scale, witness
+    return tracked
+
+
+def reference_is_multiplicative_hom(op, samples) -> Report:
+    tol = default_tolerance()
+    one = CFunction.constant(1.0)
+    report = Report(title=f"multiplicative homomorphism: {op.name}")
+    worst = (0.0, 1.0, None)
+    top = 0.0
+    for mu, nu in samples:
+        lhs = pair(op(convolve(mu, nu)), one)
+        rhs = pair(convolve(op(mu), op(nu)), one)
+        top = max(top, abs(lhs), abs(rhs))
+        worst = _worst(worst, abs(lhs - rhs), scale_of(lhs, rhs), [as_literal(mu), as_literal(nu), lhs, rhs])
+    detail = "operator is zero on all samples; multiplicativity holds trivially" if top <= tol.bound(1.0) else ""
+    _record(report, "multiplicativity", "<F(mu*nu), 1> = <F(mu)*F(nu), 1>", worst, tol, detail)
+    return report
+
+
+def reference_verify_d0_derivation(d0, d, samples) -> Report:
+    tol = default_tolerance()
+    one = CFunction.constant(1.0)
+    report = Report(title=f"{d0.name}-derivation: {d.name}")
+    report.extend(reference_is_multiplicative_hom(d0, samples), prefix="precondition: ")
+    worst = (0.0, 1.0, None)
+    for mu, nu in samples:
+        lv = pair(d(convolve(mu, nu)), one)
+        t1 = pair(convolve(d0(mu), d(nu)), one)
+        t2 = pair(convolve(d(mu), d0(nu)), one)
+        scl = max(1.0, abs(lv), abs(t1), abs(t2))
+        worst = _worst(worst, abs(lv - (t1 + t2)), scl, [as_literal(mu), as_literal(nu), lv, t1 + t2])
+    _record(report, "product-rule", "<D(mu*nu), 1> = <D0 mu * D nu, 1> + <D mu * D0 nu, 1>", worst, tol)
     return report
 
 
@@ -307,6 +353,25 @@ def test_is_exponential_matches_loop(make):
         pairs = [(rng.choice(points), rng.choice(points)) for _ in range(30)]
     for f in fns + [f * CFunction(lambda x: 1.0 + 0.01 * (x == 1)) for f in fns[:2]]:
         assert_same(is_exponential(hg, f, pairs), reference_is_exponential(hg, f, pairs))
+
+
+@pytest.mark.parametrize("make", [chebyshev, legendre])
+def test_operator_checks_match_loop(make):
+    hg = make()
+    rng = random.Random(17)
+    family = derivation_from_moments(poly_derivative_moments(hg, 0.3 + 0.1j, 3))
+    ops = [
+        zero_operator(hg), identity_operator(hg), make_module_hom(hg, exponential_function(hg, 0.4)),
+        make_module_hom(hg, CFunction.constant(2.0)), family.op((0,)), family.op((1,)), family.op((2,)),
+        MeasureOperator(hg, lambda m: convolve(m, Measure.from_items(hg, [(1, 1.0)])), name="shift"),
+    ]
+    samples = cyclic_samples(hg, rng, range(6))
+    for op in ops:
+        assert_same(is_multiplicative_hom(op, samples), reference_is_multiplicative_hom(op, samples))
+        for d0 in (family.op((0,)), identity_operator(hg)):
+            assert_same(verify_d0_derivation(d0, op, samples), reference_verify_d0_derivation(d0, op, samples))
+    zero = is_multiplicative_hom(zero_operator(hg), samples).records[0]
+    assert zero.status == "pass" and zero.detail.endswith("holds trivially")
 
 
 def test_split_blocks_match_loop(monkeypatch):
