@@ -9,6 +9,7 @@ seed are byte-identical across runs.
 from __future__ import annotations
 
 import argparse
+import functools
 import random
 import sys
 from typing import Callable
@@ -16,8 +17,8 @@ from typing import Callable
 from .config import Tolerance, default_tolerance
 from .errors import DomainError, HypermomentError, PreconditionError, SpecError
 from .fourier import (
+    _derivative_identity,
     derivative_moments,
-    fourier_derivative_identity,
     poly_residual,
     taylor_reconstruct,
     transform,
@@ -186,9 +187,8 @@ def cmd_transform(args: argparse.Namespace) -> int:
     if args.z is not None:
         z = complex(args.z)
         report.meta["value"] = [poly(z).real, poly(z).imag]
-        for k in range(args.k + 1):
-            sub = fourier_derivative_identity(hg, mu, k, z, tol=args.tol)
-            report.extend(sub)
+        for k, lhs in enumerate(derivative_moments(hg, mu, args.k, z)):
+            _derivative_identity(report, mu, k, lhs, poly.derivative(k)(z), args.tol)
     if args.taylor:
         top = max(mu.points, default=0)
         values = derivative_moments(hg, mu, int(top), z=0.0)
@@ -202,7 +202,9 @@ def cmd_transform(args: argparse.Namespace) -> int:
     return _finish(report, args)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="hypermoment",
         description="Verification tools for measure algebras on commutative hypergroups.",

@@ -405,18 +405,19 @@ class PolynomialHypergroup(Hypergroup):
     def sample_points(self, bound: int) -> list[Point]:
         return list(range(bound + 1))
 
-    def eval_poly_derivative(self, n: int, z: complex, k: int) -> complex:
-        """P_n^(k)(z) by the differentiated three-term recurrence.
+    def poly_derivatives(self, n: int, z: complex, k: int) -> list[complex]:
+        """[P_n(z), P_n'(z), ..., P_n^(k)(z)] by the differentiated three-term recurrence.
 
         P_1 is affine, so (P_1 * P_m)^(i) = P_1(z) P_m^(i) + i P_1' P_m^(i-1)
-        with P_1' = 1/a0; all orders 0..k are carried jointly forward in n.
+        with P_1' = 1/a0; all orders 0..k are carried jointly forward in n, and
+        order i never reads an order above i, so it does not depend on k.
         """
         if n < 0 or k < 0:
             raise DomainError("indices must be nonnegative")
         z = complex(z)
         prev = [1.0 + 0j] + [0j] * k  # P_0 and its derivatives
         if n == 0:
-            return prev[k]
+            return prev
         p1 = (z - self.b0) / self.a0
         dp1 = 1.0 / self.a0
         cur = [p1] + ([dp1] if k >= 1 else []) + [0j] * max(0, k - 1)
@@ -429,7 +430,11 @@ class PolynomialHypergroup(Hypergroup):
                     s += i * dp1 * cur[i - 1]
                 nxt[i] = s / a
             prev, cur = cur, nxt
-        return cur[k]
+        return cur
+
+    def eval_poly_derivative(self, n: int, z: complex, k: int) -> complex:
+        """P_n^(k)(z), the last entry of `poly_derivatives`."""
+        return self.poly_derivatives(n, z, k)[-1]
 
     @property
     def signature(self) -> tuple:

@@ -9,7 +9,7 @@ associative at the cost of not merging nearly-equal points.
 
 from __future__ import annotations
 
-import math
+import cmath
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Mapping, Union
 
@@ -22,7 +22,7 @@ Point = Union[int, float]
 
 def _to_complex(w: Any) -> complex:
     z = complex(w)
-    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+    if not cmath.isfinite(z):
         raise DomainError(f"non-finite weight {w!r}")
     return z
 
@@ -204,7 +204,15 @@ def convolve(mu: Measure, nu: Measure) -> Measure:
 
 def module_action(phi: CFunction | Callable[[Point], Any], mu: Measure) -> Measure:
     """Multiplication of a measure by a function: weight at x becomes phi(x)*mu({x})."""
-    return Measure.from_items(mu.hypergroup, [(x, _evaluate(phi, x) * w) for x, w in mu.support])
+    return multiply({x: _evaluate(phi, x) for x, _ in mu.support}, mu)
+
+
+def multiply(values: Mapping[Point, complex], mu: Measure) -> Measure:
+    """mu with the weight at each support point x multiplied by values[x], canonical
+    as `Measure.from_items` leaves it: exact zeros dropped, a non-finite product
+    refused, each weight added to 0j (so a zero part is never -0.0)."""
+    weights = [(x, 0j + _to_complex(values[x] * w)) for x, w in mu.support]
+    return Measure(mu.hypergroup, tuple([item for item in weights if item[1] != 0]))
 
 
 def measure_residual(mu: Measure, nu: Measure) -> tuple[float, float]:

@@ -30,8 +30,10 @@ import numpy as np
 
 from .config import Tolerance, default_tolerance
 from .errors import DomainError, PreconditionError
-from .hypergroups import FiniteHypergroup, Hypergroup, PolynomialHypergroup, RealLineHypergroup, pair_supports
-from .measures import CFunction, Measure, Point, _evaluate, as_literal, complex_abs, complex_product, convolve, dirac, pair
+from .hypergroups import LIN_MEMO, FiniteHypergroup, Hypergroup, PolynomialHypergroup, RealLineHypergroup, pair_supports
+from .measures import (
+    CFunction, Measure, Point, _evaluate, as_literal, complex_abs, complex_product, convolve, dirac, multiply, pair,
+)
 from .operators import (
     MeasureOperator,
     is_exponential,
@@ -207,13 +209,18 @@ def realline_moments(lam: complex, order: int, hg: RealLineHypergroup | None = N
 
 
 def poly_derivative_moments(hg: PolynomialHypergroup, z: complex, order: int) -> MomentSequence:
-    """Rank-1 family phi_k(n) = P_n^(k)(z) on a polynomial hypergroup."""
+    """Rank-1 family phi_k(n) = P_n^(k)(z) on a polynomial hypergroup.
+
+    The entries read one memo of rows P_n^(0..order)(z), one recurrence run per
+    point: at most LIN_MEMO rows, the least recently used out, keyed on the
+    point's type too, so 2.0 fails in the recurrence instead of reading row 2."""
     z = complex(z)
+    row = functools.lru_cache(maxsize=LIN_MEMO, typed=True)(lambda n: hg.poly_derivatives(n, z, order))
 
     def entry(alpha: MultiIndex) -> CFunction:
         k = alpha[0]
         return CFunction(
-            lambda n, _k=k: hg.eval_poly_derivative(n, z, _k),
+            lambda n, _k=k: row(n)[_k],
             kind="moment",
             params={"k": k, "z": z},
         )
@@ -458,22 +465,33 @@ def apply_family(
     family: DerivationFamily, samples: list[tuple[Measure, Measure]]
 ) -> tuple[list[list[Measure]], dict[tuple[int, int], Measure]]:
     """Apply the family in the order a loop over alphas and samples first needs it:
-    D_a(mu*nu), then D_a nu and D_a mu (D_0 mu, then D_0 nu), each once.  Returns
+    D_a(mu*nu), then D_a nu and D_a mu (D_0 mu, then D_0 nu), each once.  An
+    operator with a symbol multiplies by it, evaluated once per point in the order
+    that loop first meets the points; any other operator is called.  Returns
     D_a(mu*nu) by [alpha row][sample] and D_a of a sample measure by (alpha row, id)."""
     convs: list[Measure] = []
     lhs: list[list[Measure]] = []
     applied: dict[tuple[int, int], Measure] = {}
     for a, alpha in enumerate(family.alphas):
         op = family.op(alpha)
+        apply = op if op.symbol is None else functools.partial(_multiply_from, op.symbol, {})
         lhs.append([])
         for s, (mu, nu) in enumerate(samples):
             if a == 0:
                 convs.append(convolve(mu, nu))
-            lhs[a].append(op(convs[s]))
+            lhs[a].append(apply(convs[s]))
             for m in (mu, nu) if a == 0 else (nu, mu):
                 if (a, id(m)) not in applied:
-                    applied[a, id(m)] = op(m)
+                    applied[a, id(m)] = apply(m)
     return lhs, applied
+
+
+def _multiply_from(phi: CFunction, table: dict[Point, complex], m: Measure) -> Measure:
+    """phi * m, evaluating phi only at the points of m that `table` lacks, in support order."""
+    for x, _ in m.support:
+        if x not in table:
+            table[x] = _evaluate(phi, x)
+    return multiply(table, m)
 
 
 def verify_d0_derivation(

@@ -41,7 +41,7 @@ class MeasureOperator:
     fn: Callable[[Measure], Measure]
     name: str = "operator"
     module_hom: bool = False  # additive and module-homogeneous by construction
-    symbol: CFunction | None = field(default=None, compare=False)
+    symbol: CFunction | None = field(default=None, compare=False)  # set only where fn multiplies by it
 
     def __call__(self, mu: Measure) -> Measure:
         return self.fn(mu)

@@ -109,19 +109,23 @@ class Report:
         witness: Callable[[int], Any], detail: str = "",
     ) -> CheckRecord:
         """Record the first case of largest residual/scale, as a loop that keeps a
-        strictly larger ratio finds it from residual 0 at scale 1.  A case whose
-        ratio is NaN fails the record and is its counterexample, the first such
-        case; the residual is the worst of the others.  `witness(i)` is the
-        counterexample of case i, in flattened order."""
+        strictly larger ratio finds it from residual 0 at scale 1, and fail when any
+        case fails: `tol.ok` is not monotone in the ratio once its absolute floor
+        exceeds rel * scale.  The counterexample is the first case whose ratio is
+        NaN (such a case fails, and the residual is the worst of the others), else
+        the worst case when it fails, else the first failing case.  `witness(i)` is
+        the counterexample of case i, in flattened order."""
         res, scl = np.ravel(residuals), np.ravel(scales)
         ratio = res / scl
         nan = np.isnan(ratio)
+        fails = nan | ~(res <= np.maximum(tol.abs_floor, tol.rel * scl))
         ratio[nan] = 0.0
         i = int(np.argmax(ratio)) if ratio.size else 0
         worst, scale = (float(res[i]), float(scl[i])) if ratio.size and ratio[i] > 0.0 else (0.0, 1.0)
-        if nan.any():
-            return self.add(name, law, False, worst, scale, witness(int(np.argmax(nan))), detail)
-        return self.check(name, law, worst, scale, tol, lambda: witness(i), detail)
+        if not fails.any():
+            return self.add(name, law, True, worst, scale, detail=detail)
+        k = int(np.argmax(nan)) if nan.any() else i if fails[i] else int(np.argmax(fails))
+        return self.add(name, law, False, worst, scale, witness(k), detail)
 
     def add_first_failure(
         self, name: str, law: str, blocks: Iterable[tuple], tol: Tolerance, witness: Callable[[int], Any],

@@ -77,6 +77,11 @@ CASES = {
     # degree 7, well below the false FAIL of the monomial form
     "transform-chebyshev-taylor": ["transform", "--hypergroup", "chebyshev", "--measure",
                                    "[[0,1],[3,[0.5,-0.25]],[7,2]]", "--z", "0.4", "--k", "3", "--taylor"],
+    # degree 30 on Legendre: the monomial form's known false FAIL (exit 1), pinned as it is
+    "transform-legendre-k3": ["transform", "--hypergroup", "legendre", "--measure", "[[30,1],[7,[0.5,-0.25]]]",
+                              "--z", "0.9", "--k", "3"],
+    "transform-chebyshev-taylor-degree40": ["transform", "--hypergroup", "chebyshev", "--measure",
+                                            "[[0,1],[12,[0,1]],[40,[0.25,0.5]]]", "--taylor"],
 }
 
 
@@ -110,3 +115,16 @@ def assert_matches(got, want, path: str = "") -> None:
 def test_cli_json_matches_golden(case):
     want = json.loads((GOLDEN / f"{case}.json").read_text())
     assert_matches(run_case(CASES[case]), want)
+
+
+def test_one_parser_serves_every_call(capsys):
+    """`main` builds its parser once per process: a run after any other, after
+    `--help` or after a usage error, prints what it prints first."""
+    forward = {case: run_case(CASES[case]) for case in sorted(CASES)}
+    first = [main(["--help"]), capsys.readouterr(), main(["axioms", "--bound", "3"]), capsys.readouterr()]
+    backward = {case: run_case(CASES[case]) for case in sorted(CASES, reverse=True)}
+    again = [main(["--help"]), capsys.readouterr(), main(["axioms", "--bound", "3"]), capsys.readouterr()]
+    assert backward == forward
+    assert again == first and first[0] == 0 and first[2] == 2 and "usage: hypermoment" in first[1].out
+    for case, got in forward.items():
+        assert_matches(got, json.loads((GOLDEN / f"{case}.json").read_text()))

@@ -148,3 +148,31 @@ class TestNanCases:
         assert [r.status for r in report.records] == [PASS, PASS, FAIL, FAIL]
         # (0, 3) is the first pair that reaches phi_2(3), through its support {3}
         self.assert_nan_failure(report, "moment-identity alpha=[2]", [[2], 0, 3])
+
+
+class TestWorstCaseVerdict:
+    """`add_worst` fails when any case fails, also where `tol.ok` is not monotone in
+    residual/scale (an absolute floor above rel * scale)."""
+
+    def test_a_failing_case_below_the_worst_ratio_fails(self):
+        tol = Tolerance(rel=1e-30)
+        res, scl = np.array([2e-12, 1e-12]), np.array([100.0, 1.0])
+        report = Report(title="t")
+        worst = report.add_worst("worst", "l", res, scl, tol, lambda i: [i])
+        first = report.add_first_failure("first", "l", [(res, scl, None)], tol, lambda k: [k])
+        assert (first.status, first.counterexample) == (FAIL, [0])
+        # the verdict of every case, the counterexample the first failing one; the worst ratio is still recorded
+        assert (worst.status, worst.counterexample, worst.residual, worst.scale) == (FAIL, [0], 1e-12, 1.0)
+
+    def test_the_worst_case_stays_the_counterexample_when_it_fails(self):
+        tol = Tolerance(rel=1e-30)
+        rec = Report(title="t").add_worst(
+            "worst", "l", np.array([2e-12, 0.0, 5e-12]), np.array([100.0, 1.0, 1.0]), tol, lambda i: [i]
+        )
+        assert (rec.status, rec.counterexample, rec.residual, rec.scale) == (FAIL, [2], 5e-12, 1.0)
+
+    def test_every_case_within_the_floor_passes(self):
+        rec = Report(title="t").add_worst(
+            "worst", "l", np.array([1e-12, 5e-13]), np.array([100.0, 1.0]), Tolerance(rel=1e-30), lambda i: [i]
+        )
+        assert (rec.status, rec.counterexample, rec.residual, rec.scale) == (PASS, None, 5e-13, 1.0)

@@ -7,7 +7,11 @@ evaluated where the loop needs it.  `reference_verify_fourier_leibniz` is
 the transform-side loop with the total mass of each measure in place of its
 monomial-basis transform evaluated at z = 1.  `reference_is_multiplicative_hom`
 and `reference_verify_d0_derivation` are the worst-case loops of the operator
-checks, which now hand arrays of residuals to `Report.add_worst`.  The
+checks, which now hand arrays of residuals to `Report.add_worst`.
+`reference_eval_poly_derivative` (one recurrence run per order) and
+`reference_apply_family` (every operator called on every measure, a module
+homomorphism through `Measure.from_items`) are the code the derivative rows and
+the symbol tables replace; those two must agree bit for bit.  The
 kernel must give the same records in the same order, with the same statuses, details and
 counterexample alpha and points; residuals, scales and the two sides named in
 a counterexample agree within 1e-11 of the scale, two orders under the
@@ -17,6 +21,7 @@ default tolerance.  Errors must carry the loop's message.
 from __future__ import annotations
 
 import cmath
+import math
 import random
 
 import pytest
@@ -24,6 +29,7 @@ import pytest
 import hypermoment
 from hypermoment import (
     CFunction,
+    DerivationFamily,
     DomainError,
     FiniteHypergroup,
     Measure,
@@ -56,8 +62,8 @@ from hypermoment import (
     zero_operator,
 )
 from hypermoment.config import default_tolerance, scale_of
-from hypermoment.measures import as_literal
-from hypermoment.moments import index_order, index_sub
+from hypermoment.measures import _evaluate, as_literal
+from hypermoment.moments import apply_family, index_order, index_sub
 
 # ---------------------------------------------------------------------------
 # the loops the kernel replaces
@@ -468,3 +474,163 @@ def test_failing_entry_gives_the_loop_error(entry, broken):
     )
         assert_same_outcome(lambda: verify_fourier_leibniz(family, samples),
                             lambda: reference_verify_fourier_leibniz(family, samples))
+
+
+# ---------------------------------------------------------------------------
+# derivative rows and symbol tables against the per-order and per-measure code
+
+
+def reference_eval_poly_derivative(hg: PolynomialHypergroup, n: int, z: complex, k: int) -> complex:
+    if n < 0 or k < 0:
+        raise DomainError("indices must be nonnegative")
+    z = complex(z)
+    prev = [1.0 + 0j] + [0j] * k
+    if n == 0:
+        return prev[k]
+    p1 = (z - hg.b0) / hg.a0
+    dp1 = 1.0 / hg.a0
+    cur = [p1] + ([dp1] if k >= 1 else []) + [0j] * max(0, k - 1)
+    for m in range(1, n):
+        a, b, c = hg.coefficient_row(m)
+        nxt = [0j] * (k + 1)
+        for i in range(k + 1):
+            s = p1 * cur[i] - b * cur[i] - c * prev[i]
+            if i >= 1:
+                s += i * dp1 * cur[i - 1]
+            nxt[i] = s / a
+        prev, cur = cur, nxt
+    return cur[k]
+
+
+def reference_apply_family(family, samples):
+    def apply(op, m):
+        if op.symbol is None:
+            return op(m)
+        return Measure.from_items(m.hypergroup, [(x, _evaluate(op.symbol, x) * w) for x, w in m.support])
+
+    convs, lhs, applied = [], [], {}
+    for a, alpha in enumerate(family.alphas):
+        op = family.op(alpha)
+        lhs.append([])
+        for s, (mu, nu) in enumerate(samples):
+            if a == 0:
+                convs.append(convolve(mu, nu))
+            lhs[a].append(apply(op, convs[s]))
+            for m in (mu, nu) if a == 0 else (nu, mu):
+                if (a, id(m)) not in applied:
+                    applied[a, id(m)] = apply(op, m)
+    return lhs, applied
+
+
+def bits(value) -> str:
+    """repr is exact for floats and complex numbers, -0.0 included."""
+    return repr(value)
+
+
+def row_carriers():
+    rows = [(0.5, 0.0, 0.5), (0.4, 0.2, 0.4), (0.6, 0.1, 0.3)] * 70
+    broken = rows[:6] + [(0.5, 0.1, 0.5)] + rows[7:]  # row 7 sums to 1.1
+    return [("chebyshev", chebyshev()), ("legendre", legendre()), ("rows", PolynomialHypergroup(0.6, 0.4, rows)),
+            ("invalid row 7", PolynomialHypergroup(1.0, 0.0, broken)),
+            ("8 rows", PolynomialHypergroup(1.0, 0.0, rows[:8]))]
+
+
+@pytest.mark.parametrize("name,hg", row_carriers(), ids=[n for n, _ in row_carriers()])
+def test_derivative_row_matches_the_per_order_recurrence(name, hg):
+    ns = sorted({*range(0, 12), *range(12, 201, 17), 199, 200})
+    for z in (0.3 + 0.1j, -1.2, 0.9):
+        for n in ns:
+            want = [outcome(lambda: bits(reference_eval_poly_derivative(hg, n, z, k))) for k in range(11)]
+            row = outcome(lambda: hg.poly_derivatives(n, z, 10))
+            if isinstance(row, str):
+                assert set(want) == {row}, (n, z)  # the same error at the same row, for every order
+            else:
+                assert [bits(v) for v in row] == want, (n, z)
+            assert [outcome(lambda: bits(hg.eval_poly_derivative(n, z, k))) for k in range(11)] == want
+    if name == "invalid row 7":
+        assert outcome(lambda: hg.poly_derivatives(9, 0.5, 3)).startswith("DomainError: row 7:")
+    assert outcome(lambda: hg.poly_derivatives(-1, 0.5, 3)) == "DomainError: indices must be nonnegative"
+
+
+def test_moment_entries_read_one_bounded_row_memo(monkeypatch):
+    hg = chebyshev()
+    calls = []
+    run = hg.poly_derivatives
+    monkeypatch.setattr(hg, "poly_derivatives", lambda n, z, k: calls.append(n) or run(n, z, k))
+    monkeypatch.setattr(hypermoment.moments, "LIN_MEMO", 4)
+    z = 0.3 - 0.2j
+    seq = poly_derivative_moments(hg, z, 3)
+    calls.clear()
+    for n in range(5):
+        for k in range(4):
+            assert bits(seq.phi((k,))(n)) == bits(complex(reference_eval_poly_derivative(hg, n, z, k)))
+    assert calls == list(range(5))  # one recurrence run per point for all four orders
+    seq.phi((2,))(0)
+    assert calls == [0, 1, 2, 3, 4, 0]  # four rows held: the least recently used, 0, went
+    lifted = rank_lift(seq, [1.0, 0.5j])
+    lifted.phi((1, 1))(4)
+    calls.clear()
+    lifted.phi((2, 0))(4), seq.phi((3,))(4)
+    assert calls == []  # composite entries reach the same memo
+    want = outcome(lambda: _evaluate(lambda n: reference_eval_poly_derivative(hg, n, z, 1), 2.0))
+    assert outcome(lambda: seq.phi((1,))(2.0)) == want != outcome(lambda: seq.phi((1,))(2))
+
+
+def assert_same_application(family, samples) -> None:
+    """apply_family bit for bit against the reference, or the same error; then the records."""
+    got = outcome(lambda: apply_family(family, samples))
+    want = outcome(lambda: reference_apply_family(family, samples))
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert [[bits(m.support) for m in row] for row in got[0]] == [[bits(m.support) for m in row] for row in want[0]]
+        assert {k: bits(m.support) for k, m in got[1].items()} == {k: bits(m.support) for k, m in want[1].items()}
+    checks = [verify_leibniz]
+    if isinstance(family.hypergroup, PolynomialHypergroup):
+        checks.append(verify_fourier_leibniz)
+    for check in checks:
+        got = outcome(lambda: check(family, samples).to_json())
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(hypermoment.moments, "apply_family", reference_apply_family)
+            mp.setattr(hypermoment.fourier, "apply_family", reference_apply_family)
+            want = outcome(lambda: check(family, samples).to_json())
+        assert got == want
+
+
+@pytest.mark.parametrize("case", CORPUS, ids=IDS)
+def test_symbol_tables_match_the_reference(case):
+    name, seq, points = case
+    rng = random.Random(len(points) * 100 + seq.order * 10 + seq.rank)
+    assert_same_application(derivation_from_moments(seq, skip_verification=True),
+                            cyclic_samples(seq.hypergroup, rng, points))
+
+
+def _family(hg, symbols):
+    """Order len(symbols) - 1, rank 1: a symbol gives a module homomorphism, None the shift by 1."""
+    shift = MeasureOperator(hg, lambda m: convolve(m, Measure.from_items(hg, [(1, 1.0)])), name="shift")
+    entries = {(k,): shift if f is None else make_module_hom(hg, f) for k, f in enumerate(symbols)}
+    return DerivationFamily(hg, 1, len(symbols) - 1, entries)
+
+
+@pytest.mark.parametrize("make", [chebyshev, legendre])
+def test_symbol_tables_on_edge_symbols(make):
+    hg = make()
+    rng = random.Random(23)
+    samples = [(measure(hg, rng, range(6), k=3), measure(hg, rng, range(6), k=3)) for _ in range(4)]
+    samples.append((samples[0][1], Measure.from_items(hg, [(0, 1e-200), (2, -0.5), (4, -1e-200j)])))
+    phi = poly_derivative_moments(hg, 0.4 + 0.1j, 3)
+    raising = CFunction(lambda n: 1.0 / ((n - 3) * (n - 1)))  # at 1 and 3: the first point met names the error
+    infinite = CFunction(lambda n: math.inf if n == 4 else 1.0)
+    # exact and underflowing zeros, and -1 * -0.5 = 0.5 - 0j, which from_items stores as 0.5 + 0j
+    zeros = CFunction(lambda n: 0.0 if n % 2 else -1.0 if n % 4 == 2 else complex(-1e-200, 1e-200))
+    symbol_lists = [
+        [phi.phi((0,)), raising], [phi.phi((0,)), phi.phi((1,)), raising], [raising, phi.phi((1,))],
+        [phi.phi((0,)), infinite], [infinite, phi.phi((1,))], [phi.phi((0,)), zeros, zeros],
+        [phi.phi((0,)), None, phi.phi((2,))], [None, phi.phi((1,)), None], [zeros, None],
+    ]
+    for symbols in symbol_lists:
+        assert_same_application(_family(hg, symbols), samples)
+    assert outcome(lambda: apply_family(_family(hg, symbol_lists[0]), samples)).startswith(
+        "DomainError: function evaluation failed at point ")
+    assert outcome(lambda: apply_family(_family(hg, symbol_lists[3]), samples)).startswith(
+        "DomainError: non-finite weight")
