@@ -17,40 +17,27 @@ from typing import Callable
 from .config import Tolerance, default_tolerance
 from .errors import DomainError, HypermomentError, PreconditionError, SpecError
 from .fourier import (
-    _derivative_identity,
-    derivative_moments,
-    poly_residual,
-    taylor_reconstruct,
-    transform,
-    verify_fourier_leibniz,
+    _derivative_identity, derivative_moments, poly_residual, taylor_reconstruct, transform, verify_fourier_leibniz,
 )
 from .hypergroups import (
-    FiniteHypergroup,
-    Hypergroup,
-    PolynomialHypergroup,
-    RealLineHypergroup,
-    check_axioms,
-    enumerate_exponentials,
+    FiniteHypergroup, Hypergroup, PolynomialHypergroup, RealLineHypergroup, check_axioms, enumerate_exponentials,
 )
 from .io import (
-    family_from_literal,
-    load_hypergroup,
-    measure_from_literal,
-    pairs_from_literal,
-    resolve_phi0,
-    samples_from_literal,
+    family_from_literal, load_hypergroup, measure_from_literal, pairs_from_literal, resolve_phi0, samples_from_literal,
 )
 from .measures import Measure, Point
 from .moments import (
-    MomentSequence,
-    derivation_from_moments,
-    iterated_extension,
-    rank_lift,
-    verify_leibniz,
-    verify_moment_sequence,
+    MomentSequence, derivation_from_moments, iterated_extension, rank_lift, verify_leibniz, verify_moment_sequence,
 )
 from .operators import is_exponential
 from .reports import Report
+
+
+def count(text: str) -> int:
+    """A sample count: an integer of at least 1."""
+    if int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {int(text)}")
+    return int(text)
 
 
 def _meta(args: argparse.Namespace, hg: Hypergroup, command: str) -> dict:
@@ -230,12 +217,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("verify-moments", cmd_verify_moments, "verify a moment function sequence")
     p.add_argument("--family", required=True, help="family literal (inline JSON or path)")
     p.add_argument("--pairs", default=None, help="point pairs literal (inline JSON or path)")
-    p.add_argument("--count", type=int, default=50, help="sampled pair count (real line)")
+    p.add_argument("--count", type=count, default=50, help="sampled pair count (real line)")
 
     p = command("leibniz", cmd_leibniz, "verify the generalized Leibniz rule")
     p.add_argument("--family", required=True)
     p.add_argument("--samples", default=None, help="measure sample pairs (inline JSON or path)")
-    p.add_argument("--count", type=int, default=12, help="sampled measure count")
+    p.add_argument("--count", type=count, default=12, help="sampled measure count")
 
     p = command("search-moments", cmd_search_moments, "solve for moment extensions of phi_0")
     p.add_argument("--phi0", required=True, help="'m<i>' or a function literal")

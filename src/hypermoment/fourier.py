@@ -24,7 +24,7 @@ import numpy as np
 from .config import Tolerance, default_tolerance, scale_of
 from .errors import DomainError
 from .hypergroups import PolynomialHypergroup, RealLineHypergroup
-from .measures import Measure, as_literal, complex_product, convolve
+from .measures import Measure, as_literal, complex_abs, complex_product, convolve
 from .moments import DerivationFamily, _identity_records, apply_family, as_index, binomial_terms
 from .reports import Report
 
@@ -114,16 +114,12 @@ class TransformPoly:
 
 
 def poly_residual(p: TransformPoly, q: TransformPoly) -> tuple[float, float]:
-    """Worst coefficientwise difference and the scale max(1, |coeffs|)."""
-    a, b = p.coeffs, q.coeffs
-    residual = 0.0
-    scale = 1.0
-    for i in range(max(len(a), len(b))):
-        ca = a[i] if i < len(a) else 0j
-        cb = b[i] if i < len(b) else 0j
-        residual = max(residual, abs(ca - cb))
-        scale = max(scale, abs(ca), abs(cb))
-    return residual, scale
+    """Worst coefficientwise difference and the scale max(1, |coeffs|); a NaN
+    in either propagates, so the check of the pair fails."""
+    size = max(len(p.coeffs), len(q.coeffs))
+    a, b = (np.array(c + (0j,) * (size - len(c)), dtype=complex) for c in (p.coeffs, q.coeffs))
+    top = np.maximum(complex_abs(a), complex_abs(b))
+    return float(np.max(complex_abs(a - b), initial=0.0)), float(np.max(top, initial=1.0))
 
 
 def p_to_monomial(hg: PolynomialHypergroup, n: int) -> tuple[float, ...]:
@@ -164,6 +160,8 @@ def transform(hg: PolynomialHypergroup, mu: Measure) -> TransformPoly:
             coeffs.extend([0j] * (len(mono) - len(coeffs)))
         for j, v in enumerate(mono):
             coeffs[j] += w * v
+    if not all(map(cmath.isfinite, coeffs)):
+        raise DomainError(f"transform of degree {len(coeffs) - 1}: monomial coefficients leave the float range")
     return TransformPoly.from_coeffs(hg, coeffs)
 
 
@@ -269,7 +267,10 @@ def derivative_moments(
     support order from one row of derivatives per support point."""
     z = complex(z)
     rows = [hg.poly_derivatives(n, z, kmax) for n, _ in mu.support] if kmax >= 0 else []
-    return [sum((w * row[k] for (_, w), row in zip(mu.support, rows)), 0j) for k in range(kmax + 1)]
+    values = [sum((w * row[k] for (_, w), row in zip(mu.support, rows)), 0j) for k in range(kmax + 1)]
+    if not all(map(cmath.isfinite, values)):
+        raise DomainError(f"derivative moments up to order {kmax} at z={z} leave the float range")
+    return values
 
 
 def fourier_derivative_identity(
@@ -282,7 +283,7 @@ def fourier_derivative_identity(
     """<D_k mu, 1> for the derivative family at z equals the k-th derivative of mu^ at z."""
     tol = tol or default_tolerance()
     z = complex(z)
-    lhs = sum((w * hg.eval_poly_derivative(n, z, k) for n, w in mu.support), 0j)
+    lhs = derivative_moments(hg, mu, k, z)[k]
     rhs = transform(hg, mu).derivative(k)(z)
     report = Report(title="derivative identity of the transform", meta={"k": k, "z": [z.real, z.imag]})
     _derivative_identity(report, mu, k, lhs, rhs, tol)
@@ -311,5 +312,7 @@ def taylor_reconstruct(
         if degree < 0:
             raise DomainError("degree must be nonnegative")
         values = values[: degree + 1]
-    coeffs = [v / math.factorial(k) for k, v in enumerate(values)]
-    return TransformPoly.from_coeffs(hg, coeffs)
+    try:
+        return TransformPoly.from_coeffs(hg, [v / math.factorial(k) for k, v in enumerate(values)])
+    except OverflowError:
+        raise DomainError(f"Taylor factorials up to {len(values) - 1}! leave the float range") from None

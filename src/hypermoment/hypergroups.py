@@ -21,6 +21,7 @@ from __future__ import annotations
 import cmath
 import math
 from functools import cached_property
+from itertools import chain, islice
 from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -32,7 +33,7 @@ from .reports import Report
 
 CoeffRow = tuple[float, float, float]
 
-# linearizations memoized per polynomial carrier; the oldest entry goes first
+# linearization rows memoized per polynomial carrier (`_lin_rows`); the oldest go first
 LIN_MEMO = 4096
 # associativity sample of an infinite carrier, in points
 ASSOC_CAP = 48
@@ -61,14 +62,29 @@ def _defined(count: int) -> np.ndarray:
     return np.full(count, "", dtype=object)
 
 
+class PairSupports(NamedTuple):
+    """Point convolutions of a list of pairs as flat entries, in pair order and
+    within a pair in point order, as `convolve_points` lists its support: the
+    convolution of pair ``rows[e]`` has weight ``weights[e]`` at ``points[e]``."""
+
+    rows: np.ndarray
+    points: list
+    weights: np.ndarray
+    count: int
+
+    def pairings(self, values: np.ndarray) -> np.ndarray:
+        """<dx*dy, f> of every pair from f's values at the entries (last axis),
+        each summed in support order, as `measures.pair` sums."""
+        out = np.zeros(values.shape[:-1] + (self.count,), dtype=complex)
+        np.add.at(out.T, self.rows, (values * self.weights).T)
+        return out
+
+
 class Hypergroup:
     """Base class: carrier + identity + point-mass convolution rule."""
 
     kind: str = "abstract"
     identity: Point = 0
-
-    def _mix(self, x: Point, y: Point) -> tuple[tuple[Point, float], ...]:
-        raise NotImplementedError
 
     def _pairs(self, xs: np.ndarray, ys: np.ndarray) -> Structure:
         """Structure constants of the pairs (xs[p], ys[p]) of validated points."""
@@ -90,11 +106,40 @@ class Hypergroup:
     def signature(self) -> tuple:
         raise NotImplementedError
 
+    def pair_supports(self, pairs: Sequence[tuple[Point, Point]]) -> PairSupports:
+        """The point convolutions of `pairs`, read by `_pairs` in blocks within DENSE_CAP.
+
+        Raises the DomainError that a loop over the pairs meets first: an
+        invalid point or an undefined convolution.
+        """
+        valid, failure = [], None
+        for x, y in pairs:
+            try:
+                valid.append((self.validate_point(x), self.validate_point(y)))
+            except DomainError as exc:
+                failure = exc
+                break
+        rows, points, weights = [np.zeros(0, dtype=np.intp)], [], [np.zeros(0)]
+        if valid:
+            xs, ys = np.array(valid).T
+            step = max(1, DENSE_CAP // self._width(xs, ys))
+            for start in range(0, len(xs), step):
+                block = self._pairs(xs[start : start + step], ys[start : start + step])
+                bad = block.err.astype(bool)
+                if bad.any():
+                    raise DomainError(block.err[np.argmax(bad)])
+                r, k = np.nonzero(block.c)
+                rows.append(r + start)
+                points += block.points[k].tolist()
+                weights.append(block.c[r, k])
+        if failure is not None:
+            raise failure
+        return PairSupports(np.concatenate(rows), points, np.concatenate(weights), len(valid))
+
     def convolve_points(self, x: Point, y: Point) -> Measure:
         """Convolution of the point masses at x and y, as a probability measure."""
-        x = self.validate_point(x)
-        y = self.validate_point(y)
-        return Measure.from_items(self, self._mix(x, y))
+        sup = self.pair_supports([(x, y)])
+        return Measure.from_items(self, zip(sup.points, sup.weights.tolist()))
 
     def sample_points(self, bound: int) -> list[Point]:
         """Deterministic point sample used by axiom and identity checks."""
@@ -145,24 +190,21 @@ class FiniteHypergroup(Hypergroup):
                     self._table[(i, j)] = entries[(j, i)]
                 else:
                     raise DomainError(f"table entry for pair ({i},{j}) missing")
-        rows = tuple(self._table[(i, j)] for i in range(size) for j in range(size))
-        self._signature = ("finite", self.size, self.identity, rows)
-
-    def _mix(self, x: Point, y: Point) -> tuple[tuple[Point, float], ...]:
-        return self._table[(x, y)]
+        self._rows = tuple(self._table[(i, j)] for i in range(size) for j in range(size))  # pair (i, j) at i * size + j
+        self._signature = ("finite", self.size, self.identity, self._rows)
 
     @cached_property
     def tensor(self) -> np.ndarray:
         """Structure constants C[i, j, k] = weight at k of delta_i * delta_j."""
-        c = np.zeros(_capped((self.size,) * 3))
-        for (i, j), row in self._table.items():
-            for k, w in row:
-                c[i, j, k] = w
-        return c
+        _capped((self.size,) * 3)
+        return self._tensor(np.arange(self.size), np.arange(self.size)).c
 
     def _pairs(self, xs: np.ndarray, ys: np.ndarray) -> Structure:
-        _capped((len(xs), self.size))
-        return Structure(self.tensor[xs, ys], np.arange(self.size), _defined(len(xs)))
+        c = np.zeros(_capped((len(xs), self.size)))
+        rows = [self._rows[p] for p in (xs * self.size + ys).tolist()]
+        at = np.repeat(np.arange(len(rows)), [len(row) for row in rows])
+        c[at, [k for row in rows for k, _ in row]] = [w for row in rows for _, w in row]
+        return Structure(c, np.arange(self.size), _defined(len(xs)))
 
     def _width(self, xs: np.ndarray, ys: np.ndarray) -> int:
         return self.size
@@ -248,8 +290,9 @@ class PolynomialHypergroup(Hypergroup):
         # recurrence rows as an array for `_lin_table`; row 0 is P_1 * P_0 = P_1
         self._abc = np.array([[1.0, 0.0, 0.0]])
         self._row_errors: dict[int, str] = {}
-        # memo of requested linearizations, oldest evicted first (not thread-safe)
-        self._lin: dict[tuple[int, int], tuple[tuple[int, float], ...]] = {}
+        # linearization rows by (m, n), see `_lin_rows` (not thread-safe)
+        self._lin: dict[tuple[int, int], tuple[list[int], list[float], str]] = {}
+        self._lin_bound = default_tolerance().bound(1.0)
 
     def coefficient_row(self, n: int) -> CoeffRow:
         """Recurrence row (a_n, b_n, c_n) for n >= 1, validated on first use."""
@@ -290,30 +333,49 @@ class PolynomialHypergroup(Hypergroup):
             self._abc = np.concatenate([self._abc, fresh])
         return self._abc[: hi + 1]
 
-    def linearization(self, m: int, n: int, tol: Tolerance | None = None) -> tuple[tuple[int, float], ...]:
-        """Coefficients [(l, c(m,n,l)), ...] of P_m * P_n in the P-basis.
-
-        Computed by `_lin_table` and memoized per instance for the requested
-        pair only (at most LIN_MEMO pairs).  A coefficient that is negative,
-        or outside [|n-m|, n+m], beyond tolerance raises rather than being accepted.
+    def linearization(self, m: int, n: int) -> tuple[tuple[int, float], ...]:
+        """Coefficients [(l, c(m,n,l)), ...] of P_m * P_n in the P-basis, by the
+        recurrence in m (`_lin_rows`).  A coefficient that is negative, or
+        outside [|n-m|, n+m], beyond tolerance raises rather than being accepted.
         """
-        cached = self._lin.get((m, n))
-        if cached is not None:
-            return cached
         if m < 0 or n < 0:
             raise DomainError("linearization indices must be nonnegative")
-        vals, err = self._lin_table(np.array([m]), np.array([n]), tol)
+        vals, err = self._lin_rows(np.array([m]), np.array([n]))
         if err[0]:
             raise DomainError(err[0])
-        row = vals[0]
-        nz = np.flatnonzero(row)
-        if len(self._lin) >= LIN_MEMO:
-            del self._lin[next(iter(self._lin))]
-        self._lin[(m, n)] = out = tuple(zip(nz.tolist(), row[nz].tolist()))
-        return out
+        nz = np.flatnonzero(vals[0])
+        return tuple(zip(nz.tolist(), vals[0, nz].tolist()))
 
-    def _lin_table(self, ms: np.ndarray, ns: np.ndarray, tol: Tolerance | None = None) -> tuple[np.ndarray, np.ndarray]:
-        """Dense rows of P_ms[i] * P_ns[i] and their errors ("" where defined).
+    def _lin_rows(self, ms: np.ndarray, ns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """`_lin_table(ms, ns)` through the memo of rows: per pair (m, n), its entries
+        other than +0.0 (so it reads back bitwise) and its error, for at most LIN_MEMO
+        pairs of the current default tolerance, the oldest out first.  The misses take
+        one `_lin_table` call, and are kept unless there are more than LIN_MEMO."""
+        bound = default_tolerance().bound(1.0)
+        if bound != self._lin_bound:
+            self._lin, self._lin_bound = {}, bound
+        keys = list(zip(ms.tolist(), ns.tolist()))
+        rows = [self._lin.get(key) for key in keys]
+        fresh = {key: i for i, (key, row) in enumerate(zip(keys, rows)) if row is None}  # the distinct misses
+        if fresh:
+            vals, err = self._lin_table(ms, ns, bound, np.array([row is None for row in rows]))
+        else:
+            vals, err = np.zeros(_capped((len(keys), int(ms.max() + ns.max()) + 1))), _defined(len(keys))
+        if 0 < len(fresh) <= LIN_MEMO:
+            for key in list(islice(self._lin, max(0, len(self._lin) + len(fresh) - LIN_MEMO))):
+                del self._lin[key]
+            r, l = np.nonzero(vals.view(np.int64))  # the rows of the misses: those of the hits are still zero
+            cut, l, w = np.searchsorted(r, np.arange(len(keys) + 1)).tolist(), l.tolist(), vals[r, l].tolist()
+            self._lin.update((k, (l[cut[i] : cut[i + 1]], w[cut[i] : cut[i + 1]], err[i])) for k, i in fresh.items())
+        hit = [i for i, row in enumerate(rows) if row is not None]
+        if hit:
+            ls, ws, err[hit] = zip(*(rows[i] for i in hit))
+            vals[np.repeat(hit, [len(l) for l in ls]), list(chain.from_iterable(ls))] = list(chain.from_iterable(ws))
+        return vals, err
+
+    def _lin_table(self, ms: np.ndarray, ns: np.ndarray, bound: float, need: np.ndarray) -> tuple[np.ndarray, ...]:
+        """Dense rows of P_ms[i] * P_ns[i] and their errors ("" where defined), for
+        the pairs the mask `need` selects; the others keep zero rows.
 
         The recurrence runs in m, without recursion, over every requested
         column n at once, as numpy vectors over l and in the float order of
@@ -321,17 +383,16 @@ class PolynomialHypergroup(Hypergroup):
         P_m * P_n = [P_1*(P_{m-1}*P_n) - b_{m-1} P_{m-1}*P_n - c_{m-1} P_{m-2}*P_n] / a_{m-1}.
         A pair (m, n) first needs rows m-1, ..., 1: the highest invalid one is
         its error.  Otherwise a step that leaves the axioms (a coefficient below
-        -tol, or above tol outside [|n-m|, n+m]) or uses an invalid row ends its
-        column: every pair read from the column afterwards gets that step's message.
+        -bound, or above bound outside [|n-m|, n+m]) or uses an invalid row ends
+        its column: every pair read from the column afterwards gets that step's message.
         """
-        bound = (tol or default_tolerance()).bound(1.0)
-        order = np.argsort(ms, kind="stable")  # pairs are read step by step
-        reads = np.searchsorted(ms[order], np.arange(int(ms.max()) + 2))
-        cols = np.unique(ns)
+        order = np.flatnonzero(need)[np.argsort(ms[need], kind="stable")]  # pairs are read step by step
+        top, width = int(ms[need].max(initial=-1)), int(ns.max() + ms.max()) + 1
+        reads = np.searchsorted(ms[order], np.arange(top + 2))
+        cols = np.unique(ns[need])
         col_of = np.searchsorted(cols, ns)
         last = np.full(len(cols), -1)
         last[col_of[order]] = ms[order]  # the last step each column is read at
-        top, width = int(ms.max()), int(cols[-1] + ms.max()) + 1
         rows = np.zeros((width, 3))
         block = self._row_block(width - 2)
         rows[: len(block)] = block
@@ -366,7 +427,7 @@ class PolynomialHypergroup(Hypergroup):
             at = order[reads[m] : reads[m + 1]]
             vals[at] = mid[col_of[at]]
             err[at] = dead[col_of[at]]
-        for i in np.flatnonzero(highest_bad):
+        for i in np.flatnonzero(highest_bad * need):
             err[i] = self._row_errors[int(highest_bad[i])]
         return vals, err
 
@@ -383,12 +444,9 @@ class PolynomialHypergroup(Hypergroup):
             "the recurrence does not define a hypergroup"
         )
 
-    def _mix(self, x: Point, y: Point) -> tuple[tuple[Point, float], ...]:
-        # sorted key makes convolve_points exactly symmetric in (x, y)
-        return self.linearization(min(x, y), max(x, y))
-
     def _pairs(self, xs: np.ndarray, ys: np.ndarray) -> Structure:
-        vals, err = self._lin_table(np.minimum(xs, ys), np.maximum(xs, ys))
+        # sorted pairs make every point convolution exactly symmetric in (x, y)
+        vals, err = self._lin_rows(np.minimum(xs, ys), np.maximum(xs, ys))
         return Structure(vals, np.arange(vals.shape[1]), err)
 
     def _width(self, xs: np.ndarray, ys: np.ndarray) -> int:
@@ -455,23 +513,23 @@ class RealLineHypergroup(Hypergroup):
 
     Measures stay dict-based and merge support points bitwise.  The structure
     constants of a sample are the shift onto the distinct sums x + y, which
-    are exact on the dyadic sample points.
+    are exact on the dyadic sample points; -0.0 and 0.0 are distinct sums.
     """
 
     kind = "realline"
     identity = 0.0
 
-    def _mix(self, x: Point, y: Point) -> tuple[tuple[Point, float], ...]:
-        return ((x + y, 1.0),)
-
     def _pairs(self, xs: np.ndarray, ys: np.ndarray) -> Structure:
-        points, where = np.unique(xs + ys, return_inverse=True)
-        c = np.zeros(_capped((len(xs), len(points))))
+        # the bits of each sum, the magnitude bits of a negative one flipped, sort as the floats do with
+        # -0.0 below 0.0, so that both zeros stay apart; the same flip turns the keys back into floats
+        bits = (xs + ys).view(np.int64)
+        keys, where = np.unique(bits ^ (bits >> 63 & (2**63 - 1)), return_inverse=True)
+        c = np.zeros(_capped((len(xs), len(keys))))
         c[np.arange(len(xs)), where] = 1.0
-        return Structure(c, points, _defined(len(xs)))
+        return Structure(c, (keys ^ (keys >> 63 & (2**63 - 1))).view(np.float64), _defined(len(xs)))
 
     def _width(self, xs: np.ndarray, ys: np.ndarray) -> int:
-        return len(np.unique(xs + ys))
+        return len(np.unique((xs + ys).view(np.int64)))
 
     def validate_point(self, x: Any) -> float:
         if isinstance(x, bool) or not isinstance(x, (int, float, np.integer, np.floating)):
@@ -489,55 +547,6 @@ class RealLineHypergroup(Hypergroup):
     @property
     def signature(self) -> tuple:
         return ("realline",)
-
-
-class PairSupports(NamedTuple):
-    """Point convolutions of a list of pairs as flat entries, in pair order and
-    within a pair in point order, as `convolve_points` lists its support: the
-    convolution of pair ``rows[e]`` has weight ``weights[e]`` at ``points[e]``."""
-
-    rows: np.ndarray
-    points: list
-    weights: np.ndarray
-    count: int
-
-    def pairings(self, values: np.ndarray) -> np.ndarray:
-        """<dx*dy, f> of every pair from f's values at the entries (last axis),
-        each summed in support order, as `measures.pair` sums."""
-        out = np.zeros(values.shape[:-1] + (self.count,), dtype=complex)
-        np.add.at(out.T, self.rows, (values * self.weights).T)
-        return out
-
-
-def pair_supports(hg: Hypergroup, pairs: Sequence[tuple[Point, Point]]) -> PairSupports:
-    """The point convolutions of `pairs`, read by `_pairs` in blocks within DENSE_CAP.
-
-    Raises the DomainError that `convolve_points` raises first in a loop over
-    the pairs: an invalid point or an undefined convolution.
-    """
-    valid, failure = [], None
-    for x, y in pairs:
-        try:
-            valid.append((hg.validate_point(x), hg.validate_point(y)))
-        except DomainError as exc:
-            failure = exc
-            break
-    rows, points, weights = [np.zeros(0, dtype=np.intp)], [], [np.zeros(0)]
-    if valid:
-        xs, ys = np.array(valid).T
-        step = max(1, DENSE_CAP // hg._width(xs, ys))
-        for start in range(0, len(xs), step):
-            block = hg._pairs(xs[start : start + step], ys[start : start + step])
-            bad = block.err.astype(bool)
-            if bad.any():
-                raise DomainError(block.err[np.argmax(bad)])
-            r, k = np.nonzero(block.c)
-            rows.append(r + start)
-            points += block.points[k].tolist()
-            weights.append(block.c[r, k])
-    if failure is not None:
-        raise failure
-    return PairSupports(np.concatenate(rows), points, np.concatenate(weights), len(valid))
 
 
 # ---------------------------------------------------------------------------
@@ -661,12 +670,9 @@ def check_axioms(hg: Hypergroup, sample_bound: int = 8, tol: Tolerance | None = 
     bad = err.astype(bool)
     i, j = divmod(int(np.argmax(bad)), n)
 
-    def negative(k: int) -> list:
-        one = hg._tensor(grid[[k // n]], grid[[k % n]])
-        return [pts[k // n], pts[k % n], one.points[np.flatnonzero(one.c[0, 0])].tolist()]
-
     for name, law, res, witness in (
-        ("nonnegativity", "weights of dx*dy are >= 0", neg, negative),
+        ("nonnegativity", "weights of dx*dy are >= 0", neg,
+         lambda k: [pts[k // n], pts[k % n], hg.pair_supports([(pts[k // n], pts[k % n])]).points]),
         ("normalization", "weights of dx*dy sum to 1", np.abs(mass - 1.0),
          lambda k: [pts[k // n], pts[k % n], [float(mass.flat[k]), 0.0]]),
     ):
@@ -714,7 +720,7 @@ def _refuse_lone_runs(hg: Hypergroup, pair: Structure, small: np.ndarray, width:
             continue
         before = pair.points[reach[:i].any(axis=0)].tolist()
         try:
-            pair_supports(hg, [(k, z) for k in before for z in small.tolist()] + [
+            hg.pair_supports([(k, z) for k in before for z in small.tolist()] + [
                 (x, k) for x in small[:i].tolist() for k in used.tolist()])
         except DomainError:
             return

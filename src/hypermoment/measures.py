@@ -191,15 +191,14 @@ def pair(mu: Measure, f: CFunction | Callable[[Point], Any]) -> complex:
 
 
 def convolve(mu: Measure, nu: Measure) -> Measure:
-    """Convolution, extended bilinearly from the hypergroup's point convolution."""
+    """Convolution, extended bilinearly from the hypergroup's point convolution:
+    the items wx * wy * w of every pair of support points, in pair order."""
     _require_same(mu, nu)
     hg = mu.hypergroup
-    items: list[tuple[Point, complex]] = []
-    for x, wx in mu.support:
-        for y, wy in nu.support:
-            for z, w in hg.convolve_points(x, y).support:
-                items.append((z, wx * wy * w))
-    return Measure.from_items(hg, items)
+    sup = hg.pair_supports([(x, y) for x, _ in mu.support for y, _ in nu.support])
+    wxy = [wx * wy for _, wx in mu.support for _, wy in nu.support]
+    items = zip(sup.points, sup.rows.tolist(), sup.weights.tolist())
+    return Measure.from_items(hg, [(z, wxy[p] * complex(w)) for z, p, w in items])
 
 
 def module_action(phi: CFunction | Callable[[Point], Any], mu: Measure) -> Measure:

@@ -30,7 +30,7 @@ import numpy as np
 
 from .config import Tolerance, default_tolerance
 from .errors import DomainError, PreconditionError
-from .hypergroups import LIN_MEMO, FiniteHypergroup, Hypergroup, PolynomialHypergroup, RealLineHypergroup, pair_supports
+from .hypergroups import LIN_MEMO, FiniteHypergroup, Hypergroup, PolynomialHypergroup, RealLineHypergroup
 from .measures import (
     CFunction, Measure, Point, _evaluate, as_literal, complex_abs, complex_product, convolve, dirac, multiply, pair,
 )
@@ -432,7 +432,7 @@ def verify_leibniz(
     for mu, nu in samples:
         starts.append(len(pairs))
         pairs += [(x, y) for x in grids[id(mu)][0] for y in grids[id(nu)][0]]
-    sup = pair_supports(family.hypergroup, pairs)
+    sup = family.hypergroup.pair_supports(pairs)
     values = [{p: _evaluate(f, p) for p in dict.fromkeys(sup.points)} for f in probes]
     lv = np.array([[[pair(m, f) for f in probes] for m in row] for row in lhs], dtype=complex)
     terms = np.zeros((len(beta),) + lv.shape[1:], dtype=complex)

@@ -15,7 +15,7 @@ from typing import Any, Callable, Iterable, Sequence
 import numpy as np
 
 from .config import Tolerance, default_tolerance
-from .hypergroups import PairSupports, pair_supports
+from .hypergroups import PairSupports
 from .measures import (
     CFunction,
     Measure,
@@ -172,7 +172,7 @@ def tabulate_on_pairs(
     first meets them: each pair's support, then x and y, y first for every
     function after the first, as the lower terms of the moment identity reach them.
     """
-    sup = pair_supports(hg, pairs)
+    sup = hg.pair_supports(pairs)
     ends = np.searchsorted(sup.rows, np.arange(1, sup.count + 1)).tolist()
     meet_xy, meet_yx, start = [], [], 0
     for (x, y), end in zip(pairs, ends):

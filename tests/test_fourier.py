@@ -6,6 +6,7 @@ Oracle for Chebyshev basis conversion: numpy.polynomial.chebyshev.cheb2poly.
 from __future__ import annotations
 
 import cmath
+import math
 
 import pytest
 from numpy.polynomial import chebyshev as C
@@ -16,6 +17,8 @@ from hypermoment import (
     DomainError,
     Measure,
     MomentSequence,
+    Report,
+    Tolerance,
     chebyshev,
     convolve,
     derivation_from_moments,
@@ -38,6 +41,7 @@ from hypermoment import (
     verify_leibniz,
     verify_transform_multiplicativity,
 )
+from hypermoment.cli import main
 from hypermoment.fourier import TransformPoly
 from tests.conftest import random_measure
 
@@ -294,3 +298,52 @@ class TestTransformPolyOps:
         p = TransformPoly.from_coeffs(cheb, [1.0, 1.0])
         q = TransformPoly.from_coeffs(cheb, [-1.0, 1.0])
         assert (p * q).coeffs == (-1 + 0j, 0j, 1 + 0j)
+
+
+class TestFloatRange:
+    """A transform whose monomial coefficients, derivative moments or Taylor
+    factorials leave the float range is refused, not checked."""
+
+    def test_taylor_with_overflowing_derivative_moments_is_refused(self, capsys):
+        # P_n^(k)(0) = k! c_k is above the float range from k = 148 at n = 160;
+        # the reconstruction once passed with residual 4.5e44
+        argv = ["transform", "--hypergroup", "chebyshev", "--measure", "[[160,1]]", "--taylor"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: derivative moments up to order 160 at z=0j leave the float range\n"
+
+    def test_taylor_past_the_factorial_range_is_refused(self, capsys):
+        # 171! is above the float range; this once ended in an OverflowError traceback
+        assert main(["transform", "--hypergroup", "chebyshev", "--measure", "[[175,1]]", "--taylor"]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        with pytest.raises(DomainError, match=r"factorials up to 171! leave the float range"):
+            taylor_reconstruct(chebyshev(), [1.0] * 172)
+        assert taylor_reconstruct(chebyshev(), [1.0] * 171).degree == 170
+
+    def test_multiplicativity_with_overflowing_coefficients_is_refused(self):
+        # the monomial coefficients of T_1101 (from the convolution) are about 2^1100; the check once passed at scale inf
+        cheb = chebyshev()
+        with pytest.raises(DomainError, match="transform of degree 1101: monomial coefficients leave the float range"):
+            verify_transform_multiplicativity(cheb, dirac(cheb, 1100), dirac(cheb, 1))
+        assert verify_transform_multiplicativity(cheb, dirac(cheb, 60), dirac(cheb, 1)).passed
+
+    def test_derivative_identity_with_overflowing_moments_is_refused(self):
+        cheb = chebyshev()
+        with pytest.raises(DomainError, match="derivative moments up to order 150"):
+            fourier_derivative_identity(cheb, dirac(cheb, 160), 150, 0.0)
+
+
+class TestPolyResidual:
+    def test_nan_and_inf_propagate(self, cheb):
+        p = TransformPoly(cheb, (1 + 0j, complex(math.nan, 0.0), 2 + 0j))
+        q = TransformPoly(cheb, (1 + 0j, 3 + 0j))
+        residual, scale = poly_residual(p, q)
+        assert math.isnan(residual) and math.isnan(scale)
+        record = Report(title="t").check("nan", "p = q", residual, scale, Tolerance(), lambda: "witness")
+        assert record.status == "fail" and record.counterexample == "witness"
+        assert poly_residual(TransformPoly(cheb, (complex(math.inf, 0.0),)), q) == (math.inf, math.inf)
+
+    def test_finite_values_as_a_coefficient_loop(self, cheb):
+        p = TransformPoly(cheb, (1 + 2j, -3 + 0j, 0.5j))
+        q = TransformPoly(cheb, (1 + 1j, 4 + 0j))
+        assert poly_residual(p, q) == (7.0, 4.0)
+        assert poly_residual(TransformPoly(cheb, ()), TransformPoly(cheb, ())) == (0.0, 1.0)

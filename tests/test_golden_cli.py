@@ -67,6 +67,11 @@ CASES = {
                                  "--rank", "2", "--bound", "12", "--count", "10"],
     "leibniz-Z5-precondition": ["leibniz", "--hypergroup", "{specs}/Z5.json", "--family", "{specs}/Z5-family.json",
                                 "--order", "2"],
+    # a recurrence with a negative linearization: the batched point convolutions refuse it
+    "leibniz-dip": ["leibniz", "--hypergroup", "{specs}/dip.json", "--family", CHEB_FAMILY, "--order", "2",
+                    "--samples", "[[[[3,1]],[[4,1]]]]"],
+    "verify-moments-dip": ["verify-moments", "--hypergroup", "{specs}/dip.json", "--family", CHEB_FAMILY,
+                           "--order", "2", "--bound", "3"],
     "search-moments-Z5": ["search-moments", "--hypergroup", "{specs}/Z5.json", "--phi0", "m0", "--alpha", "2"],
     "search-moments-product": ["search-moments", "--hypergroup", "{specs}/product.json", "--phi0", "m1",
                                "--alpha", "1,1"],

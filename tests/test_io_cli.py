@@ -444,6 +444,24 @@ class TestCliExitCodes:
         assert main(argv) == 2
         assert capsys.readouterr().err.startswith("error:")
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["leibniz", "--hypergroup", "chebyshev", "--family", '{"family": "polynomial-derivative", "z": 0.3}',
+             "--count", "0"],
+            ["verify-moments", "--hypergroup", "realline", "--family", '{"family": "realline-moment", "lambda": 0.2}',
+             "--count", "0"],
+            ["verify-moments", "--hypergroup", "realline", "--family", '{"family": "realline-moment", "lambda": 0.2}',
+             "--count", "-3"],
+        ],
+        ids=["leibniz-zero", "verify-moments-zero", "verify-moments-negative"],
+    )
+    def test_count_below_one_is_usage_error(self, argv, capsys):
+        # an empty sample once raised an uncaught ValueError (exit 1)
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: hypermoment") and "error: argument --count: must be at least 1" in err
+
 
 class TestDeterminism:
     def test_reports_byte_identical_for_fixed_seed(self, capsys):

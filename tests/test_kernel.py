@@ -7,13 +7,18 @@ same records in the same order, with the same statuses, counterexamples and
 residuals (within 1e-15 of the scale), and the same details except on an
 associativity error, which names the first undefined convolution of its run
 of x.  `reference_linearization` is the recursive definition of the
-linearization coefficients, errors included.
+linearization coefficients, errors included.  `reference_rule` is each
+carrier's point convolution stated apart from `_pairs` (a finite table's row,
+`reference_linearization`, x + y), and `reference_convolve` the per-pair loop
+that `convolve` ran before it read all its pairs at once; the reference loops
+convolve through these two only.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import random
 import subprocess
 import sys
 import tracemalloc
@@ -27,7 +32,9 @@ import hypermoment
 from hypermoment import (
     DomainError,
     FiniteHypergroup,
+    Measure,
     PolynomialHypergroup,
+    RealLineHypergroup,
     Report,
     check_axioms,
     chebyshev,
@@ -43,13 +50,41 @@ from hypermoment.hypergroups import assoc_sample
 from hypermoment.io import load_hypergroup
 
 
+def reference_rule(hg):
+    """delta_x * delta_y on `hg` as a `Measure`, stated apart from `_pairs`: a
+    finite table's row, `reference_linearization` of the sorted pair (its
+    outcomes kept across calls), or x + y on the real line."""
+    memo: dict = {}
+
+    def conv(x, y) -> Measure:
+        x, y = hg.validate_point(x), hg.validate_point(y)
+        if isinstance(hg, FiniteHypergroup):
+            items = hg._table[x, y]
+        elif isinstance(hg, PolynomialHypergroup):
+            items = reference_linearization(hg, min(x, y), max(x, y), memo).items()
+        else:
+            assert isinstance(hg, RealLineHypergroup)
+            items = [(x + y, 1.0)]
+        return Measure.from_items(hg, items)
+
+    return conv
+
+
+def reference_convolve(mu, nu, conv) -> Measure:
+    """mu * nu by a loop over the pairs of support points and the point rule `conv`."""
+    items = []
+    for x, wx in mu.support:
+        for y, wy in nu.support:
+            for z, w in conv(x, y).support:
+                items.append((z, wx * wy * w))
+    return Measure.from_items(mu.hypergroup, items)
+
+
 def reference_check_axioms(hg, sample_bound: int) -> Report:
     tol = default_tolerance()
     pts = hg.sample_points(sample_bound)
     report = Report(title="reference")
-
-    def conv(x, y):
-        return hg.convolve_points(x, y)
+    conv = reference_rule(hg)
 
     worst_neg, neg_ce, worst_norm, norm_ce, error = 0.0, None, 0.0, None, None
     for x in pts:
@@ -95,7 +130,8 @@ def reference_check_axioms(hg, sample_bound: int) -> Report:
     first_failure(
         "associativity",
         (
-            ([x, y, z], convolve(conv(x, y), dirac(hg, z)), convolve(dirac(hg, x), conv(y, z)))
+            ([x, y, z], reference_convolve(conv(x, y), dirac(hg, z), conv),
+             reference_convolve(dirac(hg, x), conv(y, z), conv))
             for x in small
             for y in small
             for z in small
@@ -110,9 +146,9 @@ def _python_scalars(value) -> bool:
     return value is None or type(value) in (int, float, str)
 
 
-def assert_matches_reference(make, bound: int = 8, reference_carrier=None) -> None:
+def assert_matches_reference(make, bound: int = 8) -> None:
     got = check_axioms(make(), sample_bound=bound)
-    want = reference_check_axioms(reference_carrier or make(), bound)
+    want = reference_check_axioms(make(), bound)
     assert [r.name for r in got.records] == [r.name for r in want.records]
     for g, w in zip(got.records, want.records):
         assert (g.name, g.status, g.counterexample) == (w.name, w.status, w.counterexample)
@@ -200,14 +236,10 @@ def test_invalid_and_exhausted_rows():
     assert_matches_reference(lambda: PolynomialHypergroup(0.25, 0.75, lambda n: (0.05, 0.9, 0.05)), 6)
 
 
-WARM = {"chebyshev": chebyshev(), "legendre": legendre()}
-
-
 @pytest.mark.parametrize("bound", range(1, 17))
 @pytest.mark.parametrize("preset", ["chebyshev", "legendre"])
 def test_polynomial_presets(preset, bound):
-    # the kernel gets a fresh carrier; the reference loop reuses a warm one
-    assert_matches_reference({"chebyshev": chebyshev, "legendre": legendre}[preset], bound, WARM[preset])
+    assert_matches_reference({"chebyshev": chebyshev, "legendre": legendre}[preset], bound)
 
 
 @pytest.mark.parametrize("bound", [1, 2, 5, 8])
@@ -316,8 +348,21 @@ def test_random_small_tables(spec):
 # linearization table
 
 
-def reference_linearization(hg, m: int, n: int) -> dict:
-    """P_m * P_n by the recursion in m, checking rows and coefficients in its order."""
+def reference_linearization(hg, m: int, n: int, memo: dict | None = None) -> dict:
+    """P_m * P_n by the recursion in m, checking rows and coefficients in its order.
+
+    `memo`, when given, keeps the outcome of every pair the recursion reaches.
+    """
+    if memo is None:
+        return _recursion(hg, m, n, None)
+    if (m, n) not in memo:
+        memo[m, n] = _outcome(lambda: _recursion(hg, m, n, memo))
+    if isinstance(memo[m, n], str):
+        raise DomainError(memo[m, n])
+    return memo[m, n]
+
+
+def _recursion(hg, m: int, n: int, memo: dict | None) -> dict:
     bound = default_tolerance().bound(1.0)
     if m == 0:
         result = {n: 1.0}
@@ -328,10 +373,10 @@ def reference_linearization(hg, m: int, n: int) -> dict:
             result = {n + 1: a, n - 1: c} | ({n: b} if b else {})
     else:
         a, b, c = hg.coefficient_row(m - 1)
-        mid, low = reference_linearization(hg, m - 1, n), reference_linearization(hg, m - 2, n)
+        mid, low = reference_linearization(hg, m - 1, n, memo), reference_linearization(hg, m - 2, n, memo)
         acc: dict[int, float] = {}
         for l, w in sorted(mid.items()):
-            for l2, w2 in sorted(reference_linearization(hg, 1, l).items()):
+            for l2, w2 in sorted(reference_linearization(hg, 1, l, memo).items()):
                 acc[l2] = acc.get(l2, 0.0) + w * w2
             acc[l] = acc.get(l, 0.0) - b * w
         for l, w in sorted(low.items()):
@@ -356,17 +401,17 @@ def _outcome(fn) -> dict | str:
         return str(exc)
 
 
-@pytest.mark.parametrize(
-    "make",
-    [
-        chebyshev,
-        legendre,
-        lambda: PolynomialHypergroup(0.6, 0.4, lambda n: (0.5, 0.2, 0.3)),
-        lambda: PolynomialHypergroup(1.0, 0.0, [(0.5, 0.0, 0.5)] * 5),
-        lambda: PolynomialHypergroup(1.0, 0.0, lambda n: (0.0, 0.5, 0.5) if n in (4, 7) else (0.5, 0.0, 0.5)),
-        lambda: chebyshev_dip(3, 0.8, 12),
-    ],
-)
+RECURRENCES = [
+    chebyshev,
+    legendre,
+    lambda: PolynomialHypergroup(0.6, 0.4, lambda n: (0.5, 0.2, 0.3)),
+    lambda: PolynomialHypergroup(1.0, 0.0, [(0.5, 0.0, 0.5)] * 5),
+    lambda: PolynomialHypergroup(1.0, 0.0, lambda n: (0.0, 0.5, 0.5) if n in (4, 7) else (0.5, 0.0, 0.5)),
+    lambda: chebyshev_dip(3, 0.8, 12),
+]
+
+
+@pytest.mark.parametrize("make", RECURRENCES)
 def test_linearization_equals_recursion_bit_for_bit(make):
     # values and error messages; the kernel carrier keeps its memo across calls
     hg, ref = make(), make()
@@ -390,12 +435,77 @@ def test_linearization_deep_in_m():
 
 
 def test_linearization_memo_is_bounded(monkeypatch):
+    # one memo of rows that linearization and _pairs both read: at most LIN_MEMO pairs, the
+    # oldest out first, and one _lin_table call per call, on the pairs it misses
     monkeypatch.setattr(hypermoment.hypergroups, "LIN_MEMO", 8)
-    hg = chebyshev()
+    hg, calls = chebyshev(), []
+    table = hg._lin_table
+    monkeypatch.setattr(hg, "_lin_table", lambda ms, ns, bound, need: calls.append(list(zip(ms[need], ns[need])))
+                        or table(ms, ns, bound, need))
     for n in range(20):
         hg.linearization(2, n)
-    assert list(hg._lin) == [(2, n) for n in range(12, 20)]
-    assert hg.linearization(2, 19) is hg.linearization(2, 19)
+    assert list(hg._lin) == [(2, n) for n in range(12, 20)] and len(calls) == 20
+    calls.clear()
+    pairs = [(5, 0), (0, 5), (19, 2), (2, 19), (3, 4)]
+    first = hg.pair_supports(pairs)
+    assert calls == [[(0, 5), (0, 5), (3, 4)]]  # (2, 19) hits
+    assert len(hg._lin) == 8 and {(0, 5), (2, 19), (3, 4)} <= set(hg._lin)
+    second = hg.pair_supports(pairs)  # warm: every pair hits
+    assert len(calls) == 1 and _supports(second) == _supports(first)
+    assert hg.linearization(4, 3) == ((1, 0.5), (7, 0.5)) and calls[1:] == [[(4, 3)]]  # in the order given
+    assert hg.linearization(3, 4) == ((1, 0.5), (7, 0.5)) and len(calls) == 2
+    before = list(hg._lin)
+    hg.pair_supports([(1, n) for n in range(9)])  # nine misses, more than the memo holds: none kept
+    assert list(hg._lin) == before and len(calls) == 3
+
+
+def _supports(sup) -> list:
+    return [sup.rows.tolist(), sup.points, sup.weights.tolist(), sup.count]
+
+
+def _bits(fn) -> str:
+    """An outcome down to the bit: the repr of a measure's support (-0.0 apart from
+    0.0) or of a coefficient tuple, or the DomainError raised."""
+    try:
+        out = fn()
+    except DomainError as exc:
+        return f"DomainError: {exc}"
+    return repr(out.support if isinstance(out, Measure) else out)
+
+
+CONVOLUTION_CORPUS = (
+    [(make, range(12)) for make in RECURRENCES]
+    + [(lambda n=n: FiniteHypergroup(n, 0, cyclic(n)), range(n)) for n in range(3, 13)]
+    + [(lambda: FiniteHypergroup(210, 0, cyclic(210)), range(0, 210, 13))]
+    + [(real_line, [-0.0, 0.0, 1.0, -1.0, 0.5, -2.25, 0.1, -0.1, 1e300])]
+)
+
+
+@pytest.mark.parametrize("make,points", CONVOLUTION_CORPUS)
+def test_convolutions_match_the_point_rule_bit_for_bit(make, points):
+    # convolve reads all its pairs through _pairs at once, on a cold carrier first and then a
+    # warm one; convolve_points and linearization read the same memo
+    hg, points = make(), list(points)
+    conv, rng = reference_rule(hg), random.Random(len(points))
+    weights = [1.0, -0.5, 0.25j, complex(rng.uniform(-1, 1), rng.uniform(-1, 1)), 3 - 2j]
+    measures = [Measure.from_items(hg, [(x, rng.choice(weights)) for x in rng.sample(points, rng.randint(1, min(4, len(points))))])
+                for _ in range(16)]
+    samples = [(mu, nu) for mu in measures for nu in measures[::3]]
+    if isinstance(hg, RealLineHypergroup):  # sums -0.0 and 0.0 in one convolution, more than a sort keeps in order
+        pos, neg = (Measure.from_items(hg, [(-0.0, 1.0)] + [(s * k, 1 + k * 1j) for k in range(1, 9)]) for s in (0.5, -0.5))
+        samples += [(pos, neg), (neg, pos)]
+    for _ in range(2):
+        for mu, nu in samples:
+            assert _bits(lambda: convolve(mu, nu)) == _bits(lambda: reference_convolve(mu, nu, conv))
+    for x in points:
+        for y in points:
+            assert _bits(lambda: hg.convolve_points(x, y)) == _bits(lambda: conv(x, y))
+    if isinstance(hg, PolynomialHypergroup):
+        memo: dict = {}
+        for m in points:
+            for n in points:
+                want = _bits(lambda: tuple(sorted(reference_linearization(hg, m, n, memo).items())))
+                assert _bits(lambda: hg.linearization(m, n)) == want
 
 
 # ---------------------------------------------------------------------------

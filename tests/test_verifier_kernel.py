@@ -3,7 +3,8 @@
 `reference_verify_moment_sequence`, `reference_verify_leibniz` and
 `reference_is_exponential` are the loops those verifiers ran before the
 kernel: every case a `Measure` convolution and a `pair`, every entry
-evaluated where the loop needs it.  `reference_verify_fourier_leibniz` is
+evaluated where the loop needs it; they convolve through `reference_rule` and
+`reference_convolve` of test_kernel.py, apart from `_pairs`.  `reference_verify_fourier_leibniz` is
 the transform-side loop with the total mass of each measure in place of its
 monomial-basis transform evaluated at z = 1.  `reference_is_multiplicative_hom`
 and `reference_verify_d0_derivation` are the worst-case loops of the operator
@@ -64,6 +65,7 @@ from hypermoment import (
 from hypermoment.config import default_tolerance, scale_of
 from hypermoment.measures import _evaluate, as_literal
 from hypermoment.moments import apply_family, index_order, index_sub
+from tests.test_kernel import reference_convolve, reference_rule
 
 # ---------------------------------------------------------------------------
 # the loops the kernel replaces
@@ -77,10 +79,11 @@ def _record(report, name, law, worst, tol, detail=""):
 def reference_verify_moment_sequence(seq, pairs) -> Report:
     tol = default_tolerance()
     report = Report(title="moment sequence identity")
+    rule = reference_rule(seq.hypergroup)
     for alpha in seq.alphas:
         worst = (0.0, 1.0, None)
         for x, y in pairs:
-            conv = seq.hypergroup.convolve_points(x, y)
+            conv = rule(x, y)
             lhs = pair(conv, seq.phi(alpha))
             rhs = 0j
             top = abs(lhs)
@@ -100,10 +103,11 @@ def reference_verify_moment_sequence(seq, pairs) -> Report:
 def _reference_leibniz(family, samples, probes, value, name, law, details) -> Report:
     tol = default_tolerance()
     report = Report(title="reference")
+    rule = reference_rule(family.hypergroup)
     for alpha in family.alphas:
         worst = (0.0, 1.0, None)
         for mu, nu in samples:
-            lhs = family.op(alpha)(convolve(mu, nu))
+            lhs = family.op(alpha)(reference_convolve(mu, nu, rule))
             pieces = [
                 (multi_binomial(alpha, beta), family.op(beta)(mu), family.op(index_sub(alpha, beta))(nu))
                 for beta in lower_indices(alpha)
@@ -122,11 +126,13 @@ def _reference_leibniz(family, samples, probes, value, name, law, details) -> Re
 
 
 def reference_verify_leibniz(family, samples, probes=None) -> Report:
+    rule = reference_rule(family.hypergroup)
+
     def value(*args):
         if len(args) == 2:
             return pair(*args)
         binom, mu, nu, f = args
-        return pair(binom * convolve(mu, nu), f)
+        return pair(binom * reference_convolve(mu, nu, rule), f)
 
     return _reference_leibniz(
         family, samples, probes or [CFunction.constant(1.0)], value, "leibniz",
@@ -154,9 +160,9 @@ def reference_is_exponential(hg, f, samples) -> Report:
     at_identity = f(hg.identity)
     res0 = abs(at_identity - 1.0)
     _record(report, "normalization-at-identity", "f(o) = 1", (res0, 1.0, [hg.identity, at_identity]), tol)
-    worst = (0.0, 1.0, None)
+    worst, rule = (0.0, 1.0, None), reference_rule(hg)
     for x, y in samples:
-        lhs = pair(hg.convolve_points(x, y), f)
+        lhs = pair(rule(x, y), f)
         rhs = f(x) * f(y)
         res, scl = abs(lhs - rhs), scale_of(lhs, rhs)
         if res / scl > worst[0] / worst[1]:
