@@ -1,0 +1,65 @@
+#!/usr/bin/env python3
+"""Time the large inputs: axiom checks at high bounds and deep linearizations.
+
+Each case runs in a fresh interpreter and prints one JSON line: its name, the
+seconds the call took (`time.perf_counter`, import excluded), the peak
+resident memory of the interpreter (`ru_maxrss`, MB) and the outcome, "ok" or
+the message of the DomainError raised, up to its first ";".
+
+    python scripts/large_inputs.py               # every case, in the order below
+    python scripts/large_inputs.py lin1200 cheb80
+
+With `hypermoment` not installed, put `src` on PYTHONPATH.
+"""
+
+from __future__ import annotations
+
+import json
+import resource
+import subprocess
+import sys
+import time
+
+from hypermoment import DomainError, check_axioms, chebyshev, legendre, real_line
+
+CASES = {
+    "cheb40": lambda: check_axioms(chebyshev(), 40),
+    "cheb80": lambda: check_axioms(chebyshev(), 80),
+    "cheb200": lambda: check_axioms(chebyshev(), 200),
+    "leg120": lambda: check_axioms(legendre(), 120),
+    "leg200": lambda: check_axioms(legendre(), 200),
+    "line200": lambda: check_axioms(real_line(), 200),
+    "lin1200": lambda: chebyshev().linearization(1200, 3),
+    "lin3x1200": lambda: chebyshev().linearization(3, 1200),
+    "lin5000": lambda: chebyshev().linearization(5000, 5000),
+}
+
+
+def run(name: str) -> dict:
+    """One case in this interpreter."""
+    start = time.perf_counter()
+    try:
+        CASES[name]()
+        outcome = "ok"
+    except DomainError as exc:
+        outcome = str(exc).split(";")[0]
+    seconds = time.perf_counter() - start
+    rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # kilobytes on Linux
+    return {"case": name, "seconds": round(seconds, 3), "rss_mb": round(rss_mb, 1), "outcome": outcome}
+
+
+def main(argv: list[str]) -> int:
+    if argv[:1] == ["--in-process"]:
+        print(json.dumps(run(argv[1])), flush=True)
+        return 0
+    unknown = [name for name in argv if name not in CASES]
+    if unknown:
+        print(f"unknown cases {unknown}; choose from {list(CASES)}", file=sys.stderr)
+        return 2
+    for name in argv or CASES:
+        subprocess.run([sys.executable, __file__, "--in-process", name], check=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -40,6 +40,13 @@ def count(text: str) -> int:
     return int(text)
 
 
+def bound(text: str) -> int:
+    """A sampling bound: a nonnegative integer (`check_axioms` refuses 0 itself)."""
+    if int(text) < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {int(text)}")
+    return int(text)
+
+
 def _meta(args: argparse.Namespace, hg: Hypergroup, command: str) -> dict:
     return {
         "command": command,
@@ -202,7 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--tol", type=float, default=None, help="relative tolerance override")
     common.add_argument("--seed", type=int, default=0, help="seed for sampled checks")
     common.add_argument("--format", choices=("text", "json"), default="text")
-    common.add_argument("--bound", type=int, default=8, help="index/coordinate bound for sampling")
+    common.add_argument("--bound", type=bound, default=8, help="index/coordinate bound for sampling")
     common.add_argument("--order", type=int, default=4, help="truncation order N")
     common.add_argument("--rank", type=int, default=1, help="family rank (lifts rank-1 families)")
 

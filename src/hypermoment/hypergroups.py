@@ -21,7 +21,6 @@ from __future__ import annotations
 import cmath
 import math
 from functools import cached_property
-from itertools import chain, islice
 from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -33,11 +32,10 @@ from .reports import Report
 
 CoeffRow = tuple[float, float, float]
 
-# linearization rows memoized per polynomial carrier (`_lin_rows`); the oldest go first
-LIN_MEMO = 4096
 # associativity sample of an infinite carrier, in points
 ASSOC_CAP = 48
-# entries of one dense structure array (64 MB of float64); larger ones are refused
+# entries of one dense structure array (64 MB of float64); larger ones are refused, and a
+# polynomial carrier keeps its linearization table only while it fits (`_lin_rows`)
 DENSE_CAP = 1 << 23
 
 
@@ -290,9 +288,9 @@ class PolynomialHypergroup(Hypergroup):
         # recurrence rows as an array for `_lin_table`; row 0 is P_1 * P_0 = P_1
         self._abc = np.array([[1.0, 0.0, 0.0]])
         self._row_errors: dict[int, str] = {}
-        # linearization rows by (m, n), see `_lin_rows` (not thread-safe)
-        self._lin: dict[tuple[int, int], tuple[list[int], list[float], str]] = {}
-        self._lin_bound = default_tolerance().bound(1.0)
+        # linearization table: the slot of column n (-1 if not held), rows[c, m, l] and errs[c, m]
+        self._lin: tuple[np.ndarray, ...] = ()
+        self._lin_bound: float | None = None  # the tolerance bound it was built for
 
     def coefficient_row(self, n: int) -> CoeffRow:
         """Recurrence row (a_n, b_n, c_n) for n >= 1, validated on first use."""
@@ -347,35 +345,30 @@ class PolynomialHypergroup(Hypergroup):
         return tuple(zip(nz.tolist(), vals[0, nz].tolist()))
 
     def _lin_rows(self, ms: np.ndarray, ns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """`_lin_table(ms, ns)` through the memo of rows: per pair (m, n), its entries
-        other than +0.0 (so it reads back bitwise) and its error, for at most LIN_MEMO
-        pairs of the current default tolerance, the oldest out first.  The misses take
-        one `_lin_table` call, and are kept unless there are more than LIN_MEMO."""
-        bound = default_tolerance().bound(1.0)
+        """`_lin_table(ms, ns)` read from the carrier's table of the current default
+        tolerance: its columns, ``rows[c, m, l]`` and ``errs[c, m]`` for every step m below
+        its height.  A pair outside the table rebuilds it over the union of columns up to
+        the larger height, in one `_lin_table` call on that (step, column) grid, kept if it
+        fits DENSE_CAP; otherwise `_lin_table` runs on the pairs and the table stays."""
+        bound, width = default_tolerance().bound(1.0), int(ms.max() + ns.max()) + 1
         if bound != self._lin_bound:
-            self._lin, self._lin_bound = {}, bound
-        keys = list(zip(ms.tolist(), ns.tolist()))
-        rows = [self._lin.get(key) for key in keys]
-        fresh = {key: i for i, (key, row) in enumerate(zip(keys, rows)) if row is None}  # the distinct misses
-        if fresh:
-            vals, err = self._lin_table(ms, ns, bound, np.array([row is None for row in rows]))
-        else:
-            vals, err = np.zeros(_capped((len(keys), int(ms.max() + ns.max()) + 1))), _defined(len(keys))
-        if 0 < len(fresh) <= LIN_MEMO:
-            for key in list(islice(self._lin, max(0, len(self._lin) + len(fresh) - LIN_MEMO))):
-                del self._lin[key]
-            r, l = np.nonzero(vals.view(np.int64))  # the rows of the misses: those of the hits are still zero
-            cut, l, w = np.searchsorted(r, np.arange(len(keys) + 1)).tolist(), l.tolist(), vals[r, l].tolist()
-            self._lin.update((k, (l[cut[i] : cut[i + 1]], w[cut[i] : cut[i + 1]], err[i])) for k, i in fresh.items())
-        hit = [i for i, row in enumerate(rows) if row is not None]
-        if hit:
-            ls, ws, err[hit] = zip(*(rows[i] for i in hit))
-            vals[np.repeat(hit, [len(l) for l in ls]), list(chain.from_iterable(ls))] = list(chain.from_iterable(ws))
-        return vals, err
+            self._lin, self._lin_bound = (np.zeros(0, dtype=np.intp), np.zeros((0, 0, 0)), _defined(0)), bound
+        _capped((len(ms), width))
+        slot, rows, errs = self._lin
+        if ns.max() >= len(slot) or ms.max() >= rows.shape[1] or (slot[ns] < 0).any():
+            cols, height = np.union1d(np.flatnonzero(slot >= 0), ns), max(rows.shape[1], int(ms.max()) + 1)
+            if len(cols) * height * (int(cols[-1]) + height) > DENSE_CAP:
+                return self._lin_table(ms, ns, bound)
+            vals, err = self._lin_table(np.tile(np.arange(height), len(cols)), np.repeat(cols, height), bound)
+            slot = np.full(int(cols[-1]) + 1, -1)
+            slot[cols] = np.arange(len(cols))
+            self._lin = slot, vals.reshape(len(cols), height, -1), err.reshape(len(cols), height)
+            slot, rows, errs = self._lin
+        at = slot[ns]
+        return rows[at, ms, :width], errs[at, ms]
 
-    def _lin_table(self, ms: np.ndarray, ns: np.ndarray, bound: float, need: np.ndarray) -> tuple[np.ndarray, ...]:
-        """Dense rows of P_ms[i] * P_ns[i] and their errors ("" where defined), for
-        the pairs the mask `need` selects; the others keep zero rows.
+    def _lin_table(self, ms: np.ndarray, ns: np.ndarray, bound: float) -> tuple[np.ndarray, ...]:
+        """Dense rows of P_ms[i] * P_ns[i] and their errors ("" where defined).
 
         The recurrence runs in m, without recursion, over every requested
         column n at once, as numpy vectors over l and in the float order of
@@ -386,22 +379,17 @@ class PolynomialHypergroup(Hypergroup):
         -bound, or above bound outside [|n-m|, n+m]) or uses an invalid row ends
         its column: every pair read from the column afterwards gets that step's message.
         """
-        order = np.flatnonzero(need)[np.argsort(ms[need], kind="stable")]  # pairs are read step by step
-        top, width = int(ms[need].max(initial=-1)), int(ns.max() + ms.max()) + 1
+        order = np.argsort(ms, kind="stable")  # pairs are read step by step
+        top, width = int(ms.max()), int(ns.max() + ms.max()) + 1
         reads = np.searchsorted(ms[order], np.arange(top + 2))
-        cols = np.unique(ns[need])
-        col_of = np.searchsorted(cols, ns)
-        last = np.full(len(cols), -1)
-        last[col_of[order]] = ms[order]  # the last step each column is read at
-        rows = np.zeros((width, 3))
-        block = self._row_block(width - 2)
-        rows[: len(block)] = block
+        cols, col_of = np.unique(ns, return_inverse=True)
+        rows = np.append(self._row_block(width - 2), np.zeros((1, 3)), axis=0)  # the last row only meets zeros
         a_l, b_l, c_l = rows.T
         bad_l = np.zeros(width, dtype=bool)
         bad_l[[r for r in self._row_errors if r < width]] = True
         highest_bad = np.maximum.accumulate(np.where(bad_l, np.arange(width), 0))[np.maximum(ms - 1, 0)]
-        vals, err = np.zeros(_capped((len(ms), width))), np.full(len(ms), "", dtype=object)
-        dead, alive = np.full(len(cols), "", dtype=object), np.ones(len(cols), dtype=bool)
+        vals, err = np.zeros(_capped((len(ms), width))), _defined(len(ms))
+        dead, alive = _defined(len(cols)), np.ones(len(cols), dtype=bool)
         low, mid = np.zeros((2, len(cols), width))
         mid[np.arange(len(cols)), cols] = 1.0
         for m in range(top + 1):
@@ -419,15 +407,15 @@ class PolynomialHypergroup(Hypergroup):
                 below = np.arange(width) < np.abs(cols - m)[:, None]
                 viol = (new < -bound) | (below & (new > bound))
                 uses_bad = (mid != 0) & bad_l
-                for i in np.flatnonzero(alive & (last >= m) & (viol.any(axis=1) | uses_bad.any(axis=1))):
+                for i in np.flatnonzero(alive & (viol.any(axis=1) | uses_bad.any(axis=1))):
                     dead[i], alive[i] = self._step_error(m, int(cols[i]), new[i], viol[i], uses_bad[i]), False
                 new[below] = 0.0
-                new[~alive | (last < m)] = 0.0
+                new[~alive] = 0.0
                 low, mid = mid, new
             at = order[reads[m] : reads[m + 1]]
             vals[at] = mid[col_of[at]]
             err[at] = dead[col_of[at]]
-        for i in np.flatnonzero(highest_bad * need):
+        for i in np.flatnonzero(highest_bad):
             err[i] = self._row_errors[int(highest_bad[i])]
         return vals, err
 

@@ -252,8 +252,8 @@ def family_from_literal(
 
 def pairs_from_literal(hg: Hypergroup, data: Any) -> list[tuple]:
     data = _load_spec_arg(data)
-    if not isinstance(data, list):
-        raise SpecError("pairs literal must be a list of [x, y] pairs")
+    if not (isinstance(data, list) and data):
+        raise SpecError("pairs literal must be a nonempty list of [x, y] pairs")
     out = []
     for entry in data:
         if not (isinstance(entry, list) and len(entry) == 2):
@@ -264,8 +264,8 @@ def pairs_from_literal(hg: Hypergroup, data: Any) -> list[tuple]:
 
 def samples_from_literal(hg: Hypergroup, data: Any) -> list[tuple[Measure, Measure]]:
     data = _load_spec_arg(data)
-    if not isinstance(data, list):
-        raise SpecError("samples literal must be a list of [measure, measure] pairs")
+    if not (isinstance(data, list) and data):
+        raise SpecError("samples literal must be a nonempty list of [measure, measure] pairs")
     out = []
     for entry in data:
         if not (isinstance(entry, list) and len(entry) == 2):

@@ -30,7 +30,7 @@ import numpy as np
 
 from .config import Tolerance, default_tolerance
 from .errors import DomainError, PreconditionError
-from .hypergroups import LIN_MEMO, FiniteHypergroup, Hypergroup, PolynomialHypergroup, RealLineHypergroup
+from .hypergroups import FiniteHypergroup, Hypergroup, PolynomialHypergroup, RealLineHypergroup
 from .measures import (
     CFunction, Measure, Point, _evaluate, as_literal, complex_abs, complex_product, convolve, dirac, multiply, pair,
 )
@@ -44,6 +44,8 @@ from .operators import (
 from .reports import Report
 
 MultiIndex = tuple[int, ...]
+
+LIN_MEMO = 4096  # derivative rows memoized per sequence (`poly_derivative_moments`)
 
 
 def as_index(alpha: Sequence[int] | int) -> MultiIndex:

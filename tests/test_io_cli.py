@@ -25,6 +25,9 @@ from hypermoment.io import (
     resolve_phi0,
 )
 
+POLY_FAMILY = '{"family": "polynomial-derivative", "z": 0.3}'
+LINE_FAMILY = '{"family": "realline-moment", "lambda": 0.2}'
+
 
 class TestLiterals:
     def test_parse_complex(self):
@@ -445,22 +448,33 @@ class TestCliExitCodes:
         assert capsys.readouterr().err.startswith("error:")
 
     @pytest.mark.parametrize(
-        "argv",
+        "argv,start,message",
         [
-            ["leibniz", "--hypergroup", "chebyshev", "--family", '{"family": "polynomial-derivative", "z": 0.3}',
-             "--count", "0"],
-            ["verify-moments", "--hypergroup", "realline", "--family", '{"family": "realline-moment", "lambda": 0.2}',
-             "--count", "0"],
-            ["verify-moments", "--hypergroup", "realline", "--family", '{"family": "realline-moment", "lambda": 0.2}',
-             "--count", "-3"],
+            (["leibniz", "--hypergroup", "chebyshev", "--family", POLY_FAMILY, "--count", "0"],
+             "usage: hypermoment", "error: argument --count: must be at least 1"),
+            (["verify-moments", "--hypergroup", "realline", "--family", LINE_FAMILY, "--count", "0"],
+             "usage: hypermoment", "error: argument --count: must be at least 1"),
+            (["verify-moments", "--hypergroup", "realline", "--family", LINE_FAMILY, "--count", "-3"],
+             "usage: hypermoment", "error: argument --count: must be at least 1"),
+            (["verify-moments", "--hypergroup", "chebyshev", "--family", POLY_FAMILY, "--pairs", "[]"],
+             "error:", "pairs literal must be a nonempty list"),
+            (["leibniz", "--hypergroup", "chebyshev", "--family", POLY_FAMILY, "--samples", "[]"],
+             "error:", "samples literal must be a nonempty list"),
+            (["verify-moments", "--hypergroup", "chebyshev", "--family", POLY_FAMILY, "--bound", "-1"],
+             "usage: hypermoment", "error: argument --bound: must be nonnegative, got -1"),
+            (["leibniz", "--hypergroup", "realline", "--family", LINE_FAMILY, "--bound", "-1"],
+             "usage: hypermoment", "error: argument --bound: must be nonnegative, got -1"),
+            (["axioms", "--hypergroup", "chebyshev", "--bound", "0"], "error:", "sample_bound must be >= 1"),
         ],
-        ids=["leibniz-zero", "verify-moments-zero", "verify-moments-negative"],
+        ids=["leibniz-zero", "verify-moments-zero", "verify-moments-negative", "verify-moments-empty-pairs",
+             "leibniz-empty-samples", "verify-moments-negative-bound", "leibniz-negative-bound", "axioms-bound-zero"],
     )
-    def test_count_below_one_is_usage_error(self, argv, capsys):
-        # an empty sample once raised an uncaught ValueError (exit 1)
+    def test_count_below_one_is_usage_error(self, argv, start, message, capsys):
+        # an empty sample once raised an uncaught ValueError (exit 1) or passed on zero measures (exit 0);
+        # bound 0 is a valid sample for the other subcommands, so check_axioms refuses it itself
         assert main(argv) == 2
         err = capsys.readouterr().err
-        assert err.startswith("usage: hypermoment") and "error: argument --count: must be at least 1" in err
+        assert err.startswith(start) and message in err and "Traceback" not in err
 
 
 class TestDeterminism:

@@ -24,6 +24,7 @@ import sys
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -45,7 +46,7 @@ from hypermoment import (
     real_line,
     two_point,
 )
-from hypermoment.config import default_tolerance
+from hypermoment.config import Tolerance, default_tolerance, set_default_tolerance
 from hypermoment.hypergroups import assoc_sample
 from hypermoment.io import load_hypergroup
 
@@ -429,34 +430,69 @@ def test_linearization_reports_the_highest_invalid_row_below_m():
 
 
 def test_linearization_deep_in_m():
-    # the recursion raised RecursionError here; Chebyshev closed form T_m T_n = (T_{m+n} + T_{|m-n|})/2
-    assert chebyshev().linearization(1200, 3) == ((1197, 0.5), (1203, 0.5))
-    assert chebyshev().linearization(5000, 5000) == ((0, 0.5), (10000, 0.5))
+    # the recursion raised RecursionError here; Chebyshev closed form T_m T_n = (T_{m+n} + T_{|m-n|})/2.
+    # On a fresh carrier the table of (1200, 3) is kept (1201 steps of one column) and that of
+    # (5000, 5000) exceeds DENSE_CAP, so the pair runs alone: memory stays within twice the cap
+    cases = [((1200, 3), ((1197, 0.5), (1203, 0.5))), ((3, 1200), ((1197, 0.5), (1203, 0.5))),
+             ((5000, 5000), ((0, 0.5), (10000, 0.5)))]
+    for (m, n), want in cases:
+        tracemalloc.start()
+        try:
+            assert chebyshev().linearization(m, n) == want
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 8 * hypermoment.hypergroups.DENSE_CAP
 
 
-def test_linearization_memo_is_bounded(monkeypatch):
-    # one memo of rows that linearization and _pairs both read: at most LIN_MEMO pairs, the
-    # oldest out first, and one _lin_table call per call, on the pairs it misses
-    monkeypatch.setattr(hypermoment.hypergroups, "LIN_MEMO", 8)
+def _held(hg) -> tuple[list[int], int]:
+    """The columns and the height of a polynomial carrier's linearization table."""
+    slot, rows, _ = hg._lin
+    return np.flatnonzero(slot >= 0).tolist(), rows.shape[1]
+
+
+def test_linearization_table_per_carrier(monkeypatch):
+    # one table of rows that linearization and _pairs both read: a cold sample grid takes one
+    # _lin_table call and a warm one none; a read past its columns or height rebuilds it once
     hg, calls = chebyshev(), []
     table = hg._lin_table
-    monkeypatch.setattr(hg, "_lin_table", lambda ms, ns, bound, need: calls.append(list(zip(ms[need], ns[need])))
-                        or table(ms, ns, bound, need))
-    for n in range(20):
-        hg.linearization(2, n)
-    assert list(hg._lin) == [(2, n) for n in range(12, 20)] and len(calls) == 20
-    calls.clear()
-    pairs = [(5, 0), (0, 5), (19, 2), (2, 19), (3, 4)]
-    first = hg.pair_supports(pairs)
-    assert calls == [[(0, 5), (0, 5), (3, 4)]]  # (2, 19) hits
-    assert len(hg._lin) == 8 and {(0, 5), (2, 19), (3, 4)} <= set(hg._lin)
-    second = hg.pair_supports(pairs)  # warm: every pair hits
-    assert len(calls) == 1 and _supports(second) == _supports(first)
-    assert hg.linearization(4, 3) == ((1, 0.5), (7, 0.5)) and calls[1:] == [[(4, 3)]]  # in the order given
-    assert hg.linearization(3, 4) == ((1, 0.5), (7, 0.5)) and len(calls) == 2
-    before = list(hg._lin)
-    hg.pair_supports([(1, n) for n in range(9)])  # nine misses, more than the memo holds: none kept
-    assert list(hg._lin) == before and len(calls) == 3
+    monkeypatch.setattr(hg, "_lin_table", lambda ms, ns, bound: calls.append(len(ms)) or table(ms, ns, bound))
+    grid = [(x, y) for x in range(9) for y in range(9)]
+    cold = _supports(hg.pair_supports(grid))
+    assert calls == [81] and _held(hg) == (list(range(9)), 9)
+    assert _supports(hg.pair_supports(grid)) == cold and len(calls) == 1
+    assert hg.linearization(3, 12) == ((9, 0.5), (15, 0.5))  # column 12: rebuilt on the union
+    assert calls[1:] == [90] and _held(hg) == (list(range(9)) + [12], 9)
+    assert hg.linearization(10, 2) == ((8, 0.5), (12, 0.5))  # step 10: rebuilt up to the larger height
+    assert calls[2:] == [110] and _held(hg) == (list(range(9)) + [12], 11)
+    hg.pair_supports(grid[::-1]), hg.linearization(10, 12), hg.linearization(0, 0)
+    assert len(calls) == 3
+    # a call whose table would exceed DENSE_CAP runs _lin_table on its own pairs and keeps nothing
+    pairs = [(1, 40), (40, 2), (5, 5)]
+    want = _supports(chebyshev().pair_supports(pairs))
+    monkeypatch.setattr(hypermoment.hypergroups, "DENSE_CAP", 3000)
+    before = hg._lin
+    assert _supports(hg.pair_supports(pairs)) == want
+    assert calls[3:] == [3] and hg._lin is before
+    fresh = chebyshev()  # (m, n) reads column n at step m: (4, 3) and (3, 4) are two entries
+    assert fresh.linearization(4, 3) == ((1, 0.5), (7, 0.5)) and _held(fresh) == ([3], 5)
+    assert fresh.linearization(3, 4) == ((1, 0.5), (7, 0.5)) and _held(fresh) == ([3, 4], 5)
+
+
+def test_linearization_table_follows_the_default_tolerance():
+    # a change of the default tolerance empties the table, so the rows are checked against the new bound
+    hg = chebyshev_dip(3, 0.8, 12)
+    assert hg.linearization(1, 1) == ((0, 0.5), (2, 0.5))  # warm
+    with pytest.raises(DomainError, match="negative coefficient -0.3"):
+        hg.linearization(2, 2)
+    default = default_tolerance()
+    set_default_tolerance(Tolerance(rel=0.5))
+    try:
+        assert dict(hg.linearization(2, 2))[2] == pytest.approx(-0.3)
+    finally:
+        set_default_tolerance(default)
+    with pytest.raises(DomainError, match="negative coefficient -0.3"):
+        hg.linearization(2, 2)
 
 
 def _supports(sup) -> list:

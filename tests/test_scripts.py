@@ -1,7 +1,8 @@
-"""The example scripts run end to end and print their closing verdicts."""
+"""The scripts run end to end and print their closing verdicts or results."""
 
 from __future__ import annotations
 
+import json
 import os
 import subprocess
 import sys
@@ -10,6 +11,7 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
+ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
 
 
 @pytest.mark.parametrize(
@@ -17,9 +19,21 @@ ROOT = Path(__file__).resolve().parent.parent
     [("run_examples.py", "all scenarios: OK"), ("extension_sweep.py", "every solution set trivial: True")],
 )
 def test_script_runs(script, last_line):
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
     done = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / script)], capture_output=True, text=True, env=env, timeout=120
+        [sys.executable, str(ROOT / "scripts" / script)], capture_output=True, text=True, env=ENV, timeout=120
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[-1] == last_line
+
+
+def test_large_inputs_prints_one_json_line_per_case():
+    # the whole run takes over ten seconds; one deep linearization stands for it here
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "large_inputs.py"), "lin1200"],
+        capture_output=True, text=True, env=ENV, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    (line,) = done.stdout.splitlines()
+    result = json.loads(line)
+    assert result["case"] == "lin1200" and result["outcome"] == "ok"
+    assert result["seconds"] > 0 and result["rss_mb"] > 0
