@@ -27,21 +27,22 @@ from .io import (
 )
 from .measures import Measure, Point
 from .moments import (
-    MomentSequence, derivation_from_moments, iterated_extension, rank_lift, verify_leibniz, verify_moment_sequence,
+    MomentSequence, _default_pairs, derivation_from_moments, iterated_extension, rank_lift, verify_leibniz,
+    verify_moment_sequence,
 )
 from .operators import is_exponential
 from .reports import Report
 
 
 def count(text: str) -> int:
-    """A sample count: an integer of at least 1."""
+    """A sample count or a family rank: an integer of at least 1."""
     if int(text) < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {int(text)}")
     return int(text)
 
 
 def bound(text: str) -> int:
-    """A sampling bound: a nonnegative integer (`check_axioms` refuses 0 itself)."""
+    """A sampling bound or a derivative order: a nonnegative integer (`check_axioms` refuses bound 0 itself)."""
     if int(text) < 0:
         raise argparse.ArgumentTypeError(f"must be nonnegative, got {int(text)}")
     return int(text)
@@ -60,8 +61,7 @@ def _sample_pairs(hg: Hypergroup, args: argparse.Namespace) -> list[tuple[Point,
     if isinstance(hg, RealLineHypergroup):
         rng = random.Random(args.seed)
         return [(rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0)) for _ in range(args.count)]
-    pts = hg.sample_points(args.bound)
-    return [(x, y) for x in pts for y in pts]
+    return _default_pairs(hg, args.bound)
 
 
 def _sample_measures(hg: Hypergroup, args: argparse.Namespace) -> list[Measure]:
@@ -91,26 +91,16 @@ def _load_family(hg: Hypergroup, args: argparse.Namespace) -> MomentSequence:
     return seq
 
 
-def _finish(report: Report, args: argparse.Namespace) -> int:
-    print(report.to_json() if args.format == "json" else report.summary())
-    return 0 if report.passed else 1
+def cmd_axioms(args: argparse.Namespace, hg: Hypergroup) -> Report:
+    return check_axioms(hg, sample_bound=args.bound, tol=args.tol)
 
 
-def cmd_axioms(args: argparse.Namespace) -> int:
-    hg = load_hypergroup(args.hypergroup)
-    report = check_axioms(hg, sample_bound=args.bound, tol=args.tol)
-    report.meta.update(_meta(args, hg, "axioms"))
-    return _finish(report, args)
-
-
-def cmd_exponentials(args: argparse.Namespace) -> int:
-    hg = load_hypergroup(args.hypergroup)
+def cmd_exponentials(args: argparse.Namespace, hg: Hypergroup) -> Report:
     if not isinstance(hg, FiniteHypergroup):
         raise SpecError("exponential enumeration needs a finite hypergroup")
     expos = enumerate_exponentials(hg, tol=args.tol)
-    pairs = [(x, y) for x in range(hg.size) for y in range(hg.size)]
-    report = Report(title="exponentials", meta=_meta(args, hg, "exponentials"))
-    report.meta["count"] = len(expos)
+    pairs = _default_pairs(hg)
+    report = Report(title="exponentials", meta={"count": len(expos)})
     for i, m in enumerate(expos):
         sub = is_exponential(hg, m, pairs, tol=args.tol)
         values = {str(x): [m(x).real, m(x).imag] for x in range(hg.size)}
@@ -123,40 +113,30 @@ def cmd_exponentials(args: argparse.Namespace) -> int:
             counterexample=None if sub.passed else values,
             detail=str(values),
         )
-    return _finish(report, args)
+    return report
 
 
-def cmd_verify_moments(args: argparse.Namespace) -> int:
-    hg = load_hypergroup(args.hypergroup)
+def cmd_verify_moments(args: argparse.Namespace, hg: Hypergroup) -> Report:
     seq = _load_family(hg, args)
-    if args.pairs:
-        pairs = pairs_from_literal(hg, args.pairs)
-    else:
-        pairs = _sample_pairs(hg, args)
-    report = verify_moment_sequence(seq, pairs, tol=args.tol)
-    report.meta.update(_meta(args, hg, "verify-moments"))
-    return _finish(report, args)
+    pairs = pairs_from_literal(hg, args.pairs) if args.pairs else _sample_pairs(hg, args)
+    return verify_moment_sequence(seq, pairs, tol=args.tol)
 
 
-def cmd_leibniz(args: argparse.Namespace) -> int:
-    hg = load_hypergroup(args.hypergroup)
+def cmd_leibniz(args: argparse.Namespace, hg: Hypergroup) -> Report:
     seq = _load_family(hg, args)
     if args.samples:
-        measures = None
         samples = samples_from_literal(hg, args.samples)
     else:
         measures = _sample_measures(hg, args)
         samples = [(measures[i], measures[(i + 1) % len(measures)]) for i in range(len(measures))]
     family = derivation_from_moments(seq, tol=args.tol)
     report = verify_leibniz(family, samples, tol=args.tol)
-    report.meta.update(_meta(args, hg, "leibniz"))
     if isinstance(hg, PolynomialHypergroup):
         report.extend(verify_fourier_leibniz(family, samples, tol=args.tol), prefix="transform: ")
-    return _finish(report, args)
+    return report
 
 
-def cmd_search_moments(args: argparse.Namespace) -> int:
-    hg = load_hypergroup(args.hypergroup)
+def cmd_search_moments(args: argparse.Namespace, hg: Hypergroup) -> Report:
     if not isinstance(hg, FiniteHypergroup):
         raise SpecError("search-moments needs a finite hypergroup")
     try:
@@ -165,18 +145,15 @@ def cmd_search_moments(args: argparse.Namespace) -> int:
         raise SpecError(f"bad multi-index {args.alpha!r}: {exc}") from exc
     phi0 = resolve_phi0(hg, args.phi0)
     report, _entries = iterated_extension(hg, phi0, alpha, tol=args.tol)
-    report.meta.update(_meta(args, hg, "search-moments"))
     report.meta["phi0"] = args.phi0
-    return _finish(report, args)
+    return report
 
 
-def cmd_transform(args: argparse.Namespace) -> int:
-    hg = load_hypergroup(args.hypergroup)
+def cmd_transform(args: argparse.Namespace, hg: Hypergroup) -> Report:
     mu = measure_from_literal(hg, args.measure)
     poly = transform(hg, mu)  # raises DomainError off polynomial carriers
-    report = Report(title="transform", meta=_meta(args, hg, "transform"))
-    report.meta["coefficients"] = [[c.real, c.imag] for c in poly.coeffs]
-    report.meta["polynomial"] = poly.pretty()
+    coefficients = [[c.real, c.imag] for c in poly.coeffs]
+    report = Report(title="transform", meta={"coefficients": coefficients, "polynomial": poly.pretty()})
     report.add("transform", "mu^(z) = sum_n mu({n}) P_n(z)", True, detail=poly.pretty())
     if args.z is not None:
         z = complex(args.z)
@@ -193,7 +170,7 @@ def cmd_transform(args: argparse.Namespace) -> int:
             lambda: [[c.real, c.imag] for c in rebuilt.coeffs],
             detail="truncated reconstruction" if truncated else rebuilt.pretty("lam"),
         )
-    return _finish(report, args)
+    return report
 
 
 @functools.cache
@@ -211,9 +188,9 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--format", choices=("text", "json"), default="text")
     common.add_argument("--bound", type=bound, default=8, help="index/coordinate bound for sampling")
     common.add_argument("--order", type=int, default=4, help="truncation order N")
-    common.add_argument("--rank", type=int, default=1, help="family rank (lifts rank-1 families)")
+    common.add_argument("--rank", type=count, default=1, help="family rank (lifts rank-1 families)")
 
-    def command(name: str, fn: Callable[[argparse.Namespace], int], summary: str) -> argparse.ArgumentParser:
+    def command(name: str, fn: Callable[..., Report], summary: str) -> argparse.ArgumentParser:
         p = sub.add_parser(name, parents=[common], help=summary)
         p.set_defaults(fn=fn)
         return p
@@ -238,7 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("transform", cmd_transform, "transform a measure; optionally check identities")
     p.add_argument("--measure", required=True, help="measure literal (inline JSON or path)")
     p.add_argument("--z", type=complex, default=None, help="evaluate and check derivatives at z")
-    p.add_argument("--k", type=int, default=2, help="max derivative order checked with --z")
+    p.add_argument("--k", type=bound, default=2, help="max derivative order checked with --z")
     p.add_argument("--taylor", action="store_true", help="check the Taylor reconstruction")
     p.add_argument("--degree", type=int, default=None, help="truncate the reconstruction")
     return parser
@@ -252,7 +229,8 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     args.tol = default_tolerance() if args.tol is None else Tolerance(rel=args.tol)
     try:
-        return args.fn(args)
+        hg = load_hypergroup(args.hypergroup)
+        report = args.fn(args, hg)
     except (SpecError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -262,6 +240,9 @@ def main(argv: list[str] | None = None) -> int:
     except HypermomentError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    report.meta.update(_meta(args, hg, args.command))
+    print(report.to_json() if args.format == "json" else report.summary())
+    return 0 if report.passed else 1
 
 
 def entry() -> None:

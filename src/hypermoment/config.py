@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 
 @dataclass(frozen=True)
 class Tolerance:
@@ -28,6 +30,10 @@ class Tolerance:
 
     def ok(self, residual: float, scale: float = 1.0) -> bool:
         return residual <= self.bound(scale)
+
+    def fails(self, residuals: np.ndarray, scales: np.ndarray) -> np.ndarray:
+        """The cases whose residual exceeds max(abs_floor, rel * scale), elementwise; NaN fails."""
+        return ~(residuals <= np.maximum(self.abs_floor, self.rel * scales))
 
 
 def scale_of(*values: complex) -> float:

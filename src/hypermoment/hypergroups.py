@@ -829,11 +829,11 @@ def enumerate_exponentials(hg: FiniteHypergroup, tol: Tolerance | None = None) -
     rhs = vs[:, :, None] * vs[:, None, :]
     res = np.abs(lhs - rhs).reshape(len(found), -1)
     scl = np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs))).reshape(len(found), -1)
-    for b, i in enumerate(np.argmax(res / scl, axis=1)):
-        if not tol.ok(res[b, i], scl[b, i]):
-            raise DecompositionError(
-                f"joint eigenvector failed exponential re-verification (residual {res[b, i]:.3e})"
-            )
+    fails = tol.fails(res, scl)
+    if fails.any():  # reported at the worst failing case of the first failing candidate
+        b = int(np.argmax(fails.any(axis=1)))
+        i = np.argmax(np.where(fails[b], res[b] / scl[b], -np.inf))
+        raise DecompositionError(f"joint eigenvector failed exponential re-verification (residual {res[b, i]:.3e})")
     if len(found) < len(blocks):
         raise DecompositionError("joint eigenvector vanishes at the identity")
     functions = [CFunction.from_table({x: complex(v[x]) for x in range(n)}, kind="exponential") for v in found]

@@ -54,11 +54,6 @@ def _number(data: dict, key: str, default: Any, kind: type = float) -> Any:
         raise SpecError(f"bad {key!r}: {exc}") from exc
 
 
-def complex_to_json(z: complex) -> list[float]:
-    z = complex(z)
-    return [z.real, z.imag]
-
-
 def load_json(path: str | Path) -> Any:
     p = Path(path)
     if not p.exists():
@@ -157,10 +152,6 @@ def measure_from_literal(hg: Hypergroup, data: Any) -> Measure:
         return Measure.from_items(hg, items)
     except DomainError as exc:
         raise SpecError(str(exc)) from exc
-
-
-def measure_to_literal(mu: Measure) -> list:
-    return [[x, complex_to_json(w)] for x, w in mu.support]
 
 
 def function_from_literal(hg: Hypergroup, data: Any) -> CFunction:

@@ -154,9 +154,6 @@ class CFunction:
         return f"CFunction<{self.describe()}>"
 
 
-ONE = CFunction.constant(1.0)
-
-
 def _evaluate(f: CFunction | Callable[[Point], Any], x: Point) -> complex:
     """f(x) as a complex number; any failure other than a DomainError is wrapped in one."""
     try:

@@ -32,13 +32,14 @@ from .config import Tolerance, default_tolerance
 from .errors import DomainError, PreconditionError
 from .hypergroups import FiniteHypergroup, Hypergroup, PolynomialHypergroup, RealLineHypergroup
 from .measures import (
-    CFunction, Measure, Point, _evaluate, as_literal, complex_abs, complex_product, convolve, dirac, multiply, pair,
+    CFunction, Measure, Point, _evaluate, as_literal, complex_abs, complex_product, convolve, multiply, pair,
 )
 from .operators import (
     MeasureOperator,
     is_exponential,
     is_multiplicative_hom,
     make_module_hom,
+    symbol_of,
     tabulate_on_pairs,
 )
 from .reports import Report
@@ -234,7 +235,8 @@ def rank_lift(seq: MomentSequence, weights: Sequence[complex]) -> MomentSequence
     """Lift a rank-1 sequence to rank r: phi_alpha = (prod w_i^alpha_i) f_{|alpha|}.
 
     Valid because sum_{beta <= alpha, |beta| = s} binom(alpha, beta) = binom(|alpha|, s)
-    reduces the rank-r identity to the rank-1 one.
+    reduces the rank-r identity to the rank-1 one.  The lift's phi_0 is the base's
+    (times 1), so a base whose phi_0 was verified is not checked again.
     """
     if seq.rank != 1:
         raise DomainError("rank_lift starts from a rank-1 sequence")
@@ -248,7 +250,10 @@ def rank_lift(seq: MomentSequence, weights: Sequence[complex]) -> MomentSequence
             factor *= w**a
         return factor * seq.phi((sum(alpha),))
 
-    return MomentSequence.build(seq.hypergroup, len(ws), seq.order, entry)
+    verified = seq.meta.get("phi0") == "exponential verified"
+    lifted = MomentSequence.build(seq.hypergroup, len(ws), seq.order, entry, check_phi0=not verified)
+    lifted.meta["phi0"] = "exponential verified"
+    return lifted
 
 
 # ---------------------------------------------------------------------------
@@ -376,12 +381,7 @@ def moments_from_derivation(
 ) -> MomentSequence:
     """Tabulate phi_alpha(x) = <D_alpha dx, 1> at the given points."""
     hg = family.hypergroup
-    one = CFunction.constant(1.0)
-    tables: dict[MultiIndex, CFunction] = {}
-    for alpha in family.alphas:
-        op = family.op(alpha)
-        values = {hg.validate_point(x): pair(op(dirac(hg, x)), one) for x in points}
-        tables[alpha] = CFunction.from_table(values)
+    tables = {alpha: symbol_of(family.op(alpha), points) for alpha in family.alphas}
     pairs = _checkable_pairs(hg, [hg.validate_point(x) for x in points])
     seq = MomentSequence.build(
         hg,
@@ -559,10 +559,7 @@ class AffineSolutionSet:
             return "inconsistent"
         if self.nullspace:
             return f"affine: dimension {self.nullity}"
-        assert self.particular is not None
-        if max(abs(v) for v in self.particular) <= default_tolerance().bound(self.scale):
-            return "unique: zero"
-        return "unique: nonzero"
+        return "unique: zero" if self.is_trivial() else "unique: nonzero"
 
 
 def extend_moment_sequence(

@@ -118,7 +118,7 @@ class Report:
         res, scl = np.ravel(residuals), np.ravel(scales)
         ratio = res / scl
         nan = np.isnan(ratio)
-        fails = nan | ~(res <= np.maximum(tol.abs_floor, tol.rel * scl))
+        fails = nan | tol.fails(res, scl)
         ratio[nan] = 0.0
         i = int(np.argmax(ratio)) if ratio.size else 0
         worst, scale = (float(res[i]), float(scl[i])) if ratio.size and ratio[i] > 0.0 else (0.0, 1.0)
@@ -137,7 +137,7 @@ class Report:
         case k, in flattened order, or ERROR with the message as the detail."""
         worst, worst_scale, offset = 0.0, 1.0, 0
         for res, scl, msg in blocks:
-            fails = ~(res <= np.maximum(tol.abs_floor, tol.rel * scl))
+            fails = tol.fails(res, scl)
             hit = np.flatnonzero(fails if msg is None else fails | msg.astype(bool))
             end = int(hit[0]) + 1 if hit.size else res.size
             if hit.size and msg is not None and msg[end - 1]:

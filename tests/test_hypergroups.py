@@ -262,6 +262,22 @@ class TestEnumerateExponentials:
         with pytest.raises(DecompositionError, match="semisimple"):
             enumerate_exponentials(hg)
 
+    def test_re_verification_fails_when_any_case_fails(self):
+        # point 2a + b is (a, b) in the product of two scaled Z_2 tables, d1*d1 = 3 d0 and
+        # d1*d1 = 3e5 d0, weights multiplied.  Under rel 1e-18 the absolute floor exceeds
+        # rel * scale, so the case of largest residual/scale passes while others fail:
+        # is_exponential fails every candidate, so the enumeration must refuse them all
+        table = [
+            (x, y, [(x ^ y, (3.0 if x & y & 2 else 1.0) * (3e5 if x & y & 1 else 1.0))])
+            for x in range(4) for y in range(4)
+        ]
+        hg, tol = FiniteHypergroup(4, 0, table), Tolerance(rel=1e-18)
+        pairs = [(x, y) for x in range(4) for y in range(4)]
+        assert len(enumerate_exponentials(hg)) == 4
+        assert not any(is_exponential(hg, m, pairs, tol).passed for m in enumerate_exponentials(hg))
+        with pytest.raises(DecompositionError, match="re-verification"):
+            enumerate_exponentials(hg, tol=tol)
+
 
 class TestConstruction:
     def test_theta_range(self):

@@ -15,12 +15,12 @@ from hypermoment import (
     check_axioms,
 )
 from hypermoment.cli import main
+from hypermoment.measures import as_literal
 from hypermoment.io import (
     family_from_literal,
     function_from_literal,
     load_hypergroup,
     measure_from_literal,
-    measure_to_literal,
     parse_complex,
     resolve_phi0,
 )
@@ -39,7 +39,7 @@ class TestLiterals:
     def test_measure_round_trip(self, cheb):
         literal = [[0, [1.0, 0.0]], [3, [0.5, -2.0]]]
         mu = measure_from_literal(cheb, literal)
-        assert measure_to_literal(mu) == literal
+        assert as_literal(mu) == literal
 
     def test_measure_accepts_plain_numbers(self, cheb):
         mu = measure_from_literal(cheb, [[1, 2]])
@@ -465,9 +465,18 @@ class TestCliExitCodes:
             (["leibniz", "--hypergroup", "realline", "--family", LINE_FAMILY, "--bound", "-1"],
              "usage: hypermoment", "error: argument --bound: must be nonnegative, got -1"),
             (["axioms", "--hypergroup", "chebyshev", "--bound", "0"], "error:", "sample_bound must be >= 1"),
+            (["transform", "--hypergroup", "chebyshev", "--measure", "[[3,1]]", "--z", "0.5", "--k", "-1"],
+             "usage: hypermoment", "error: argument --k: must be nonnegative, got -1"),
+            (["verify-moments", "--hypergroup", "chebyshev", "--family", POLY_FAMILY, "--rank", "0", "--bound", "2"],
+             "usage: hypermoment", "error: argument --rank: must be at least 1, got 0"),
+            (["verify-moments", "--hypergroup", "chebyshev", "--family", POLY_FAMILY, "--rank", "-3", "--bound", "2"],
+             "usage: hypermoment", "error: argument --rank: must be at least 1, got -3"),
+            (["leibniz", "--hypergroup", "chebyshev", "--family", POLY_FAMILY, "--rank", "0"],
+             "usage: hypermoment", "error: argument --rank: must be at least 1, got 0"),
         ],
         ids=["leibniz-zero", "verify-moments-zero", "verify-moments-negative", "verify-moments-empty-pairs",
-             "leibniz-empty-samples", "verify-moments-negative-bound", "leibniz-negative-bound", "axioms-bound-zero"],
+             "leibniz-empty-samples", "verify-moments-negative-bound", "leibniz-negative-bound", "axioms-bound-zero",
+             "transform-negative-k", "verify-moments-rank-zero", "verify-moments-negative-rank", "leibniz-rank-zero"],
     )
     def test_count_below_one_is_usage_error(self, argv, start, message, capsys):
         # an empty sample once raised an uncaught ValueError (exit 1) or passed on zero measures (exit 0);
@@ -475,6 +484,32 @@ class TestCliExitCodes:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith(start) and message in err and "Traceback" not in err
+
+
+class TestTextEpilogue:
+    @pytest.mark.parametrize(
+        "argv,hypergroup",
+        [
+            (["axioms", "--hypergroup", "chebyshev", "--bound", "3"], "polynomial(chebyshev)"),
+            (["exponentials", "--hypergroup", "dtheta:0.5"], "finite(size=2, identity=0)"),
+            (["verify-moments", "--hypergroup", "realline", "--family", LINE_FAMILY, "--order", "2", "--count", "5"],
+             "realline"),
+            (["leibniz", "--hypergroup", "chebyshev", "--family", POLY_FAMILY, "--order", "2", "--bound", "3",
+              "--count", "3"], "polynomial(chebyshev)"),
+            (["search-moments", "--hypergroup", "dtheta:0.5", "--phi0", "m1", "--alpha", "2"],
+             "finite(size=2, identity=0)"),
+            (["transform", "--hypergroup", "chebyshev", "--measure", "[[2,1]]", "--taylor"], "polynomial(chebyshev)"),
+        ],
+        ids=["axioms", "exponentials", "verify-moments", "leibniz", "search-moments", "transform"],
+    )
+    def test_summary_carries_run_meta(self, argv, hypergroup, capsys):
+        assert main(argv + ["--format", "text", "--seed", "3", "--tol", "1e-8"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith("# ") and lines[-1] == "result: OK"
+        meta = lines[1:lines.index(next(line for line in lines if line.startswith("[")))]
+        for line in (f"  command = {argv[0]}", f"  hypergroup = {hypergroup}", "  seed = 3", "  tolerance = 1e-08"):
+            assert meta.count(line) == 1, line
+        assert meta == sorted(meta)
 
 
 class TestDeterminism:

@@ -24,6 +24,7 @@ from hypermoment import (
     enumerate_exponentials,
     extend_moment_sequence,
     indices_up_to,
+    is_exponential,
     is_module_hom,
     is_multiplicative_hom,
     iterated_extension,
@@ -41,6 +42,7 @@ from hypermoment import (
     verify_moment_sequence,
     zero_operator,
 )
+from hypermoment import moments
 from tests.conftest import random_measure
 
 
@@ -140,6 +142,29 @@ class TestVerifyMomentSequence:
         seq = rank_lift(poly_derivative_moments(cheb, 0.3, 2), [1.0, 0.5])
         pairs = [(m, n) for m in range(5) for n in range(5)]
         assert verify_moment_sequence(seq, pairs).passed
+
+    def test_rank_lift_checks_phi0_once(self, cheb, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return is_exponential(*args, **kwargs)
+
+        monkeypatch.setattr(moments, "is_exponential", counted)
+        base = poly_derivative_moments(cheb, 0.3, 2)
+        assert len(calls) == 1 and base.meta["phi0"] == "exponential verified"
+        lifted = rank_lift(base, [1.0, 0.5])
+        assert len(calls) == 1 and lifted.meta["phi0"] == "exponential verified"
+        # a base built with the check skipped is checked by the lift
+        unchecked = MomentSequence.build(cheb, 1, 2, base.entries, check_phi0=False)
+        assert rank_lift(unchecked, [1.0, 0.5]).meta["phi0"] == "exponential verified"
+        assert len(calls) == 2
+
+    def test_rank_lift_of_unchecked_base_refuses_bad_phi0(self, cheb):
+        entries = {(0,): CFunction(lambda n: float(n)), (1,): CFunction.constant(0.0)}
+        unchecked = MomentSequence.build(cheb, 1, 1, entries, check_phi0=False)
+        with pytest.raises(PreconditionError, match="phi_0 is not an exponential"):
+            rank_lift(unchecked, [1.0, 0.5])
 
 
 class TestDerivationFromMoments:

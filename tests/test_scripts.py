@@ -10,6 +10,8 @@ from pathlib import Path
 
 import pytest
 
+from tests.test_golden_cli import CASES
+
 ROOT = Path(__file__).resolve().parent.parent
 ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
 
@@ -37,3 +39,12 @@ def test_large_inputs_prints_one_json_line_per_case():
     result = json.loads(line)
     assert result["case"] == "lin1200" and result["outcome"] == "ok"
     assert result["seconds"] > 0 and result["rss_mb"] > 0
+
+
+def test_cli_diff_of_the_checkout_against_itself_finds_nothing():
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "cli_diff.py"), str(ROOT)],
+        capture_output=True, text=True, env=ENV, timeout=300,
+    )
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert done.stdout.splitlines() == [f"{2 * len(CASES)} runs, 0 differences"]
