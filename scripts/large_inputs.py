@@ -1,13 +1,15 @@
 #!/usr/bin/env python3
-"""Time the large inputs: axiom checks at high bounds and deep linearizations.
+"""Time the large inputs: axiom checks at high bounds, deep linearizations and
+Leibniz checks on convolutions of high degree.
 
 Each case runs in a fresh interpreter and prints one JSON line: its name, the
 seconds the call took (`time.perf_counter`, import excluded), the peak
-resident memory of the interpreter (`ru_maxrss`, MB) and the outcome, "ok" or
-the message of the DomainError raised, up to its first ";".
+resident memory of the interpreter (`ru_maxrss`, MB) and the outcome: "ok",
+"fail" for a check that fails, or the message of the DomainError raised, up to
+its first ";".
 
     python scripts/large_inputs.py               # every case, in the order below
-    python scripts/large_inputs.py lin1200 cheb80
+    python scripts/large_inputs.py lin1200 cheb80 leib120
 
 With `hypermoment` not installed, put `src` on PYTHONPATH.
 """
@@ -15,12 +17,30 @@ With `hypermoment` not installed, put `src` on PYTHONPATH.
 from __future__ import annotations
 
 import json
+import random
 import resource
 import subprocess
 import sys
 import time
 
-from hypermoment import DomainError, check_axioms, chebyshev, legendre, real_line
+from hypermoment import (
+    DomainError, Measure, check_axioms, chebyshev, derivation_from_moments, legendre, poly_derivative_moments,
+    rank_lift, real_line, verify_fourier_leibniz, verify_leibniz,
+)
+
+
+def leibniz120() -> bool:
+    """Both Leibniz checks of a rank-2 chebyshev family on 12 cyclic pairs of 8-point
+    measures in 0..60, so the convolutions reach degree 120; True when both pass."""
+    hg, rng = chebyshev(), random.Random(120)
+    family = derivation_from_moments(rank_lift(poly_derivative_moments(hg, 0.3, 3), [1, 0.5j]))
+    ms = [
+        Measure.from_items(hg, [(n, complex(rng.uniform(-1, 1), rng.uniform(-1, 1))) for n in rng.sample(range(61), 8)])
+        for _ in range(12)
+    ]
+    samples = [(ms[i], ms[(i + 1) % 12]) for i in range(12)]
+    return verify_leibniz(family, samples).passed and verify_fourier_leibniz(family, samples).passed
+
 
 CASES = {
     "cheb40": lambda: check_axioms(chebyshev(), 40),
@@ -32,6 +52,7 @@ CASES = {
     "lin1200": lambda: chebyshev().linearization(1200, 3),
     "lin3x1200": lambda: chebyshev().linearization(3, 1200),
     "lin5000": lambda: chebyshev().linearization(5000, 5000),
+    "leib120": leibniz120,
 }
 
 
@@ -39,8 +60,7 @@ def run(name: str) -> dict:
     """One case in this interpreter."""
     start = time.perf_counter()
     try:
-        CASES[name]()
-        outcome = "ok"
+        outcome = "fail" if CASES[name]() is False else "ok"
     except DomainError as exc:
         outcome = str(exc).split(";")[0]
     seconds = time.perf_counter() - start

@@ -173,6 +173,14 @@ def cmd_transform(args: argparse.Namespace, hg: Hypergroup) -> Report:
     return report
 
 
+def tolerance(text: str) -> Tolerance:
+    """A relative tolerance: a finite nonnegative float."""
+    try:
+        return Tolerance(rel=float(text))
+    except DomainError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The parser, built once per process; parsing leaves it unchanged."""
@@ -183,7 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--hypergroup", required=True, help="preset name or spec file path")
-    common.add_argument("--tol", type=float, default=None, help="relative tolerance override")
+    common.add_argument("--tol", type=tolerance, default=None, help="relative tolerance override")
     common.add_argument("--seed", type=int, default=0, help="seed for sampled checks")
     common.add_argument("--format", choices=("text", "json"), default="text")
     common.add_argument("--bound", type=bound, default=8, help="index/coordinate bound for sampling")
@@ -227,7 +235,7 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    args.tol = default_tolerance() if args.tol is None else Tolerance(rel=args.tol)
+    args.tol = args.tol or default_tolerance()
     try:
         hg = load_hypergroup(args.hypergroup)
         report = args.fn(args, hg)

@@ -8,9 +8,12 @@ polynomial arithmetic up to degree ~20.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .errors import DomainError
 
 
 @dataclass(frozen=True)
@@ -19,11 +22,18 @@ class Tolerance:
 
     A residual passes when it is at most ``max(abs_floor, rel * scale)``;
     callers normalise ``scale`` as the magnitude of the largest term in the
-    identity under test, clamped below by 1.
+    identity under test, clamped below by 1.  Both must be finite and
+    nonnegative: under NaN the two forms of the pass rule disagree.
     """
 
     rel: float = 1e-9
     abs_floor: float = 1e-12
+
+    def __post_init__(self) -> None:
+        if not all(math.isfinite(v) and v >= 0 for v in (self.rel, self.abs_floor)):
+            raise DomainError(
+                f"tolerance must be finite and nonnegative, got rel={self.rel}, abs_floor={self.abs_floor}"
+            )
 
     def bound(self, scale: float = 1.0) -> float:
         return max(self.abs_floor, self.rel * scale)

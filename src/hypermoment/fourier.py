@@ -242,16 +242,15 @@ def verify_fourier_leibniz(
         title="transform-side Leibniz rule",
         meta={"rank": family.rank, "order": family.order, "samples": len(samples)},
     )
-    lhs, applied = apply_family(family, samples)
-    mass = {key: m.total_mass() for key, m in applied.items()}
+    app = apply_family(family, samples)
+    # the total mass of every D_b m, summed in support order as `total_mass` sums
+    mass = np.zeros((len(app.slot) + len(samples), len(family.alphas)), dtype=complex)
+    np.add.at(mass, app.blocks, app.weights.T)
     beta, gamma, coef, _ = binomial_terms(tuple(family.alphas))
-    at_mu, at_nu = (
-        np.array([[mass[b, id(sample[side])] for sample in samples] for b in range(len(family.alphas))])
-        for side in (0, 1)
-    )
+    at_mu, at_nu = (mass[[app.slot[id(sample[side])] for sample in samples]].T for side in (0, 1))
     law = "d_a(mu^ nu^) = sum_{b<=a} binom(a,b) d_b mu^ d_{a-b} nu^, at the total-mass point"
     _identity_records(
-        report, "fourier-leibniz", law, family.alphas, np.array([[m.total_mass() for m in row] for row in lhs]),
+        report, "fourier-leibniz", law, family.alphas, mass[: len(samples)].T,
         coef[:, None] * complex_product(at_mu[beta], at_nu[gamma]), tol, lambda i: [*map(as_literal, samples[i])],
     )
     return report

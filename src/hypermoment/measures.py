@@ -188,27 +188,64 @@ def pair(mu: Measure, f: CFunction | Callable[[Point], Any]) -> complex:
 
 
 def convolve(mu: Measure, nu: Measure) -> Measure:
-    """Convolution, extended bilinearly from the hypergroup's point convolution:
-    the items wx * wy * w of every pair of support points, in pair order."""
-    _require_same(mu, nu)
-    hg = mu.hypergroup
-    sup = hg.pair_supports([(x, y) for x, _ in mu.support for y, _ in nu.support])
-    wxy = [wx * wy for _, wx in mu.support for _, wy in nu.support]
-    items = zip(sup.points, sup.rows.tolist(), sup.weights.tolist())
-    return Measure.from_items(hg, [(z, wxy[p] * complex(w)) for z, p, w in items])
+    """Convolution, extended bilinearly from the hypergroup's point convolution."""
+    points, _, weights = convolutions(mu.hypergroup, [(mu, nu)])
+    return Measure(mu.hypergroup, tuple(zip(points, weights.tolist())))
+
+
+def convolutions(hg: Any, samples: list[tuple[Measure, Measure]]) -> tuple[list, np.ndarray, np.ndarray]:
+    """mu*nu of every sample (mu, nu), from one `pair_supports` call, on one table:
+    weights[e] at the point points[e] of sample blocks[e].  The items wx * wy * w of
+    every pair of support points, in pair order, are merged per point as
+    `Measure.from_items` merges them: points validated, exact zeros dropped, a
+    non-finite item refused, points sorted.  For one sample the DomainError is the
+    one `from_items` raises; over several it need not be the first sample's."""
+    pairs, wxy, owner = [], [], []
+    for s, (mu, nu) in enumerate(samples):
+        _require_same(mu, nu)
+        pairs += [(x, y) for x, _ in mu.support for y, _ in nu.support]
+        wxy += [wx * wy for _, wx in mu.support for _, wy in nu.support]
+        owner += [s] * (len(mu.support) * len(nu.support))
+    sup = hg.pair_supports(pairs)
+    with np.errstate(all="ignore"):  # a non-finite item is refused below
+        items = complex_product(np.array(wxy, dtype=complex)[sup.rows], sup.weights)
+    bad = np.flatnonzero(~np.isfinite(items))
+    for x in dict.fromkeys(sup.points[: bad[0] + 1] if len(bad) else sup.points):
+        hg.validate_point(x)  # `from_items` validates each point before its weight
+    if len(bad):
+        raise DomainError(f"non-finite weight {complex(items[bad[0]])!r}")
+    keys, weights = merge(list(zip(np.array(owner, dtype=np.intp)[sup.rows].tolist(), sup.points)), items)
+    keep = np.flatnonzero(weights != 0).tolist()
+    return [keys[i][1] for i in keep], np.array([keys[i][0] for i in keep], dtype=np.intp), weights[keep]
+
+
+def merge(keys: list, items: np.ndarray) -> tuple[list, np.ndarray]:
+    """The items (along the first axis) summed per key in item order, the keys sorted:
+    the merge of `Measure.from_items`, which keeps the first of equal keys."""
+    order = sorted(dict.fromkeys(keys))
+    at = {key: i for i, key in enumerate(order)}
+    merged = np.zeros((len(order),) + items.shape[1:], dtype=complex)
+    np.add.at(merged, np.array([at[key] for key in keys], dtype=np.intp), items)
+    return order, merged
 
 
 def module_action(phi: CFunction | Callable[[Point], Any], mu: Measure) -> Measure:
-    """Multiplication of a measure by a function: weight at x becomes phi(x)*mu({x})."""
-    return multiply({x: _evaluate(phi, x) for x, _ in mu.support}, mu)
+    """Multiplication of a measure by a function: weight at x becomes phi(x)*mu({x}),
+    weighed by `multiply` once phi is evaluated at every point, exact zeros dropped."""
+    values = np.array([_evaluate(phi, x) for x, _ in mu.support], dtype=complex)
+    weights = multiply(values, np.array([w for _, w in mu.support], dtype=complex)).tolist()
+    return Measure(mu.hypergroup, tuple((x, w) for (x, _), w in zip(mu.support, weights) if w != 0))
 
 
-def multiply(values: Mapping[Point, complex], mu: Measure) -> Measure:
-    """mu with the weight at each support point x multiplied by values[x], canonical
-    as `Measure.from_items` leaves it: exact zeros dropped, a non-finite product
-    refused, each weight added to 0j (so a zero part is never -0.0)."""
-    weights = [(x, 0j + _to_complex(values[x] * w)) for x, w in mu.support]
-    return Measure(mu.hypergroup, tuple([item for item in weights if item[1] != 0]))
+def multiply(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """values * weights elementwise, as a canonical measure holds the products: each
+    added to 0j (so a zero part is never -0.0), the first non-finite one refused."""
+    with np.errstate(all="ignore"):  # a non-finite product is refused below
+        raw = complex_product(values, weights)
+    bad = np.flatnonzero(~np.isfinite(raw))
+    if len(bad):
+        raise DomainError(f"non-finite weight {complex(raw[bad[0]])!r}")
+    return 0j + raw
 
 
 def measure_residual(mu: Measure, nu: Measure) -> tuple[float, float]:

@@ -24,7 +24,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -32,7 +32,8 @@ from .config import Tolerance, default_tolerance
 from .errors import DomainError, PreconditionError
 from .hypergroups import FiniteHypergroup, Hypergroup, PolynomialHypergroup, RealLineHypergroup
 from .measures import (
-    CFunction, Measure, Point, _evaluate, as_literal, complex_abs, complex_product, convolve, multiply, pair,
+    CFunction, Measure, Point, _evaluate, as_literal, complex_abs, complex_product, convolve, convolutions, merge,
+    multiply, pair,
 )
 from .operators import (
     MeasureOperator,
@@ -421,79 +422,110 @@ def verify_leibniz(
         title="generalized Leibniz rule",
         meta={"rank": family.rank, "order": family.order, "samples": len(samples)},
     )
-    lhs, applied = apply_family(family, samples)
-    n = len(family.alphas)
+    app = apply_family(family, samples)
+    n, count = len(family.alphas), len(samples)
+    bounds = np.searchsorted(app.blocks, np.arange(count + len(app.slot) + 1)).tolist()
     beta, gamma, coef, _ = binomial_terms(tuple(family.alphas))
-    # the weights of every D_b m on the union of their supports, per sample measure m
-    grids = {}
-    for m in {id(m): m for sample in samples for m in sample}.values():
-        weights = [dict(applied[b, id(m)].support) for b in range(n)]
-        pts = sorted({p for w in weights for p in w})
-        grids[id(m)] = pts, np.array([[w.get(p, 0j) for p in pts] for w in weights], dtype=complex).reshape(n, -1)
-    starts, pairs = [], []
-    for mu, nu in samples:
-        starts.append(len(pairs))
-        pairs += [(x, y) for x in grids[id(mu)][0] for y in grids[id(nu)][0]]
-    sup = family.hypergroup.pair_supports(pairs)
+    # the pairs of entries of mu and of nu where some D_b weighs, per sample
+    live = (app.weights != 0).any(axis=0)
+    grid = {key: (np.flatnonzero(live[bounds[j] : bounds[j + 1]]) + bounds[j]).tolist() for key, j in app.slot.items()}
+    cells = [(s, x, y) for s, (mu, nu) in enumerate(samples) for x in grid[id(mu)] for y in grid[id(nu)]]
+    owner, ex, ey = np.array(cells, dtype=np.intp).reshape(-1, 3).T
+    sup = family.hypergroup.pair_supports([(app.points[x], app.points[y]) for _, x, y in cells])
     values = [{p: _evaluate(f, p) for p in dict.fromkeys(sup.points)} for f in probes]
-    lv = np.array([[[pair(m, f) for f in probes] for m in row] for row in lhs], dtype=complex)
-    terms = np.zeros((len(beta),) + lv.shape[1:], dtype=complex)
-    bounds = np.searchsorted(sup.rows, starts + [len(pairs)]).tolist()
-    for s, (mu, nu) in enumerate(samples):
-        # D_b mu * D_c nu for every term, merged per point in the order `convolve` adds its items
-        entries = slice(bounds[s], bounds[s + 1])
-        (_, a_mu), (ys, c_nu) = grids[id(mu)], grids[id(nu)]
-        rows = sup.rows[entries] - starts[s]
-        points, at = np.unique(sup.points[entries], return_inverse=True)
-        items = complex_product(a_mu[beta][:, rows // len(ys)], c_nu[gamma][:, rows % len(ys)])
-        merged = np.zeros((len(points), len(beta)), dtype=complex)
-        np.add.at(merged, at, items.T * sup.weights[entries, None])
-        for q in range(len(probes)):
-            # then paired with the probe, summed in point order as `pair` sums
-            at_f = np.array([values[q][p] for p in points.tolist()], dtype=complex)
-            paired = np.zeros((1, len(beta)), dtype=complex)
-            np.add.at(paired, np.zeros(len(points), dtype=np.intp), complex_product(at_f[:, None], merged * coef))
-            terms[:, s, q] = paired[0]
+    # D_a(mu*nu) paired with each probe, summed in support order as `pair` sums; a point no
+    # term reaches is evaluated where `pair` first meets it: by alpha, sample, probe, point
+    points, lhs = app.points[: bounds[count]], app.weights[:, : bounds[count]]
+    late = [s for s in range(count) if any(p not in values[0] for p in points[bounds[s] : bounds[s + 1]])]
+    for a, s, (f, table) in itertools.product(range(n), late, zip(probes, values)):
+        for e in range(bounds[s], bounds[s + 1]):
+            if lhs[a, e] != 0 and points[e] not in table:
+                table[points[e]] = _evaluate(f, points[e])
+    at_f = np.array([[table.get(p, 0j) for p in points] for table in values], dtype=complex).reshape(len(probes), -1)
+    lv = np.zeros((count, n, len(probes)), dtype=complex)
+    paired = np.where(lhs[:, None] != 0, complex_product(at_f, lhs[:, None]), 0)
+    np.add.at(lv, app.blocks[: bounds[count]], paired.transpose(2, 0, 1))
+    # D_b mu * D_c nu for every term, merged per point in the order `convolve` adds its items,
+    # then paired with each probe, summed in point order
+    items = complex_product(app.weights[beta[:, None], ex[sup.rows]], app.weights[gamma[:, None], ey[sup.rows]])
+    keys, merged = merge(list(zip(owner[sup.rows].tolist(), sup.points)), (items * sup.weights).T)
+    terms = np.zeros((count, len(probes), len(beta)), dtype=complex)
+    for q, table in enumerate(values):
+        paired = complex_product(np.array([table[p] for _, p in keys], dtype=complex)[:, None], merged * coef)
+        np.add.at(terms[:, q], np.array([s for s, _ in keys], dtype=np.intp), paired)
     law = "D_a(mu*nu) = sum_{b<=a} binom(a,b) D_b mu * D_{a-b} nu, paired with probes"
     details = ("order 0: reduces to multiplicativity of D_0", "order 1: reduces to D_0 mu * D_a nu + D_a mu * D_0 nu")
     _identity_records(
-        report, "leibniz", law, family.alphas, lv, terms, tol,
+        report, "leibniz", law, family.alphas, lv.transpose(1, 0, 2), terms.transpose(2, 0, 1), tol,
         lambda i: [*map(as_literal, samples[i // len(probes)])], details,
     )
     return report
 
 
-def apply_family(
-    family: DerivationFamily, samples: list[tuple[Measure, Measure]]
-) -> tuple[list[list[Measure]], dict[tuple[int, int], Measure]]:
-    """Apply the family in the order a loop over alphas and samples first needs it:
-    D_a(mu*nu), then D_a nu and D_a mu (D_0 mu, then D_0 nu), each once.  An
-    operator with a symbol multiplies by it, evaluated once per point in the order
-    that loop first meets the points; any other operator is called.  Returns
-    D_a(mu*nu) by [alpha row][sample] and D_a of a sample measure by (alpha row, id)."""
-    convs: list[Measure] = []
-    lhs: list[list[Measure]] = []
-    applied: dict[tuple[int, int], Measure] = {}
-    for a, alpha in enumerate(family.alphas):
-        op = family.op(alpha)
-        apply = op if op.symbol is None else functools.partial(_multiply_from, op.symbol, {})
-        lhs.append([])
-        for s, (mu, nu) in enumerate(samples):
-            if a == 0:
-                convs.append(convolve(mu, nu))
-            lhs[a].append(apply(convs[s]))
-            for m in (mu, nu) if a == 0 else (nu, mu):
-                if (a, id(m)) not in applied:
-                    applied[a, id(m)] = apply(m)
-    return lhs, applied
+class Applied(NamedTuple):
+    """D_a of mu*nu for every sample (blocks 0..S-1, in sample order) and of every
+    distinct sample measure m (block slot[id(m)]) on one table: entry e is the point
+    points[e] of block blocks[e], in support order, and weights[a, e] is the weight
+    of D_a there, 0j where D_a drops the point."""
+
+    points: list
+    blocks: np.ndarray
+    weights: np.ndarray
+    slot: dict[int, int]
 
 
-def _multiply_from(phi: CFunction, table: dict[Point, complex], m: Measure) -> Measure:
-    """phi * m, evaluating phi only at the points of m that `table` lacks, in support order."""
-    for x, _ in m.support:
-        if x not in table:
-            table[x] = _evaluate(phi, x)
-    return multiply(table, m)
+def apply_family(family: DerivationFamily, samples: list[tuple[Measure, Measure]]) -> Applied:
+    """Apply the family as a loop over alphas and samples first needs it: D_a(mu*nu),
+    then D_a mu and D_a nu (D_a nu first after alpha 0), each once, on one table.  An
+    operator with a symbol multiplies by it as `module_action` does, evaluating it once
+    per distinct point in the order that loop first meets the points, so the first
+    DomainError is the loop's.  Any other operator is called on each measure, and the
+    support it returns joins the table."""
+    hg, alphas, failure = family.hypergroup, family.alphas, None
+    try:
+        points, blocks, weights = convolutions(hg, samples)
+    except DomainError:
+        for s in range(len(samples)):  # the loop applies D_0 to the samples before the first it cannot convolve
+            try:
+                convolutions(hg, samples[s : s + 1])
+            except DomainError as exc:
+                failure, samples, alphas = exc, samples[:s], alphas[:1]
+                break
+        points, blocks, weights = convolutions(hg, samples)
+    measures = list({id(m): m for sample in samples for m in sample}.values())
+    slot = {id(m): len(samples) + j for j, m in enumerate(measures)}
+    points += [x for m in measures for x, _ in m.support]
+    sizes = [len(m.support) for m in measures]
+    blocks = np.concatenate([blocks, np.repeat(np.arange(len(measures)) + len(samples), sizes)])
+    weights = np.concatenate([weights, np.array([w for m in measures for _, w in m.support], dtype=complex)])
+    bounds = np.searchsorted(blocks, np.arange(len(samples) + len(measures) + 1)).tolist()
+    seqs = [dict.fromkeys(b for s, pair in enumerate(samples) for b in (s, *(slot[id(m)] for m in pair[::step])))
+            for step in (1, -1)]
+    table, calls, rows, cols, got = np.zeros((len(alphas), len(points)), dtype=complex), [], [], [], []
+    try:
+        for a, alpha in enumerate(alphas):
+            op, at = family.op(alpha), {}
+            for j in seqs[a > 0]:
+                span = slice(bounds[j], bounds[j + 1])
+                if op.symbol is None:
+                    out = op(Measure(hg, tuple(zip(points[span], weights[span].tolist()))))
+                    calls += [(j, x, a, w) for x, w in out.support]
+                else:
+                    got += [at[x] if x in at else at.setdefault(x, _evaluate(op.symbol, x)) for x in points[span]]
+                    rows += [a] * (span.stop - span.start)
+                    cols += range(span.start, span.stop)
+    finally:  # the loop multiplies each measure once its points are evaluated, so a non-finite
+        # product on the measures before a failure is the error it raises
+        table[rows, cols] = multiply(np.array(got, dtype=complex), weights[cols])
+    if failure:
+        raise failure
+    if calls:  # the supports the operators return join the table, each block's points sorted
+        extra = np.zeros((len(calls), len(alphas)), dtype=complex)
+        extra[np.arange(len(calls)), [a for _, _, a, _ in calls]] = [w for *_, w in calls]
+        keys, table = merge(list(zip(blocks.tolist(), points)) + [(j, x) for j, x, _, _ in calls],
+                            np.concatenate([table.T, extra]))
+        points, blocks, table = [x for _, x in keys], np.array([j for j, _ in keys], dtype=np.intp), table.T
+    return Applied(points, blocks, table, slot)
 
 
 def verify_d0_derivation(

@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import json
+import math
 
 import pytest
 
 from hypermoment import (
+    DomainError,
     FiniteHypergroup,
     PolynomialHypergroup,
     RealLineHypergroup,
@@ -15,6 +17,7 @@ from hypermoment import (
     check_axioms,
 )
 from hypermoment.cli import main
+from hypermoment.config import Tolerance
 from hypermoment.measures import as_literal
 from hypermoment.io import (
     family_from_literal,
@@ -484,6 +487,32 @@ class TestCliExitCodes:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith(start) and message in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["transform", "--hypergroup", "chebyshev", "--measure", "[[3,1]]", "--z", "0.5"],
+            ["verify-moments", "--hypergroup", "chebyshev", "--family", POLY_FAMILY, "--order", "2", "--bound", "3"],
+        ],
+        ids=["transform", "verify-moments"],
+    )
+    def test_tolerance_outside_the_reals_is_usage_error(self, argv, value, capsys):
+        # under --tol nan the transform check passed (exit 0) while the moment identities failed (exit 1)
+        assert main(argv + [f"--tol={value}"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: hypermoment") and "error: argument --tol: tolerance must be finite" in err
+
+    def test_tolerance_zero_still_runs(self, capsys):
+        argv = ["transform", "--hypergroup", "chebyshev", "--measure", "[[3,1]]", "--z", "0.5", "--tol", "0"]
+        assert main(argv + ["--format", "json"]) in (0, 1)
+        assert json.loads(capsys.readouterr().out)["meta"]["tolerance"] == 0.0
+
+    @pytest.mark.parametrize("rel,abs_floor", [(math.nan, 1e-12), (math.inf, 1e-12), (-1e-9, 1e-12), (1e-9, math.nan),
+                                               (1e-9, -1e-12), (1e-9, math.inf)])
+    def test_tolerance_refuses_values_outside_the_reals(self, rel, abs_floor):
+        with pytest.raises(DomainError, match="tolerance must be finite and nonnegative"):
+            Tolerance(rel=rel, abs_floor=abs_floor)
 
 
 class TestTextEpilogue:

@@ -9,10 +9,13 @@ the transform-side loop with the total mass of each measure in place of its
 monomial-basis transform evaluated at z = 1.  `reference_is_multiplicative_hom`
 and `reference_verify_d0_derivation` are the worst-case loops of the operator
 checks, which now hand arrays of residuals to `Report.add_worst`.
-`reference_eval_poly_derivative` (one recurrence run per order) and
-`reference_apply_family` (every operator called on every measure, a module
-homomorphism through `Measure.from_items`) are the code the derivative rows and
-the symbol tables replace; those two must agree bit for bit.  The
+`reference_eval_poly_derivative` (one recurrence run per order) is the code the
+derivative rows replace and must agree bit for bit.  `head_verify_leibniz` and
+`head_verify_fourier_leibniz` are the two Leibniz checks as they read on Measure
+loops, over `reference_apply_family` (every operator called on every measure, a
+module homomorphism through `Measure.from_items`, each convolution by
+`head_convolve`, the item loop `measures.convolve` ran); the array application
+must give their JSON to the byte, or their error message.  The
 kernel must give the same records in the same order, with the same statuses, details and
 counterexample alpha and points; residuals, scales and the two sides named in
 a counterexample agree within 1e-11 of the scale, two orders under the
@@ -62,9 +65,11 @@ from hypermoment import (
     verify_moment_sequence,
     zero_operator,
 )
+import numpy as np
+
 from hypermoment.config import default_tolerance, scale_of
-from hypermoment.measures import _evaluate, as_literal
-from hypermoment.moments import apply_family, index_order, index_sub
+from hypermoment.measures import _evaluate, as_literal, complex_product
+from hypermoment.moments import _identity_records, apply_family, binomial_terms, index_order, index_sub, indices_up_to
 from tests.test_kernel import reference_convolve, reference_rule
 
 # ---------------------------------------------------------------------------
@@ -349,6 +354,9 @@ def test_realline_leibniz_with_probes():
             assert_same(
                 verify_leibniz(family, samples, probes), reference_verify_leibniz(family, samples, probes)
             )
+            assert_same_application(family, samples, probes)
+            # a probe infinite at 0, where every D_a with a > 0 drops the point: `pair` never meets it there
+            assert_same_application(family, samples, [CFunction(lambda x: math.inf if x == 0 else 1.0)])
 
 
 @pytest.mark.parametrize("make", [chebyshev, legendre, real_line, lambda: two_point(0.6), lambda: cyclic(6),
@@ -429,6 +437,7 @@ def test_undefined_convolution_gives_the_loop_error():
         assert_same_outcome(
             lambda: verify_leibniz(family, both), lambda: reference_verify_leibniz(family, both)
         )
+        assert_same_application(family, both)
 
 
 def test_invalid_point_gives_the_loop_error():
@@ -480,6 +489,7 @@ def test_failing_entry_gives_the_loop_error(entry, broken):
     )
         assert_same_outcome(lambda: verify_fourier_leibniz(family, samples),
                             lambda: reference_verify_fourier_leibniz(family, samples))
+        assert_same_application(family, samples)
 
 
 # ---------------------------------------------------------------------------
@@ -508,6 +518,31 @@ def reference_eval_poly_derivative(hg: PolynomialHypergroup, n: int, z: complex,
     return cur[k]
 
 
+def head_convolve(mu, nu) -> Measure:
+    """measures.convolve as it read: the items wx * wy * w of every pair, in pair order, through `from_items`."""
+    if mu.hypergroup != nu.hypergroup:
+        raise DomainError("measures live on different hypergroups")
+    hg = mu.hypergroup
+    sup = hg.pair_supports([(x, y) for x, _ in mu.support for y, _ in nu.support])
+    wxy = [wx * wy for _, wx in mu.support for _, wy in nu.support]
+    items = zip(sup.points, sup.rows.tolist(), sup.weights.tolist())
+    return Measure.from_items(hg, [(z, wxy[p] * complex(w)) for z, p, w in items])
+
+
+def test_convolve_matches_its_item_loop():
+    # points validated before their weight, a non-finite item refused, -0.0 and 0.0 merged
+    # into the first, exact zeros dropped, points sorted: the merge `from_items` made
+    line, cheb = real_line(), chebyshev()
+    measures = [Measure.from_items(line, items) for items in (
+        [], [(1e308, 1.0), (0.5, 2.0)], [(0.0, 1e200), (1.0, 1.0)], [(1e308, 1e200)], [(-0.0, 1.0), (0.5, -1.0)],
+        [(0.0, 1.0), (-0.5, 1.0), (-1.0, 0.5j)], [(0.25, 1e-200), (-0.25, -1e-200j)])]
+    measures += [Measure.from_items(cheb, items) for items in (
+        [(0, 1.0), (2, -0.5)], [(3, 1e200), (1, 1.0)], [(1, 0.5), (3, 0.5)], [(2, 1.0), (5, 0.25j)])]
+    for mu in measures:
+        for nu in measures:
+            assert repr(outcome(lambda: convolve(mu, nu).support)) == repr(outcome(lambda: head_convolve(mu, nu).support))
+
+
 def reference_apply_family(family, samples):
     def apply(op, m):
         if op.symbol is None:
@@ -520,7 +555,7 @@ def reference_apply_family(family, samples):
         lhs.append([])
         for s, (mu, nu) in enumerate(samples):
             if a == 0:
-                convs.append(convolve(mu, nu))
+                convs.append(head_convolve(mu, nu))
             lhs[a].append(apply(op, convs[s]))
             for m in (mu, nu) if a == 0 else (nu, mu):
                 if (a, id(m)) not in applied:
@@ -582,25 +617,83 @@ def test_moment_entries_read_one_bounded_row_memo(monkeypatch):
     assert outcome(lambda: seq.phi((1,))(2.0)) == want != outcome(lambda: seq.phi((1,))(2))
 
 
-def assert_same_application(family, samples) -> None:
-    """apply_family bit for bit against the reference, or the same error; then the records."""
-    got = outcome(lambda: apply_family(family, samples))
-    want = outcome(lambda: reference_apply_family(family, samples))
-    if isinstance(want, str):
-        assert got == want
-    else:
-        assert [[bits(m.support) for m in row] for row in got[0]] == [[bits(m.support) for m in row] for row in want[0]]
-        assert {k: bits(m.support) for k, m in got[1].items()} == {k: bits(m.support) for k, m in want[1].items()}
-    checks = [verify_leibniz]
+def head_verify_leibniz(family, samples, f_probe=None) -> Report:
+    """verify_leibniz as it read on Measure loops: its grids rebuilt from every D_b m
+    that `reference_apply_family` makes, D_a(mu*nu) paired with `pair`."""
+    tol = default_tolerance()
+    probes = list(f_probe) if f_probe else [CFunction.constant(1.0)]
+    report = Report(
+        title="generalized Leibniz rule",
+        meta={"rank": family.rank, "order": family.order, "samples": len(samples)},
+    )
+    lhs, applied = reference_apply_family(family, samples)
+    n = len(family.alphas)
+    beta, gamma, coef, _ = binomial_terms(tuple(family.alphas))
+    grids = {}
+    for m in {id(m): m for sample in samples for m in sample}.values():
+        weights = [dict(applied[b, id(m)].support) for b in range(n)]
+        pts = sorted({p for w in weights for p in w})
+        grids[id(m)] = pts, np.array([[w.get(p, 0j) for p in pts] for w in weights], dtype=complex).reshape(n, -1)
+    starts, pairs = [], []
+    for mu, nu in samples:
+        starts.append(len(pairs))
+        pairs += [(x, y) for x in grids[id(mu)][0] for y in grids[id(nu)][0]]
+    sup = family.hypergroup.pair_supports(pairs)
+    values = [{p: _evaluate(f, p) for p in dict.fromkeys(sup.points)} for f in probes]
+    lv = np.array([[[pair(m, f) for f in probes] for m in row] for row in lhs], dtype=complex)
+    terms = np.zeros((len(beta),) + lv.shape[1:], dtype=complex)
+    bounds = np.searchsorted(sup.rows, starts + [len(pairs)]).tolist()
+    for s, (mu, nu) in enumerate(samples):
+        entries = slice(bounds[s], bounds[s + 1])
+        (_, a_mu), (ys, c_nu) = grids[id(mu)], grids[id(nu)]
+        rows = sup.rows[entries] - starts[s]
+        points, at = np.unique(sup.points[entries], return_inverse=True)
+        items = complex_product(a_mu[beta][:, rows // len(ys)], c_nu[gamma][:, rows % len(ys)])
+        merged = np.zeros((len(points), len(beta)), dtype=complex)
+        np.add.at(merged, at, items.T * sup.weights[entries, None])
+        for q in range(len(probes)):
+            at_f = np.array([values[q][p] for p in points.tolist()], dtype=complex)
+            paired = np.zeros((1, len(beta)), dtype=complex)
+            np.add.at(paired, np.zeros(len(points), dtype=np.intp), complex_product(at_f[:, None], merged * coef))
+            terms[:, s, q] = paired[0]
+    law = "D_a(mu*nu) = sum_{b<=a} binom(a,b) D_b mu * D_{a-b} nu, paired with probes"
+    details = ("order 0: reduces to multiplicativity of D_0", "order 1: reduces to D_0 mu * D_a nu + D_a mu * D_0 nu")
+    _identity_records(
+        report, "leibniz", law, family.alphas, lv, terms, tol,
+        lambda i: [*map(as_literal, samples[i // len(probes)])], details,
+    )
+    return report
+
+
+def head_verify_fourier_leibniz(family, samples) -> Report:
+    """verify_fourier_leibniz as it read: the total mass of every Measure `reference_apply_family` makes."""
+    tol = default_tolerance()
+    report = Report(
+        title="transform-side Leibniz rule",
+        meta={"rank": family.rank, "order": family.order, "samples": len(samples)},
+    )
+    lhs, applied = reference_apply_family(family, samples)
+    mass = {key: m.total_mass() for key, m in applied.items()}
+    beta, gamma, coef, _ = binomial_terms(tuple(family.alphas))
+    at_mu, at_nu = (
+        np.array([[mass[b, id(sample[side])] for sample in samples] for b in range(len(family.alphas))])
+        for side in (0, 1)
+    )
+    law = "d_a(mu^ nu^) = sum_{b<=a} binom(a,b) d_b mu^ d_{a-b} nu^, at the total-mass point"
+    _identity_records(
+        report, "fourier-leibniz", law, family.alphas, np.array([[m.total_mass() for m in row] for row in lhs]),
+        coef[:, None] * complex_product(at_mu[beta], at_nu[gamma]), tol, lambda i: [*map(as_literal, samples[i])],
+    )
+    return report
+
+
+def assert_same_application(family, samples, probes=None) -> None:
+    """Both Leibniz checks against their Measure-loop forms: the same JSON to the byte, or the same error."""
+    got = outcome(lambda: verify_leibniz(family, samples, probes).to_json())
+    assert got == outcome(lambda: head_verify_leibniz(family, samples, probes).to_json())
     if isinstance(family.hypergroup, PolynomialHypergroup):
-        checks.append(verify_fourier_leibniz)
-    for check in checks:
-        got = outcome(lambda: check(family, samples).to_json())
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(hypermoment.moments, "apply_family", reference_apply_family)
-            mp.setattr(hypermoment.fourier, "apply_family", reference_apply_family)
-            want = outcome(lambda: check(family, samples).to_json())
-        assert got == want
+        got = outcome(lambda: verify_fourier_leibniz(family, samples).to_json())
+        assert got == outcome(lambda: head_verify_fourier_leibniz(family, samples).to_json())
 
 
 @pytest.mark.parametrize("case", CORPUS, ids=IDS)
@@ -632,11 +725,132 @@ def test_symbol_tables_on_edge_symbols(make):
     symbol_lists = [
         [phi.phi((0,)), raising], [phi.phi((0,)), phi.phi((1,)), raising], [raising, phi.phi((1,))],
         [phi.phi((0,)), infinite], [infinite, phi.phi((1,))], [phi.phi((0,)), zeros, zeros],
-        [phi.phi((0,)), None, phi.phi((2,))], [None, phi.phi((1,)), None], [zeros, None],
+        [phi.phi((0,)), None, phi.phi((2,))], [None, phi.phi((1,)), None], [zeros, None], [infinite, raising],
     ]
+    heavy = Measure.from_items(hg, [(2, 1e200), (5, 1.0)])  # its square overflows: mu*nu is refused
     for symbols in symbol_lists:
-        assert_same_application(_family(hg, symbols), samples)
+        for these in (samples, samples[:2] + [(heavy, heavy)] + samples[2:], [(heavy, heavy)] + samples):
+            assert_same_application(_family(hg, symbols), these)
     assert outcome(lambda: apply_family(_family(hg, symbol_lists[0]), samples)).startswith(
         "DomainError: function evaluation failed at point ")
     assert outcome(lambda: apply_family(_family(hg, symbol_lists[3]), samples)).startswith(
         "DomainError: non-finite weight")
+
+
+def test_leibniz_points_are_met_in_the_loop_order():
+    # the loop applies D_a to mu*nu, then to mu for alpha 0 and to nu first for the others
+    hg = chebyshev()
+    base = poly_derivative_moments(hg, 0.4, 2)
+    bad = CFunction.from_table({n: 1.0 for n in range(20) if n not in (2, 5)})
+    mu, nu = Measure.from_items(hg, [(2, 1.0)]), Measure.from_items(hg, [(5, 0.5)])  # mu*nu sits at 3 and 7
+    for k in range(3):
+        family = _family(hg, [bad if j == k else base.phi((j,)) for j in range(3)])
+        assert outcome(lambda: apply_family(family, [(mu, nu)])) == (
+            f"DomainError: function table has no value at point {2 if k == 0 else 5}")
+        assert_same_application(family, [(mu, nu)])
+    # infinite at 9, failing at 10: the loop evaluates a measure's points before it multiplies
+    both = CFunction(lambda n: math.inf if n == 9 else 1.0 / (n - 10))
+    family = _family(hg, [base.phi((0,)), both])
+    samples = [(Measure.from_items(hg, [(9, 1.0), (10, 1.0)]), Measure.from_items(hg, [(0, 1.0)]))]
+    assert outcome(lambda: apply_family(family, samples)).startswith("DomainError: function evaluation failed at point 10")
+    assert_same_application(family, samples)
+    # infinite at 3, failing at 2: the loop multiplies mu*nu (at 3 and 7) before it meets mu's point
+    across = CFunction(lambda n: math.inf if n == 3 else 1.0 / (n - 2))
+    family = _family(hg, [base.phi((0,)), across])
+    assert outcome(lambda: apply_family(family, [(mu, nu)])).startswith("DomainError: non-finite weight")
+    assert_same_application(family, [(mu, nu)])
+
+
+def test_convolution_errors_come_where_the_loop_meets_them():
+    # mu*nu of a sample is refused (a sum leaves the floats, or a weight overflows) only after
+    # D_0 has met the samples before it; exp(800) overflows, so D_0 fails at 800
+    line = real_line()
+    family = derivation_from_moments(realline_moments(1.0, 2, line), skip_verification=True)
+    big, far, heavy, small = (Measure.from_items(line, items) for items in (
+        [(1e308, 1.0), (0.5, 2.0)], [(800.0, 1.0)], [(0.0, 1e200)], [(0.25, 1.0), (-0.5, 0.5j)]))
+    for bad in (big, heavy):
+        for samples in ([(small, small), (bad, bad)], [(far, small), (bad, bad)], [(bad, bad), (far, small)]):
+            assert_same_application(family, samples)
+    assert outcome(lambda: apply_family(family, [(small, small), (big, big)])) == "DomainError: point inf is not finite"
+
+
+@pytest.mark.parametrize("make", [chebyshev, legendre])
+def test_a_point_every_derivation_drops_leaves_the_grid(make, monkeypatch):
+    # every D_b is zero at 2, a point of every sample measure: the term grid leaves it out,
+    # while D_a(mu*nu) keeps weight at points only pairs with 2 reach (the probe meets them late)
+    hg = make()
+    phi = poly_derivative_moments(hg, 0.4 + 0.1j, 2)
+    family = _family(hg, [CFunction(lambda n, f=phi.phi((k,)): 0.0 if n == 2 else f(n)) for k in range(3)])
+    ms = [Measure.from_items(hg, [(2, 1.0), (x, complex(0.5, -0.2 * x))]) for x in (0, 1, 3, 5)]
+    samples = [(ms[i], ms[(i + 1) % 4]) for i in range(4)] + [(ms[3], Measure.from_items(hg, [(2, 0.7j)]))]
+    assert_same_application(family, samples)
+    seen = []
+    run = hg.pair_supports
+    monkeypatch.setattr(hg, "pair_supports", lambda pairs: seen.append(list(pairs)) or run(pairs))
+    verify_leibniz(family, samples)
+    conv, grid = seen
+    assert any(2 in pair for pair in conv) and not any(2 in pair for pair in grid)
+
+
+def test_no_samples_give_an_empty_table():
+    family = derivation_from_moments(poly_derivative_moments(chebyshev(), 0.3, 2), skip_verification=True)
+    app = apply_family(family, [])
+    assert (app.points, app.blocks.tolist(), app.weights.shape, app.slot) == ([], [], (3, 0), {})
+    assert reference_apply_family(family, []) == ([[], [], []], {})
+    for check in (verify_leibniz, verify_fourier_leibniz):  # the checks refuse them, as they did
+        with pytest.raises(ValueError, match="samples must be nonempty"):
+            check(family, [])
+
+
+def test_one_application_per_check(monkeypatch):
+    # a rank-2 family on 6 samples: one convolution call, one term grid, no Measure convolution,
+    # and every symbol evaluated at most once per distinct point in each check
+    hg = chebyshev()
+    seq = rank_lift(poly_derivative_moments(hg, 0.3, 3), [1.0, 0.5j])
+    evals = []
+    entries = {
+        alpha: make_module_hom(hg, CFunction(lambda n, a=alpha: evals.append((a, n)) or seq.phi(a)(n)))
+        for alpha in indices_up_to(2, 3)
+    }
+    family = DerivationFamily(hg, 2, 3, entries)
+    rng = random.Random(6)
+    ms = [measure(hg, rng, range(8), k=3) for _ in range(6)]
+    samples = [(ms[i], ms[(i + 1) % 6]) for i in range(6)]
+    calls = []
+    run = hg.pair_supports
+    monkeypatch.setattr(hg, "pair_supports", lambda pairs: calls.append("pair_supports") or run(pairs))
+    for module in (hypermoment.measures, hypermoment.moments):
+        monkeypatch.setattr(module, "convolve", lambda *args: calls.append("convolve"))
+    for check, want in ((verify_leibniz, ["pair_supports"] * 2), (verify_fourier_leibniz, ["pair_supports"])):
+        calls.clear(), evals.clear()
+        assert check(family, samples).passed
+        assert calls == want
+        assert len(evals) == len(set(evals)) > 0
+
+
+def test_random_families_match_the_measure_loops():
+    # edge symbols (none, zero at a point, infinite, failing), zero and duplicate measures, heavy
+    # weights, -0.0 and 1e308 on the real line, and probes, mixed at random
+    rng = random.Random(2024)
+    for _ in range(80):
+        name = rng.choice(["chebyshev", "legendre", "realline", "Z5"])
+        hg = {"chebyshev": chebyshev, "legendre": legendre, "realline": real_line, "Z5": lambda: cyclic(5)}[name]()
+        points = {"realline": [-1.0, -0.5, -0.0, 0.0, 0.5, 1e308], "Z5": list(range(5))}.get(name, list(range(9)))
+        order, z = rng.randint(0, 3), complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+        if name == "Z5":
+            phi0 = enumerate_exponentials(hg)[1]
+            seq = MomentSequence.build(hg, 1, order, lambda a: phi0 if not any(a) else CFunction.constant(0.3), check_phi0=False)
+        else:
+            seq = realline_moments(z, order, hg) if name == "realline" else poly_derivative_moments(hg, z, order)
+        symbols = []
+        for k in range(order + 1):
+            f, edge = seq.phi((k,)), rng.random()
+            symbols.append(None if edge < 0.1 and name != "realline" else
+                           CFunction(lambda x, f=f: 0.0 if x == points[1] else f(x)) if edge < 0.2 else
+                           CFunction(lambda x, f=f: math.inf if x == points[2] else f(x)) if edge < 0.25 else
+                           CFunction(lambda x, f=f: f(x) if x == points[0] else 1.0 / (x - points[3])) if edge < 0.3 else f)
+        ms = [Measure.from_items(hg, [(x, complex(rng.choice([1e200, 1.0, -0.5, rng.uniform(-1, 1)]), rng.uniform(-1, 1)))
+                                      for x in rng.sample(points, rng.randint(0, 3))]) for _ in range(rng.randint(1, 4))]
+        samples = [(rng.choice(ms), rng.choice(ms)) for _ in range(rng.randint(1, 4))]
+        probes = rng.choice([None, [CFunction(lambda x: cmath.exp(0.1j * x)), CFunction.constant(2.0)]])
+        assert_same_application(_family(hg, symbols), samples, probes)
