@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-"""Time the large inputs: axiom checks at high bounds, deep linearizations and
-Leibniz checks on convolutions of high degree.
+"""Time the large inputs: axiom checks at high bounds, deep linearizations,
+Leibniz checks on convolutions of high degree and a transform of degree 200.
 
 Each case runs in a fresh interpreter and prints one JSON line: its name, the
 seconds the call took (`time.perf_counter`, import excluded), the peak
@@ -9,13 +9,15 @@ resident memory of the interpreter (`ru_maxrss`, MB) and the outcome: "ok",
 its first ";".
 
     python scripts/large_inputs.py               # every case, in the order below
-    python scripts/large_inputs.py lin1200 cheb80 leib120
+    python scripts/large_inputs.py lin1200 cheb80 leib120 transform200
 
 With `hypermoment` not installed, put `src` on PYTHONPATH.
 """
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import random
 import resource
@@ -27,6 +29,7 @@ from hypermoment import (
     DomainError, Measure, check_axioms, chebyshev, derivation_from_moments, legendre, poly_derivative_moments,
     rank_lift, real_line, verify_fourier_leibniz, verify_leibniz,
 )
+from hypermoment.cli import main as cli_main
 
 
 def leibniz120() -> bool:
@@ -42,6 +45,14 @@ def leibniz120() -> bool:
     return verify_leibniz(family, samples).passed and verify_fourier_leibniz(family, samples).passed
 
 
+def transform200() -> bool:
+    """`transform` of 0.5 P_3 + P_200 on legendre with derivatives up to order 3 at
+    z = 0.9, its report discarded; True when it exits 0."""
+    argv = ["transform", "--hypergroup", "legendre", "--measure", "[[3,0.5],[200,1]]", "--z", "0.9", "--k", "3"]
+    with contextlib.redirect_stdout(io.StringIO()):
+        return cli_main(argv) == 0
+
+
 CASES = {
     "cheb40": lambda: check_axioms(chebyshev(), 40),
     "cheb80": lambda: check_axioms(chebyshev(), 80),
@@ -53,6 +64,7 @@ CASES = {
     "lin3x1200": lambda: chebyshev().linearization(3, 1200),
     "lin5000": lambda: chebyshev().linearization(5000, 5000),
     "leib120": leibniz120,
+    "transform200": transform200,
 }
 
 

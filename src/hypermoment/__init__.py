@@ -24,6 +24,7 @@ from .fourier import (
     poly_residual,
     taylor_reconstruct,
     transform,
+    transform_derivatives,
     transform_eval,
     verify_fourier_leibniz,
     verify_transform_multiplicativity,

@@ -17,7 +17,7 @@ from typing import Callable
 from .config import Tolerance, default_tolerance
 from .errors import DomainError, HypermomentError, PreconditionError, SpecError
 from .fourier import (
-    _derivative_identity, derivative_moments, poly_residual, taylor_reconstruct, transform, verify_fourier_leibniz,
+    check_derivative_identity, derivative_moments, poly_residual, taylor_reconstruct, transform, verify_fourier_leibniz,
 )
 from .hypergroups import (
     FiniteHypergroup, Hypergroup, PolynomialHypergroup, RealLineHypergroup, check_axioms, enumerate_exponentials,
@@ -156,10 +156,8 @@ def cmd_transform(args: argparse.Namespace, hg: Hypergroup) -> Report:
     report = Report(title="transform", meta={"coefficients": coefficients, "polynomial": poly.pretty()})
     report.add("transform", "mu^(z) = sum_n mu({n}) P_n(z)", True, detail=poly.pretty())
     if args.z is not None:
-        z = complex(args.z)
-        report.meta["value"] = [poly(z).real, poly(z).imag]
-        for k, lhs in enumerate(derivative_moments(hg, mu, args.k, z)):
-            _derivative_identity(report, mu, k, lhs, poly.derivative(k)(z), args.tol)
+        value = check_derivative_identity(report, hg, mu, range(args.k + 1), complex(args.z), args.tol)
+        report.meta["value"] = [value.real, value.imag]
     if args.taylor:
         top = max(mu.points, default=0)
         values = derivative_moments(hg, mu, int(top), z=0.0)

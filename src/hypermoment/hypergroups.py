@@ -510,14 +510,16 @@ class RealLineHypergroup(Hypergroup):
     def _pairs(self, xs: np.ndarray, ys: np.ndarray) -> Structure:
         # the bits of each sum, the magnitude bits of a negative one flipped, sort as the floats do with
         # -0.0 below 0.0, so that both zeros stay apart; the same flip turns the keys back into floats
-        bits = (xs + ys).view(np.int64)
+        with np.errstate(over="ignore"):  # a sum past the floats is refused later as a point that is not finite
+            bits = (xs + ys).view(np.int64)
         keys, where = np.unique(bits ^ (bits >> 63 & (2**63 - 1)), return_inverse=True)
         c = np.zeros(_capped((len(xs), len(keys))))
         c[np.arange(len(xs)), where] = 1.0
         return Structure(c, (keys ^ (keys >> 63 & (2**63 - 1))).view(np.float64), _defined(len(xs)))
 
     def _width(self, xs: np.ndarray, ys: np.ndarray) -> int:
-        return len(np.unique((xs + ys).view(np.int64)))
+        with np.errstate(over="ignore"):
+            return len(np.unique((xs + ys).view(np.int64)))
 
     def validate_point(self, x: Any) -> float:
         if isinstance(x, bool) or not isinstance(x, (int, float, np.integer, np.floating)):

@@ -1,15 +1,19 @@
 """Transforms, basis conversion, transfer of derivations, Taylor formula.
 
-Oracle for Chebyshev basis conversion: numpy.polynomial.chebyshev.cheb2poly.
+Oracles: numpy.polynomial.chebyshev.cheb2poly for Chebyshev basis conversion,
+chebval/legval with chebder/legder for values and derivatives of transforms.
 """
 
 from __future__ import annotations
 
 import cmath
+import json
 import math
 
+import numpy as np
 import pytest
 from numpy.polynomial import chebyshev as C
+from numpy.polynomial import legendre as L
 
 from hypermoment import (
     CFunction,
@@ -36,14 +40,16 @@ from hypermoment import (
     rank_lift,
     taylor_reconstruct,
     transform,
+    transform_derivatives,
     transform_eval,
     verify_fourier_leibniz,
     verify_leibniz,
     verify_transform_multiplicativity,
 )
 from hypermoment.cli import main
-from hypermoment.fourier import TransformPoly
+from hypermoment.fourier import TransformPoly, check_derivative_identity
 from tests.conftest import random_measure
+from tests.test_pipeline import gegenbauer
 
 
 class TestPToMonomial:
@@ -77,21 +83,21 @@ class TestTransform:
         mu = dirac(cheb, 1) + dirac(cheb, 2)
         assert transform(cheb, mu).coeffs == (-1 + 0j, 1 + 0j, 2 + 0j)
 
-    def test_linearity_exact(self, cheb, cheb_measures):
+    def test_linearity_exact(self, cheb, cheb_measures, rng):
         mu, nu = cheb_measures[:2]
-        lhs = transform(cheb, 2j * mu + (-0.5) * nu)
-        rhs = 2j * transform(cheb, mu) + (-0.5) * transform(cheb, nu)
-        res, scl = poly_residual(lhs, rhs)
-        assert res <= 1e-12 * scl
+        zs = [complex(rng.uniform(-1.5, 1.5), rng.uniform(-1, 1)) for _ in range(8)]
+        lhs = transform_derivatives(cheb, 2j * mu + (-0.5) * nu, 3, zs)
+        rhs = 2j * transform_derivatives(cheb, mu, 3, zs) + (-0.5) * transform_derivatives(cheb, nu, 3, zs)
+        assert np.all(np.abs(lhs - rhs) <= 1e-12 * np.maximum(1.0, np.abs(rhs)))
 
     def test_evaluation_matches_pairing(self, cheb, cheb_measures, rng):
         for mu in cheb_measures[:3]:
-            poly = transform(cheb, mu)
-            for _ in range(20):
-                z = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
-                z /= max(1.0, abs(z) / 2.0)  # keep |z| <= 2
+            zs = [complex(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(20)]
+            zs = [z / max(1.0, abs(z) / 2.0) for z in zs]  # keep |z| <= 2
+            values = transform_derivatives(cheb, mu, 0, zs)[0]
+            for z, value in zip(zs, values):
                 via_pair = pair(mu, CFunction(lambda n: cheb.eval_poly_derivative(n, z, 0)))
-                assert poly(z) == pytest.approx(via_pair, rel=1e-9, abs=1e-9)
+                assert value == pytest.approx(via_pair, rel=1e-9, abs=1e-9)
 
     def test_realline_rejected(self, realline):
         with pytest.raises(DomainError):
@@ -100,6 +106,60 @@ class TestTransform:
     def test_degree_bound(self, cheb):
         mu = Measure.from_items(cheb, [(5, 1.0), (2, 1j)])
         assert transform(cheb, mu).degree <= 5
+
+
+class TestTransformDerivatives:
+    """mu^(i)(z) from the backward recurrence on the P-basis weights."""
+
+    @pytest.mark.parametrize("make,val,der", [(chebyshev, C.chebval, C.chebder), (legendre, L.legval, L.legder)])
+    @pytest.mark.parametrize("degree", [0, 1, 2, 5, 36, 60, 72, 120, 200])
+    def test_against_numpy_series(self, make, val, der, degree, rng):
+        hg = make()
+        weights = [complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(degree + 1)]
+        zs = np.array([complex(rng.uniform(-1.5, 1.5), rng.uniform(-1, 1)) for _ in range(6)] + [1.0, -1.0, 0.3])
+        got = transform_derivatives(hg, Measure.from_items(hg, list(enumerate(weights))), 3, zs)
+        # the oracle runs in extended precision: in doubles, chebder of a degree-200 series
+        # loses about 2e-12 at k = 3, where this recurrence stays near 1e-15 (checked with mpmath)
+        wide, series = zs.astype(np.clongdouble), np.array(weights, dtype=np.clongdouble)
+        for k in range(4):
+            want = val(wide, der(series, k)).astype(complex) if k <= degree else np.zeros(len(zs))
+            assert np.all(np.abs(got[k] - want) <= 1e-12 * np.maximum(1.0, np.abs(want))), k
+
+    @pytest.mark.parametrize("lam", [0.8, 2.5])
+    def test_gegenbauer_against_derivative_moments(self, lam, rng):
+        hg = gegenbauer(lam)
+        for degree in (0, 1, 7, 40, 120):
+            points = sorted({degree, *rng.sample(range(degree + 1), min(degree, 4))})
+            mu = Measure.from_items(hg, [(n, complex(rng.uniform(-1, 1), rng.uniform(-1, 1))) for n in points])
+            for z in (rng.uniform(-1, 1), complex(rng.uniform(-1, 1), rng.uniform(-1, 1))):
+                got = transform_derivatives(hg, mu, 3, [z])[:, 0]
+                want = np.array(derivative_moments(hg, mu, 3, z))
+                assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
+
+    @pytest.mark.parametrize("make", [chebyshev, legendre, lambda: gegenbauer(0.8), lambda: gegenbauer(2.5)])
+    def test_derivative_identity_up_to_degree_200(self, make, rng):
+        hg = make()
+        for degree in range(201):
+            mu = Measure.from_items(hg, [(degree, 1.0), (rng.randrange(degree + 1), complex(rng.uniform(-1, 1), 0.5))])
+            z = rng.uniform(-1, 1) if degree % 2 else cmath.rect(rng.uniform(0, 1.5), rng.uniform(-math.pi, math.pi))
+            report = Report(title="t")
+            check_derivative_identity(report, hg, mu, range(4), z, Tolerance())
+            assert report.passed, (degree, z)
+
+    @pytest.mark.parametrize("extra,want", [(["--measure", "[[60,1]]"], 0.0317895924173880),
+                                            (["--measure", "[[3,0.5],[200,1]]", "--k", "3"], 0.22698251415923615)])
+    def test_high_degree_legendre_cli(self, extra, want, capsys):
+        # evaluating monomial coefficients of size 1e21 once gave 2840.6 for P_60(0.9) and a false FAIL
+        argv = ["transform", "--hypergroup", "legendre", "--z", "0.9", *extra]
+        assert main(argv + ["--format", "json"]) == 0
+        value = json.loads(capsys.readouterr().out)["meta"]["value"]
+        assert value == pytest.approx([want, 0.0], rel=1e-12, abs=1e-15)
+
+    def test_off_polynomial_carriers_refused(self, realline, cheb):
+        with pytest.raises(DomainError, match="needs a polynomial hypergroup"):
+            transform_derivatives(realline, dirac(realline, 1.0), 0, [0.0])
+        with pytest.raises(DomainError, match="derivative order must be nonnegative"):
+            transform_derivatives(cheb, dirac(cheb, 1), -1, [0.0])
 
 
 class TestTransformMultiplicativity:
@@ -209,11 +269,11 @@ class TestFourierLeibnizHighDegree:
 class TestDerivativeIdentity:
     def test_frozen_values(self, cheb):
         assert fourier_derivative_identity(cheb, dirac(cheb, 2), 2, 0.0).passed
-        assert transform(cheb, dirac(cheb, 2)).derivative(2)(0.0) == 4.0
+        assert transform_derivatives(cheb, dirac(cheb, 2), 2, [0.0])[2, 0] == 4.0
         mu = dirac(cheb, 1) + dirac(cheb, 2)
         report = fourier_derivative_identity(cheb, mu, 1, 0.5)
         assert report.passed
-        assert transform(cheb, mu).derivative(1)(0.5) == pytest.approx(3.0)
+        assert transform_derivatives(cheb, mu, 1, [0.5])[1, 0] == pytest.approx(3.0)
 
     def test_order_zero_is_evaluation(self, cheb, cheb_measures):
         for mu in cheb_measures[:3]:
@@ -289,20 +349,10 @@ class TestTransformPolyOps:
         assert TransformPoly.from_coeffs(cheb, []).pretty() == "0"
         assert TransformPoly.from_coeffs(cheb, [0, 1]).pretty() == "z"
 
-    def test_derivative_coefficients(self, cheb):
-        p = TransformPoly.from_coeffs(cheb, [1.0, 2.0, 3.0])  # 1 + 2z + 3z^2
-        assert p.derivative().coeffs == (2 + 0j, 6 + 0j)
-        assert p.derivative(3).coeffs == ()
-
-    def test_product(self, cheb):
-        p = TransformPoly.from_coeffs(cheb, [1.0, 1.0])
-        q = TransformPoly.from_coeffs(cheb, [-1.0, 1.0])
-        assert (p * q).coeffs == (-1 + 0j, 0j, 1 + 0j)
-
 
 class TestFloatRange:
-    """A transform whose monomial coefficients, derivative moments or Taylor
-    factorials leave the float range is refused, not checked."""
+    """A transform whose monomial coefficients, derivative moments, P-basis
+    derivatives or Taylor factorials leave the float range is refused, not checked."""
 
     def test_taylor_with_overflowing_derivative_moments_is_refused(self, capsys):
         # P_n^(k)(0) = k! c_k is above the float range from k = 148 at n = 160;
@@ -319,17 +369,30 @@ class TestFloatRange:
             taylor_reconstruct(chebyshev(), [1.0] * 172)
         assert taylor_reconstruct(chebyshev(), [1.0] * 171).degree == 170
 
-    def test_multiplicativity_with_overflowing_coefficients_is_refused(self):
-        # the monomial coefficients of T_1101 (from the convolution) are about 2^1100; the check once passed at scale inf
+    def test_multiplicativity_with_overflowing_coefficients_is_refused(self, capsys):
+        # the monomial coefficients of T_1100 are about 2^1099, so `transform` and its CLI refuse them;
+        # the multiplicativity check reads values at its d + 1 points and forms no coefficients
         cheb = chebyshev()
-        with pytest.raises(DomainError, match="transform of degree 1101: monomial coefficients leave the float range"):
-            verify_transform_multiplicativity(cheb, dirac(cheb, 1100), dirac(cheb, 1))
+        assert verify_transform_multiplicativity(cheb, dirac(cheb, 1100), dirac(cheb, 1)).passed
+        zs = np.cos(np.pi * np.arange(1102) / 1101)
+        for n in (1101, 1100):
+            got = transform_derivatives(cheb, dirac(cheb, n), 0, zs)[0]
+            assert np.max(np.abs(got - C.chebval(zs, [0.0] * n + [1.0]))) <= 1e-12
         assert verify_transform_multiplicativity(cheb, dirac(cheb, 60), dirac(cheb, 1)).passed
+        assert main(["transform", "--hypergroup", "chebyshev", "--measure", "[[1100,1]]"]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: transform of degree 1100: monomial coefficients leave the float range\n"
 
     def test_derivative_identity_with_overflowing_moments_is_refused(self):
         cheb = chebyshev()
         with pytest.raises(DomainError, match="derivative moments up to order 150"):
             fourier_derivative_identity(cheb, dirac(cheb, 160), 150, 0.0)
+
+    def test_overflowing_p_basis_derivatives_are_refused(self):
+        # T_160^(150)(0) = 150! c_150 is above the float range: a DomainError, not a NaN residual
+        cheb = chebyshev()
+        with pytest.raises(DomainError, match=r"transform derivatives up to order 150 at z=0j leave the float range"):
+            transform_derivatives(cheb, dirac(cheb, 160), 150, [0.0])
 
 
 class TestPolyResidual:

@@ -79,10 +79,10 @@ CASES = {
     # phi_0 = 1 at both points is not an exponential, so the extension precondition refuses it
     "search-moments-dtheta-precondition": ["search-moments", "--hypergroup", "dtheta:0.5", "--phi0",
                                            '{"kind":"table","values":[[0,1],[1,0.5]]}', "--alpha", "2"],
-    # degree 7, well below the false FAIL of the monomial form
+    # degree 7: values and derivatives read from the P-basis weights, the Taylor check on monomial coefficients
     "transform-chebyshev-taylor": ["transform", "--hypergroup", "chebyshev", "--measure",
                                    "[[0,1],[3,[0.5,-0.25]],[7,2]]", "--z", "0.4", "--k", "3", "--taylor"],
-    # degree 30 on Legendre: the monomial form's known false FAIL (exit 1), pinned as it is
+    # degree 30 on Legendre, where monomial coefficients cancel badly; `value` matches numpy legval
     "transform-legendre-k3": ["transform", "--hypergroup", "legendre", "--measure", "[[30,1],[7,[0.5,-0.25]]]",
                               "--z", "0.9", "--k", "3"],
     "transform-chebyshev-taylor-degree40": ["transform", "--hypergroup", "chebyshev", "--measure",

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import warnings
 
 import pytest
 
@@ -429,6 +430,15 @@ class TestCliExitCodes:
         )
         assert code == 2
         assert "error" in capsys.readouterr().err
+
+    def test_realline_sum_past_the_floats_is_refused_without_warnings(self, capsys):
+        # 1e308 + 1e308 overflows; NumPy once printed two RuntimeWarning blocks before the error
+        argv = ["leibniz", "--hypergroup", "realline", "--family", LINE_FAMILY, "--order", "1",
+                "--samples", "[[[[1e308, 1]], [[1e308, 1]]]]"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == 2
+        assert capsys.readouterr().err == "error: point inf is not finite\n"
 
     def test_unknown_command_usage_error(self, capsys):
         assert main(["frobnicate"]) == 2
