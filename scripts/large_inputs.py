@@ -60,6 +60,7 @@ CASES = {
     "leg120": lambda: check_axioms(legendre(), 120),
     "leg200": lambda: check_axioms(legendre(), 200),
     "line200": lambda: check_axioms(real_line(), 200),
+    "line1000": lambda: check_axioms(real_line(), 1000),
     "lin1200": lambda: chebyshev().linearization(1200, 3),
     "lin3x1200": lambda: chebyshev().linearization(3, 1200),
     "lin5000": lambda: chebyshev().linearization(5000, 5000),

@@ -10,10 +10,11 @@ Three built-in families:
 
 Axioms (nonnegativity, normalization, identity, commutativity, associativity)
 are *checked*, not assumed: defective tables and recurrences are constructible
-and `check_axioms` reports the first counterexample per axiom.  The checks run
-on structure constants (:class:`Structure`): for a list of point pairs, the
-dense array C[p, k] = weight at k of delta_x[p] * delta_y[p] (`_pairs`, one
-per carrier); on a grid of points the pair axis splits into C[i, j, k].
+and `check_axioms` reports the first counterexample per axiom.  Each carrier
+states its point convolutions once, as flat entries (`_pairs`, one
+:class:`PairSupports`): per pair of points, the (point, weight) entries of
+delta_x * delta_y.  Only the associativity check scatters them into a dense
+C[i, j, k] (`_dense`).
 """
 
 from __future__ import annotations
@@ -45,30 +46,22 @@ def _capped(shape: tuple[int, ...]) -> tuple[int, ...]:
     return shape
 
 
-class Structure(NamedTuple):
-    """Point convolutions of pairs: ``c[p, k]`` is the weight at ``points[k]``
-    of the p-th convolution, ``err[p]`` the message of an undefined pair (""
-    where defined; such a pair has a zero row).  On a grid of xs against ys
-    the pair axis splits into (i, j)."""
-
-    c: np.ndarray
-    points: np.ndarray
-    err: np.ndarray
-
-
 def _defined(count: int) -> np.ndarray:
     return np.full(count, "", dtype=object)
 
 
 class PairSupports(NamedTuple):
-    """Point convolutions of a list of pairs as flat entries, in pair order and
+    """Point convolutions of `count` pairs as flat entries, in pair order and
     within a pair in point order, as `convolve_points` lists its support: the
-    convolution of pair ``rows[e]`` has weight ``weights[e]`` at ``points[e]``."""
+    convolution of pair ``rows[e]`` has weight ``weights[e]`` at ``points[e]``
+    (an array from `_pairs`, Python scalars from `pair_supports`); ``err[p]``
+    is the message of an undefined pair p, which has no entries ("" if defined)."""
 
     rows: np.ndarray
-    points: list
+    points: Any
     weights: np.ndarray
     count: int
+    err: np.ndarray
 
     def pairings(self, values: np.ndarray) -> np.ndarray:
         """<dx*dy, f> of every pair from f's values at the entries (last axis),
@@ -84,18 +77,9 @@ class Hypergroup:
     kind: str = "abstract"
     identity: Point = 0
 
-    def _pairs(self, xs: np.ndarray, ys: np.ndarray) -> Structure:
-        """Structure constants of the pairs (xs[p], ys[p]) of validated points."""
+    def _pairs(self, xs: np.ndarray, ys: np.ndarray) -> PairSupports:
+        """Point convolutions of the pairs (xs[p], ys[p]) of validated points."""
         raise NotImplementedError
-
-    def _width(self, xs: np.ndarray, ys: np.ndarray) -> int:
-        """The number of points `_pairs(xs, ys)` returns, without building it."""
-        raise NotImplementedError
-
-    def _tensor(self, xs: np.ndarray, ys: np.ndarray) -> Structure:
-        """Structure constants of the points xs against the points ys: ``c[i, j, k]``."""
-        s = self._pairs(np.repeat(xs, len(ys)), np.tile(ys, len(xs)))
-        return Structure(s.c.reshape(len(xs), len(ys), -1), s.points, s.err.reshape(len(xs), len(ys)))
 
     def validate_point(self, x: Any) -> Point:
         raise NotImplementedError
@@ -105,7 +89,7 @@ class Hypergroup:
         raise NotImplementedError
 
     def pair_supports(self, pairs: Sequence[tuple[Point, Point]]) -> PairSupports:
-        """The point convolutions of `pairs`, read by `_pairs` in blocks within DENSE_CAP.
+        """The point convolutions of `pairs`, from one `_pairs` call.
 
         Raises the DomainError that a loop over the pairs meets first: an
         invalid point or an undefined convolution.
@@ -117,22 +101,14 @@ class Hypergroup:
             except DomainError as exc:
                 failure = exc
                 break
-        rows, points, weights = [np.zeros(0, dtype=np.intp)], [], [np.zeros(0)]
-        if valid:
-            xs, ys = np.array(valid).T
-            step = max(1, DENSE_CAP // self._width(xs, ys))
-            for start in range(0, len(xs), step):
-                block = self._pairs(xs[start : start + step], ys[start : start + step])
-                bad = block.err.astype(bool)
-                if bad.any():
-                    raise DomainError(block.err[np.argmax(bad)])
-                r, k = np.nonzero(block.c)
-                rows.append(r + start)
-                points += block.points[k].tolist()
-                weights.append(block.c[r, k])
+        empty = PairSupports(np.zeros(0, dtype=np.intp), np.zeros(0), np.zeros(0), 0, _defined(0))
+        flat = self._pairs(*np.array(valid).T) if valid else empty
+        bad = flat.err.astype(bool)
+        if bad.any():
+            raise DomainError(flat.err[np.argmax(bad)])
         if failure is not None:
             raise failure
-        return PairSupports(np.concatenate(rows), points, np.concatenate(weights), len(valid))
+        return flat._replace(points=flat.points.tolist())
 
     def convolve_points(self, x: Point, y: Point) -> Measure:
         """Convolution of the point masses at x and y, as a probability measure."""
@@ -182,30 +158,31 @@ class FiniteHypergroup(Hypergroup):
         self._table: dict[tuple[int, int], tuple[tuple[int, float], ...]] = {}
         for i in range(size):
             for j in range(size):
-                if (i, j) in entries:
-                    self._table[(i, j)] = entries[(i, j)]
-                elif (j, i) in entries:
-                    self._table[(i, j)] = entries[(j, i)]
-                else:
+                row = entries.get((i, j), entries.get((j, i)))
+                if row is None:
                     raise DomainError(f"table entry for pair ({i},{j}) missing")
-        self._rows = tuple(self._table[(i, j)] for i in range(size) for j in range(size))  # pair (i, j) at i * size + j
-        self._signature = ("finite", self.size, self.identity, self._rows)
+                self._table[(i, j)] = row
+        rows = tuple(self._table.values())  # pair (i, j) at i * size + j
+        self._signature = ("finite", self.size, self.identity, rows)
+        # the table as CSR arrays: the entries of pair p are starts[p]..starts[p + 1] of points and weights
+        self._starts = np.cumsum([0] + [len(row) for row in rows])
+        self._points = np.array([k for row in rows for k, _ in row], dtype=np.intp)
+        self._weights = np.array([w for row in rows for _, w in row], dtype=float)
 
     @cached_property
     def tensor(self) -> np.ndarray:
         """Structure constants C[i, j, k] = weight at k of delta_i * delta_j."""
-        _capped((self.size,) * 3)
-        return self._tensor(np.arange(self.size), np.arange(self.size)).c
+        c = np.zeros(_capped((self.size,) * 3))
+        pairs = np.repeat(np.arange(self.size**2), np.diff(self._starts))
+        c.reshape(-1, self.size)[pairs, self._points] = self._weights
+        return c
 
-    def _pairs(self, xs: np.ndarray, ys: np.ndarray) -> Structure:
-        c = np.zeros(_capped((len(xs), self.size)))
-        rows = [self._rows[p] for p in (xs * self.size + ys).tolist()]
-        at = np.repeat(np.arange(len(rows)), [len(row) for row in rows])
-        c[at, [k for row in rows for k, _ in row]] = [w for row in rows for _, w in row]
-        return Structure(c, np.arange(self.size), _defined(len(xs)))
-
-    def _width(self, xs: np.ndarray, ys: np.ndarray) -> int:
-        return self.size
+    def _pairs(self, xs: np.ndarray, ys: np.ndarray) -> PairSupports:
+        p = xs * self.size + ys
+        counts = self._starts[p + 1] - self._starts[p]
+        at = np.repeat(self._starts[p] - np.cumsum(counts) + counts, counts) + np.arange(counts.sum())
+        rows = np.repeat(np.arange(len(p)), counts)
+        return PairSupports(rows, self._points[at], self._weights[at], len(p), _defined(len(p)))
 
     def validate_point(self, x: Any) -> int:
         if isinstance(x, bool) or not isinstance(x, (int, np.integer)):
@@ -432,13 +409,21 @@ class PolynomialHypergroup(Hypergroup):
             "the recurrence does not define a hypergroup"
         )
 
-    def _pairs(self, xs: np.ndarray, ys: np.ndarray) -> Structure:
+    def _pairs(self, xs: np.ndarray, ys: np.ndarray) -> PairSupports:
         # sorted pairs make every point convolution exactly symmetric in (x, y)
-        vals, err = self._lin_rows(np.minimum(xs, ys), np.maximum(xs, ys))
-        return Structure(vals, np.arange(vals.shape[1]), err)
-
-    def _width(self, xs: np.ndarray, ys: np.ndarray) -> int:
-        return int(np.maximum(xs, ys).max() + np.minimum(xs, ys).max()) + 1
+        ms, ns = np.minimum(xs, ys), np.maximum(xs, ys)
+        step = max(1, DENSE_CAP // int(ms.max() + ns.max() + 1))
+        if len(ms) > step:  # blocks within DENSE_CAP in column order, so that each runs its own columns
+            blocks = np.split(np.argsort(ns, kind="stable"), range(step, len(ms), step))
+            parts = [self._pairs(ms[at], ns[at]) for at in blocks]
+            rows = np.concatenate([at[part.rows] for at, part in zip(blocks, parts)])
+            back = np.argsort(rows, kind="stable")  # pair order, each pair's entries in point order
+            points, weights = (np.concatenate([part[f] for part in parts])[back] for f in (1, 2))
+            err = np.concatenate([part.err for part in parts])[np.argsort(np.concatenate(blocks))]
+            return PairSupports(rows[back], points, weights, len(ms), err)
+        vals, err = self._lin_rows(ms, ns)
+        r, k = np.nonzero(vals)
+        return PairSupports(r, k, vals[r, k], len(ms), err)
 
     def validate_point(self, x: Any) -> int:
         if isinstance(x, bool) or not isinstance(x, (int, np.integer)):
@@ -499,27 +484,18 @@ class PolynomialHypergroup(Hypergroup):
 class RealLineHypergroup(Hypergroup):
     """The group (R, +) as a hypergroup: delta_x * delta_y = delta_{x+y}.
 
-    Measures stay dict-based and merge support points bitwise.  The structure
-    constants of a sample are the shift onto the distinct sums x + y, which
-    are exact on the dyadic sample points; -0.0 and 0.0 are distinct sums.
+    Measures stay dict-based and merge support points bitwise.  The point
+    convolution of x and y is the one entry x + y, exact on the dyadic sample
+    points; a sum keeps the sign of a zero, so -0.0 and 0.0 stay apart.
     """
 
     kind = "realline"
     identity = 0.0
 
-    def _pairs(self, xs: np.ndarray, ys: np.ndarray) -> Structure:
-        # the bits of each sum, the magnitude bits of a negative one flipped, sort as the floats do with
-        # -0.0 below 0.0, so that both zeros stay apart; the same flip turns the keys back into floats
+    def _pairs(self, xs: np.ndarray, ys: np.ndarray) -> PairSupports:
         with np.errstate(over="ignore"):  # a sum past the floats is refused later as a point that is not finite
-            bits = (xs + ys).view(np.int64)
-        keys, where = np.unique(bits ^ (bits >> 63 & (2**63 - 1)), return_inverse=True)
-        c = np.zeros(_capped((len(xs), len(keys))))
-        c[np.arange(len(xs)), where] = 1.0
-        return Structure(c, (keys ^ (keys >> 63 & (2**63 - 1))).view(np.float64), _defined(len(xs)))
-
-    def _width(self, xs: np.ndarray, ys: np.ndarray) -> int:
-        with np.errstate(over="ignore"):
-            return len(np.unique((xs + ys).view(np.int64)))
+            sums = xs + ys
+        return PairSupports(np.arange(len(xs)), sums, np.ones(len(xs)), len(xs), _defined(len(xs)))
 
     def validate_point(self, x: Any) -> float:
         if isinstance(x, bool) or not isinstance(x, (int, float, np.integer, np.floating)):
@@ -625,9 +601,7 @@ def check_axioms(hg: Hypergroup, sample_bound: int = 8, tol: Tolerance | None = 
 
     For finite carriers the check is exhaustive; for infinite carriers points
     are restricted by `sample_bound`, and associativity uses `assoc_sample`.
-    Every check reads the structure constants of the sample, in slices of x
-    that keep each array within DENSE_CAP entries (a sample whose single
-    slice exceeds it raises DomainError).  Records, statuses and
+    The other checks reduce over flat entries.  Records, statuses and
     counterexamples are those of a case-by-case loop that stops at the first
     failure.  An undefined convolution gives an error record.
     """
@@ -642,80 +616,80 @@ def check_axioms(hg: Hypergroup, sample_bound: int = 8, tol: Tolerance | None = 
     n, grid = len(pts), np.asarray(pts)
     idx = assoc_sample(hg, n)
     small, s = grid[idx], len(idx)
-    pair = hg._tensor(small, small)
-    _refuse_lone_runs(hg, pair, small, 3 * n)
-    step = max(1, DENSE_CAP // (4 * n * n))  # under 2n points reached; half the cap for temporaries
-    if step == 1:  # slices of a single x, the last of which reaches the most points
-        _capped((n, hg._width(np.full(n, grid[-1]), grid)))
-    parts = []
-    for xs in np.split(grid, range(step, n, step)):
-        rows = pair if len(xs) == s == n else hg._tensor(xs, grid)
-        cols = rows if len(xs) == n else hg._tensor(grid, xs)
-        mass = np.cumsum(rows.c, axis=2)[:, :, -1].copy()  # summed in support order, as total_mass
-        comm, comm_scl = _residuals(rows.c, cols.c.transpose(1, 0, 2))
-        parts.append((np.maximum(-rows.c.min(axis=2), 0.0), mass, rows.err, cols.err.T, comm, comm_scl))
-    neg, mass, err, err_t, comm, comm_scl = (np.concatenate(part).reshape(n, n) for part in zip(*parts))
-
-    # nonnegativity and normalization of every sampled point convolution
+    pair = _grid(hg, small, small)
+    assoc = _associativity(hg, small, pair, 3 * n)  # raises on an oversized sample before any check runs
+    flat, points, at = pair if s == n else _grid(hg, grid, grid)
+    rows, w, err = flat.rows, flat.weights, flat.err
     bad = err.astype(bool)
-    i, j = divmod(int(np.argmax(bad)), n)
 
+    # nonnegativity and normalization of every sampled point convolution; absent entries weigh 0.0
+    low, mass = np.zeros(n * n), np.zeros(n * n)
+    np.minimum.at(low, rows, w)
+    np.add.at(mass, rows, w)  # summed in support order, as total_mass
+    k = int(np.argmax(bad))
     for name, law, res, witness in (
-        ("nonnegativity", "weights of dx*dy are >= 0", neg,
+        ("nonnegativity", "weights of dx*dy are >= 0", -low,
          lambda k: [pts[k // n], pts[k % n], hg.pair_supports([(pts[k // n], pts[k % n])]).points]),
         ("normalization", "weights of dx*dy sum to 1", np.abs(mass - 1.0),
-         lambda k: [pts[k // n], pts[k % n], [float(mass.flat[k]), 0.0]]),
+         lambda k: [pts[k // n], pts[k % n], [float(mass[k]), 0.0]]),
     ):
         if bad.any():
-            report.add(name, law, False, error=True, detail=f"({pts[i]},{pts[j]}): {err[i, j]}")
+            report.add(name, law, False, error=True, detail=f"({pts[k // n]},{pts[k % n]}): {err[k]}")
         else:
             report.add_worst(name, law, res, np.ones(res.shape), tol, witness)
 
-    ident = hg._tensor(np.asarray([hg.identity]), grid)
-    dirac_rows = np.zeros(ident.c.shape[1:])
-    dirac_rows[np.arange(n), np.searchsorted(ident.points, grid)] = 1.0
-    blocks = [(*_residuals(ident.c[0], dirac_rows), ident.err[0])]
+    ident = hg._pairs(np.full(n, hg.identity), grid)
+    hit = ident.points == grid[ident.rows]
+    res, top = np.ones(n), np.zeros(n)
+    res[ident.rows[hit]] = 0.0  # 1.0 where dx is absent from do * dx
+    np.maximum.at(res, ident.rows, np.abs(ident.weights - hit))
+    np.maximum.at(top, ident.rows, np.abs(ident.weights))
+    blocks = [(res, np.maximum(1.0, top), ident.err)]
     report.add_first_failure("identity", "do * dx = dx", blocks, tol, lambda i: ["o", pts[i]])
-    blocks = [(comm.ravel(), comm_scl.ravel(), np.where(bad, err, err_t).ravel())]
+
+    # each entry of dx*dy against the entry of dy*dx at its point, found by its key (pair, point)
+    mirror = np.arange(n * n).reshape(n, n).T.ravel()
+    keys, wanted = rows * len(points) + at, mirror[rows] * len(points) + at
+    found = np.minimum(np.searchsorted(keys, wanted), len(keys) - 1)
+    res, top = np.zeros(n * n), np.zeros(n * n)
+    np.maximum.at(res, rows, np.abs(w - np.where(keys[found] == wanted, w[found], 0.0)))
+    np.maximum.at(top, rows, np.abs(w))
+    blocks = [(np.maximum(res, res[mirror]), np.maximum(1.0, np.maximum(top, top[mirror])),
+               np.where(bad, err, err[mirror]))]
     report.add_first_failure("commutativity", "dx * dy = dy * dx", blocks, tol, lambda k: [pts[k // n], pts[k % n]])
     report.add_first_failure(
-        "associativity", "(dx*dy)*dz = dx*(dy*dz)", _associativity(hg, pair, small, 3 * n), tol,
+        "associativity", "(dx*dy)*dz = dx*(dy*dz)", assoc, tol,
         lambda k: [small[k // (s * s)].item(), small[k // s % s].item(), small[k % s].item()],
     )
     return report
 
 
+def _index(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The points of C[..., k] holding entries at `points`, and each entry's k: every index
+    from 0 up to the largest on a carrier of indices (k the point), else the distinct points."""
+    if points.dtype.kind == "i":
+        return np.arange(points.max(initial=0) + 1), points
+    return np.unique(points, return_inverse=True)
+
+
+def _grid(hg: Hypergroup, xs: np.ndarray, ys: np.ndarray) -> tuple[PairSupports, np.ndarray, np.ndarray]:
+    """The flat entries of xs against ys, pair i * len(ys) + j, and their `_index`."""
+    flat = hg._pairs(np.repeat(xs, len(ys)), np.tile(ys, len(xs)))
+    return (flat, *_index(flat.points))
+
+
+def _dense(grid: tuple, shape: tuple[int, int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The `_grid` of xs against ys, shape (len(xs), len(ys)), scattered into C[i, j, k], the weight at
+    points[k] of delta_xs[i] * delta_ys[j], with the points and err[i, j]; refused over DENSE_CAP entries."""
+    flat, points, at = grid
+    c = np.zeros(_capped((shape[0] * shape[1], len(points))))
+    c[flat.rows, at] = flat.weights
+    return c.reshape(*shape, len(points)), points, flat.err.reshape(shape)
+
+
 def _reached(mask: np.ndarray) -> np.ndarray:
     """Closure points reached, as a mask; the first point if none is."""
     return mask if mask.any() else np.arange(len(mask)) == 0
-
-
-def _refuse_lone_runs(hg: Hypergroup, pair: Structure, small: np.ndarray, width: int) -> None:
-    """Raise, before any check runs, the DomainError `_associativity` would meet.
-
-    Runs of x are sized to fit on `width`, a bound on the points reached; an
-    x that does not fit on that bound runs alone, with arrays sized here as
-    `_associativity` builds them.  The scan never reaches such an x when a
-    convolution that an earlier x needs is undefined: it stops there first.
-    """
-    s = len(small)
-    nz = pair.c != 0
-    used = pair.points[_reached(nz.any(axis=(0, 1)))]
-    reach = nz.any(axis=1)
-    for i in np.flatnonzero((reach.sum(axis=1) * s + len(used)) * width > DENSE_CAP):
-        ks = pair.points[_reached(reach[i])]
-        xs, ys = np.repeat(ks, s), np.tile(small, len(ks))
-        shapes = [(len(xs), hg._width(xs, ys)), (len(used), hg._width(np.full(len(used), small[i]), used))]
-        if all(math.prod(shape) <= DENSE_CAP for shape in shapes):
-            continue
-        before = pair.points[reach[:i].any(axis=0)].tolist()
-        try:
-            hg.pair_supports([(k, z) for k in before for z in small.tolist()] + [
-                (x, k) for x in small[:i].tolist() for k in used.tolist()])
-        except DomainError:
-            return
-        for shape in shapes:
-            _capped(shape)
 
 
 def _on(c: np.ndarray, points: np.ndarray, target: np.ndarray) -> np.ndarray:
@@ -727,42 +701,65 @@ def _on(c: np.ndarray, points: np.ndarray, target: np.ndarray) -> np.ndarray:
     return out
 
 
-def _associativity(hg: Hypergroup, pair: Structure, small: np.ndarray, width: int) -> Iterator[tuple]:
+def _associativity(hg: Hypergroup, small: np.ndarray, pair: tuple, width: int) -> Iterator[tuple]:
     """Case blocks of (dx*dy)*dz against dx*(dy*dz), one x of the sample at a time.
 
-    With C[y, z, k] the convolutions `pair` of the sample, the left side contracts
+    With C[y, z, k] the convolutions `pair` (a `_grid`) of the sample, the left side contracts
     C[x, y, k] with C[k, z, .] and the right side C[y, z, k] with C[x, k, .].
     Runs of x share the tensors dk*dz and dx*dk, kept within DENSE_CAP by
-    `width`, a bound on the points they reach.  A case that needs an undefined
+    `width`, a bound on the points they reach; an x that does not fit on that
+    bound runs alone, and one whose arrays exceed DENSE_CAP raises DomainError
+    here, before any block, unless a convolution that an earlier x needs is
+    undefined: the scan stops there first.  A case that needs an undefined
     convolution errs with the first message in the structures of its run.
     """
     s = len(small)
-    nz, bad = pair.c != 0, pair.err.astype(bool)
-    used = _reached(nz.any(axis=(0, 1)))
-    closure = pair.c[:, :, used].reshape(s * s, -1)
+    c, points, err = _dense(pair, (s, s))
+    nz, bad = c != 0, err.astype(bool)
+    used, reach = _reached(nz.any(axis=(0, 1))), nz.any(axis=1)
+    lone = np.flatnonzero((reach.sum(axis=1) * s + used.sum()) * width > DENSE_CAP)
+    if lone.size:  # dk * dz for every k reached up to the last such x, and dx * dk
+        held = np.flatnonzero(reach[: lone[-1] + 1].any(axis=0) | (np.arange(len(points)) == 0))
+        right, left = _grid(hg, points[held], small)[0], _grid(hg, small, points[used])[0]
+    for i in lone.tolist():
+        ks = _reached(reach[i])
+        shapes = [(int(ks.sum()) * s, len(_index(right.points[ks[held[right.rows // s]]])[0])),
+                  (int(used.sum()), len(_index(left.points[left.rows // used.sum() == i])[0]))]
+        if all(math.prod(shape) <= DENSE_CAP for shape in shapes):
+            continue
+        if reach[:i].any(axis=0)[held[np.flatnonzero(right.err) // s]].any() or left.err[: i * used.sum()].any():
+            break
+        for shape in shapes:
+            _capped(shape)
+    closure = c[:, :, used].reshape(s * s, -1)
     closure_nz = closure != 0
-    first = 0
-    while first < s:
-        reach = np.logical_or.accumulate(nz[first:].any(axis=1), axis=0).sum(axis=1)
-        cost = (reach * s + np.arange(1, s - first + 1) * used.sum()) * width
-        end = first + max(1, int(np.sum(cost <= DENSE_CAP)))
-        mask = _reached(nz[first:end].any(axis=(0, 1)))
-        right = hg._tensor(pair.points[mask], small)  # dk * dz
-        left = hg._tensor(small[first:end], pair.points[used])  # dx * dk
-        target = np.union1d(right.points, left.points)
-        right_flat, right_bad, left_bad = right.c.reshape(mask.sum(), -1), right.err.astype(bool), left.err.astype(bool)
-        msg = next((m for e in (pair.err, right.err, left.err) for m in e[e.astype(bool)]), None)
-        run = pair.c[first:end][:, :, mask]
-        for i in range(first, end):
-            t = run[i - first]
-            lhs = _on((t @ right_flat).reshape(s, s, -1), right.points, target)
-            rhs = _on((closure @ left.c[i - first]).reshape(s, s, -1), left.points, target)
-            if msg is None:
-                yield (*_residuals(lhs, rhs), None)
-                continue
-            errs = bad[i][:, None] | ((t != 0) @ right_bad) | bad | (closure_nz @ left_bad[i - first]).reshape(s, s)
-            yield (*_residuals(lhs, rhs), np.where(errs.ravel(), msg, "").astype(object))
-        first = end
+
+    def blocks() -> Iterator[tuple]:
+        first = 0
+        while first < s:
+            reach = np.logical_or.accumulate(nz[first:].any(axis=1), axis=0).sum(axis=1)
+            cost = (reach * s + np.arange(1, s - first + 1) * used.sum()) * width
+            end = first + max(1, int(np.sum(cost <= DENSE_CAP)))
+            mask = _reached(nz[first:end].any(axis=(0, 1)))
+            right, right_points, right_err = _dense(_grid(hg, points[mask], small), (int(mask.sum()), s))  # dk * dz
+            left, left_points, left_err = _dense(  # dx * dk
+                _grid(hg, small[first:end], points[used]), (end - first, int(used.sum())))
+            target = np.union1d(right_points, left_points)
+            right_bad, left_bad = right_err.astype(bool), left_err.astype(bool)
+            msg = next((m for e in (err, right_err, left_err) for m in e[e.astype(bool)]), None)
+            right, run = right.reshape(mask.sum(), -1), c[first:end][:, :, mask]
+            for i in range(first, end):
+                t = run[i - first]
+                lhs = _on((t @ right).reshape(s, s, -1), right_points, target)
+                rhs = _on((closure @ left[i - first]).reshape(s, s, -1), left_points, target)
+                if msg is None:
+                    yield (*_residuals(lhs, rhs), None)
+                    continue
+                errs = bad[i][:, None] | ((t != 0) @ right_bad) | bad | (closure_nz @ left_bad[i - first]).reshape(s, s)
+                yield (*_residuals(lhs, rhs), np.where(errs.ravel(), msg, "").astype(object))
+            first = end
+
+    return blocks()
 
 
 # ---------------------------------------------------------------------------

@@ -158,7 +158,7 @@ class MomentSequence:
             seq.meta["phi0"] = "check skipped"
         return seq
 
-    @property
+    @functools.cached_property
     def alphas(self) -> list[MultiIndex]:
         return indices_up_to(self.rank, self.order)
 
@@ -180,7 +180,7 @@ class DerivationFamily:
     entries: dict[MultiIndex, MeasureOperator]
     meta: dict[str, Any] = field(default_factory=dict)
 
-    @property
+    @functools.cached_property
     def alphas(self) -> list[MultiIndex]:
         return indices_up_to(self.rank, self.order)
 
@@ -286,9 +286,10 @@ def _identity_records(
     along the other axes."""
     owner = binomial_terms(tuple(alphas))[3]
     rhs, top = np.zeros(lhs.shape, dtype=complex), np.zeros(lhs.shape)
-    np.add.at(rhs, owner, terms)
-    np.maximum.at(top, owner, complex_abs(terms))
-    res, scl = complex_abs(lhs - rhs), np.maximum(1.0, np.maximum(complex_abs(lhs), top))
+    with np.errstate(invalid="ignore"):  # a NaN term, from a probe that is not finite, fails its case
+        np.add.at(rhs, owner, terms)
+        np.maximum.at(top, owner, complex_abs(terms))
+        res, scl = complex_abs(lhs - rhs), np.maximum(1.0, np.maximum(complex_abs(lhs), top))
     for a, alpha in enumerate(alphas):
         report.add_worst(
             f"{name} alpha={list(alpha)}", law, res[a], scl[a], tol,
@@ -443,7 +444,8 @@ def verify_leibniz(
                 table[points[e]] = _evaluate(f, points[e])
     at_f = np.array([[table.get(p, 0j) for p in points] for table in values], dtype=complex).reshape(len(probes), -1)
     lv = np.zeros((count, n, len(probes)), dtype=complex)
-    paired = np.where(lhs[:, None] != 0, complex_product(at_f, lhs[:, None]), 0)
+    with np.errstate(invalid="ignore"):  # inf * 0 where lhs is 0 is masked out here
+        paired = np.where(lhs[:, None] != 0, complex_product(at_f, lhs[:, None]), 0)
     np.add.at(lv, app.blocks[: bounds[count]], paired.transpose(2, 0, 1))
     # D_b mu * D_c nu for every term, merged per point in the order `convolve` adds its items,
     # then paired with each probe, summed in point order

@@ -262,7 +262,7 @@ def small_tables(draw):
 
 @pytest.mark.parametrize("cap,assoc_cap", [(20000, 6), (40000, 8)])
 def test_slices_and_runs_match_reference(monkeypatch, cap, assoc_cap):
-    # small caps cut the pair checks into x-slices and associativity into runs of x
+    # small caps cut associativity into runs of x and the polynomial rows into blocks of pairs
     monkeypatch.setattr(hypermoment.hypergroups, "DENSE_CAP", cap)
     monkeypatch.setattr(hypermoment.hypergroups, "ASSOC_CAP", assoc_cap)
     for make in (chebyshev, legendre, real_line, lambda: chebyshev_dip(3, 0.8, 30)):
@@ -287,9 +287,11 @@ CARRIERS = {"chebyshev": chebyshev, "legendre": legendre, "realline": real_line,
 # (carrier, bound, DENSE_CAP, ASSOC_CAP), as the parent commit treated them: it refused the first
 # list, after its pair checks and, for most, after associativity runs; it accepted the second, two
 # of them because a convolution an earlier x needs is undefined and ends the scan first
-PARENT_REFUSED = [("legendre", 20, 6000, 6), ("chebyshev", 30, 6000, 6), ("realline", 20, 1500, 6),
+PARENT_REFUSED = [("legendre", 20, 6000, 6), ("chebyshev", 30, 6000, 6),
                   ("chebyshev", 9, 2000, 48), ("legendre", 30, 12000, 6), ("dip", 20, 1500, 6),
                   ("far-dip", 20, 3000, 6), ("realline", 6, 4000, 48)]
+# refused by dense pair checks only, whose x-slices exceeded the cap: flat pair checks have no slices
+SLICE_REFUSED = [("realline", 20, 1500, 6)]
 PARENT_ACCEPTED = [("dip", 30, 6000, 6), ("far-dip", 30, 12000, 6), ("chebyshev", 20, 6000, 6),
                    ("legendre", 12, 16000, 48), ("dip", 10, 1500, 6), ("realline", 30, 6000, 6),
                    ("far-dip", 30, 20000, 6), ("dip", 12, 8000, 48)]
@@ -299,8 +301,9 @@ def _capped_run(monkeypatch, name, bound, cap, assoc_cap):
     monkeypatch.setattr(hypermoment.hypergroups, "DENSE_CAP", cap)
     monkeypatch.setattr(hypermoment.hypergroups, "ASSOC_CAP", assoc_cap)
     hg, grids = CARRIERS[name](), []
-    tensor = hg._tensor
-    monkeypatch.setattr(hg, "_tensor", lambda xs, ys: grids.append((len(xs), len(ys))) or tensor(xs, ys))
+    dense = hypermoment.hypergroups._dense
+    monkeypatch.setattr(hypermoment.hypergroups, "_dense",
+                        lambda grid, shape: grids.append(shape) or dense(grid, shape))
     return hg, grids
 
 
@@ -319,6 +322,12 @@ def test_samples_the_parent_accepted_are_accepted(monkeypatch, name, bound, cap,
     assert check_axioms(hg, bound).records[-1].name == "associativity"
 
 
+@pytest.mark.parametrize("name,bound,cap,assoc_cap", SLICE_REFUSED)
+def test_samples_refused_only_by_pair_check_slices_are_accepted(monkeypatch, name, bound, cap, assoc_cap):
+    _capped_run(monkeypatch, name, bound, cap, assoc_cap)
+    assert_matches_reference(CARRIERS[name], bound)
+
+
 def test_legendre_bound_200_is_refused_before_the_pair_checks(monkeypatch):
     # the parent ran its pair checks and 32 associativity runs (15.5 s) before this refusal
     hg, grids = _capped_run(monkeypatch, "legendre", 200, hypermoment.hypergroups.DENSE_CAP, 48)
@@ -327,11 +336,12 @@ def test_legendre_bound_200_is_refused_before_the_pair_checks(monkeypatch):
     assert grids == [(48, 48)]
 
 
-def test_large_real_line_bound_stays_within_memory():
-    # dense P x P x W arrays would take about 1 GB each at this bound
+@pytest.mark.parametrize("bound", [200, 400])
+def test_large_real_line_bound_stays_within_memory(bound):
+    # dense P x P x W arrays would take about 1 GB each at bound 200
     tracemalloc.start()
     try:
-        assert check_axioms(real_line(), 200).passed
+        assert check_axioms(real_line(), bound).passed
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

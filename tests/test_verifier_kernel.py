@@ -395,7 +395,7 @@ def test_operator_checks_match_loop(make):
 
 
 def test_split_blocks_match_loop(monkeypatch):
-    # a cap this small holds a few pairs per block: every pair list splits
+    # a cap this small holds a few pairs per block: every pair list of a polynomial carrier splits
     monkeypatch.setattr(hypermoment.hypergroups, "DENSE_CAP", 40)
     for name, seq, points in CORPUS[::3]:
         pairs = [(x, y) for x in points for y in points]
