@@ -94,10 +94,11 @@ class Hypergroup:
         Raises the DomainError that a loop over the pairs meets first: an
         invalid point or an undefined convolution.
         """
-        valid, failure = [], None
+        valid, failure, seen, pairs = [], None, {}, list(pairs)  # held, so each point keeps its id
         for x, y in pairs:
-            try:
-                valid.append((self.validate_point(x), self.validate_point(y)))
+            try:  # each point object validated once, keyed by id: -0.0 and 0.0 stay apart
+                valid.append((seen[id(x)] if id(x) in seen else seen.setdefault(id(x), self.validate_point(x)),
+                              seen[id(y)] if id(y) in seen else seen.setdefault(id(y), self.validate_point(y))))
             except DomainError as exc:
                 failure = exc
                 break

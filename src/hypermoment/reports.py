@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, field, replace
-from typing import Any, Callable, Iterable
+from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -108,24 +108,32 @@ class Report:
         self, name: str, law: str, residuals: np.ndarray, scales: np.ndarray, tol: Tolerance,
         witness: Callable[[int], Any], detail: str = "",
     ) -> CheckRecord:
-        """Record the first case of largest residual/scale, as a loop that keeps a
-        strictly larger ratio finds it from residual 0 at scale 1, and fail when any
-        case fails: `tol.ok` is not monotone in the ratio once its absolute floor
-        exceeds rel * scale.  The counterexample is the first case whose ratio is
-        NaN (such a case fails, and the residual is the worst of the others), else
-        the worst case when it fails, else the first failing case.  `witness(i)` is
-        the counterexample of case i, in flattened order."""
-        res, scl = np.ravel(residuals), np.ravel(scales)
-        ratio = res / scl
+        """`add_rows` for one row; `witness(i)` is the counterexample of case i."""
+        return self.add_rows([name], law, residuals, scales, tol, lambda _, i: witness(i), [detail])[0]
+
+    def add_rows(
+        self, names: Sequence[str], law: str, residuals: np.ndarray, scales: np.ndarray, tol: Tolerance,
+        witness: Callable[[int, int], Any], details: Sequence[str],
+    ) -> list[CheckRecord]:
+        """Record each row r of `residuals` and `scales` (axis 0; cases in flattened order) as
+        names[r] with details[r]: the first case of largest residual/scale, as a loop keeping a
+        strictly larger ratio finds it from residual 0 at scale 1.  It fails when any case fails
+        (`tol.ok` is not monotone in the ratio once abs_floor > rel * scale), with `witness(r, i)`
+        of the first NaN case i (the residual is the worst of the others), else of the worst
+        case when it fails, else of the first failing case."""
+        residuals, scales = residuals.reshape(len(names), -1), scales.reshape(len(names), -1)
+        if not residuals.shape[1]:  # a row of no cases records the loop's start: residual 0, scale 1
+            residuals, scales = np.zeros((len(names), 1)), np.ones((len(names), 1))
+        ratio = residuals / scales
         nan = np.isnan(ratio)
-        fails = nan | tol.fails(res, scl)
+        fails = nan | tol.fails(residuals, scales)
         ratio[nan] = 0.0
-        i = int(np.argmax(ratio)) if ratio.size else 0
-        worst, scale = (float(res[i]), float(scl[i])) if ratio.size and ratio[i] > 0.0 else (0.0, 1.0)
-        if not fails.any():
-            return self.add(name, law, True, worst, scale, detail=detail)
-        k = int(np.argmax(nan)) if nan.any() else i if fails[i] else int(np.argmax(fails))
-        return self.add(name, law, False, worst, scale, witness(k), detail)
+        for r, (i, failing) in enumerate(zip(ratio.argmax(axis=1).tolist(), fails.any(axis=1).tolist())):
+            case = (residuals.item(r, i), scales.item(r, i)) if ratio.item(r, i) > 0.0 else (0.0, 1.0)
+            if failing:
+                i = nan[r].argmax() if nan[r].any() else i if fails.item(r, i) else fails[r].argmax()
+            self.add(names[r], law, not failing, *case, witness(r, int(i)) if failing else None, details[r])
+        return self.records[-len(names):]
 
     def add_first_failure(
         self, name: str, law: str, blocks: Iterable[tuple], tol: Tolerance, witness: Callable[[int], Any],

@@ -47,7 +47,7 @@ from hypermoment import (
     two_point,
 )
 from hypermoment.config import Tolerance, default_tolerance, set_default_tolerance
-from hypermoment.hypergroups import assoc_sample
+from hypermoment.hypergroups import PairSupports, _defined, assoc_sample
 from hypermoment.io import load_hypergroup
 
 
@@ -552,6 +552,53 @@ def test_convolutions_match_the_point_rule_bit_for_bit(make, points):
             for n in points:
                 want = _bits(lambda: tuple(sorted(reference_linearization(hg, m, n, memo).items())))
                 assert _bits(lambda: hg.linearization(m, n)) == want
+
+
+def reference_pair_supports(hg, pairs):
+    """`pair_supports` as it read: both points of every pair validated in the loop."""
+    valid, failure = [], None
+    for x, y in pairs:
+        try:
+            valid.append((hg.validate_point(x), hg.validate_point(y)))
+        except DomainError as exc:
+            failure = exc
+            break
+    empty = PairSupports(np.zeros(0, dtype=np.intp), np.zeros(0), np.zeros(0), 0, _defined(0))
+    flat = hg._pairs(*np.array(valid).T) if valid else empty
+    bad = flat.err.astype(bool)
+    if bad.any():
+        raise DomainError(flat.err[np.argmax(bad)])
+    if failure is not None:
+        raise failure
+    return flat._replace(points=flat.points.tolist())
+
+
+def _flat_bits(fn) -> str:
+    try:
+        sup = fn()
+    except DomainError as exc:
+        return f"DomainError: {exc}"
+    return repr((sup.rows.tolist(), sup.points, sup.weights.tolist(), sup.count, sup.err.tolist()))
+
+
+@pytest.mark.parametrize("make", [real_line, chebyshev, lambda: FiniteHypergroup(5, 0, cyclic(5)),
+                                  lambda: PolynomialHypergroup(1.0, 0.0, [(0.5, 0.0, 0.5)] * 8)])
+def test_pair_supports_validates_each_point_once_as_the_loop_did(make, monkeypatch):
+    # points equal in value but not alike: 2 and 2.0, True and 1, np.int64(2) and 2, -0.0 and 0.0,
+    # with nan, inf, -1 and 1e308 (its sums leave the floats), mixed at random; the same
+    # outcome, bit for bit, or the same first DomainError
+    hg = make()
+    points = [2, 2.0, float("2"), True, 1, np.int64(2), np.float64(-0.0), -0.0, 0.0, float("nan"), float("inf"),
+              -1, 0.5, 1e308, 3, 4, 7]
+    rng = random.Random(11)
+    for _ in range(300):
+        pairs = [(rng.choice(points), rng.choice(points)) for _ in range(rng.randint(1, 8))]
+        assert _flat_bits(lambda: hg.pair_supports(pairs)) == _flat_bits(lambda: reference_pair_supports(hg, pairs))
+    calls = []
+    run = hg.validate_point
+    monkeypatch.setattr(hg, "validate_point", lambda p: calls.append(p) or run(p))
+    hg.pair_supports([(x, y) for x in (0, 1, 3) for y in (0, 1, 3)])
+    assert calls == [0, 1, 3]
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import cmath
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -394,3 +395,27 @@ class TestAffineSolutionSet:
         assert not affine.is_trivial() and affine.describe() == "affine: dimension 1"
         bad = AffineSolutionSet(consistent=False, particular=None, nullspace=(), **base)
         assert not bad.is_trivial() and bad.describe() == "inconsistent"
+
+
+def test_entry_lookups_keep_their_messages():
+    # a tuple key is looked up as given; anything else, and every miss, goes through as_index,
+    # so the messages are the ones as_index and the order check gave before
+    seq = poly_derivative_moments(chebyshev(), 0.3, 3)
+    family = derivation_from_moments(seq, skip_verification=True)
+    for lookup, what in ((seq.phi, "entry"), (family.op, "operator")):
+        for key, message in [
+            ((), "multi-index must have rank >= 1"),
+            ([], "multi-index must have rank >= 1"),
+            ((-1,), "multi-index (-1,) has negative components"),
+            (-1, "multi-index (-1,) has negative components"),
+            ((0, 1), f"no {what} for multi-index (0, 1) (order 3)"),
+            ([1, 0, 0], f"no {what} for multi-index (1, 0, 0) (order 3)"),
+            ((4,), f"no {what} for multi-index (4,) (order 3)"),
+            ((np.int64(4),), f"no {what} for multi-index (4,) (order 3)"),
+            (7, f"no {what} for multi-index (7,) (order 3)"),
+        ]:
+            with pytest.raises(DomainError) as caught:
+                lookup(key)
+            assert str(caught.value) == message
+        for key in ((2,), [2], 2, (np.int64(2),), (2.0,), (2.7,), np.array([2])):
+            assert lookup(key) is (seq.entries if what == "entry" else family.entries)[(2,)]

@@ -176,3 +176,59 @@ class TestWorstCaseVerdict:
             "worst", "l", np.array([1e-12, 5e-13]), np.array([100.0, 1.0]), Tolerance(rel=1e-30), lambda i: [i]
         )
         assert (rec.status, rec.counterexample, rec.residual, rec.scale) == (PASS, None, 5e-13, 1.0)
+
+
+def reference_add_worst(report, name, law, residuals, scales, tol, witness, detail=""):
+    """`Report.add_worst` as it read before the row rule: one array pass per record."""
+    res, scl = np.ravel(residuals), np.ravel(scales)
+    ratio = res / scl
+    nan = np.isnan(ratio)
+    fails = nan | tol.fails(res, scl)
+    ratio[nan] = 0.0
+    i = int(np.argmax(ratio)) if ratio.size else 0
+    worst, scale = (float(res[i]), float(scl[i])) if ratio.size and ratio[i] > 0.0 else (0.0, 1.0)
+    if not fails.any():
+        return report.add(name, law, True, worst, scale, detail=detail)
+    k = int(np.argmax(nan)) if nan.any() else i if fails[i] else int(np.argmax(fails))
+    return report.add(name, law, False, worst, scale, witness(k), detail)
+
+
+class TestRowRule:
+    """`add_rows` judges every row in one array pass, as a loop of one-row passes did."""
+
+    @staticmethod
+    def assert_rows_match(res, scl, tol) -> list:
+        names, details = [f"row {r}" for r in range(len(res))], [f"detail {r}" for r in range(len(res))]
+        rows, one, loop = Report(title="t"), Report(title="t"), Report(title="t")
+        with np.errstate(all="ignore"):
+            got = rows.add_rows(names, "l", res, scl, tol, lambda r, i: [r, i], details)
+            for r in range(len(res)):
+                one.add_worst(names[r], "l", res[r], scl[r], tol, lambda i: [r, i], details[r])
+                reference_add_worst(loop, names[r], "l", res[r], scl[r], tol, lambda i: [r, i], details[r])
+        assert got == rows.records
+        assert repr(rows.records) == repr(one.records) == repr(loop.records)  # repr tells -0.0 from 0.0
+        return got
+
+    def test_random_rows_match_the_one_row_loop_bit_for_bit(self):
+        rng = np.random.default_rng(5)
+        tols = [Tolerance(), Tolerance(rel=1e-30), Tolerance(rel=0.0, abs_floor=0.0), Tolerance(rel=1e-3, abs_floor=0.5)]
+        residual_values = [0.0, -0.0, 1e-13, 1e-12, 2e-12, 1e-9, 0.5, 3.0, math.inf, math.nan]
+        scale_values = [1.0, 1.0, 100.0, 1e12, 0.0, math.inf, math.nan]
+        for _ in range(400):
+            shape = (rng.integers(1, 6), *rng.integers(0, 5, size=rng.integers(1, 3)))
+            res = rng.choice(residual_values, size=shape) * rng.choice([1.0, rng.uniform(0.5, 2.0)], size=shape)
+            scl = rng.choice(scale_values, size=shape)
+            self.assert_rows_match(res, scl, tols[rng.integers(len(tols))])
+
+    def test_rows_of_no_cases_pass_at_residual_0_scale_1(self):
+        for shape in [(3, 0), (1, 0), (2, 4, 0)]:
+            got = self.assert_rows_match(np.zeros(shape), np.ones(shape), Tolerance())
+            assert [(r.status, r.residual, r.scale) for r in got] == [(PASS, 0.0, 1.0)] * shape[0]
+
+    def test_the_floor_cases_stacked_as_rows(self):
+        # the three TestWorstCaseVerdict cases, each padded with a case of residual 0 at scale 1
+        res = np.array([[2e-12, 1e-12, 0.0], [2e-12, 0.0, 5e-12], [1e-12, 5e-13, 0.0]])
+        scl = np.array([[100.0, 1.0, 1.0], [100.0, 1.0, 1.0], [100.0, 1.0, 1.0]])
+        got = self.assert_rows_match(res, scl, Tolerance(rel=1e-30))
+        assert [(r.status, r.counterexample, r.residual, r.scale) for r in got] == [
+            (FAIL, [0, 0], 1e-12, 1.0), (FAIL, [1, 2], 5e-12, 1.0), (PASS, None, 5e-13, 1.0)]

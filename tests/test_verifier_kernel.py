@@ -27,6 +27,7 @@ from __future__ import annotations
 import cmath
 import math
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -688,12 +689,16 @@ def head_verify_fourier_leibniz(family, samples) -> Report:
 
 
 def assert_same_application(family, samples, probes=None) -> None:
-    """Both Leibniz checks against their Measure-loop forms: the same JSON to the byte, or the same error."""
-    got = outcome(lambda: verify_leibniz(family, samples, probes).to_json())
+    """Both Leibniz checks against their Measure-loop forms: the same JSON to the byte, or the same error.
+    Each check runs once on a copy of the family, whose memo is cold, so that it reads a table it
+    built itself; the transform-side check runs again on the table `verify_leibniz` left."""
+    warm = replace(family)
+    got = outcome(lambda: verify_leibniz(warm, samples, probes).to_json())
     assert got == outcome(lambda: head_verify_leibniz(family, samples, probes).to_json())
     if isinstance(family.hypergroup, PolynomialHypergroup):
-        got = outcome(lambda: verify_fourier_leibniz(family, samples).to_json())
-        assert got == outcome(lambda: head_verify_fourier_leibniz(family, samples).to_json())
+        want = outcome(lambda: head_verify_fourier_leibniz(family, samples).to_json())
+        assert outcome(lambda: verify_fourier_leibniz(replace(family), samples).to_json()) == want
+        assert outcome(lambda: verify_fourier_leibniz(warm, samples).to_json()) == want
 
 
 @pytest.mark.parametrize("case", CORPUS, ids=IDS)
@@ -787,7 +792,7 @@ def test_a_point_every_derivation_drops_leaves_the_grid(make, monkeypatch):
     seen = []
     run = hg.pair_supports
     monkeypatch.setattr(hg, "pair_supports", lambda pairs: seen.append(list(pairs)) or run(pairs))
-    verify_leibniz(family, samples)
+    verify_leibniz(replace(family), samples)  # a cold memo: the check convolves the samples itself
     conv, grid = seen
     assert any(2 in pair for pair in conv) and not any(2 in pair for pair in grid)
 
@@ -823,9 +828,58 @@ def test_one_application_per_check(monkeypatch):
         monkeypatch.setattr(module, "convolve", lambda *args: calls.append("convolve"))
     for check, want in ((verify_leibniz, ["pair_supports"] * 2), (verify_fourier_leibniz, ["pair_supports"])):
         calls.clear(), evals.clear()
-        assert check(family, samples).passed
+        assert check(replace(family), samples).passed  # a cold memo: the check applies the family itself
         assert calls == want
         assert len(evals) == len(set(evals)) > 0
+    # after verify_leibniz, the transform-side check reads the table it left: no convolution, no symbol
+    assert verify_leibniz(family, samples).passed
+    calls.clear(), evals.clear()
+    assert verify_fourier_leibniz(family, samples).passed
+    assert calls == evals == []
+
+
+def test_both_checks_share_one_table_per_family_and_samples(monkeypatch):
+    # the table is kept for the same objects only (`is`): a new sample list of the same measures
+    # reads it; new but equal measures, a replaced operator or carrier, or a failing call do not
+    hg = chebyshev()
+    seq = poly_derivative_moments(hg, 0.3 - 0.1j, 2)
+    evals = []
+    entries = {a: make_module_hom(hg, CFunction(lambda n, a=a: evals.append(n) or seq.phi(a)(n))) for a in seq.alphas}
+    family = DerivationFamily(hg, 1, 2, entries)
+    rng = random.Random(8)
+    ms = [measure(hg, rng, range(8), k=3) for _ in range(4)]
+    samples = [(ms[i], ms[(i + 1) % 4]) for i in range(4)]
+    calls = []
+    run = hg.pair_supports
+    monkeypatch.setattr(hg, "pair_supports", lambda pairs: calls.append(len(pairs)) or run(pairs))
+    app = apply_family(family, samples)
+    assert len(calls) == 1 and evals
+    want = head_verify_leibniz(family, samples).to_json(), head_verify_fourier_leibniz(family, samples).to_json()
+    calls.clear(), evals.clear()
+    assert apply_family(family, list(samples)) is app and calls == evals == []
+    assert verify_leibniz(family, samples).to_json() == want[0]
+    assert verify_fourier_leibniz(family, samples).to_json() == want[1]
+    assert len(calls) == 1 and evals == []  # verify_leibniz's term grid only: both read the table
+    assert not (app.weights.flags.writeable or app.blocks.flags.writeable)
+    for table in (app.weights, app.blocks):
+        with pytest.raises(ValueError, match="read-only"):
+            table[0] = 0
+    copies = {id(m): Measure(m.hypergroup, m.support) for m in ms}
+    equal = [(copies[id(mu)], copies[id(nu)]) for mu, nu in samples]
+    again = apply_family(family, equal)
+    assert again is not app and bits(again.weights.tolist()) == bits(app.weights.tolist())
+    family.entries[(1,)] = make_module_hom(hg, family.entries[(1,)].symbol)
+    before = apply_family(family, equal)
+    assert before is not again and apply_family(family, equal) is before
+    family.hypergroup = chebyshev()  # an equal carrier, but another object
+    after = apply_family(family, equal)
+    assert after is not before and apply_family(family, equal) is after
+    calls.clear(), evals.clear()
+    bad = [samples[0], (Measure.from_items(hg, [(3, 1e200)]), Measure.from_items(hg, [(2, 1e200)]))]
+    for _ in range(2):  # mu*nu of the second sample overflows: each call raises, none is kept
+        with pytest.raises(DomainError, match="non-finite weight"):
+            apply_family(family, bad)
+    assert len(evals) == 2 * len(set(evals)) > 0
 
 
 def test_random_families_match_the_measure_loops():
