@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
 """Time the large inputs: axiom checks at high bounds, deep linearizations,
-Leibniz checks on convolutions of high degree and a transform of degree 200.
+Leibniz checks on convolutions of high degree, a transform of degree 200, its
+Taylor check at degree 150 and the exponentials of the cyclic group Z_64.
 
 Each case runs in a fresh interpreter and prints one JSON line: its name, the
 seconds the call took (`time.perf_counter`, import excluded), the peak
@@ -9,7 +10,7 @@ resident memory of the interpreter (`ru_maxrss`, MB) and the outcome: "ok",
 its first ";".
 
     python scripts/large_inputs.py               # every case, in the order below
-    python scripts/large_inputs.py lin1200 cheb80 leib120 transform200
+    python scripts/large_inputs.py lin1200 cheb80 leib120 transform200 taylor150 expo64
 
 With `hypermoment` not installed, put `src` on PYTHONPATH.
 """
@@ -23,7 +24,9 @@ import random
 import resource
 import subprocess
 import sys
+import tempfile
 import time
+from pathlib import Path
 
 from hypermoment import (
     DomainError, Measure, check_axioms, chebyshev, derivation_from_moments, legendre, poly_derivative_moments,
@@ -53,6 +56,24 @@ def transform200() -> bool:
         return cli_main(argv) == 0
 
 
+def taylor150() -> bool:
+    """`transform --taylor` of P_0 + 0.5i P_70 + 0.25 P_150 on chebyshev, its report
+    discarded; True when it exits 0."""
+    argv = ["transform", "--hypergroup", "chebyshev", "--measure", "[[0,1],[70,[0,0.5]],[150,0.25]]", "--taylor"]
+    with contextlib.redirect_stdout(io.StringIO()):
+        return cli_main(argv) == 0
+
+
+def exponentials64() -> bool:
+    """`exponentials` of the cyclic group Z_64, its spec written to a temporary file and
+    its report discarded: 64 exponentials judged on 4096 pairs; True when it exits 0."""
+    table = [[a, b, [[(a + b) % 64, 1.0]]] for a in range(64) for b in range(64)]
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
+        spec = Path(tmp) / "Z64.json"
+        spec.write_text(json.dumps({"kind": "finite", "size": 64, "identity": 0, "table": table}))
+        return cli_main(["exponentials", "--hypergroup", str(spec)]) == 0
+
+
 CASES = {
     "cheb40": lambda: check_axioms(chebyshev(), 40),
     "cheb80": lambda: check_axioms(chebyshev(), 80),
@@ -66,6 +87,8 @@ CASES = {
     "lin5000": lambda: chebyshev().linearization(5000, 5000),
     "leib120": leibniz120,
     "transform200": transform200,
+    "taylor150": taylor150,
+    "expo64": exponentials64,
 }
 
 

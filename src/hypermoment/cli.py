@@ -30,7 +30,7 @@ from .moments import (
     MomentSequence, _default_pairs, derivation_from_moments, iterated_extension, rank_lift, verify_leibniz,
     verify_moment_sequence,
 )
-from .operators import is_exponential
+from .operators import exponential_reports
 from .reports import Report
 
 
@@ -99,11 +99,9 @@ def cmd_exponentials(args: argparse.Namespace, hg: Hypergroup) -> Report:
     if not isinstance(hg, FiniteHypergroup):
         raise SpecError("exponential enumeration needs a finite hypergroup")
     expos = enumerate_exponentials(hg, tol=args.tol)
-    pairs = _default_pairs(hg)
     report = Report(title="exponentials", meta={"count": len(expos)})
-    for i, m in enumerate(expos):
-        sub = is_exponential(hg, m, pairs, tol=args.tol)
-        values = {str(x): [m(x).real, m(x).imag] for x in range(hg.size)}
+    for i, (m, sub) in enumerate(zip(expos, exponential_reports(hg, expos, _default_pairs(hg), tol=args.tol))):
+        values = {str(x): [v.real, v.imag] for x, v in enumerate(map(m, range(hg.size)))}
         report.add(
             f"m{i}",
             "m(o) = 1 and <dx*dy, m> = m(x) m(y)",

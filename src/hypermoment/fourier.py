@@ -17,13 +17,13 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Any, Sequence
+from typing import Any, Iterator, Sequence
 
 import numpy as np
 
 from .config import Tolerance, default_tolerance, scale_of
 from .errors import DomainError
-from .hypergroups import PolynomialHypergroup, RealLineHypergroup
+from .hypergroups import DerivativeRun, PolynomialHypergroup, RealLineHypergroup
 from .measures import Measure, as_literal, complex_abs, complex_product, convolve
 from .moments import DerivationFamily, _identity_records, apply_family, as_index, binomial_terms
 from .reports import Report
@@ -85,11 +85,20 @@ def p_to_monomial(hg: PolynomialHypergroup, n: int) -> tuple[float, ...]:
         raise DomainError("monomial conversion needs a polynomial hypergroup")
     if n < 0:
         raise DomainError("index must be nonnegative")
+    for row in _monomial_rows(hg, n):
+        pass
+    return tuple(row)
+
+
+def _monomial_rows(hg: PolynomialHypergroup, top: int) -> Iterator[list[float]]:
+    """The monomial coefficients of P_0, P_1, ..., P_top, from one run of the recurrence."""
     prev = [1.0]  # P_0
-    if n == 0:
-        return tuple(prev)
+    yield prev
+    if top == 0:
+        return
     cur = [-hg.b0 / hg.a0, 1.0 / hg.a0]  # P_1
-    for m in range(1, n):
+    yield cur
+    for m in range(1, top):
         a, b, c = hg.coefficient_row(m)
         # P_{m+1} = ((x - b0)/a0 * P_m - b_m P_m - c_m P_{m-1}) / a_m
         nxt = [0.0] * (m + 2)
@@ -100,7 +109,7 @@ def p_to_monomial(hg: PolynomialHypergroup, n: int) -> tuple[float, ...]:
         for j, v in enumerate(prev):
             nxt[j] -= c * v
         prev, cur = cur, [v / a for v in nxt]
-    return tuple(cur)
+        yield cur
 
 
 def _on_polynomial_carrier(hg: Any, mu: Measure) -> None:
@@ -114,13 +123,10 @@ def _on_polynomial_carrier(hg: Any, mu: Measure) -> None:
 def transform(hg: PolynomialHypergroup, mu: Measure) -> TransformPoly:
     """Fourier-Laplace transform: z -> sum_n mu({n}) P_n(z), as monomial coefficients."""
     _on_polynomial_carrier(hg, mu)
-    coeffs: list[complex] = []
-    for n, w in mu.support:
-        mono = p_to_monomial(hg, n)
-        if len(mono) > len(coeffs):
-            coeffs.extend([0j] * (len(mono) - len(coeffs)))
-        for j, v in enumerate(mono):
-            coeffs[j] += w * v
+    coeffs, weights = [0j] * (max(mu.points, default=0) + 1), dict(mu.support)
+    for n, mono in enumerate(_monomial_rows(hg, len(coeffs) - 1)):  # support points in order, as the run meets them
+        for j, v in enumerate(mono if n in weights else ()):
+            coeffs[j] += weights[n] * v
     if not all(map(cmath.isfinite, coeffs)):
         raise DomainError(f"transform of degree {len(coeffs) - 1}: monomial coefficients leave the float range")
     return TransformPoly.from_coeffs(hg, coeffs)
@@ -258,10 +264,10 @@ def derivative_moments(
     z: complex = 0.0,
 ) -> list[complex]:
     """Values <D_k mu, 1> = sum_n mu({n}) P_n^(k)(z) for k = 0..kmax, each summed in
-    support order from one row of derivatives per support point."""
+    support order from the rows of one `DerivativeRun` to the top support point."""
     z = complex(z)
-    rows = [hg.poly_derivatives(n, z, kmax) for n, _ in mu.support] if kmax >= 0 else []
-    values = [sum((w * row[k] for (_, w), row in zip(mu.support, rows)), 0j) for k in range(kmax + 1)]
+    rows = DerivativeRun(hg, z, kmax).upto(max(mu.points, default=0)) if kmax >= 0 else []
+    values = [sum((w * rows[n][k] for n, w in mu.support), 0j) for k in range(kmax + 1)]
     if not all(map(cmath.isfinite, values)):
         raise DomainError(f"derivative moments up to order {kmax} at z={z} leave the float range")
     return values

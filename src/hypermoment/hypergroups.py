@@ -438,31 +438,11 @@ class PolynomialHypergroup(Hypergroup):
         return list(range(bound + 1))
 
     def poly_derivatives(self, n: int, z: complex, k: int) -> list[complex]:
-        """[P_n(z), P_n'(z), ..., P_n^(k)(z)] by the differentiated three-term recurrence.
-
-        P_1 is affine, so (P_1 * P_m)^(i) = P_1(z) P_m^(i) + i P_1' P_m^(i-1)
-        with P_1' = 1/a0; all orders 0..k are carried jointly forward in n, and
-        order i never reads an order above i, so it does not depend on k.
-        """
+        """[P_n(z), P_n'(z), ..., P_n^(k)(z)]: row n of a `DerivativeRun` to n."""
         if n < 0 or k < 0:
             raise DomainError("indices must be nonnegative")
-        z = complex(z)
-        prev = [1.0 + 0j] + [0j] * k  # P_0 and its derivatives
-        if n == 0:
-            return prev
-        p1 = (z - self.b0) / self.a0
-        dp1 = 1.0 / self.a0
-        cur = [p1] + ([dp1] if k >= 1 else []) + [0j] * max(0, k - 1)
-        for m in range(1, n):
-            a, b, c = self.coefficient_row(m)
-            nxt = [0j] * (k + 1)
-            for i in range(k + 1):
-                s = p1 * cur[i] - b * cur[i] - c * prev[i]
-                if i >= 1:
-                    s += i * dp1 * cur[i - 1]
-                nxt[i] = s / a
-            prev, cur = cur, nxt
-        return cur
+        run = DerivativeRun(self, z, k)
+        return run.upto(n)[n] if n else run.rows[0]  # any n equal to 0 (0.0, False) reads row 0
 
     def eval_poly_derivative(self, n: int, z: complex, k: int) -> complex:
         """P_n^(k)(z), the last entry of `poly_derivatives`."""
@@ -480,6 +460,32 @@ class PolynomialHypergroup(Hypergroup):
 
     def describe(self) -> str:
         return f"polynomial({self.name})" if self.name else "polynomial"
+
+
+class DerivativeRun:
+    """One forward run of the differentiated three-term recurrence at z: ``rows[n][i]`` is
+    P_n^(i)(z), i = 0..k.  P_1 is affine, so (P_1 * P_m)^(i) = P_1(z) P_m^(i) + i P_1' P_m^(i-1)
+    with P_1' = 1/a0; order i never reads an order above i, so row n depends neither on k nor on
+    how far the run has gone.  `upto` grows it; an invalid row raises there, the rows below stay."""
+
+    def __init__(self, hg: PolynomialHypergroup, z: complex, k: int):
+        self.hg, self.k, self.p1, self.dp1 = hg, k, (complex(z) - hg.b0) / hg.a0, 1.0 / hg.a0
+        self.rows = [[1.0 + 0j] + [0j] * k, [self.p1] + ([self.dp1] if k >= 1 else []) + [0j] * max(0, k - 1)]
+
+    def upto(self, top: int) -> list[list[complex]]:
+        """The rows, grown to hold row `top`."""
+        rows, k, p1, dp1 = self.rows, self.k, self.p1, self.dp1
+        for m in range(len(rows) - 1, top):
+            a, b, c = self.hg.coefficient_row(m)
+            prev, cur = rows[-2], rows[-1]
+            nxt = [0j] * (k + 1)
+            for i in range(k + 1):
+                s = p1 * cur[i] - b * cur[i] - c * prev[i]
+                if i >= 1:
+                    s += i * dp1 * cur[i - 1]
+                nxt[i] = s / a
+            rows.append(nxt)
+        return rows
 
 
 class RealLineHypergroup(Hypergroup):
@@ -836,10 +842,6 @@ def enumerate_exponentials(hg: FiniteHypergroup, tol: Tolerance | None = None) -
         raise DecompositionError(f"joint eigenvector failed exponential re-verification (residual {res[b, i]:.3e})")
     if len(found) < len(blocks):
         raise DecompositionError("joint eigenvector vanishes at the identity")
-    functions = [CFunction.from_table({x: complex(v[x]) for x in range(n)}, kind="exponential") for v in found]
-    functions.sort(
-        key=lambda f: tuple(
-            (-round(f(x).real, 10), -round(f(x).imag, 10)) for x in range(n)
-        )
-    )
-    return functions
+    # sorted on their values, read from the eigenvectors: v.tolist()[x] is the complex(v[x]) `from_table` stores
+    found.sort(key=lambda v: tuple((-round(c.real, 10), -round(c.imag, 10)) for c in v.tolist()))
+    return [CFunction.from_table(dict(enumerate(v.tolist())), kind="exponential") for v in found]

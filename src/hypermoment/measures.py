@@ -99,15 +99,17 @@ class CFunction:
     """Evaluable complex-valued function on a hypergroup carrier.
 
     Backed by a callable plus a descriptor (`kind`, `params`) used for
-    serialisation and reporting.  Evaluation is deterministic.
+    serialisation and reporting.  Evaluation is deterministic.  A built-in moment
+    entry sets `_many` (see `evaluate`); `_exponential_on` is set by `MomentSequence.build`.
     """
 
-    __slots__ = ("_fn", "kind", "params")
+    __slots__ = ("_fn", "kind", "params", "_many", "_exponential_on")
 
     def __init__(self, fn: Callable[[Point], Any], kind: str = "callable", params: Mapping[str, Any] | None = None):
         self._fn = fn
         self.kind = kind
         self.params = dict(params or {})
+        self._many = self._exponential_on = None
 
     def __call__(self, x: Point) -> complex:
         return _evaluate(self._fn, x)
@@ -162,6 +164,34 @@ def _evaluate(f: CFunction | Callable[[Point], Any], x: Point) -> complex:
         raise
     except Exception as exc:
         raise DomainError(f"function evaluation failed at point {x!r}: {exc}") from exc
+
+
+def evaluate(f: CFunction | Callable[[Point], Any], points: list) -> tuple[np.ndarray, DomainError | None]:
+    """f at the points, in order: the values before the first DomainError and that error (None if none).
+    A built-in entry's `_many` gives in one call the values `_evaluate` gives; where it declines (None)
+    or raises, `_evaluate` runs point by point, so the values and the error are the loop's."""
+    many = f._many if isinstance(f, CFunction) else None
+    try:
+        out = many(points) if many is not None and points else None
+    except Exception:  # as where `_many` declines: the loop below raises it as `_evaluate` words it
+        out = None
+    if out is not None:
+        return out, None
+    values: list[complex] = []
+    try:
+        for x in points:
+            values.append(_evaluate(f, x))
+    except DomainError as exc:
+        return np.array(values, dtype=complex), exc
+    return np.array(values, dtype=complex), None
+
+
+def values_at(f: CFunction | Callable[[Point], Any], points: list) -> np.ndarray:
+    """f at every point of `points` (`evaluate`), raising the first DomainError."""
+    values, failure = evaluate(f, points)
+    if failure is not None:
+        raise failure
+    return values
 
 
 def complex_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -232,7 +262,7 @@ def merge(keys: list, items: np.ndarray) -> tuple[list, np.ndarray]:
 def module_action(phi: CFunction | Callable[[Point], Any], mu: Measure) -> Measure:
     """Multiplication of a measure by a function: weight at x becomes phi(x)*mu({x}),
     weighed by `multiply` once phi is evaluated at every point, exact zeros dropped."""
-    values = np.array([_evaluate(phi, x) for x, _ in mu.support], dtype=complex)
+    values = values_at(phi, [x for x, _ in mu.support])
     weights = multiply(values, np.array([w for _, w in mu.support], dtype=complex)).tolist()
     return Measure(mu.hypergroup, tuple((x, w) for (x, _), w in zip(mu.support, weights) if w != 0))
 

@@ -30,10 +30,10 @@ import numpy as np
 
 from .config import Tolerance, default_tolerance
 from .errors import DomainError, PreconditionError
-from .hypergroups import FiniteHypergroup, Hypergroup, PolynomialHypergroup, RealLineHypergroup
+from .hypergroups import DerivativeRun, FiniteHypergroup, Hypergroup, PolynomialHypergroup, RealLineHypergroup
 from .measures import (
-    CFunction, Measure, Point, _evaluate, as_literal, complex_abs, complex_product, convolve, convolutions, merge,
-    multiply, pair,
+    CFunction, Measure, Point, _evaluate, as_literal, complex_abs, complex_product, convolve, convolutions, evaluate,
+    merge, multiply, pair,
 )
 from .operators import (
     MeasureOperator,
@@ -46,9 +46,6 @@ from .operators import (
 from .reports import Report
 
 MultiIndex = tuple[int, ...]
-
-LIN_MEMO = 4096  # derivative rows memoized per sequence (`poly_derivative_moments`)
-
 
 def as_index(alpha: Sequence[int] | int) -> MultiIndex:
     """Coerce to a multi-index tuple of nonnegative integers."""
@@ -135,7 +132,9 @@ class MomentSequence:
         check_pairs: list[tuple[Point, Point]] | None = None,
         tol: Tolerance | None = None,
     ) -> "MomentSequence":
-        """Assemble entries for all |alpha| <= order; phi_0 must be an exponential."""
+        """Assemble entries for all |alpha| <= order; phi_0 must be an exponential.  A phi_0 entry
+        that passed on the default pairs of an equal hypergroup under an equal tolerance (its
+        `_exponential_on`) is not checked again."""
         getter = phi_of.__getitem__ if isinstance(phi_of, Mapping) else phi_of
         entries: dict[MultiIndex, CFunction] = {}
         for alpha in indices_up_to(rank, order):
@@ -145,14 +144,15 @@ class MomentSequence:
                 raise DomainError(f"no entry provided for multi-index {alpha}") from None
         seq = cls(hypergroup=hg, rank=rank, order=order, entries=entries)
         if check_phi0:
-            pairs = check_pairs if check_pairs is not None else _default_pairs(hg)
-            rep = is_exponential(hg, seq.phi((0,) * rank), pairs, tol)
-            if not rep.passed:
-                worst = max(rep.records, key=lambda r: r.residual / max(r.scale, 1.0))
-                raise PreconditionError(
-                    f"phi_0 is not an exponential (residual {worst.residual:.3e} "
-                    f"on {worst.name})"
-                )
+            phi0, tol = seq.phi((0,) * rank), tol or default_tolerance()
+            if check_pairs is not None or phi0._exponential_on != (hg, tol):
+                rep = is_exponential(hg, phi0, check_pairs if check_pairs is not None else _default_pairs(hg), tol)
+                if not rep.passed:
+                    worst = max(rep.records, key=lambda r: r.residual / max(r.scale, 1.0))
+                    raise PreconditionError(f"phi_0 is not an exponential (residual {worst.residual:.3e} "
+                                            f"on {worst.name})")
+                if check_pairs is None:
+                    phi0._exponential_on = hg, tol
             seq.meta["phi0"] = "exponential verified"
         else:
             seq.meta["phi0"] = "check skipped"
@@ -198,37 +198,49 @@ class DerivationFamily:
 
 
 def realline_moments(lam: complex, order: int, hg: RealLineHypergroup | None = None) -> MomentSequence:
-    """Rank-1 family phi_k(x) = x^k exp(lam x) on the real line."""
+    """Rank-1 family phi_k(x) = x^k exp(lam x) on the real line.  At float points an entry takes x ** k
+    and the product in Python floats, as the scalar entry does, and exp(lam x) from one np.exp shared
+    by every k (bitwise cmath.exp below the range edge, where the scalar path takes over)."""
     hg = hg or RealLineHypergroup()
     lam = complex(lam)
 
+    @functools.lru_cache(maxsize=1)  # keyed on the points' bits: -0.0 and 0.0 may give other zeros
+    def exps(bits: bytes) -> np.ndarray | None:
+        args = np.array([lam * x for x in np.frombuffer(bits).tolist()], dtype=complex)
+        return np.exp(args) if (args.real < 708.0).all() and np.isfinite(args.imag).all() else None
+
+    def many(xs: list, k: int) -> np.ndarray | None:  # x ** k may leave the floats: it raises as the scalar entry does
+        at = exps(np.array(xs).tobytes()) if all(type(x) is float for x in xs) else None
+        return None if at is None else np.array([x**k * e for x, e in zip(xs, at.tolist())], dtype=complex)
+
     def entry(alpha: MultiIndex) -> CFunction:
         k = alpha[0]
-        return CFunction(
-            lambda x, _k=k: (x ** _k) * cmath.exp(lam * x),
-            kind="moment",
-            params={"k": k, "lambda": lam},
-        )
+        f = CFunction(lambda x, _k=k: (x ** _k) * cmath.exp(lam * x), kind="moment", params={"k": k, "lambda": lam})
+        f._many = functools.partial(many, k=k)
+        return f
 
     return MomentSequence.build(hg, 1, order, entry)
 
 
 def poly_derivative_moments(hg: PolynomialHypergroup, z: complex, order: int) -> MomentSequence:
-    """Rank-1 family phi_k(n) = P_n^(k)(z) on a polynomial hypergroup.
-
-    The entries read one memo of rows P_n^(0..order)(z), one recurrence run per
-    point: at most LIN_MEMO rows, the least recently used out, keyed on the
-    point's type too, so 2.0 fails in the recurrence instead of reading row 2."""
+    """Rank-1 family phi_k(n) = P_n^(k)(z) on a polynomial hypergroup.  Every entry reads one
+    `DerivativeRun` of rows P_n^(0..order)(z), grown on demand; a point that is not a nonnegative
+    int, such as 2.0, takes `poly_derivatives`, which fails as it did."""
     z = complex(z)
-    row = functools.lru_cache(maxsize=LIN_MEMO, typed=True)(lambda n: hg.poly_derivatives(n, z, order))
+    run = DerivativeRun(hg, z, order)
+
+    def row(n: Point) -> list[complex]:
+        return run.upto(n)[n] if type(n) is int and n >= 0 else hg.poly_derivatives(n, z, order)
+
+    def many(ns: list, k: int) -> np.ndarray | None:  # an invalid row raises in `upto`, as for the scalar entry
+        rows = run.upto(max(ns)) if all(type(n) is int and n >= 0 for n in ns) else None
+        return None if rows is None else np.array([rows[n][k] for n in ns], dtype=complex)
 
     def entry(alpha: MultiIndex) -> CFunction:
         k = alpha[0]
-        return CFunction(
-            lambda n, _k=k: row(n)[_k],
-            kind="moment",
-            params={"k": k, "z": z},
-        )
+        f = CFunction(lambda n, _k=k: row(n)[_k], kind="moment", params={"k": k, "z": z})
+        f._many = functools.partial(many, k=k)
+        return f
 
     return MomentSequence.build(hg, 1, order, entry)
 
@@ -238,7 +250,8 @@ def rank_lift(seq: MomentSequence, weights: Sequence[complex]) -> MomentSequence
 
     Valid because sum_{beta <= alpha, |beta| = s} binom(alpha, beta) = binom(|alpha|, s)
     reduces the rank-r identity to the rank-1 one.  The lift's phi_0 is the base's
-    (times 1), so a base whose phi_0 was verified is not checked again.
+    (times 1), so a base whose phi_0 was verified is not checked again, and the lift's
+    phi_0 carries the base's `_exponential_on`.
     """
     if seq.rank != 1:
         raise DomainError("rank_lift starts from a rank-1 sequence")
@@ -250,10 +263,16 @@ def rank_lift(seq: MomentSequence, weights: Sequence[complex]) -> MomentSequence
         factor = 1.0 + 0j
         for w, a in zip(ws, alpha):
             factor *= w**a
-        return factor * seq.phi((sum(alpha),))
+        base = seq.phi((sum(alpha),))
+        lifted = factor * base
+        if base._many is not None:  # the base's values times the factor, rounded as `factor * base(x)`
+            lifted._many = lambda xs: None if (v := base._many(xs)) is None else complex_product(factor, v)
+        return lifted
 
     verified = seq.meta.get("phi0") == "exponential verified"
     lifted = MomentSequence.build(seq.hypergroup, len(ws), seq.order, entry, check_phi0=not verified)
+    if verified:  # and a rebuild from the lift's entries reads the base's record
+        lifted.phi((0,) * len(ws))._exponential_on = seq.phi((0,))._exponential_on
     lifted.meta["phi0"] = "exponential verified"
     return lifted
 
@@ -479,11 +498,12 @@ class Applied(NamedTuple):
 def apply_family(family: DerivationFamily, samples: list[tuple[Measure, Measure]]) -> Applied:
     """Apply the family as a loop over alphas and samples first needs it: D_a(mu*nu),
     then D_a mu and D_a nu (D_a nu first after alpha 0), each once, on one table.  An
-    operator with a symbol multiplies by it as `module_action` does, evaluating it once
-    per distinct point in the order that loop first meets the points, so the first
-    DomainError is the loop's.  Any other operator is called on each measure, and the
-    support it returns joins the table.  A call on the last call's objects (hypergroup,
-    operators, sample measures) reads the table the family keeps, read-only."""
+    operator with a symbol multiplies by it as `module_action` does, with one `evaluate`
+    over the distinct points in the order that loop first meets them: the first DomainError
+    is the loop's, raised after the blocks the loop finished are multiplied.  Any other
+    operator is called on each measure, and the support it returns joins the table.  A call
+    on the last call's objects (hypergroup, operators, sample measures) reads the table the
+    family keeps, read-only."""
     hg, alphas, failure = family.hypergroup, family.alphas, None
     inputs = (hg, *map(family.entries.get, alphas), *itertools.chain.from_iterable(samples))
     if len(family._applied[0]) == len(inputs) and all(a is b for a, b in zip(family._applied[0], inputs)):
@@ -507,22 +527,32 @@ def apply_family(family: DerivationFamily, samples: list[tuple[Measure, Measure]
     bounds = np.searchsorted(blocks, np.arange(len(samples) + len(measures) + 1)).tolist()
     seqs = [dict.fromkeys(b for s, pair in enumerate(samples) for b in (s, *(slot[id(m)] for m in pair[::step])))
             for step in (1, -1)]
-    table, calls, rows, cols, got = np.zeros((len(alphas), len(points)), dtype=complex), [], [], [], []
+    walks = []  # per block order: its entries, where each one's block starts, each one's distinct point, the points
+    for seq in seqs:
+        cols, first, sizes = [e for j in seq for e in range(bounds[j], bounds[j + 1])], {}, np.diff(bounds)[list(seq)]
+        at = np.array([first.setdefault(points[e], len(first)) for e in cols], dtype=np.intp)
+        walks.append((np.array(cols, dtype=np.intp), np.repeat(np.cumsum(sizes) - sizes, sizes), at, list(first)))
+    table, calls, done = np.zeros((len(alphas), len(points)), dtype=complex), [], []
     try:
         for a, alpha in enumerate(alphas):
-            op, at = family.op(alpha), {}
-            for j in seqs[a > 0]:
-                span = slice(bounds[j], bounds[j + 1])
-                if op.symbol is None:
+            op = family.op(alpha)
+            cols, block_at, at, distinct = walks[a > 0]
+            if op.symbol is None:
+                for j in seqs[a > 0]:
+                    span = slice(bounds[j], bounds[j + 1])
                     out = op(Measure(hg, tuple(zip(points[span], weights[span].tolist()))))
                     calls += [(j, x, a, w) for x, w in out.support]
-                else:
-                    got += [at[x] if x in at else at.setdefault(x, _evaluate(op.symbol, x)) for x in points[span]]
-                    rows += [a] * (span.stop - span.start)
-                    cols += range(span.start, span.stop)
+                continue
+            values, error = evaluate(op.symbol, distinct)  # on an error, the blocks before the failing point's are done
+            end = len(cols) if error is None else block_at[np.argmax(at >= len(values))]
+            done.append((np.full(end, a), cols[:end], values[at[:end]]))
+            if error is not None:
+                raise error
     finally:  # the loop multiplies each measure once its points are evaluated, so a non-finite
         # product on the measures before a failure is the error it raises
-        table[rows, cols] = multiply(np.array(got, dtype=complex), weights[cols])
+        if done:
+            rows, cols, values = map(np.concatenate, zip(*done))
+            table[rows, cols] = multiply(values, weights[cols])
     if failure:
         raise failure
     if calls:  # the supports the operators return join the table, each block's points sorted

@@ -20,7 +20,6 @@ from .measures import (
     CFunction,
     Measure,
     Point,
-    _evaluate,
     as_literal,
     complex_abs,
     complex_product,
@@ -29,6 +28,7 @@ from .measures import (
     measure_residual,
     module_action,
     pair,
+    values_at,
 )
 from .reports import Report
 
@@ -144,22 +144,29 @@ def is_exponential(
     tol: Tolerance | None = None,
 ) -> Report:
     """Check f(o) = 1 and <dx*dy, f> = f(x) f(y) on sampled point pairs."""
+    return exponential_reports(hg, [f], samples, tol)[0]
+
+
+def exponential_reports(
+    hg: Any, fns: Sequence[CFunction], samples: list[tuple[Point, Point]], tol: Tolerance | None = None,
+) -> list[Report]:
+    """`is_exponential` of every f in `fns` on the same pairs: each f evaluated at the
+    identity, then all of them by one `tabulate_on_pairs`."""
     if not samples:
         raise ValueError("samples must be nonempty")
     tol = tol or default_tolerance()
-    report = Report(title=f"exponential: {f.describe()}")
-    at_identity = f(hg.identity)
-    report.check(
-        "normalization-at-identity", "f(o) = 1", abs(at_identity - 1.0), 1.0, tol, lambda: [hg.identity, at_identity]
-    )
-    sup, at_k, at_x, at_y = tabulate_on_pairs(hg, samples, [f])
-    lhs, rhs = sup.pairings(at_k[0]), complex_product(at_x[0], at_y[0])
-    report.add_worst(
-        "multiplicativity-on-pairs", "<dx*dy, f> = f(x) f(y)", complex_abs(lhs - rhs),
-        np.maximum(1.0, np.maximum(complex_abs(lhs), complex_abs(rhs))), tol,
-        lambda i: [*samples[i], complex(lhs[i]), complex(rhs[i])],
-    )
-    return report
+    at_identity = [f(hg.identity) for f in fns]
+    sup, at_k, at_x, at_y = tabulate_on_pairs(hg, samples, fns)
+    lhs, rhs = sup.pairings(at_k), complex_product(at_x, at_y)
+    res, scl = complex_abs(lhs - rhs), np.maximum(1.0, np.maximum(complex_abs(lhs), complex_abs(rhs)))
+    reports = [Report(title=f"exponential: {f.describe()}") for f in fns]
+    for b, (report, one) in enumerate(zip(reports, at_identity)):
+        report.check("normalization-at-identity", "f(o) = 1", abs(one - 1.0), 1.0, tol, lambda: [hg.identity, one])
+        report.add_worst(
+            "multiplicativity-on-pairs", "<dx*dy, f> = f(x) f(y)", res[b], scl[b], tol,
+            lambda i: [*samples[i], complex(lhs[b, i]), complex(rhs[b, i])],
+        )
+    return reports
 
 
 def tabulate_on_pairs(
@@ -168,9 +175,9 @@ def tabulate_on_pairs(
     """The pairs' point convolutions, and every f in `fns` evaluated once per distinct point.
 
     Returns the supports and the values fns[a] at their entries, at each x
-    and at each y.  Points are evaluated in the order a loop over the pairs
-    first meets them: each pair's support, then x and y, y first for every
-    function after the first, as the lower terms of the moment identity reach them.
+    and at each y, by one `values_at` per f over the points in the order a loop
+    over the pairs first meets them: each pair's support, then x and y, y first
+    for every function after the first, as the lower terms of the moment identity reach them.
     """
     sup = hg.pair_supports(pairs)
     ends = np.searchsorted(sup.rows, np.arange(1, sup.count + 1)).tolist()
@@ -181,10 +188,10 @@ def tabulate_on_pairs(
         start = end
     orders = (list(dict.fromkeys(meet_xy)), list(dict.fromkeys(meet_yx)))
     index = {p: i for i, p in enumerate(orders[1])}
+    scatter = ([index[p] for p in orders[0]], slice(None))
     values = np.empty((len(fns), len(index)), dtype=complex)
     for a, f in enumerate(fns):
-        order = orders[a > 0]
-        values[a, [index[p] for p in order]] = [_evaluate(f, p) for p in order]
+        values[a, scatter[a > 0]] = values_at(f, orders[a > 0])
 
     def at(points: Iterable[Point]) -> np.ndarray:
         return values[:, [index[p] for p in points]]

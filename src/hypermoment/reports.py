@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
@@ -184,7 +184,7 @@ class Report:
             "title": self.title,
             "meta": jsonable(self.meta),
             "passed": self.passed,
-            "records": [asdict(r) for r in self.records],
+            "records": [dict(vars(r)) for r in self.records],  # fields hold `jsonable` values already
         }
 
     def to_json(self) -> str:

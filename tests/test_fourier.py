@@ -9,6 +9,7 @@ from __future__ import annotations
 import cmath
 import json
 import math
+import random
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from hypermoment import (
     DomainError,
     Measure,
     MomentSequence,
+    PolynomialHypergroup,
     Report,
     Tolerance,
     chebyshev,
@@ -47,7 +49,7 @@ from hypermoment import (
     verify_transform_multiplicativity,
 )
 from hypermoment.cli import main
-from hypermoment.fourier import TransformPoly, check_derivative_identity
+from hypermoment.fourier import TransformPoly, _monomial_rows, check_derivative_identity
 from tests.conftest import random_measure
 from tests.test_pipeline import gegenbauer
 
@@ -74,6 +76,61 @@ class TestPToMonomial:
             horner = sum(c * z**j for j, c in enumerate(mono))
             direct = cheb.eval_poly_derivative(n, z, 0)
             assert horner == pytest.approx(direct, rel=1e-9, abs=1e-9)
+
+
+def reference_p_to_monomial(hg, n: int) -> tuple[float, ...]:
+    """The monomial coefficients of P_n from a run of their own, from P_0 to P_n."""
+    prev = [1.0]
+    if n == 0:
+        return tuple(prev)
+    cur = [-hg.b0 / hg.a0, 1.0 / hg.a0]
+    for m in range(1, n):
+        a, b, c = hg.coefficient_row(m)
+        nxt = [0.0] * (m + 2)
+        for j, v in enumerate(cur):
+            nxt[j + 1] += v / hg.a0
+            nxt[j] -= v * hg.b0 / hg.a0
+            nxt[j] -= b * v
+        for j, v in enumerate(prev):
+            nxt[j] -= c * v
+        prev, cur = cur, [v / a for v in nxt]
+    return tuple(cur)
+
+
+def reference_transform_coeffs(hg, mu: Measure) -> tuple[complex, ...]:
+    """`transform` as a run per support point, its rows summed in support order."""
+    coeffs: list[complex] = []
+    for n, w in mu.support:
+        mono = reference_p_to_monomial(hg, n)
+        coeffs.extend([0j] * (len(mono) - len(coeffs)))
+        for j, v in enumerate(mono):
+            coeffs[j] += w * v
+    return TransformPoly.from_coeffs(hg, coeffs).coeffs
+
+
+@pytest.mark.parametrize("hg", [chebyshev(), legendre(), PolynomialHypergroup(0.6, 0.4, [(0.4, 0.2, 0.4)] * 130)],
+                         ids=["chebyshev", "legendre", "rows"])
+def test_one_monomial_run_matches_a_run_per_point(hg):
+    rows, ns = list(_monomial_rows(hg, 120)), [*range(21), *range(27, 121, 13), 119, 120]
+    assert [repr(tuple(rows[n])) for n in ns] == [repr(reference_p_to_monomial(hg, n)) for n in ns]
+    assert repr(p_to_monomial(hg, 120)) == repr(reference_p_to_monomial(hg, 120))
+    rng = random.Random(7)
+    for top in (0, 5, 60, 120):
+        points = sorted({top, *rng.sample(range(top + 1), min(2, top + 1))})
+        mu = Measure.from_items(hg, [(n, complex(rng.uniform(-1, 1), rng.uniform(-1, 1))) for n in points])
+        assert repr(transform(hg, mu).coeffs) == repr(reference_transform_coeffs(hg, mu))
+    assert transform(hg, Measure.from_items(hg, [])).coeffs == ()
+
+
+def test_one_monomial_run_meets_an_invalid_row_as_a_run_per_point():
+    rows = [(0.5, 0.0, 0.5)] * 6 + [(0.5, 0.1, 0.5)] + [(0.5, 0.0, 0.5)] * 10  # row 7 sums to 1.1
+    hg = PolynomialHypergroup(1.0, 0.0, rows)
+    mu = Measure.from_items(hg, [(3, 1.0), (9, 0.5)])
+    with pytest.raises(DomainError) as want:
+        reference_transform_coeffs(hg, mu)
+    with pytest.raises(DomainError) as got:
+        transform(hg, mu)
+    assert str(got.value) == str(want.value) and str(want.value).startswith("row 7:")
 
 
 class TestTransform:

@@ -41,6 +41,8 @@ CASES = {
     "exponentials-Z8": ["exponentials", "--hypergroup", "{specs}/Z8.json"],
     "exponentials-product": ["exponentials", "--hypergroup", "{specs}/product.json"],
     "exponentials-dtheta": ["exponentials", "--hypergroup", "dtheta:0.6"],
+    # every exponential of Z_16 judged on the same 256 pairs
+    "exponentials-Z16": ["exponentials", "--hypergroup", "{specs}/Z16.json"],
     "verify-moments-chebyshev": ["verify-moments", "--hypergroup", "chebyshev", "--family", CHEB_FAMILY,
                                  "--order", "3", "--bound", "4"],
     "verify-moments-legendre-rank2": ["verify-moments", "--hypergroup", "legendre", "--family", LEG_FAMILY,
@@ -87,6 +89,10 @@ CASES = {
                               "--z", "0.9", "--k", "3"],
     "transform-chebyshev-taylor-degree40": ["transform", "--hypergroup", "chebyshev", "--measure",
                                             "[[0,1],[12,[0,1]],[40,[0.25,0.5]]]", "--taylor"],
+    # three support points up to degree 60: the derivative rows, transform values and Taylor coefficients
+    "transform-legendre-taylor-degree60": ["transform", "--hypergroup", "legendre", "--measure",
+                                           "[[2,1],[25,[0.5,-0.25]],[60,[0.25,0.5]]]", "--z", "0.3", "--k", "3",
+                                           "--taylor"],
 }
 
 

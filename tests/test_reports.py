@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -95,6 +96,7 @@ class TestRoundTrip:
         assert again.meta == report.meta
         assert again.records == report.records
         assert again.passed == report.passed
+        assert report.to_dict()["records"] == [dataclasses.asdict(r) for r in report.records]  # the shallow dicts
 
     def test_worst_residual_over_scale(self):
         report = Report(title="t")

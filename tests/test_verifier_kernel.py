@@ -68,9 +68,12 @@ from hypermoment import (
 )
 import numpy as np
 
-from hypermoment.config import default_tolerance, scale_of
-from hypermoment.measures import _evaluate, as_literal, complex_product
+from hypermoment.config import Tolerance, default_tolerance, scale_of
+from hypermoment.fourier import derivative_moments
+from hypermoment.hypergroups import DerivativeRun
+from hypermoment.measures import _evaluate, as_literal, complex_product, values_at
 from hypermoment.moments import _identity_records, apply_family, binomial_terms, index_order, index_sub, indices_up_to
+from hypermoment.operators import exponential_reports
 from tests.test_kernel import reference_convolve, reference_rule
 
 # ---------------------------------------------------------------------------
@@ -498,12 +501,17 @@ def test_failing_entry_gives_the_loop_error(entry, broken):
 
 
 def reference_eval_poly_derivative(hg: PolynomialHypergroup, n: int, z: complex, k: int) -> complex:
+    return reference_poly_derivatives(hg, n, z, k)[k]
+
+
+def reference_poly_derivatives(hg: PolynomialHypergroup, n: int, z: complex, k: int) -> list[complex]:
+    """The row [P_n(z), ..., P_n^(k)(z)] from a run of its own, from P_0 to P_n."""
     if n < 0 or k < 0:
         raise DomainError("indices must be nonnegative")
     z = complex(z)
     prev = [1.0 + 0j] + [0j] * k
     if n == 0:
-        return prev[k]
+        return prev
     p1 = (z - hg.b0) / hg.a0
     dp1 = 1.0 / hg.a0
     cur = [p1] + ([dp1] if k >= 1 else []) + [0j] * max(0, k - 1)
@@ -516,7 +524,7 @@ def reference_eval_poly_derivative(hg: PolynomialHypergroup, n: int, z: complex,
                 s += i * dp1 * cur[i - 1]
             nxt[i] = s / a
         prev, cur = cur, nxt
-    return cur[k]
+    return cur
 
 
 def head_convolve(mu, nu) -> Measure:
@@ -594,28 +602,122 @@ def test_derivative_row_matches_the_per_order_recurrence(name, hg):
     assert outcome(lambda: hg.poly_derivatives(-1, 0.5, 3)) == "DomainError: indices must be nonnegative"
 
 
-def test_moment_entries_read_one_bounded_row_memo(monkeypatch):
-    hg = chebyshev()
-    calls = []
-    run = hg.poly_derivatives
-    monkeypatch.setattr(hg, "poly_derivatives", lambda n, z, k: calls.append(n) or run(n, z, k))
-    monkeypatch.setattr(hypermoment.moments, "LIN_MEMO", 4)
-    z = 0.3 - 0.2j
-    seq = poly_derivative_moments(hg, z, 3)
-    calls.clear()
-    for n in range(5):
-        for k in range(4):
-            assert bits(seq.phi((k,))(n)) == bits(complex(reference_eval_poly_derivative(hg, n, z, k)))
-    assert calls == list(range(5))  # one recurrence run per point for all four orders
-    seq.phi((2,))(0)
-    assert calls == [0, 1, 2, 3, 4, 0]  # four rows held: the least recently used, 0, went
+@pytest.mark.parametrize("name,hg", row_carriers(), ids=[n for n, _ in row_carriers()])
+def test_one_derivative_run_gives_each_point_its_own_runs_row(name, hg):
+    # grown on demand, to a top below the last and past an invalid row: each row n <= 150 is what a
+    # run from P_0 to n gives, for the orders 0..10, and a row the run cannot reach raises its error
+    for z in (0.3 + 0.1j, -1.2):
+        run = DerivativeRun(hg, z, 10)
+        for top in (3, 40, 17, 150):
+            got = outcome(lambda: run.upto(top))
+            if isinstance(got, str):
+                assert got == outcome(lambda: reference_poly_derivatives(hg, top, z, 10))
+        assert len(run.rows) == (151 if name in ("chebyshev", "legendre", "rows") else 8 if name == "invalid row 7" else 10)
+        for n in range(151):
+            want = outcome(lambda: [bits(v) for v in reference_poly_derivatives(hg, n, z, 10)])
+            assert (want if isinstance(want, str) else [bits(v) for v in run.rows[n]]) == want
+    if name == "invalid row 7":
+        assert outcome(lambda: run.upto(9)).startswith("DomainError: row 7:")
+
+
+def test_derivative_moments_sum_the_rows_of_one_run():
+    for hg in (chebyshev(), legendre()):
+        mu = Measure.from_items(hg, [(2, 1.0), (25, 0.5 - 0.25j), (60, 0.25 + 0.5j)])
+        for z in (0.0, 0.3 - 0.1j):
+            rows = [reference_poly_derivatives(hg, n, z, 10) for n, _ in mu.support]
+            want = [sum((w * row[k] for (_, w), row in zip(mu.support, rows)), 0j) for k in range(11)]
+            assert bits(derivative_moments(hg, mu, 10, z)) == bits(want)
+
+
+def test_moment_entries_read_one_derivative_run(monkeypatch):
+    # every order, point and lifted entry reads one run, grown once per new row, in one call on
+    # arrays or point by point; 2.0 fails in the recurrence as the scalar entry always failed
+    hg, z = chebyshev(), 0.3 - 0.2j
+    points = [7, 0, 12, 3, 12, 5, 9]
+    want = {k: [bits(complex(reference_eval_poly_derivative(hg, n, z, k))) for n in points] for k in range(4)}
+    seq = poly_derivative_moments(hg, z, 3)  # phi_0's check grows the run to the default pairs' top, 8
     lifted = rank_lift(seq, [1.0, 0.5j])
-    lifted.phi((1, 1))(4)
-    calls.clear()
-    lifted.phi((2, 0))(4), seq.phi((3,))(4)
-    assert calls == []  # composite entries reach the same memo
-    want = outcome(lambda: _evaluate(lambda n: reference_eval_poly_derivative(hg, n, z, 1), 2.0))
-    assert outcome(lambda: seq.phi((1,))(2.0)) == want != outcome(lambda: seq.phi((1,))(2))
+    steps, row = [], hg.coefficient_row
+    monkeypatch.setattr(hg, "coefficient_row", lambda m: steps.append(m) or row(m))
+    for k in range(4):
+        assert [bits(v) for v in values_at(seq.phi((k,)), points).tolist()] == want[k]
+        assert [bits(seq.phi((k,))(n)) for n in points] == want[k]
+    for alpha in lifted.alphas:
+        factor = 1.0 + 0j
+        for w, a in zip((1.0 + 0j, 0.5j), alpha):
+            factor *= w**a
+        lift = [bits(factor * seq.phi((sum(alpha),))(n)) for n in points]
+        assert [bits(v) for v in values_at(lifted.phi(alpha), points).tolist()] == lift
+        assert [bits(lifted.phi(alpha)(n)) for n in points] == lift
+    assert steps == [8, 9, 10, 11]  # rows 9..12, each once
+    scalar = outcome(lambda: _evaluate(lambda n: reference_eval_poly_derivative(hg, n, z, 1), 2.0))
+    assert outcome(lambda: seq.phi((1,))(2.0)) == scalar != outcome(lambda: seq.phi((1,))(2))
+    assert outcome(lambda: values_at(seq.phi((1,)), [3, 2.0])) == scalar
+    assert outcome(lambda: values_at(lifted.phi((0, 1)), [3, 2.0])) == scalar
+
+
+def test_realline_entries_on_arrays_match_the_scalar_entries():
+    rng = random.Random(5)
+    points = [rng.uniform(-4, 4) for _ in range(200)] + [0.5 * j for j in range(-20, 21)] + [-0.0, 1e-300, -5e-324]
+    for lam in (0.2 - 0.1j, -1.5, 0.7j, 0j, -0.3 + 0j):
+        seq = realline_moments(lam, 6)
+        lifted = rank_lift(seq, [1.0, 0.5 - 0.25j])
+        for f in [seq.phi((k,)) for k in range(7)] + [lifted.phi(alpha) for alpha in lifted.alphas]:
+            assert f._many is not None
+            for pts in (points, points[::-1], [0.0, 1.5], [-0.0, 1.5]):  # a zero's sign is its own point
+                assert bits(values_at(f, pts).tolist()) == bits([f(x) for x in pts])
+    # past the range of exp or of x ** k, and points that are not floats, take the scalar entry
+    for lam, pts in ((1.0, [1.0, 800.0, 2.0]), (0.5j, [1.0, 1e200]), (-1.0, [1, 2.5]), (-150.0, [0.5, -4.72, -4.7])):
+        seq = realline_moments(lam, 3)
+        for f in seq.entries.values():
+            assert outcome(lambda: bits(values_at(f, pts).tolist())) == outcome(lambda: bits([f(x) for x in pts]))
+    assert outcome(lambda: values_at(realline_moments(1.0, 3).phi((3,)), [0.5, 800.0])) == (
+        "DomainError: function evaluation failed at point 800.0: math range error")
+
+
+@pytest.mark.parametrize("make", [chebyshev, real_line, lambda: two_point(0.6), lambda: cyclic(6),
+                                  lambda: dtheta_product(0.5, 0.25)])
+def test_exponential_reports_match_one_check_per_function(make):
+    rng = random.Random(13)
+    hg = make()
+    if isinstance(hg, FiniteHypergroup):
+        fns = enumerate_exponentials(hg)
+        pairs = [(x, y) for x in range(hg.size) for y in range(hg.size)]
+        fns.append(CFunction.from_table({x: fns[-1](x) * (1.0 + 0.01 * (x == 1)) for x in range(hg.size)}))
+    else:
+        points = hg.sample_points(4)
+        fns = [exponential_function(hg, complex(rng.uniform(-1, 1), rng.uniform(-1, 1))) for _ in range(3)]
+        pairs = [(rng.choice(points), rng.choice(points)) for _ in range(30)]
+        fns.append(fns[0] * CFunction(lambda x: 1.0 + 0.01 * (x == 1)))
+    reports = exponential_reports(hg, fns, pairs)
+    assert not reports[-1].passed  # the perturbed candidate fails
+    assert [r.to_json() for r in reports] == [is_exponential(hg, f, pairs).to_json() for f in fns]
+    for got, f in zip(reports, fns):
+        assert_same(got, reference_is_exponential(hg, f, pairs))
+
+
+def test_build_carries_a_passed_phi0(monkeypatch):
+    checked = []
+    check = hypermoment.moments.is_exponential
+    monkeypatch.setattr(hypermoment.moments, "is_exponential", lambda hg, f, *rest: checked.append(f) or check(hg, f, *rest))
+    hg = chebyshev()
+    seq = poly_derivative_moments(hg, 0.3, 3)
+    assert MomentSequence.build(hg, 1, 3, seq.entries).meta["phi0"] == "exponential verified"
+    assert checked == [seq.phi((0,))]  # the copy reads the verdict phi_0 carries
+    lifted = rank_lift(seq, [1.0, 0.5j])
+    assert MomentSequence.build(hg, 2, 3, lifted.entries).meta["phi0"] == "exponential verified"
+    assert checked == [seq.phi((0,))]  # so does a copy of a lift
+    twin = PolynomialHypergroup(1.0, 0.0, lambda n: (0.5, 0.0, 0.5))  # chebyshev's rows, but another carrier
+    cases = [
+        (hg, {**seq.entries, (0,): exponential_function(hg, 0.3)}, {}),  # a new but equal function
+        (twin, seq.entries, {}),
+        (hg, seq.entries, {"check_pairs": [(1, 2), (2, 2)]}),
+        (hg, seq.entries, {"tol": Tolerance(rel=1e-8)}),
+    ]
+    for carrier, entries, options in cases:
+        checked.clear()
+        MomentSequence.build(carrier, 1, 3, entries, **options)
+        assert checked == [entries[(0,)]]
 
 
 def head_verify_leibniz(family, samples, f_probe=None) -> Report:
