@@ -7,7 +7,8 @@ Each case runs in a fresh interpreter and prints one JSON line: its name, the
 seconds the call took (`time.perf_counter`, import excluded), the peak
 resident memory of the interpreter (`ru_maxrss`, MB) and the outcome: "ok",
 "fail" for a check that fails, or the message of the DomainError raised, up to
-its first ";".
+its first ";"; and `lin_tables`, the number of linearization tables the case
+built (calls of `PolynomialHypergroup._lin_table`).
 
     python scripts/large_inputs.py               # every case, in the order below
     python scripts/large_inputs.py lin1200 cheb80 leib120 transform200 taylor150 expo64
@@ -29,8 +30,8 @@ import time
 from pathlib import Path
 
 from hypermoment import (
-    DomainError, Measure, check_axioms, chebyshev, derivation_from_moments, legendre, poly_derivative_moments,
-    rank_lift, real_line, verify_fourier_leibniz, verify_leibniz,
+    DomainError, Measure, PolynomialHypergroup, check_axioms, chebyshev, derivation_from_moments, legendre,
+    poly_derivative_moments, rank_lift, real_line, verify_fourier_leibniz, verify_leibniz,
 )
 from hypermoment.cli import main as cli_main
 
@@ -94,6 +95,13 @@ CASES = {
 
 def run(name: str) -> dict:
     """One case in this interpreter."""
+    tables, build = [], PolynomialHypergroup._lin_table
+
+    def counted(hg, ms, ns, bound):
+        tables.append(len(ms))
+        return build(hg, ms, ns, bound)
+
+    PolynomialHypergroup._lin_table = counted
     start = time.perf_counter()
     try:
         outcome = "fail" if CASES[name]() is False else "ok"
@@ -101,7 +109,8 @@ def run(name: str) -> dict:
         outcome = str(exc).split(";")[0]
     seconds = time.perf_counter() - start
     rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # kilobytes on Linux
-    return {"case": name, "seconds": round(seconds, 3), "rss_mb": round(rss_mb, 1), "outcome": outcome}
+    return {"case": name, "seconds": round(seconds, 3), "rss_mb": round(rss_mb, 1), "outcome": outcome,
+            "lin_tables": len(tables)}
 
 
 def main(argv: list[str]) -> int:

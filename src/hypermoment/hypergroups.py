@@ -325,9 +325,12 @@ class PolynomialHypergroup(Hypergroup):
     def _lin_rows(self, ms: np.ndarray, ns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """`_lin_table(ms, ns)` read from the carrier's table of the current default
         tolerance: its columns, ``rows[c, m, l]`` and ``errs[c, m]`` for every step m below
-        its height.  A pair outside the table rebuilds it over the union of columns up to
-        the larger height, in one `_lin_table` call on that (step, column) grid, kept if it
-        fits DENSE_CAP; otherwise `_lin_table` runs on the pairs and the table stays."""
+        its height.  A pair outside the table rebuilds it in one `_lin_table` call on a
+        (step, column) grid: up to the larger height, on the union of its columns and the
+        pairs', widened to every column their rows reach (P_m * P_n lies on l in [|n-m|, n+m],
+        so at height h the band n-(h-1)..n+(h-1) of each column n, clipped at 0).  The union
+        alone is taken when the band would exceed DENSE_CAP; when the union would too,
+        `_lin_table` runs on the pairs and the table stays."""
         bound, width = default_tolerance().bound(1.0), int(ms.max() + ns.max()) + 1
         if bound != self._lin_bound:
             self._lin, self._lin_bound = (np.zeros(0, dtype=np.intp), np.zeros((0, 0, 0)), _defined(0)), bound
@@ -337,6 +340,9 @@ class PolynomialHypergroup(Hypergroup):
             cols, height = np.union1d(np.flatnonzero(slot >= 0), ns), max(rows.shape[1], int(ms.max()) + 1)
             if len(cols) * height * (int(cols[-1]) + height) > DENSE_CAP:
                 return self._lin_table(ms, ns, bound)
+            band = np.flatnonzero(np.convolve(np.bincount(cols), np.ones(2 * height - 1))[height - 1 :])
+            if len(band) * height * (int(band[-1]) + height) <= DENSE_CAP:
+                cols = band
             vals, err = self._lin_table(np.tile(np.arange(height), len(cols)), np.repeat(cols, height), bound)
             slot = np.full(int(cols[-1]) + 1, -1)
             slot[cols] = np.arange(len(cols))
@@ -356,6 +362,8 @@ class PolynomialHypergroup(Hypergroup):
         its error.  Otherwise a step that leaves the axioms (a coefficient below
         -bound, or above bound outside [|n-m|, n+m]) or uses an invalid row ends
         its column: every pair read from the column afterwards gets that step's message.
+        A step looks for invalid rows only if one lies below the width, and clears
+        ended columns and writes errors only once a column has ended.
         """
         order = np.argsort(ms, kind="stable")  # pairs are read step by step
         top, width = int(ms.max()), int(ns.max() + ms.max()) + 1
@@ -363,15 +371,13 @@ class PolynomialHypergroup(Hypergroup):
         cols, col_of = np.unique(ns, return_inverse=True)
         rows = np.append(self._row_block(width - 2), np.zeros((1, 3)), axis=0)  # the last row only meets zeros
         a_l, b_l, c_l = rows.T
-        bad_l = np.zeros(width, dtype=bool)
-        bad_l[[r for r in self._row_errors if r < width]] = True
-        highest_bad = np.maximum.accumulate(np.where(bad_l, np.arange(width), 0))[np.maximum(ms - 1, 0)]
+        ls, bad = np.arange(width), sorted(r for r in self._row_errors if r < width)
         vals, err = np.zeros(_capped((len(ms), width))), _defined(len(ms))
-        dead, alive = _defined(len(cols)), np.ones(len(cols), dtype=bool)
+        dead, alive, ended = _defined(len(cols)), np.ones(len(cols), dtype=bool), False
         low, mid = np.zeros((2, len(cols), width))
         mid[np.arange(len(cols)), cols] = 1.0
         for m in range(top + 1):
-            if m > 1 and bad_l[m - 1]:
+            if m > 1 and m - 1 in self._row_errors:
                 break  # every pair read from here on has an invalid row below it
             if m:
                 a, b, c = rows[m - 1] if m > 1 else (1.0, 0.0, 0.0)
@@ -382,25 +388,31 @@ class PolynomialHypergroup(Hypergroup):
                 new[:, :-1] += mid[:, 1:] * c_l[1:]
                 new -= c * low
                 new /= a
-                below = np.arange(width) < np.abs(cols - m)[:, None]
+                below = ls < np.abs(cols - m)[:, None]
                 viol = (new < -bound) | (below & (new > bound))
-                uses_bad = (mid != 0) & bad_l
-                for i in np.flatnonzero(alive & (viol.any(axis=1) | uses_bad.any(axis=1))):
-                    dead[i], alive[i] = self._step_error(m, int(cols[i]), new[i], viol[i], uses_bad[i]), False
+                failing = viol.any(axis=1)
+                if bad:
+                    failing |= (mid[:, bad] != 0).any(axis=1)
+                for i in np.flatnonzero(alive & failing):
+                    dead[i], alive[i], ended = self._step_error(m, int(cols[i]), new[i], viol[i], mid[i]), False, True
                 new[below] = 0.0
-                new[~alive] = 0.0
+                if ended:
+                    new[~alive] = 0.0
                 low, mid = mid, new
             at = order[reads[m] : reads[m + 1]]
             vals[at] = mid[col_of[at]]
-            err[at] = dead[col_of[at]]
-        for i in np.flatnonzero(highest_bad):
-            err[i] = self._row_errors[int(highest_bad[i])]
+            if ended:
+                err[at] = dead[col_of[at]]
+        under = np.searchsorted(bad, ms - 1, side="right")  # the invalid rows below each pair's step
+        for i in np.flatnonzero(under):
+            err[i] = self._row_errors[bad[under[i] - 1]]
         return vals, err
 
-    def _step_error(self, m: int, n: int, new: np.ndarray, viol: np.ndarray, uses_bad: np.ndarray) -> str:
-        """Message for the first failure of step m in column n."""
-        if uses_bad.any():
-            return self._row_errors[int(np.argmax(uses_bad))]
+    def _step_error(self, m: int, n: int, new: np.ndarray, viol: np.ndarray, mid: np.ndarray) -> str:
+        """Message for the first failure of step m in column n, whose previous row is `mid`."""
+        uses_bad = [l for l in np.flatnonzero(mid).tolist() if l in self._row_errors]
+        if uses_bad:
+            return self._row_errors[uses_bad[0]]
         l = int(np.argmax(viol))
         w, lo = float(new[l]), abs(n - m)
         if l < lo:
@@ -784,19 +796,12 @@ def _cluster_indices(values: np.ndarray, tol: float) -> list[list[int]]:
     return groups
 
 
-def enumerate_exponentials(hg: FiniteHypergroup, tol: Tolerance | None = None) -> list[CFunction]:
-    """All exponentials of a finite hypergroup.
-
-    An exponential is a joint eigenvector of the translation matrices
-    T_x = C[x], normalised to 1 at the identity.  Eigenspaces are intersected
-    across all generators; if the refinement does not end in one-dimensional
-    joint eigenspaces, or a candidate fails re-verification against the
-    defining equation, a DecompositionError names the defect.
-    """
-    tol = tol or default_tolerance()
-    n = hg.size
-    c = hg.tensor
-    blocks: list[np.ndarray] = [np.eye(n, dtype=complex)]
+def _joint_eigenbases(c: np.ndarray) -> list[np.ndarray]:
+    """Orthonormal bases of the joint eigenspaces of the translations T_x = c[x], refined
+    over x: each eigenvalue cluster of T_x on a block gives a block.  The clusters of one
+    size are orthonormalized by one QR call on their stacked vectors (LAPACK factors each
+    matrix of a stack on its own, as a call per cluster would)."""
+    blocks: list[np.ndarray] = [np.eye(len(c), dtype=complex)]
     for x, T in enumerate(c.astype(complex)):
         refined: list[np.ndarray] = []
         for basis in blocks:
@@ -809,12 +814,29 @@ def enumerate_exponentials(hg: FiniteHypergroup, tol: Tolerance | None = None) -
                 evals, evecs = np.linalg.eig(restricted)
             except np.linalg.LinAlgError as exc:
                 raise DecompositionError(f"eigendecomposition of T_{x} failed: {exc}") from exc
-            cluster_tol = 1e-8 * max(1.0, float(np.max(np.abs(evals))))
-            for group in _cluster_indices(evals, cluster_tol):
-                vecs = basis @ evecs[:, group]
-                q, _ = np.linalg.qr(vecs)
-                refined.append(q[:, : len(group)])
+            groups = _cluster_indices(evals, 1e-8 * max(1.0, float(np.max(np.abs(evals)))))
+            vecs, qs = [basis @ evecs[:, group] for group in groups], {}
+            for size in {len(group) for group in groups}:
+                at = [i for i, group in enumerate(groups) if len(group) == size]
+                qs.update(zip(at, np.linalg.qr(np.stack([vecs[i] for i in at]))[0]))
+            refined.extend(qs[i] for i in range(len(groups)))
         blocks = refined
+    return blocks
+
+
+def enumerate_exponentials(hg: FiniteHypergroup, tol: Tolerance | None = None) -> list[CFunction]:
+    """All exponentials of a finite hypergroup.
+
+    An exponential is a joint eigenvector of the translation matrices
+    T_x = C[x], normalised to 1 at the identity.  Eigenspaces are intersected
+    across all generators (`_joint_eigenbases`); if the refinement does not end in
+    one-dimensional joint eigenspaces, or a candidate fails re-verification against the
+    defining equation, a DecompositionError names the defect.
+    """
+    tol = tol or default_tolerance()
+    n = hg.size
+    c = hg.tensor
+    blocks = _joint_eigenbases(c)
     for basis in blocks:
         if basis.shape[1] != 1:
             raise DecompositionError(

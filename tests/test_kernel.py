@@ -23,6 +23,7 @@ import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -31,6 +32,7 @@ from hypothesis import strategies as st
 
 import hypermoment
 from hypermoment import (
+    DecompositionError,
     DomainError,
     FiniteHypergroup,
     Measure,
@@ -41,13 +43,14 @@ from hypermoment import (
     chebyshev,
     convolve,
     dirac,
+    enumerate_exponentials,
     legendre,
     measure_residual,
     real_line,
     two_point,
 )
 from hypermoment.config import Tolerance, default_tolerance, set_default_tolerance
-from hypermoment.hypergroups import PairSupports, _defined, assoc_sample
+from hypermoment.hypergroups import PairSupports, _cluster_indices, _defined, assoc_sample
 from hypermoment.io import load_hypergroup
 
 
@@ -355,6 +358,60 @@ def test_random_small_tables(spec):
     assert_matches_reference(lambda: FiniteHypergroup(n, identity, table))
 
 
+def per_cluster_bases(c: np.ndarray) -> list[np.ndarray]:
+    """The joint eigenbases of `enumerate_exponentials` as the refinement found them
+    before it stacked its QR calls: one QR call per eigenvalue cluster."""
+    blocks = [np.eye(len(c), dtype=complex)]
+    for x, T in enumerate(c.astype(complex)):
+        refined = []
+        for basis in blocks:
+            if basis.shape[1] == 1:
+                refined.append(basis)
+                continue
+            restricted, *_ = np.linalg.lstsq(basis, T @ basis, rcond=None)
+            try:
+                evals, evecs = np.linalg.eig(restricted)
+            except np.linalg.LinAlgError as exc:
+                raise DecompositionError(f"eigendecomposition of T_{x} failed: {exc}") from exc
+            cluster_tol = 1e-8 * max(1.0, float(np.max(np.abs(evals))))
+            for group in _cluster_indices(evals, cluster_tol):
+                q, _ = np.linalg.qr(basis @ evecs[:, group])
+                refined.append(q[:, : len(group)])
+        blocks = refined
+    return blocks
+
+
+def _exponential_bits(hg) -> str:
+    """The repr of every exponential's values, or the error raised."""
+    try:
+        return repr([[f(x) for x in range(hg.size)] for f in enumerate_exponentials(hg)])
+    except (DecompositionError, ValueError) as exc:  # ValueError: no eigenvector is nonzero at the identity
+        return f"{type(exc).__name__}: {exc}"
+
+
+def assert_exponentials_match_per_cluster_qr(hg) -> None:
+    got = _exponential_bits(hg)
+    with mock.patch.object(hypermoment.hypergroups, "_joint_eigenbases", per_cluster_bases):
+        assert got == _exponential_bits(hg)
+
+
+def test_stacked_qr_matches_one_qr_per_cluster():
+    # LAPACK factors each matrix of a stack on its own: the same exponentials, bit for bit, or the same message
+    tables = [FiniteHypergroup(n, 0, cyclic(n)) for n in range(3, 17)]
+    tables += [FiniteHypergroup(2, 0, two_point_table(t)) for t in (0.05, 0.3, 0.5, 0.77, 1.0, 1.3)]
+    tables += [product(t, 1.1 - t) for t in (0.05, 0.3, 0.5, 0.77, 1.0)] + [product(1.3, 0.4)]
+    redirects = [(4, 1, 2), (5, 1, 2), (6, 2, 5), (7, 3, 3), (8, 1, 7)]
+    tables += [FiniteHypergroup(n, 0, redirected(n, i, j)) for n, i, j in redirects]
+    for hg in tables:
+        assert_exponentials_match_per_cluster_qr(hg)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_tables())
+def test_stacked_qr_matches_one_qr_per_cluster_on_random_tables(spec):
+    assert_exponentials_match_per_cluster_qr(FiniteHypergroup(*spec))
+
+
 # ---------------------------------------------------------------------------
 # linearization table
 
@@ -461,20 +518,28 @@ def _held(hg) -> tuple[list[int], int]:
     return np.flatnonzero(slot >= 0).tolist(), rows.shape[1]
 
 
+def _count_tables(monkeypatch, hg) -> list[int]:
+    """The pairs of each `_lin_table` call that `hg` makes from here on."""
+    calls, table = [], hg._lin_table
+    monkeypatch.setattr(hg, "_lin_table", lambda ms, ns, bound: calls.append(len(ms)) or table(ms, ns, bound))
+    return calls
+
+
 def test_linearization_table_per_carrier(monkeypatch):
     # one table of rows that linearization and _pairs both read: a cold sample grid takes one
-    # _lin_table call and a warm one none; a read past its columns or height rebuilds it once
-    hg, calls = chebyshev(), []
-    table = hg._lin_table
-    monkeypatch.setattr(hg, "_lin_table", lambda ms, ns, bound: calls.append(len(ms)) or table(ms, ns, bound))
+    # _lin_table call and a warm one none; the table holds every column its rows reach (the band
+    # n-8..n+8 of each column n at height 9); a read past the reach or the height rebuilds it once
+    hg = chebyshev()
+    calls = _count_tables(monkeypatch, hg)
     grid = [(x, y) for x in range(9) for y in range(9)]
     cold = _supports(hg.pair_supports(grid))
-    assert calls == [81] and _held(hg) == (list(range(9)), 9)
-    assert _supports(hg.pair_supports(grid)) == cold and len(calls) == 1
-    assert hg.linearization(3, 12) == ((9, 0.5), (15, 0.5))  # column 12: rebuilt on the union
-    assert calls[1:] == [90] and _held(hg) == (list(range(9)) + [12], 9)
+    assert calls == [17 * 9] and _held(hg) == (list(range(17)), 9)
+    assert _supports(hg.pair_supports(grid)) == cold and hg.linearization(8, 16) == ((8, 0.5), (24, 0.5))
+    assert len(calls) == 1
+    assert hg.linearization(3, 20) == ((17, 0.5), (23, 0.5))  # column 20: rebuilt on the union, with its band
+    assert calls[1:] == [29 * 9] and _held(hg) == (list(range(29)), 9)
     assert hg.linearization(10, 2) == ((8, 0.5), (12, 0.5))  # step 10: rebuilt up to the larger height
-    assert calls[2:] == [110] and _held(hg) == (list(range(9)) + [12], 11)
+    assert calls[2:] == [39 * 11] and _held(hg) == (list(range(39)), 11)
     hg.pair_supports(grid[::-1]), hg.linearization(10, 12), hg.linearization(0, 0)
     assert len(calls) == 3
     # a call whose table would exceed DENSE_CAP runs _lin_table on its own pairs and keeps nothing
@@ -484,9 +549,43 @@ def test_linearization_table_per_carrier(monkeypatch):
     before = hg._lin
     assert _supports(hg.pair_supports(pairs)) == want
     assert calls[3:] == [3] and hg._lin is before
-    fresh = chebyshev()  # (m, n) reads column n at step m: (4, 3) and (3, 4) are two entries
-    assert fresh.linearization(4, 3) == ((1, 0.5), (7, 0.5)) and _held(fresh) == ([3], 5)
-    assert fresh.linearization(3, 4) == ((1, 0.5), (7, 0.5)) and _held(fresh) == ([3, 4], 5)
+    # a band over DENSE_CAP (17 x 9 x 25 = 3825 entries here, the union 9 x 9 x 17 = 1377) falls back to the union
+    union = chebyshev()
+    union_calls = _count_tables(monkeypatch, union)
+    assert _supports(union.pair_supports(grid)) == cold
+    assert union_calls == [81] and _held(union) == (list(range(9)), 9)
+    monkeypatch.undo()
+    # (m, n) reads column n at step m: (4, 3) and (3, 9) are in different columns, (9, 3) past the height
+    fresh = chebyshev()
+    assert fresh.linearization(4, 3) == ((1, 0.5), (7, 0.5)) and _held(fresh) == (list(range(8)), 5)
+    assert fresh.linearization(3, 4) == ((1, 0.5), (7, 0.5)) and _held(fresh) == (list(range(8)), 5)
+    assert fresh.linearization(3, 9) == ((6, 0.5), (12, 0.5)) and _held(fresh) == (list(range(14)), 5)
+    assert fresh.linearization(9, 3) == ((6, 0.5), (12, 0.5)) and _held(fresh) == (list(range(23)), 10)
+    # a deep column keeps only its band: 1197..1203 at height 4, not every column up to 1203
+    deep = chebyshev()
+    assert deep.linearization(3, 1200) == ((1197, 0.5), (1203, 0.5)) and _held(deep) == (list(range(1197, 1204)), 4)
+
+
+BUILD_CARRIERS = {
+    "chebyshev": chebyshev,
+    "legendre": legendre,
+    "dip": lambda: chebyshev_dip(3, 0.8, 16),
+    "five-rows": lambda: PolynomialHypergroup(1.0, 0.0, [(0.5, 0.0, 0.5)] * 5),
+    "invalid-row-7": lambda: PolynomialHypergroup(
+        1.0, 0.0, lambda n: (0.0, 0.5, 0.5) if n == 7 else (0.5, 0.0, 0.5)),
+}
+
+
+@pytest.mark.parametrize("name", BUILD_CARRIERS)
+def test_cold_axiom_check_builds_one_linearization_table(monkeypatch, name):
+    # the sample grid's table holds every column associativity reads, so dk*dz and dx*dk read it
+    for bound in [*range(1, 17), 40, 80]:
+        hg = BUILD_CARRIERS[name]()
+        calls = _count_tables(monkeypatch, hg)
+        check_axioms(hg, bound)
+        assert len(calls) == 1, bound
+        check_axioms(hg, bound)
+        assert len(calls) == 1, bound
 
 
 def test_linearization_table_follows_the_default_tolerance():

@@ -39,6 +39,7 @@ def test_large_inputs_prints_one_json_line_per_case():
     result = json.loads(line)
     assert result["case"] == "lin1200" and result["outcome"] == "ok"
     assert result["seconds"] > 0 and result["rss_mb"] > 0
+    assert result["lin_tables"] == 1  # the 1201 steps of column 3, in one linearization table
 
 
 def test_cli_diff_of_the_checkout_against_itself_finds_nothing():
