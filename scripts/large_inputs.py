@@ -14,26 +14,41 @@ built (calls of `PolynomialHypergroup._lin_table`).
     python scripts/large_inputs.py lin1200 cheb80 leib120 transform200 taylor150 expo64
 
 With `hypermoment` not installed, put `src` on PYTHONPATH.
+
+With `--against OTHER_CHECKOUT`, each case runs `--runs` times (default 5) in
+fresh interpreters against this checkout's `src/` and against OTHER's, the
+tree that goes first alternating from run to run; each run checks that it
+imported the intended tree.  One JSON line per case gives, under "this" and
+"other", the tree, every run's seconds and rss_mb, their medians, the outcome
+and lin_tables:
+
+    python scripts/large_inputs.py --against ../parent --runs 5 cheb80 leg120
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import io
 import json
+import os
 import random
 import resource
+import statistics
 import subprocess
 import sys
 import tempfile
 import time
 from pathlib import Path
 
+import hypermoment
 from hypermoment import (
     DomainError, Measure, PolynomialHypergroup, check_axioms, chebyshev, derivation_from_moments, legendre,
     poly_derivative_moments, rank_lift, real_line, verify_fourier_leibniz, verify_leibniz,
 )
 from hypermoment.cli import main as cli_main
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def leibniz120() -> bool:
@@ -113,16 +128,66 @@ def run(name: str) -> dict:
             "lin_tables": len(tables)}
 
 
+def fresh(name: str, tree: Path) -> dict:
+    """`run(name)` in a fresh interpreter with `tree/src` first on the path."""
+    path = os.pathsep.join(filter(None, [str(tree / "src"), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, __file__, "--in-process", name, str(tree)],
+                          capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path))
+    if done.returncode != 0:
+        raise SystemExit(f"{name} against {tree} failed:\n{done.stderr}")
+    return json.loads(done.stdout)
+
+
+def compare(name: str, other: Path, runs: int) -> dict:
+    """`runs` fresh runs of `name` on this checkout and on `other`, alternating which goes first."""
+    trees = {"this": ROOT, "other": other}
+    results: dict[str, list[dict]] = {label: [] for label in trees}
+    for i in range(runs):
+        for label in list(trees)[:: 1 if i % 2 == 0 else -1]:
+            results[label].append(fresh(name, trees[label]))
+    line: dict = {"case": name}
+    for label, got in results.items():
+        seconds, rss = [r["seconds"] for r in got], [r["rss_mb"] for r in got]
+        outcomes, tables = {r["outcome"] for r in got}, {r["lin_tables"] for r in got}
+        line[label] = {
+            "tree": str(trees[label]), "seconds": seconds, "rss_mb": rss,
+            "median_seconds": round(statistics.median(seconds), 3), "median_rss_mb": round(statistics.median(rss), 2),
+            "outcome": outcomes.pop() if len(outcomes) == 1 else sorted(outcomes),
+            "lin_tables": tables.pop() if len(tables) == 1 else sorted(tables),
+        }
+    return line
+
+
+def positive(text: str) -> int:
+    if not text.isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return int(text)
+
+
 def main(argv: list[str]) -> int:
     if argv[:1] == ["--in-process"]:
+        tree = Path(argv[2]).resolve() if len(argv) > 2 else None
+        if tree and Path(hypermoment.__file__).resolve().parent != tree / "src" / "hypermoment":
+            raise SystemExit(f"imported hypermoment from {hypermoment.__file__}, not from {tree}")
         print(json.dumps(run(argv[1])), flush=True)
         return 0
-    unknown = [name for name in argv if name not in CASES]
+    parser = argparse.ArgumentParser(description="Time the large inputs in fresh interpreters.")
+    parser.add_argument("cases", nargs="*", metavar="CASE", help="cases to run (default: all)")
+    parser.add_argument("--against", type=Path, metavar="OTHER_CHECKOUT", help="compare with this checkout")
+    parser.add_argument("--runs", type=positive, default=5, help="runs per case and tree with --against")
+    args = parser.parse_args(argv)
+    unknown = [name for name in args.cases if name not in CASES]
     if unknown:
         print(f"unknown cases {unknown}; choose from {list(CASES)}", file=sys.stderr)
         return 2
-    for name in argv or CASES:
-        subprocess.run([sys.executable, __file__, "--in-process", name], check=True)
+    if args.against is not None and not (args.against / "src" / "hypermoment").is_dir():
+        print("--against needs a checkout (a directory with src/hypermoment)", file=sys.stderr)
+        return 2
+    for name in args.cases or CASES:
+        if args.against is None:
+            subprocess.run([sys.executable, __file__, "--in-process", name], check=True)
+        else:
+            print(json.dumps(compare(name, args.against.resolve(), args.runs)), flush=True)
     return 0
 
 

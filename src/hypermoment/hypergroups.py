@@ -35,8 +35,8 @@ CoeffRow = tuple[float, float, float]
 
 # associativity sample of an infinite carrier, in points
 ASSOC_CAP = 48
-# entries of one dense structure array (64 MB of float64); larger ones are refused, and a
-# polynomial carrier keeps its linearization table only while it fits (`_lin_rows`)
+# entries of one dense structure array (64 MB of float64); larger ones are refused, and a polynomial
+# carrier keeps its linearization table only while its recurrence grid fits, else runs its columns within it
 DENSE_CAP = 1 << 23
 
 
@@ -69,6 +69,14 @@ class PairSupports(NamedTuple):
         out = np.zeros(values.shape[:-1] + (self.count,), dtype=complex)
         np.add.at(out.T, self.rows, (values * self.weights).T)
         return out
+
+
+def _gather(table: PairSupports, starts: np.ndarray, p: np.ndarray) -> PairSupports:
+    """Rows p of a flat table whose row r holds the entries starts[r]..starts[r + 1]."""
+    counts = starts[p + 1] - starts[p]
+    rows = np.repeat(np.arange(len(p)), counts)
+    at = (starts[p] - np.cumsum(counts) + counts)[rows] + np.arange(len(rows))
+    return PairSupports(rows, table.points[at], table.weights[at], len(p), table.err[p])
 
 
 class Hypergroup:
@@ -165,25 +173,22 @@ class FiniteHypergroup(Hypergroup):
                 self._table[(i, j)] = row
         rows = tuple(self._table.values())  # pair (i, j) at i * size + j
         self._signature = ("finite", self.size, self.identity, rows)
-        # the table as CSR arrays: the entries of pair p are starts[p]..starts[p + 1] of points and weights
+        # the table as flat rows: the entries of pair p are starts[p]..starts[p + 1]
         self._starts = np.cumsum([0] + [len(row) for row in rows])
-        self._points = np.array([k for row in rows for k, _ in row], dtype=np.intp)
-        self._weights = np.array([w for row in rows for _, w in row], dtype=float)
+        points = np.array([k for row in rows for k, _ in row], dtype=np.intp)
+        weights = np.array([w for row in rows for _, w in row], dtype=float)
+        pairs = np.repeat(np.arange(len(rows)), np.diff(self._starts))
+        self._entries = PairSupports(pairs, points, weights, len(rows), _defined(len(rows)))
 
     @cached_property
     def tensor(self) -> np.ndarray:
         """Structure constants C[i, j, k] = weight at k of delta_i * delta_j."""
         c = np.zeros(_capped((self.size,) * 3))
-        pairs = np.repeat(np.arange(self.size**2), np.diff(self._starts))
-        c.reshape(-1, self.size)[pairs, self._points] = self._weights
+        c.reshape(-1, self.size)[self._entries.rows, self._entries.points] = self._entries.weights
         return c
 
     def _pairs(self, xs: np.ndarray, ys: np.ndarray) -> PairSupports:
-        p = xs * self.size + ys
-        counts = self._starts[p + 1] - self._starts[p]
-        at = np.repeat(self._starts[p] - np.cumsum(counts) + counts, counts) + np.arange(counts.sum())
-        rows = np.repeat(np.arange(len(p)), counts)
-        return PairSupports(rows, self._points[at], self._weights[at], len(p), _defined(len(p)))
+        return _gather(self._entries, self._starts, xs * self.size + ys)
 
     def validate_point(self, x: Any) -> int:
         if isinstance(x, bool) or not isinstance(x, (int, np.integer)):
@@ -266,8 +271,8 @@ class PolynomialHypergroup(Hypergroup):
         # recurrence rows as an array for `_lin_table`; row 0 is P_1 * P_0 = P_1
         self._abc = np.array([[1.0, 0.0, 0.0]])
         self._row_errors: dict[int, str] = {}
-        # linearization table: the slot of column n (-1 if not held), rows[c, m, l] and errs[c, m]
-        self._lin: tuple[np.ndarray, ...] = ()
+        # linearization table: slot of column n (-1 if absent), height, starts, rows ((m, n) at m * columns + slot[n])
+        self._lin: tuple[Any, ...] = ()
         self._lin_bound: float | None = None  # the tolerance bound it was built for
 
     def coefficient_row(self, n: int) -> CoeffRow:
@@ -316,43 +321,59 @@ class PolynomialHypergroup(Hypergroup):
         """
         if m < 0 or n < 0:
             raise DomainError("linearization indices must be nonnegative")
-        vals, err = self._lin_rows(np.array([m]), np.array([n]))
-        if err[0]:
-            raise DomainError(err[0])
-        nz = np.flatnonzero(vals[0])
-        return tuple(zip(nz.tolist(), vals[0, nz].tolist()))
+        sup = self._lin_rows(np.array([m]), np.array([n]))
+        if sup.err[0]:
+            raise DomainError(sup.err[0])
+        return tuple(zip(sup.points.tolist(), sup.weights.tolist()))
 
-    def _lin_rows(self, ms: np.ndarray, ns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """`_lin_table(ms, ns)` read from the carrier's table of the current default
-        tolerance: its columns, ``rows[c, m, l]`` and ``errs[c, m]`` for every step m below
-        its height.  A pair outside the table rebuilds it in one `_lin_table` call on a
-        (step, column) grid: up to the larger height, on the union of its columns and the
-        pairs', widened to every column their rows reach (P_m * P_n lies on l in [|n-m|, n+m],
-        so at height h the band n-(h-1)..n+(h-1) of each column n, clipped at 0).  The union
-        alone is taken when the band would exceed DENSE_CAP; when the union would too,
-        `_lin_table` runs on the pairs and the table stays."""
-        bound, width = default_tolerance().bound(1.0), int(ms.max() + ns.max()) + 1
+    def _lin_rows(self, ms: np.ndarray, ns: np.ndarray) -> PairSupports:
+        """The rows of P_ms[i] * P_ns[i] as flat entries (`_lin_table`), gathered from the carrier's table of
+        the current default tolerance: the flat rows (m, n) of its columns n at every step m below its height.
+        A pair outside the table rebuilds it in one `_lin_table` call on a (step, column) grid, up to the larger
+        height and on every column the rows of the held and requested columns reach (P_m * P_n lies on l in
+        [|n-m|, n+m], so at height h the band n-(h-1)..n+(h-1) of each column n, clipped at 0).  Where that grid
+        (columns x height x width) would exceed DENSE_CAP, the call runs on its own pairs (`_own_rows`) and the
+        table stays; the grid of the top column alone bounds it from below, so past DENSE_CAP no band is built."""
+        bound = default_tolerance().bound(1.0)
         if bound != self._lin_bound:
-            self._lin, self._lin_bound = (np.zeros(0, dtype=np.intp), np.zeros((0, 0, 0)), _defined(0)), bound
-        _capped((len(ms), width))
-        slot, rows, errs = self._lin
-        if ns.max() >= len(slot) or ms.max() >= rows.shape[1] or (slot[ns] < 0).any():
-            cols, height = np.union1d(np.flatnonzero(slot >= 0), ns), max(rows.shape[1], int(ms.max()) + 1)
-            if len(cols) * height * (int(cols[-1]) + height) > DENSE_CAP:
-                return self._lin_table(ms, ns, bound)
-            band = np.flatnonzero(np.convolve(np.bincount(cols), np.ones(2 * height - 1))[height - 1 :])
-            if len(band) * height * (int(band[-1]) + height) <= DENSE_CAP:
-                cols = band
-            vals, err = self._lin_table(np.tile(np.arange(height), len(cols)), np.repeat(cols, height), bound)
-            slot = np.full(int(cols[-1]) + 1, -1)
-            slot[cols] = np.arange(len(cols))
-            self._lin = slot, vals.reshape(len(cols), height, -1), err.reshape(len(cols), height)
-            slot, rows, errs = self._lin
-        at = slot[ns]
-        return rows[at, ms, :width], errs[at, ms]
+            self._lin, self._lin_bound = (np.zeros(0, dtype=np.intp), 0, None, None), bound
+        slot, height, starts, table = self._lin
+        if ns.max() >= len(slot) or ms.max() >= height or (slot[ns] < 0).any():
+            height, held = max(height, int(ms.max()) + 1), np.append(np.flatnonzero(slot >= 0), ns)
+            if height * (int(held.max()) + height) > DENSE_CAP:
+                return self._own_rows(ms, ns, bound)
+            band = np.flatnonzero(np.convolve(np.bincount(held), np.ones(2 * height - 1))[height - 1 :])
+            if len(band) * height * (int(band[-1]) + height) > DENSE_CAP:
+                return self._own_rows(ms, ns, bound)
+            table = self._lin_table(np.repeat(np.arange(height), len(band)), np.tile(band, height), bound)
+            slot = np.full(int(band[-1]) + 1, -1)
+            slot[band] = np.arange(len(band))
+            starts = np.searchsorted(table.rows, np.arange(table.count + 1))
+            self._lin = slot, height, starts, table
+        return _gather(table, starts, ms * (table.count // height) + slot[ns])
 
-    def _lin_table(self, ms: np.ndarray, ns: np.ndarray, bound: float) -> tuple[np.ndarray, ...]:
-        """Dense rows of P_ms[i] * P_ns[i] and their errors ("" where defined).
+    def _own_rows(self, ms: np.ndarray, ns: np.ndarray, bound: float) -> PairSupports:
+        """`_lin_table` on the distinct pairs of a call, gathered back to its pairs: in runs of consecutive
+        columns whose recurrence state (columns x width, also the bound of a step's read) fits DENSE_CAP.
+        A pair wider than DENSE_CAP is refused first: the first such pair in column order."""
+        if (ms + ns >= DENSE_CAP).any():
+            i = np.lexsort((ns, ms + ns < DENSE_CAP))[0]
+            _capped((1, int(ms[i] + ns[i]) + 1))
+        pairs, at = np.unique(ns * DENSE_CAP + ms, return_inverse=True)  # in column order
+        n, m = np.divmod(pairs, DENSE_CAP)
+        run = np.unique(n, return_inverse=True)[1] // max(1, DENSE_CAP // int(ms.max() + ns.max() + 1))
+        order = np.lexsort((n, m, run))  # each run's pairs by step, then column, as `_lin_table` takes them
+        firsts = np.flatnonzero(np.diff(run[order])) + 1
+        own, *more = parts = [self._lin_table(m[p], n[p], bound) for p in np.split(order, firsts)]
+        if more:  # a lone run is read as it is, without a copy of its entries
+            rows = np.concatenate([part.rows + first for part, first in zip(parts, [0, *firsts])])
+            points, weights, err = (np.concatenate([part[f] for part in parts]) for f in (1, 2, 4))
+            own = PairSupports(rows, points, weights, len(pairs), err)
+        return _gather(own, np.searchsorted(own.rows, np.arange(len(pairs) + 1)), np.argsort(order)[at])
+
+    def _lin_table(self, ms: np.ndarray, ns: np.ndarray, bound: float) -> PairSupports:
+        """Flat rows of P_ms[i] * P_ns[i], distinct pairs sorted by step m, then column n: the nonzeros
+        of each row in point order, taken at the step that reads it, and its error ("" where defined).
 
         The recurrence runs in m, without recursion, over every requested
         column n at once, as numpy vectors over l and in the float order of
@@ -365,14 +386,13 @@ class PolynomialHypergroup(Hypergroup):
         A step looks for invalid rows only if one lies below the width, and clears
         ended columns and writes errors only once a column has ended.
         """
-        order = np.argsort(ms, kind="stable")  # pairs are read step by step
-        top, width = int(ms.max()), int(ns.max() + ms.max()) + 1
-        reads = np.searchsorted(ms[order], np.arange(top + 2))
+        top, width = int(ms[-1]), int(ns.max() + ms[-1]) + 1
+        reads = np.searchsorted(ms, np.arange(top + 2))  # step m reads the pairs reads[m]..reads[m + 1]
         cols, col_of = np.unique(ns, return_inverse=True)
         rows = np.append(self._row_block(width - 2), np.zeros((1, 3)), axis=0)  # the last row only meets zeros
         a_l, b_l, c_l = rows.T
         ls, bad = np.arange(width), sorted(r for r in self._row_errors if r < width)
-        vals, err = np.zeros(_capped((len(ms), width))), _defined(len(ms))
+        entries, err = [(np.zeros(0, dtype=np.intp),) * 2 + (np.zeros(0),)], _defined(len(ms))  # none read yet
         dead, alive, ended = _defined(len(cols)), np.ones(len(cols), dtype=bool), False
         low, mid = np.zeros((2, len(cols), width))
         mid[np.arange(len(cols)), cols] = 1.0
@@ -399,14 +419,16 @@ class PolynomialHypergroup(Hypergroup):
                 if ended:
                     new[~alive] = 0.0
                 low, mid = mid, new
-            at = order[reads[m] : reads[m + 1]]
-            vals[at] = mid[col_of[at]]
+            at = slice(reads[m], reads[m + 1])
+            if reads[m + 1] > reads[m]:
+                r, l = np.nonzero(read := mid[col_of[at]])
+                entries.append((r + reads[m], l, read[r, l]))
             if ended:
                 err[at] = dead[col_of[at]]
         under = np.searchsorted(bad, ms - 1, side="right")  # the invalid rows below each pair's step
         for i in np.flatnonzero(under):
             err[i] = self._row_errors[bad[under[i] - 1]]
-        return vals, err
+        return PairSupports(*(np.concatenate(part) for part in zip(*entries)), len(ms), err)
 
     def _step_error(self, m: int, n: int, new: np.ndarray, viol: np.ndarray, mid: np.ndarray) -> str:
         """Message for the first failure of step m in column n, whose previous row is `mid`."""
@@ -424,19 +446,7 @@ class PolynomialHypergroup(Hypergroup):
 
     def _pairs(self, xs: np.ndarray, ys: np.ndarray) -> PairSupports:
         # sorted pairs make every point convolution exactly symmetric in (x, y)
-        ms, ns = np.minimum(xs, ys), np.maximum(xs, ys)
-        step = max(1, DENSE_CAP // int(ms.max() + ns.max() + 1))
-        if len(ms) > step:  # blocks within DENSE_CAP in column order, so that each runs its own columns
-            blocks = np.split(np.argsort(ns, kind="stable"), range(step, len(ms), step))
-            parts = [self._pairs(ms[at], ns[at]) for at in blocks]
-            rows = np.concatenate([at[part.rows] for at, part in zip(blocks, parts)])
-            back = np.argsort(rows, kind="stable")  # pair order, each pair's entries in point order
-            points, weights = (np.concatenate([part[f] for part in parts])[back] for f in (1, 2))
-            err = np.concatenate([part.err for part in parts])[np.argsort(np.concatenate(blocks))]
-            return PairSupports(rows[back], points, weights, len(ms), err)
-        vals, err = self._lin_rows(ms, ns)
-        r, k = np.nonzero(vals)
-        return PairSupports(r, k, vals[r, k], len(ms), err)
+        return self._lin_rows(np.minimum(xs, ys), np.maximum(xs, ys))
 
     def validate_point(self, x: Any) -> int:
         if isinstance(x, bool) or not isinstance(x, (int, np.integer)):
@@ -610,9 +620,12 @@ def assoc_sample(hg: Hypergroup, n_points: int) -> np.ndarray:
 
 
 def _residuals(lhs: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per case, over the last axis: worst weight difference and max(1, |weights|)."""
-    scl = np.maximum(1.0, np.maximum(np.abs(lhs).max(axis=-1), np.abs(rhs).max(axis=-1)))
-    return np.abs(lhs - rhs).max(axis=-1).ravel(), scl.ravel()
+    """Per case, over the last axis: worst weight difference and max(1, |weights|), through one scratch
+    array: fresh arrays of this size per x fault their pages in again once glibc trims the heap."""
+    d = lhs - rhs
+    res = np.abs(d, out=d).max(axis=-1).ravel()
+    scl = np.maximum(1.0, np.maximum(np.abs(lhs, out=d).max(axis=-1), np.abs(rhs, out=d).max(axis=-1)))
+    return res, scl.ravel()
 
 
 def check_axioms(hg: Hypergroup, sample_bound: int = 8, tol: Tolerance | None = None) -> Report:
@@ -855,8 +868,8 @@ def enumerate_exponentials(hg: FiniteHypergroup, tol: Tolerance | None = None) -
     vs = np.array(found).reshape(len(found), n)
     lhs = np.einsum("xyk,bk->bxy", c, vs)
     rhs = vs[:, :, None] * vs[:, None, :]
-    res = np.abs(lhs - rhs).reshape(len(found), -1)
-    scl = np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs))).reshape(len(found), -1)
+    res = np.abs(lhs - rhs).reshape(len(found), n * n)
+    scl = np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs))).reshape(len(found), n * n)
     fails = tol.fails(res, scl)
     if fails.any():  # reported at the worst failing case of the first failing candidate
         b = int(np.argmax(fails.any(axis=1)))

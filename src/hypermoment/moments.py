@@ -148,7 +148,7 @@ class MomentSequence:
             if check_pairs is not None or phi0._exponential_on != (hg, tol):
                 rep = is_exponential(hg, phi0, check_pairs if check_pairs is not None else _default_pairs(hg), tol)
                 if not rep.passed:
-                    worst = max(rep.records, key=lambda r: r.residual / max(r.scale, 1.0))
+                    worst = max(rep.failed_records, key=lambda r: r.residual / max(r.scale, 1.0))
                     raise PreconditionError(f"phi_0 is not an exponential (residual {worst.residual:.3e} "
                                             f"on {worst.name})")
                 if check_pairs is None:
@@ -362,7 +362,7 @@ def derivation_from_moments(
         use = pairs if pairs is not None else _default_pairs(seq.hypergroup)
         rep = verify_moment_sequence(seq, use, tol)
         if not rep.passed:
-            worst = max(rep.records, key=lambda r: r.residual / max(r.scale, 1.0))
+            worst = max(rep.failed_records, key=lambda r: r.residual / max(r.scale, 1.0))
             raise PreconditionError(
                 f"moment sequence fails its identity at {worst.name} (residual {worst.residual:.3e})"
             )

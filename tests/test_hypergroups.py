@@ -262,6 +262,13 @@ class TestEnumerateExponentials:
         with pytest.raises(DecompositionError, match="semisimple"):
             enumerate_exponentials(hg)
 
+    def test_no_candidate_left_is_a_decomposition_error(self):
+        # every pair convolves to d0: the first joint eigenvector vanishes at the identity, so no
+        # candidate is re-verified (the reshape of zero candidates once raised a bare ValueError)
+        hg = FiniteHypergroup(2, 0, [(x, y, [(0, 1.0)]) for x in range(2) for y in range(2)])
+        with pytest.raises(DecompositionError, match="joint eigenvector vanishes at the identity"):
+            enumerate_exponentials(hg)
+
     def test_re_verification_fails_when_any_case_fails(self):
         # point 2a + b is (a, b) in the product of two scaled Z_2 tables, d1*d1 = 3 d0 and
         # d1*d1 = 3e5 d0, weights multiplied.  Under rel 1e-18 the absolute floor exceeds

@@ -440,6 +440,22 @@ class TestCliExitCodes:
             assert main(argv) == 2
         assert capsys.readouterr().err == "error: point inf is not finite\n"
 
+    @pytest.mark.parametrize("command", [["exponentials"], ["search-moments", "--phi0", "m0", "--alpha", "1"]])
+    def test_no_exponential_candidate_exits_1(self, command, capsys):
+        # every pair of this table convolves to d0, so its first joint eigenvector vanishes at the identity
+        spec = json.dumps({"kind": "finite", "size": 2, "identity": 0,
+                           "table": [[x, y, [[0, 1.0]]] for x in range(2) for y in range(2)]})
+        assert main([command[0], "--hypergroup", spec, *command[1:]]) == 1
+        assert capsys.readouterr().err == "error: joint eigenvector vanishes at the identity\n"
+
+    def test_precondition_names_the_failing_record_without_warnings(self, capsys):
+        # P_n(1e300) overflows in the products of the multiplicativity check: that record fails on its
+        # NaN cases, while normalization at the identity passes
+        family = '{"family": "polynomial-derivative", "z": 1e300}'
+        assert main(["leibniz", "--hypergroup", "chebyshev", "--family", family]) == 1
+        assert capsys.readouterr().err == (
+            "precondition failed: phi_0 is not an exponential (residual 0.000e+00 on multiplicativity-on-pairs)\n")
+
     def test_unknown_command_usage_error(self, capsys):
         assert main(["frobnicate"]) == 2
 

@@ -265,7 +265,7 @@ def small_tables(draw):
 
 @pytest.mark.parametrize("cap,assoc_cap", [(20000, 6), (40000, 8)])
 def test_slices_and_runs_match_reference(monkeypatch, cap, assoc_cap):
-    # small caps cut associativity into runs of x and the polynomial rows into blocks of pairs
+    # small caps cut associativity into runs of x and the polynomial pair lists into runs of columns
     monkeypatch.setattr(hypermoment.hypergroups, "DENSE_CAP", cap)
     monkeypatch.setattr(hypermoment.hypergroups, "ASSOC_CAP", assoc_cap)
     for make in (chebyshev, legendre, real_line, lambda: chebyshev_dip(3, 0.8, 30)):
@@ -496,10 +496,22 @@ def test_linearization_reports_the_highest_invalid_row_below_m():
         hg.linearization(8, 5)
 
 
+def test_own_pairs_past_an_invalid_row_report_it(monkeypatch):
+    # under this cap every call runs on its own pairs; a pair whose step lies past the invalid row 6
+    # is never read, so the run ends with no entries at all and each pair gets its row's message
+    monkeypatch.setattr(hypermoment.hypergroups, "DENSE_CAP", 100)
+    hg = PolynomialHypergroup(1.0, 0.0, [(0.5, 0.0, 0.5)] * 5)
+    with pytest.raises(DomainError, match="row 6 requested"):
+        hg.linearization(7, 7)
+    with pytest.raises(DomainError, match="row 7 requested"):
+        hg.pair_supports([(9, 8), (8, 9)])
+    assert hg.linearization(2, 3) == ((1, 0.5), (5, 0.5))  # T_2 T_3 = (T_1 + T_5) / 2
+
+
 def test_linearization_deep_in_m():
     # the recursion raised RecursionError here; Chebyshev closed form T_m T_n = (T_{m+n} + T_{|m-n|})/2.
-    # On a fresh carrier the table of (1200, 3) is kept (1201 steps of one column) and that of
-    # (5000, 5000) exceeds DENSE_CAP, so the pair runs alone: memory stays within twice the cap
+    # On a fresh carrier the band of (3, 1200) is kept (7 columns of 4 steps), while those of (1200, 3)
+    # and (5000, 5000) exceed DENSE_CAP, so those pairs run alone: memory stays within twice the cap
     cases = [((1200, 3), ((1197, 0.5), (1203, 0.5))), ((3, 1200), ((1197, 0.5), (1203, 0.5))),
              ((5000, 5000), ((0, 0.5), (10000, 0.5)))]
     for (m, n), want in cases:
@@ -514,8 +526,8 @@ def test_linearization_deep_in_m():
 
 def _held(hg) -> tuple[list[int], int]:
     """The columns and the height of a polynomial carrier's linearization table."""
-    slot, rows, _ = hg._lin
-    return np.flatnonzero(slot >= 0).tolist(), rows.shape[1]
+    slot, height, _, _ = hg._lin
+    return np.flatnonzero(slot >= 0).tolist(), height
 
 
 def _count_tables(monkeypatch, hg) -> list[int]:
@@ -549,11 +561,12 @@ def test_linearization_table_per_carrier(monkeypatch):
     before = hg._lin
     assert _supports(hg.pair_supports(pairs)) == want
     assert calls[3:] == [3] and hg._lin is before
-    # a band over DENSE_CAP (17 x 9 x 25 = 3825 entries here, the union 9 x 9 x 17 = 1377) falls back to the union
-    union = chebyshev()
-    union_calls = _count_tables(monkeypatch, union)
-    assert _supports(union.pair_supports(grid)) == cold
-    assert union_calls == [81] and _held(union) == (list(range(9)), 9)
+    # a band over DENSE_CAP (17 x 9 x 25 = 3825 entries here) runs _lin_table on the call's 45 distinct
+    # pairs, keeps no table and gives the same rows
+    own = chebyshev()
+    own_calls = _count_tables(monkeypatch, own)
+    assert _supports(own.pair_supports(grid)) == cold
+    assert own_calls == [45] and _held(own) == ([], 0)
     monkeypatch.undo()
     # (m, n) reads column n at step m: (4, 3) and (3, 9) are in different columns, (9, 3) past the height
     fresh = chebyshev()
@@ -564,6 +577,55 @@ def test_linearization_table_per_carrier(monkeypatch):
     # a deep column keeps only its band: 1197..1203 at height 4, not every column up to 1203
     deep = chebyshev()
     assert deep.linearization(3, 1200) == ((1197, 0.5), (1203, 0.5)) and _held(deep) == (list(range(1197, 1204)), 4)
+
+
+def test_cold_grid_past_the_cap_holds_only_flat_rows(monkeypatch):
+    # the band of the 201 x 201 grid (401 columns x 201 steps x 601) exceeds DENSE_CAP, so one _lin_table
+    # call runs on its distinct pairs; the rows stay flat, with no dense (pairs x width) array (114 MB)
+    hg, grid = chebyshev(), [(x, y) for x in range(201) for y in range(201)]
+    calls = _count_tables(monkeypatch, hg)
+    tracemalloc.start()
+    try:
+        sup = hg.pair_supports(grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert calls == [201 * 202 // 2] and peak < 32 * 2**20
+    assert sup.points == [l for x, y in grid for l in sorted({abs(x - y), x + y})]  # T_m T_n = (T_|m-n| + T_m+n) / 2
+    assert sup.weights.tolist() == [w for x, y in grid for w in ([1.0] if x * y == 0 else [0.5, 0.5])]
+
+
+def test_own_pairs_run_in_column_runs_within_the_cap(monkeypatch):
+    # a 1-point measure times a wide one: the band exceeds DENSE_CAP, so the call runs on its own pairs, in
+    # runs of consecutive columns whose recurrence state (columns x width) fits the cap, with the same rows
+    def states(hg) -> list[int]:
+        seen, table = [], hg._lin_table
+        monkeypatch.setattr(hg, "_lin_table", lambda ms, ns, bound: seen.append(
+            len(np.unique(ns)) * int(ns.max() + ms.max() + 1)) or table(ms, ns, bound))
+        return seen
+
+    pairs = [(1, n) for n in range(300, 500)] + [(2, 310), (499, 0), (1, 300)]
+    want = _supports(chebyshev().pair_supports(pairs))
+    monkeypatch.setattr(hypermoment.hypergroups, "DENSE_CAP", 5000)
+    hg = chebyshev()
+    seen = states(hg)
+    assert _supports(hg.pair_supports(pairs)) == want
+    assert len(seen) == 23 and max(seen) <= 5000 and _held(hg) == ([], 0)  # 200 columns, 9 per run of width 502
+    # each pair fits the cap, but the widest column and the highest step together do not: a column per run
+    monkeypatch.setattr(hypermoment.hypergroups, "DENSE_CAP", 100)
+    hg = chebyshev()
+    seen = states(hg)
+    assert _supports(hg.pair_supports([(40, 50), (0, 95)])) == [[0, 0, 1], [10, 90, 95], [0.5, 0.5, 1.0], 2]
+    assert seen == [91, 96]
+
+
+def test_rebuild_past_the_cap_builds_no_band(monkeypatch):
+    # the band holds the top column at full height: when that alone exceeds DENSE_CAP, no band is convolved
+    convolve = mock.Mock(side_effect=np.convolve)
+    monkeypatch.setattr(np, "convolve", convolve)
+    assert chebyshev().linearization(5000, 5000) == ((0, 0.5), (10000, 0.5))
+    assert not convolve.called
+    assert chebyshev().linearization(2, 3) == ((1, 0.5), (5, 0.5)) and convolve.called
 
 
 BUILD_CARRIERS = {

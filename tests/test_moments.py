@@ -210,6 +210,15 @@ class TestDerivationFromMoments:
         fam = derivation_from_moments(seq, skip_verification=True)
         assert fam.meta["verification"] == "skipped"
 
+    def test_verification_gate_names_a_failing_alpha(self, cheb):
+        # alpha (0, 1) fails on its NaN cases only, so its recorded residual (the worst of the other
+        # cases) is below that of alpha (1, 0), which passes: the message names (0, 1)
+        base = rank_lift(poly_derivative_moments(cheb, 0.3, 1), [1, 0.5j])
+        entries = {(0, 0): base.phi((0, 0)), (1, 0): base.phi((1, 0)),
+                   (0, 1): CFunction(lambda n: math.nan if n == 3 else base.phi((0, 1))(n))}
+        with pytest.raises(PreconditionError, match=r"at moment-identity alpha=\[0, 1\] "):
+            derivation_from_moments(MomentSequence.build(cheb, 2, 1, entries))
+
 
 class TestVerifyLeibniz:
     def test_chebyshev_rank_two(self, cheb, rng):

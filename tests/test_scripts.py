@@ -42,6 +42,29 @@ def test_large_inputs_prints_one_json_line_per_case():
     assert result["lin_tables"] == 1  # the 1201 steps of column 3, in one linearization table
 
 
+def test_large_inputs_against_a_checkout_prints_one_line_per_case():
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "large_inputs.py"), "--against", str(ROOT), "--runs", "2", "lin3x1200"],
+        capture_output=True, text=True, env=ENV, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    (line,) = done.stdout.splitlines()
+    result = json.loads(line)
+    assert result["case"] == "lin3x1200" and result["this"]["outcome"] == result["other"]["outcome"] == "ok"
+    for tree in (result["this"], result["other"]):
+        assert tree["tree"] == str(ROOT) and len(tree["seconds"]) == len(tree["rss_mb"]) == 2
+        assert tree["median_seconds"] > 0 and tree["median_rss_mb"] > 0 and tree["lin_tables"] == 1
+
+
+@pytest.mark.parametrize("runs", ["0", "-1", "two"])
+def test_large_inputs_refuses_a_run_count_below_one(runs):
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "large_inputs.py"), "--against", str(ROOT), "--runs", runs],
+        capture_output=True, text=True, env=ENV, timeout=60,
+    )
+    assert done.returncode == 2 and "expected a positive integer" in done.stderr and "Traceback" not in done.stderr
+
+
 def test_cli_diff_of_the_checkout_against_itself_finds_nothing():
     done = subprocess.run(
         [sys.executable, str(ROOT / "scripts" / "cli_diff.py"), str(ROOT)],
