@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Time the large inputs: axiom checks at high bounds, deep linearizations,
-Leibniz checks on convolutions of high degree, a transform of degree 200, its
-Taylor check at degree 150 and the exponentials of the cyclic group Z_64.
+Leibniz checks on convolutions of high degree, a moment identity on 4,096 pairs
+checked cold and warm, a transform of degree 200, its Taylor check at degree 150
+and the exponentials of the cyclic group Z_64.
 
 Each case runs in a fresh interpreter and prints one JSON line: its name, the
 seconds the call took (`time.perf_counter`, import excluded), the peak
@@ -11,7 +12,7 @@ its first ";"; and `lin_tables`, the number of linearization tables the case
 built (calls of `PolynomialHypergroup._lin_table`).
 
     python scripts/large_inputs.py               # every case, in the order below
-    python scripts/large_inputs.py lin1200 cheb80 leib120 transform200 taylor150 expo64
+    python scripts/large_inputs.py lin1200 cheb80 leib120 moments64 transform200 taylor150 expo64
 
 With `hypermoment` not installed, put `src` on PYTHONPATH.
 
@@ -44,7 +45,7 @@ from pathlib import Path
 import hypermoment
 from hypermoment import (
     DomainError, Measure, PolynomialHypergroup, check_axioms, chebyshev, derivation_from_moments, legendre,
-    poly_derivative_moments, rank_lift, real_line, verify_fourier_leibniz, verify_leibniz,
+    poly_derivative_moments, rank_lift, real_line, verify_fourier_leibniz, verify_leibniz, verify_moment_sequence,
 )
 from hypermoment.cli import main as cli_main
 
@@ -62,6 +63,14 @@ def leibniz120() -> bool:
     ]
     samples = [(ms[i], ms[(i + 1) % 12]) for i in range(12)]
     return verify_leibniz(family, samples).passed and verify_fourier_leibniz(family, samples).passed
+
+
+def moments64() -> bool:
+    """`verify_moment_sequence` of a rank-2 chebyshev family of order 3 on the 64 x 64 grid of
+    points 0..63, twice on one carrier: cold, then on the pair table the carrier kept; True
+    when both pass."""
+    seq = rank_lift(poly_derivative_moments(chebyshev(), 0.3, 3), [1, 0.5j])
+    return all([verify_moment_sequence(seq, [(x, y) for x in range(64) for y in range(64)]).passed for _ in range(2)])
 
 
 def transform200() -> bool:
@@ -102,6 +111,7 @@ CASES = {
     "lin3x1200": lambda: chebyshev().linearization(3, 1200),
     "lin5000": lambda: chebyshev().linearization(5000, 5000),
     "leib120": leibniz120,
+    "moments64": moments64,
     "transform200": transform200,
     "taylor150": taylor150,
     "expo64": exponentials64,

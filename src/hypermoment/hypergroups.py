@@ -96,6 +96,10 @@ class Hypergroup:
     def signature(self) -> tuple:
         raise NotImplementedError
 
+    @cached_property
+    def _pair_tables(self) -> dict:  # kept by `operators._pair_table`, least recently used first
+        return {}
+
     def pair_supports(self, pairs: Sequence[tuple[Point, Point]]) -> PairSupports:
         """The point convolutions of `pairs`, from one `_pairs` call.
 
@@ -776,7 +780,7 @@ def _associativity(hg: Hypergroup, small: np.ndarray, pair: tuple, width: int) -
             right, right_points, right_err = _dense(_grid(hg, points[mask], small), (int(mask.sum()), s))  # dk * dz
             left, left_points, left_err = _dense(  # dx * dk
                 _grid(hg, small[first:end], points[used]), (end - first, int(used.sum())))
-            target = np.union1d(right_points, left_points)
+            target = np.unique(np.concatenate([right_points, left_points]), return_inverse=True)[0]  # no numpy.ma
             right_bad, left_bad = right_err.astype(bool), left_err.astype(bool)
             msg = next((m for e in (err, right_err, left_err) for m in e[e.astype(bool)]), None)
             right, run = right.reshape(mask.sum(), -1), c[first:end][:, :, mask]

@@ -198,8 +198,7 @@ def complex_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a * b elementwise, rounded as Python rounds a complex product (NumPy's
     own complex product can differ in the last bit)."""
     a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
-    out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=complex)
-    out.real = a.real * b.real - a.imag * b.imag
+    out = (a.real * b.real - a.imag * b.imag).astype(complex)  # the real part sets the broadcast shape
     out.imag = a.real * b.imag + a.imag * b.real
     return out
 

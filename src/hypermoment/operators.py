@@ -9,6 +9,7 @@ homomorphism is multiplicative iff its symbol is an exponential.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Sequence
 
@@ -180,21 +181,46 @@ def tabulate_on_pairs(
     over the pairs first meets them: each pair's support, then x and y, y first
     for every function after the first, as the lower terms of the moment identity reach them.
     """
+    sup, orders, size, scatter, at_k, at_x, at_y = _pair_table(hg, pairs)
+    values = np.empty((len(fns), size), dtype=complex)
+    for a, f in enumerate(fns):
+        values[a, scatter if a == 0 else slice(None)] = values_at(f, orders[a > 0])
+    return sup, values[:, at_k], values[:, at_x], values[:, at_y]
+
+
+# pair tables a carrier keeps: at most PAIR_TABLES lists of int points, none longer than PAIR_TABLE_CAP pairs
+PAIR_TABLES, PAIR_TABLE_CAP = 8, 4096
+
+
+def _pair_table(hg: Any, pairs: Sequence[tuple[Point, Point]]) -> tuple:
+    """The part of `tabulate_on_pairs` that reads the pairs alone: `pair_supports`, the two
+    first-meet orders of the points, the number of points, the scatter of the first order
+    into the second, and the gather indices of the entries, the x's and the y's.  A list whose
+    points are all `int` is kept on the carrier (`_pair_tables`), read-only, under the tolerance
+    bound its linearization table follows; a list whose supports raise is not kept."""
+    key = (tuple(map(tuple, pairs)), default_tolerance().bound(1.0))
+    keep = len(key[0]) <= PAIR_TABLE_CAP and {*map(type, itertools.chain.from_iterable(key[0]))} == {int}
+    tables = hg._pair_tables
+    if keep and key in tables:
+        tables[key] = table = tables.pop(key)  # most recently used last
+        return table
     sup = hg.pair_supports(pairs)
-    ends = np.searchsorted(sup.rows, np.arange(1, sup.count + 1)).tolist()
-    meet_xy, meet_yx, start = [], [], 0
-    for (x, y), end in zip(pairs, ends):
+    ends = np.searchsorted(sup.rows, np.arange(sup.count + 1)).tolist()  # pair i's entries: ends[i]..ends[i + 1]
+    meet_xy, meet_yx = [], []
+    for (x, y), start, end in zip(pairs, ends, ends[1:]):
         meet_xy += sup.points[start:end] + [x, y]
         meet_yx += sup.points[start:end] + [y, x]
-        start = end
     orders = (list(dict.fromkeys(meet_xy)), list(dict.fromkeys(meet_yx)))
     index = {p: i for i, p in enumerate(orders[1])}
-    scatter = ([index[p] for p in orders[0]], slice(None))
-    values = np.empty((len(fns), len(index)), dtype=complex)
-    for a, f in enumerate(fns):
-        values[a, scatter[a > 0]] = values_at(f, orders[a > 0])
 
     def at(points: Iterable[Point]) -> np.ndarray:
-        return values[:, [index[p] for p in points]]
+        return np.array([index[p] for p in points], dtype=np.intp)
 
-    return sup, at(sup.points), at(x for x, _ in pairs), at(y for _, y in pairs)
+    table = (sup, orders, len(index), at(orders[0]), at(sup.points), at(x for x, _ in pairs), at(y for _, y in pairs))
+    if keep:  # read-only, as `apply_family` holds its table
+        for array in (sup.rows, sup.weights, sup.err, *table[3:]):
+            array.flags.writeable = False
+        tables[key] = table
+        if len(tables) > PAIR_TABLES:
+            del tables[next(iter(tables))]
+    return table

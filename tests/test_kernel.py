@@ -795,3 +795,14 @@ def test_import_does_not_load_scipy():
     code = "import sys, hypermoment, json; print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert json.loads(out.stdout) == []
+
+
+def test_axiom_checks_do_not_load_numpy_ma():
+    # plain np.unique (and np.union1d through it) imports numpy.ma; the axiom checks take the inverse form
+    env = dict(os.environ, PYTHONPATH=str(Path(hypermoment.__file__).parents[1]))
+    code = ("import sys, hypermoment as h\n"
+            "for hg in (h.chebyshev(), h.legendre(), h.real_line(), h.two_point(0.3)):\n"
+            "    h.check_axioms(hg)\n"
+            "print('numpy.ma' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.split() == ["False"]

@@ -68,13 +68,13 @@ from hypermoment import (
 )
 import numpy as np
 
-from hypermoment.config import Tolerance, default_tolerance, scale_of
+from hypermoment.config import Tolerance, default_tolerance, scale_of, set_default_tolerance
 from hypermoment.fourier import derivative_moments
 from hypermoment.hypergroups import DerivativeRun
 from hypermoment.measures import _evaluate, as_literal, complex_product, values_at
 from hypermoment.moments import _identity_records, apply_family, binomial_terms, index_order, index_sub, indices_up_to
-from hypermoment.operators import exponential_reports
-from tests.test_kernel import reference_convolve, reference_rule
+from hypermoment.operators import PAIR_TABLE_CAP, PAIR_TABLES, exponential_reports
+from tests.test_kernel import chebyshev_dip, reference_convolve, reference_rule
 
 # ---------------------------------------------------------------------------
 # the loops the kernel replaces
@@ -1010,3 +1010,106 @@ def test_random_families_match_the_measure_loops():
         samples = [(rng.choice(ms), rng.choice(ms)) for _ in range(rng.randint(1, 4))]
         probes = rng.choice([None, [CFunction(lambda x: cmath.exp(0.1j * x)), CFunction.constant(2.0)]])
         assert_same_application(_family(hg, symbols), samples, probes)
+
+
+# ---------------------------------------------------------------------------
+# the pair tables a carrier keeps
+
+
+def _count_pairs(monkeypatch, hg) -> list:
+    calls, pairs = [], hg._pairs
+    monkeypatch.setattr(hg, "_pairs", lambda xs, ys: calls.append(len(xs)) or pairs(xs, ys))
+    return calls
+
+
+def test_equal_int_pair_lists_read_one_table(monkeypatch):
+    hg = chebyshev()
+    calls = _count_pairs(monkeypatch, hg)
+    seq = poly_derivative_moments(hg, 0.3, 3)  # phi_0 checked on the default pairs
+    derivation_from_moments(seq)  # verified on the default pairs: the same table
+    assert calls == [25]
+    calls.clear()
+    reports = [verify_moment_sequence(seq, [(x, y) for x in range(5) for y in range(3)]) for _ in range(2)]
+    assert calls == [15] and reports[0].to_json() == reports[1].to_json()
+
+
+def test_a_kept_table_is_not_read_for_other_point_types():
+    hg = chebyshev()
+    seq = poly_derivative_moments(hg, 0.3, 2)
+    want = verify_moment_sequence(seq, [(1, 1), (2, 3)])
+    with pytest.raises(DomainError, match="point True is not a nonnegative integer"):
+        verify_moment_sequence(seq, [(True, 1)])  # equal to (1, 1) as a key, but refused
+    verify_moment_sequence(seq, [(1, 1)])
+    with pytest.raises(DomainError, match="point True is not a nonnegative integer"):
+        verify_moment_sequence(seq, [(True, 1)])
+    kept = dict(hg._pair_tables)
+    got = verify_moment_sequence(seq, [(np.int64(1), np.int64(1)), (np.int64(2), np.int64(3))])
+    assert got.to_json() == want.to_json() and hg._pair_tables.keys() == kept.keys()
+
+
+def test_pair_tables_follow_the_default_tolerance():
+    hg, one, pairs = chebyshev_dip(3, 0.8, 12), CFunction.constant(1.0), [(1, 1), (2, 2)]
+    with pytest.raises(DomainError, match="negative coefficient -0.3"):
+        is_exponential(hg, one, pairs)
+    assert not hg._pair_tables  # a list whose supports raise is not kept
+    default = default_tolerance()
+    set_default_tolerance(Tolerance(rel=0.5))
+    try:
+        is_exponential(hg, one, pairs)
+        assert [bound for _, bound in hg._pair_tables] == [0.5]
+    finally:
+        set_default_tolerance(default)
+    with pytest.raises(DomainError, match="negative coefficient -0.3"):
+        is_exponential(hg, one, pairs)  # tabulated again under the default bound
+
+
+def test_realline_pairs_are_never_kept():
+    hg = real_line()
+    seq = realline_moments(0.2, 2, hg)
+    verify_moment_sequence(seq, [(-0.0, 0.5), (0.0, 1.0)])
+    assert not hg._pair_tables
+
+
+def test_kept_tables_are_read_only():
+    hg = two_point(0.3)
+    is_exponential(hg, CFunction.constant(1.0), [(0, 1), (1, 1)])
+    (table,) = hg._pair_tables.values()
+    arrays = [a for a in (*table[0], *table) if isinstance(a, np.ndarray)]
+    assert len(arrays) == 7 and not any(a.flags.writeable for a in arrays)
+    with pytest.raises(ValueError, match="read-only"):
+        table[4][0] = 1
+
+
+def test_pair_tables_are_bounded():
+    hg, one = chebyshev(), CFunction.constant(1.0)
+    lists = [[(0, k)] for k in range(100)]
+    for pairs in lists[:PAIR_TABLES]:
+        is_exponential(hg, one, pairs)
+    is_exponential(hg, one, list(lists[0]))  # read again: the most recently used
+    is_exponential(hg, one, lists[PAIR_TABLES])
+    kept = lists[2:PAIR_TABLES] + lists[:1] + lists[PAIR_TABLES : PAIR_TABLES + 1]  # list 1 went first
+    assert [key[0] for key in hg._pair_tables] == [tuple(p) for p in kept]
+    for pairs in lists[PAIR_TABLES + 1 :]:
+        is_exponential(hg, one, pairs)
+        assert len(hg._pair_tables) <= PAIR_TABLES
+    assert [key[0] for key in hg._pair_tables] == [tuple(p) for p in lists[-PAIR_TABLES:]]
+    finite = two_point(0.3)
+    is_exponential(finite, one, [(0, 1), (1, 1)] * (PAIR_TABLE_CAP // 2) + [(0, 0)])
+    assert not finite._pair_tables
+
+
+def test_complex_product_matches_python_products():
+    parts = [0.0, -0.0, 1.5, -2.0, 0.1, -1 / 3, math.inf, -math.inf, math.nan]  # NumPy's own product differs on 0.1, -1/3
+    values = [complex(a, b) for a in parts for b in parts]
+    column, row = np.array(values)[:, None], np.array(values)[None, :]
+
+    def bits(z) -> list:
+        return [(repr(v.real), repr(v.imag)) for v in np.asarray(z, dtype=complex).ravel().tolist()]
+
+    with np.errstate(invalid="ignore", over="ignore"):
+        for a in values:  # scalar x vector, both ways round
+            assert bits(complex_product(a, row[0])) == bits([a * b for b in values])
+            assert bits(complex_product(row[0], a)) == bits([b * a for b in values])
+        got = complex_product(column, row)
+    assert got.shape == (len(values), len(values))
+    assert bits(got) == bits([a * b for a in values for b in values])
