@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Time the large inputs: axiom checks at high bounds, deep linearizations,
 Leibniz checks on convolutions of high degree, a moment identity on 4,096 pairs
-checked cold and warm, a transform of degree 200, its Taylor check at degree 150
-and the exponentials of the cyclic group Z_64.
+checked cold and warm, a transform of degree 200, its Taylor check at degree 150,
+the exponentials of the cyclic groups Z_64 and Z_256 and the moment extensions
+of Z_160 to order 2.
 
 Each case runs in a fresh interpreter and prints one JSON line: its name, the
 seconds the call took (`time.perf_counter`, import excluded), the peak
@@ -12,7 +13,7 @@ its first ";"; and `lin_tables`, the number of linearization tables the case
 built (calls of `PolynomialHypergroup._lin_table`).
 
     python scripts/large_inputs.py               # every case, in the order below
-    python scripts/large_inputs.py lin1200 cheb80 leib120 moments64 transform200 taylor150 expo64
+    python scripts/large_inputs.py lin1200 cheb80 leib120 moments64 transform200 taylor150 expo64 search160
 
 With `hypermoment` not installed, put `src` on PYTHONPATH.
 
@@ -89,14 +90,18 @@ def taylor150() -> bool:
         return cli_main(argv) == 0
 
 
-def exponentials64() -> bool:
-    """`exponentials` of the cyclic group Z_64, its spec written to a temporary file and
-    its report discarded: 64 exponentials judged on 4096 pairs; True when it exits 0."""
-    table = [[a, b, [[(a + b) % 64, 1.0]]] for a in range(64) for b in range(64)]
-    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
-        spec = Path(tmp) / "Z64.json"
-        spec.write_text(json.dumps({"kind": "finite", "size": 64, "identity": 0, "table": table}))
-        return cli_main(["exponentials", "--hypergroup", str(spec)]) == 0
+def cyclic_cli(n: int, *args: str) -> bool:
+    """A CLI subcommand on the cyclic group Z_n, its spec written to a temporary file and its
+    report discarded; True when it exits 0.  A refusal (exit 2) raises its message."""
+    table = [[a, b, [[(a + b) % n, 1.0]]] for a in range(n) for b in range(n)]
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()) as err:
+        spec = Path(tmp) / f"Z{n}.json"
+        spec.write_text(json.dumps({"kind": "finite", "size": n, "identity": 0, "table": table}))
+        code = cli_main([args[0], "--hypergroup", str(spec), *args[1:]])
+    if code == 2:
+        raise DomainError(err.getvalue().strip())
+    return code == 0
 
 
 CASES = {
@@ -114,7 +119,9 @@ CASES = {
     "moments64": moments64,
     "transform200": transform200,
     "taylor150": taylor150,
-    "expo64": exponentials64,
+    "expo64": lambda: cyclic_cli(64, "exponentials"),  # 64 exponentials judged on 4,096 pairs
+    "expo256": lambda: cyclic_cli(256, "exponentials"),  # 256 on 65,536 pairs
+    "search160": lambda: cyclic_cli(160, "search-moments", "--phi0", "m1", "--alpha", "2"),
 }
 
 

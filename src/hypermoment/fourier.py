@@ -24,7 +24,7 @@ import numpy as np
 from .config import Tolerance, default_tolerance, scale_of
 from .errors import DomainError
 from .hypergroups import DerivativeRun, PolynomialHypergroup, RealLineHypergroup
-from .measures import Measure, as_literal, complex_abs, complex_product, convolve
+from .measures import Measure, as_literal, complex_abs, complex_product, convolve, pair
 from .moments import DerivationFamily, _identity_records, apply_family, as_index, binomial_terms
 from .reports import Report
 
@@ -172,14 +172,10 @@ class TransformEval:
         lam = complex(lam)
         return sum((w * cmath.exp(lam * x) for x, w in self.measure.support), 0j)
 
-    def derivative_fd(self, lam: complex, k: int, step: float = 3e-3) -> complex:
-        """k-th derivative at lam by the central finite-difference stencil."""
-        if k == 0:
-            return self(lam)
-        acc = 0j
-        for i in range(k + 1):
-            acc += (-1) ** i * math.comb(k, i) * self(lam + (k / 2 - i) * step)
-        return acc / step**k
+    def derivative(self, lam: complex, k: int) -> complex:
+        """k-th derivative at lam, exactly: the sum over the support of w x^k e^{lam x}, as `pair` sums it."""
+        lam = complex(lam)
+        return pair(self.measure, lambda x: x**k * cmath.exp(lam * x))
 
 
 def transform_eval(mu: Measure) -> TransformEval:

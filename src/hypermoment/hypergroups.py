@@ -14,7 +14,7 @@ and `check_axioms` reports the first counterexample per axiom.  Each carrier
 states its point convolutions once, as flat entries (`_pairs`, one
 :class:`PairSupports`): per pair of points, the (point, weight) entries of
 delta_x * delta_y.  Only the associativity check scatters them into a dense
-C[i, j, k] (`_dense`).
+C[i, j, k] (`_dense`); a finite table is held as its flat rows alone.
 """
 
 from __future__ import annotations
@@ -28,21 +28,23 @@ import numpy as np
 
 from .config import Tolerance, default_tolerance
 from .errors import DecompositionError, DomainError
-from .measures import CFunction, Measure, Point
+from .measures import CFunction, Measure, Point, complex_abs, complex_product
 from .reports import Report
 
 CoeffRow = tuple[float, float, float]
 
 # associativity sample of an infinite carrier, in points
 ASSOC_CAP = 48
-# entries of one dense structure array (64 MB of float64); larger ones are refused, and a polynomial
-# carrier keeps its linearization table only while its recurrence grid fits, else runs its columns within it
+# entries of one dense array (64 MB of float64), over which associativity and the extension system are refused;
+# a polynomial carrier keeps its linearization table while its recurrence grid fits, else runs its columns in it
 DENSE_CAP = 1 << 23
+# entries (functions x entries or pairs) of one block of functions judged by `PairSupports.products`
+BLOCK_ENTRIES = 1 << 18
 
 
-def _capped(shape: tuple[int, ...]) -> tuple[int, ...]:
+def _capped(shape: tuple[int, ...], what: str = "structure array") -> tuple[int, ...]:
     if math.prod(shape) > DENSE_CAP:
-        raise DomainError(f"structure array of shape {shape} exceeds {DENSE_CAP} entries; use a smaller sample")
+        raise DomainError(f"{what} of shape {shape} exceeds {DENSE_CAP} entries; use a smaller sample")
     return shape
 
 
@@ -69,6 +71,17 @@ class PairSupports(NamedTuple):
         out = np.zeros(values.shape[:-1] + (self.count,), dtype=complex)
         np.add.at(out.T, self.rows, (values * self.weights).T)
         return out
+
+    def products(self, values: np.ndarray, at_k: np.ndarray, at_x: np.ndarray, at_y: np.ndarray) -> Iterator[tuple]:
+        """<dx*dy, f> against f(x) f(y) per row f of `values` (functions x points), gathered by at_k at the entries
+        and by at_x, at_y at the pairs; per block of rows within BLOCK_ENTRIES: first row, lhs, rhs, res, scale."""
+        step = max(1, BLOCK_ENTRIES // max(1, len(at_k), self.count))
+        for first in range(0, len(values), step):
+            block = values[first : first + step]
+            with np.errstate(over="ignore", invalid="ignore"):  # a product past the floats fails its case
+                lhs, rhs = self.pairings(block[:, at_k]), complex_product(block[:, at_x], block[:, at_y])
+                res, scl = complex_abs(lhs - rhs), np.maximum(1.0, np.maximum(complex_abs(lhs), complex_abs(rhs)))
+            yield first, lhs, rhs, res, scl
 
 
 def _gather(table: PairSupports, starts: np.ndarray, p: np.ndarray) -> PairSupports:
@@ -183,13 +196,6 @@ class FiniteHypergroup(Hypergroup):
         weights = np.array([w for row in rows for _, w in row], dtype=float)
         pairs = np.repeat(np.arange(len(rows)), np.diff(self._starts))
         self._entries = PairSupports(pairs, points, weights, len(rows), _defined(len(rows)))
-
-    @cached_property
-    def tensor(self) -> np.ndarray:
-        """Structure constants C[i, j, k] = weight at k of delta_i * delta_j."""
-        c = np.zeros(_capped((self.size,) * 3))
-        c.reshape(-1, self.size)[self._entries.rows, self._entries.points] = self._entries.weights
-        return c
 
     def _pairs(self, xs: np.ndarray, ys: np.ndarray) -> PairSupports:
         return _gather(self._entries, self._starts, xs * self.size + ys)
@@ -813,13 +819,19 @@ def _cluster_indices(values: np.ndarray, tol: float) -> list[list[int]]:
     return groups
 
 
-def _joint_eigenbases(c: np.ndarray) -> list[np.ndarray]:
-    """Orthonormal bases of the joint eigenspaces of the translations T_x = c[x], refined
-    over x: each eigenvalue cluster of T_x on a block gives a block.  The clusters of one
-    size are orthonormalized by one QR call on their stacked vectors (LAPACK factors each
-    matrix of a stack on its own, as a call per cluster would)."""
-    blocks: list[np.ndarray] = [np.eye(len(c), dtype=complex)]
-    for x, T in enumerate(c.astype(complex)):
+def _joint_eigenbases(hg: FiniteHypergroup) -> list[np.ndarray]:
+    """Orthonormal bases of the joint eigenspaces of the translations T_x[y, k] = C[x, y, k], scattered from
+    the flat rows of the pairs (x, .), refined over x until every block is one-dimensional: each eigenvalue
+    cluster of T_x on a block gives a block.  The clusters of one size are orthonormalized by one QR call on
+    their stacked vectors (LAPACK factors each matrix of a stack on its own, as a call per cluster would)."""
+    n, table = hg.size, hg._entries
+    blocks: list[np.ndarray] = [np.eye(n, dtype=complex)]
+    for x in range(n):
+        if all(basis.shape[1] == 1 for basis in blocks):
+            break
+        own = slice(hg._starts[x * n], hg._starts[(x + 1) * n])  # the entries of the pairs (x, .)
+        T = np.zeros((n, n), dtype=complex)
+        T[table.rows[own] - x * n, table.points[own]] = table.weights[own]
         refined: list[np.ndarray] = []
         for basis in blocks:
             if basis.shape[1] == 1:
@@ -846,14 +858,13 @@ def enumerate_exponentials(hg: FiniteHypergroup, tol: Tolerance | None = None) -
 
     An exponential is a joint eigenvector of the translation matrices
     T_x = C[x], normalised to 1 at the identity.  Eigenspaces are intersected
-    across all generators (`_joint_eigenbases`); if the refinement does not end in
-    one-dimensional joint eigenspaces, or a candidate fails re-verification against the
-    defining equation, a DecompositionError names the defect.
+    across the generators (`_joint_eigenbases`); if the refinement does not end in one-dimensional
+    joint eigenspaces, or a candidate fails re-verification against the defining equation
+    (`PairSupports.products` on the table's entries), a DecompositionError names the defect.
     """
     tol = tol or default_tolerance()
     n = hg.size
-    c = hg.tensor
-    blocks = _joint_eigenbases(c)
+    blocks = _joint_eigenbases(hg)
     for basis in blocks:
         if basis.shape[1] != 1:
             raise DecompositionError(
@@ -868,17 +879,15 @@ def enumerate_exponentials(hg: FiniteHypergroup, tol: Tolerance | None = None) -
         if abs(pivot) < 1e-10 * float(np.linalg.norm(v)):
             break
         found.append(v / pivot)
-    # re-verification: <dx*dy, v> = v(x) v(y) for every pair, per candidate
+    # re-verification: <dx*dy, v> = v(x) v(y) for every pair (x, y) at x * n + y, per candidate
+    xs, ys = np.divmod(np.arange(n * n), n)
     vs = np.array(found).reshape(len(found), n)
-    lhs = np.einsum("xyk,bk->bxy", c, vs)
-    rhs = vs[:, :, None] * vs[:, None, :]
-    res = np.abs(lhs - rhs).reshape(len(found), n * n)
-    scl = np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs))).reshape(len(found), n * n)
-    fails = tol.fails(res, scl)
-    if fails.any():  # reported at the worst failing case of the first failing candidate
-        b = int(np.argmax(fails.any(axis=1)))
-        i = np.argmax(np.where(fails[b], res[b] / scl[b], -np.inf))
-        raise DecompositionError(f"joint eigenvector failed exponential re-verification (residual {res[b, i]:.3e})")
+    for _, _, _, res, scl in hg._entries.products(vs, hg._entries.points, xs, ys):
+        fails = tol.fails(res, scl)
+        if fails.any():  # reported at the worst failing case of the first failing candidate
+            b = int(np.argmax(fails.any(axis=1)))
+            i = np.argmax(np.where(fails[b], res[b] / scl[b], -np.inf))
+            raise DecompositionError(f"joint eigenvector failed exponential re-verification (residual {res[b, i]:.3e})")
     if len(found) < len(blocks):
         raise DecompositionError("joint eigenvector vanishes at the identity")
     # sorted on their values, read from the eigenvectors: v.tolist()[x] is the complex(v[x]) `from_table` stores

@@ -30,7 +30,7 @@ import numpy as np
 
 from .config import Tolerance, default_tolerance
 from .errors import DomainError, PreconditionError
-from .hypergroups import DerivativeRun, FiniteHypergroup, Hypergroup, PolynomialHypergroup, RealLineHypergroup
+from .hypergroups import DerivativeRun, FiniteHypergroup, Hypergroup, PolynomialHypergroup, RealLineHypergroup, _capped
 from .measures import (
     CFunction, Measure, Point, _evaluate, as_literal, complex_abs, complex_product, convolve, convolutions, evaluate,
     merge, multiply, pair,
@@ -335,11 +335,12 @@ def verify_moment_sequence(
         title="moment sequence identity",
         meta={"rank": seq.rank, "order": seq.order, "pairs": len(pairs)},
     )
-    sup, at_k, at_x, at_y = tabulate_on_pairs(seq.hypergroup, pairs, [seq.phi(a) for a in seq.alphas])
+    sup, values, at_k, at_x, at_y = tabulate_on_pairs(seq.hypergroup, pairs, [seq.phi(a) for a in seq.alphas])
     beta, gamma, coef, _ = binomial_terms(tuple(seq.alphas))
     law = "<dx*dy, phi_a> = sum_{b<=a} binom(a,b) phi_b(x) phi_{a-b}(y)"
-    terms = complex_product(coef[:, None] * at_x[beta], at_y[gamma])
-    _identity_records(report, "moment-identity", law, seq.alphas, sup.pairings(at_k), terms, tol, lambda i: pairs[i])
+    terms = complex_product(coef[:, None] * values[beta][:, at_x], values[gamma][:, at_y])
+    lhs = sup.pairings(values[:, at_k])
+    _identity_records(report, "moment-identity", law, seq.alphas, lhs, terms, tol, lambda i: pairs[i])
     return report
 
 
@@ -658,17 +659,17 @@ def extend_moment_sequence(
     if missing:
         raise DomainError(f"lower entries missing for {missing}")
 
-    n = hg.size
+    n, sup = hg.size, hg._entries
+    a_mat = np.zeros(_capped((n * n, n), "extension system"), dtype=complex)  # dense by nature: refused first
     pts = list(range(n))
     zero = (0,) * len(alpha)
-    c = hg.tensor
     values = {beta: np.array([entries[beta](x) for x in pts], dtype=complex) for beta in needed}
 
     # precondition: identities of the fixed lower entries hold
     table = np.array([values[beta] for beta in needed])
     rows_b, rows_g, coef, _ = binomial_terms(tuple(needed))
     terms = (coef[:, None] * table[rows_b])[:, :, None] * table[rows_g][:, None, :]
-    lhs = np.array([np.einsum("xyk,k->xy", c, v) for v in table])
+    lhs = sup.pairings(table[:, sup.points]).reshape(len(needed), n, n)
     checked = Report(title="lower entries")
     _identity_records(checked, "", "", needed, lhs, terms, tol, lambda i: [divmod(i, n)])
     if checked.failed_records:
@@ -681,7 +682,7 @@ def extend_moment_sequence(
     # one row per ordered pair (x, y): <dx*dy, phi_alpha> - phi_alpha(y) phi_0(x) - phi_alpha(x) phi_0(y)
     phi0 = values[zero]
     xs, ys = np.divmod(np.arange(n * n), n)
-    a_mat = c.reshape(n * n, n).astype(complex)
+    a_mat[sup.rows, sup.points] = sup.weights
     a_mat[xs * n + ys, ys] -= phi0[xs]
     a_mat[xs * n + ys, xs] -= phi0[ys]
     b_mat = np.zeros(n * n, dtype=complex)

@@ -23,7 +23,6 @@ from .measures import (
     Point,
     as_literal,
     complex_abs,
-    complex_product,
     convolve,
     dirac,
     measure_residual,
@@ -152,54 +151,53 @@ def exponential_reports(
     hg: Any, fns: Sequence[CFunction], samples: list[tuple[Point, Point]], tol: Tolerance | None = None,
 ) -> list[Report]:
     """`is_exponential` of every f in `fns` on the same pairs: each f evaluated at the
-    identity, then all of them by one `tabulate_on_pairs`."""
+    identity, then all of them by one `tabulate_on_pairs`, judged in blocks (`PairSupports.products`)."""
     if not samples:
         raise ValueError("samples must be nonempty")
     tol = tol or default_tolerance()
     at_identity = [f(hg.identity) for f in fns]
-    sup, at_k, at_x, at_y = tabulate_on_pairs(hg, samples, fns)
-    with np.errstate(over="ignore", invalid="ignore"):  # a product past the floats fails its case
-        lhs, rhs = sup.pairings(at_k), complex_product(at_x, at_y)
-        res, scl = complex_abs(lhs - rhs), np.maximum(1.0, np.maximum(complex_abs(lhs), complex_abs(rhs)))
+    sup, *table = tabulate_on_pairs(hg, samples, fns)
     reports = [Report(title=f"exponential: {f.describe()}") for f in fns]
-    for b, (report, one) in enumerate(zip(reports, at_identity)):
-        report.check("normalization-at-identity", "f(o) = 1", abs(one - 1.0), 1.0, tol, lambda: [hg.identity, one])
-        report.add_worst(
-            "multiplicativity-on-pairs", "<dx*dy, f> = f(x) f(y)", res[b], scl[b], tol,
-            lambda i: [*samples[i], complex(lhs[b, i]), complex(rhs[b, i])],
-        )
+    for first, lhs, rhs, res, scl in sup.products(*table):
+        for b in range(len(lhs)):
+            report, one = reports[first + b], at_identity[first + b]
+            report.check("normalization-at-identity", "f(o) = 1", abs(one - 1.0), 1.0, tol, lambda: [hg.identity, one])
+            report.add_worst(
+                "multiplicativity-on-pairs", "<dx*dy, f> = f(x) f(y)", res[b], scl[b], tol,
+                lambda i: [*samples[i], complex(lhs[b, i]), complex(rhs[b, i])],
+            )
     return reports
 
 
 def tabulate_on_pairs(
     hg: Any, pairs: Sequence[tuple[Point, Point]], fns: Sequence[CFunction]
-) -> tuple[PairSupports, np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[PairSupports, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The pairs' point convolutions, and every f in `fns` evaluated once per distinct point.
 
-    Returns the supports and the values fns[a] at their entries, at each x
-    and at each y, by one `values_at` per f over the points in the order a loop
-    over the pairs first meets them: each pair's support, then x and y, y first
-    for every function after the first, as the lower terms of the moment identity reach them.
+    Returns the supports, the values (fns x distinct points) and the indices that gather them at
+    the entries, at each x and at each y.  Each f takes one `values_at` over the points in the order a
+    loop over the pairs first meets them: each pair's support, then x and y, y first for every
+    function after the first, as the lower terms of the moment identity reach them.
     """
     sup, orders, size, scatter, at_k, at_x, at_y = _pair_table(hg, pairs)
     values = np.empty((len(fns), size), dtype=complex)
     for a, f in enumerate(fns):
         values[a, scatter if a == 0 else slice(None)] = values_at(f, orders[a > 0])
-    return sup, values[:, at_k], values[:, at_x], values[:, at_y]
+    return sup, values, at_k, at_x, at_y
 
 
-# pair tables a carrier keeps: at most PAIR_TABLES lists of int points, none longer than PAIR_TABLE_CAP pairs
-PAIR_TABLES, PAIR_TABLE_CAP = 8, 4096
+# pair tables a carrier keeps: at most PAIR_TABLES lists of int points, none over PAIR_TABLE_CAP entries
+PAIR_TABLES, PAIR_TABLE_CAP = 8, 1 << 14
 
 
 def _pair_table(hg: Any, pairs: Sequence[tuple[Point, Point]]) -> tuple:
     """The part of `tabulate_on_pairs` that reads the pairs alone: `pair_supports`, the two
     first-meet orders of the points, the number of points, the scatter of the first order
-    into the second, and the gather indices of the entries, the x's and the y's.  A list whose
-    points are all `int` is kept on the carrier (`_pair_tables`), read-only, under the tolerance
-    bound its linearization table follows; a list whose supports raise is not kept."""
+    into the second, and the gather indices of the entries, the x's and the y's.  A list of `int`
+    points with at most PAIR_TABLE_CAP entries is kept on the carrier (`_pair_tables`), read-only, under
+    the tolerance bound its linearization table follows; a list whose supports raise is not kept."""
     key = (tuple(map(tuple, pairs)), default_tolerance().bound(1.0))
-    keep = len(key[0]) <= PAIR_TABLE_CAP and {*map(type, itertools.chain.from_iterable(key[0]))} == {int}
+    keep = {*map(type, itertools.chain.from_iterable(key[0]))} == {int}
     tables = hg._pair_tables
     if keep and key in tables:
         tables[key] = table = tables.pop(key)  # most recently used last
@@ -217,7 +215,7 @@ def _pair_table(hg: Any, pairs: Sequence[tuple[Point, Point]]) -> tuple:
         return np.array([index[p] for p in points], dtype=np.intp)
 
     table = (sup, orders, len(index), at(orders[0]), at(sup.points), at(x for x, _ in pairs), at(y for _, y in pairs))
-    if keep:  # read-only, as `apply_family` holds its table
+    if keep and len(sup.rows) <= PAIR_TABLE_CAP:  # read-only, as `apply_family` holds its table
         for array in (sup.rows, sup.weights, sup.err, *table[3:]):
             array.flags.writeable = False
         tables[key] = table

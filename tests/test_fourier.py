@@ -40,6 +40,7 @@ from hypermoment import (
     poly_derivative_moments,
     poly_residual,
     rank_lift,
+    realline_moments,
     taylor_reconstruct,
     transform,
     transform_derivatives,
@@ -384,16 +385,16 @@ class TestTransformEval:
         for mu in dyadic_measures[:3]:
             assert transform_eval(mu)(0.0) == pytest.approx(mu.total_mass())
 
-    def test_finite_difference_derivatives(self, realline, dyadic_measures):
-        # <D_k mu, 1> for the moment family at lambda equals the k-th
-        # derivative of the transform, checked by finite differences
-        lam = 0.4
-        for mu in dyadic_measures[:3]:
-            hat = transform_eval(mu)
-            for k in range(1, 4):
-                exact = sum(w * x**k * cmath.exp(lam * x) for x, w in mu.support)
-                fd = hat.derivative_fd(lam, k)
-                assert abs(fd - exact) <= 1e-4 * max(1.0, abs(exact))
+    def test_derivative_is_the_moment_pairing(self, realline, dyadic_measures):
+        # the k-th derivative of the transform at lambda is <D_k mu, 1> for the moment
+        # family at lambda, D_k multiplication by phi_k(x) = x^k e^{lambda x}
+        for lam in (0.4, -1.5 + 0.25j):
+            seq = realline_moments(lam, 4, realline)
+            for mu in dyadic_measures[:3]:
+                hat = transform_eval(mu)
+                assert hat.derivative(lam, 0) == pytest.approx(hat(lam), rel=1e-15)
+                for k in range(5):
+                    assert hat.derivative(lam, k) == pair(mu, seq.phi((k,)))
 
     def test_polynomial_carrier_rejected(self, cheb):
         with pytest.raises(DomainError):

@@ -6,11 +6,15 @@ implementation of the same polynomial family.
 
 from __future__ import annotations
 
+import cmath
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.polynomial import chebyshev as C
 
+import hypermoment.hypergroups
 from hypermoment import (
     DecompositionError,
     DomainError,
@@ -269,7 +273,18 @@ class TestEnumerateExponentials:
         with pytest.raises(DecompositionError, match="joint eigenvector vanishes at the identity"):
             enumerate_exponentials(hg)
 
-    def test_re_verification_fails_when_any_case_fails(self):
+    def test_cyclic_group_past_the_old_tensor_cap(self):
+        # Z_210, the smallest cyclic group whose n^3 tensor exceeded DENSE_CAP: its characters e^{2 pi i j x / n}
+        n = 210
+        hg = FiniteHypergroup(n, 0, [(a, b, [((a + b) % n, 1.0)]) for a in range(n) for b in range(n)])
+        expos = enumerate_exponentials(hg)
+        js = sorted(round(cmath.phase(m(1)) * n / (2 * math.pi)) % n for m in expos)
+        assert js == list(range(n))
+        for m in expos:
+            j = round(cmath.phase(m(1)) * n / (2 * math.pi))
+            assert all(abs(m(x) - cmath.exp(2j * math.pi * j * x / n)) <= 1e-9 for x in range(n))
+
+    def test_re_verification_fails_when_any_case_fails(self, monkeypatch):
         # point 2a + b is (a, b) in the product of two scaled Z_2 tables, d1*d1 = 3 d0 and
         # d1*d1 = 3e5 d0, weights multiplied.  Under rel 1e-18 the absolute floor exceeds
         # rel * scale, so the case of largest residual/scale passes while others fail:
@@ -282,8 +297,12 @@ class TestEnumerateExponentials:
         pairs = [(x, y) for x in range(4) for y in range(4)]
         assert len(enumerate_exponentials(hg)) == 4
         assert not any(is_exponential(hg, m, pairs, tol).passed for m in enumerate_exponentials(hg))
-        with pytest.raises(DecompositionError, match="re-verification"):
+        with pytest.raises(DecompositionError, match="re-verification") as whole:
             enumerate_exponentials(hg, tol=tol)
+        monkeypatch.setattr(hypermoment.hypergroups, "BLOCK_ENTRIES", 1)  # one candidate per block
+        with pytest.raises(DecompositionError) as blocked:
+            enumerate_exponentials(hg, tol=tol)
+        assert str(blocked.value) == str(whole.value)
 
 
 class TestConstruction:

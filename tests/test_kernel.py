@@ -358,9 +358,12 @@ def test_random_small_tables(spec):
     assert_matches_reference(lambda: FiniteHypergroup(n, identity, table))
 
 
-def per_cluster_bases(c: np.ndarray) -> list[np.ndarray]:
+def per_cluster_bases(hg) -> list[np.ndarray]:
     """The joint eigenbases of `enumerate_exponentials` as the refinement found them
-    before it stacked its QR calls: one QR call per eigenvalue cluster."""
+    before it stacked its QR calls: one QR call per eigenvalue cluster, over every
+    translation T_x = C[x] of a dense tensor scattered from the table's flat rows."""
+    c = np.zeros((hg.size,) * 3)
+    c.reshape(-1, hg.size)[hg._entries.rows, hg._entries.points] = hg._entries.weights
     blocks = [np.eye(len(c), dtype=complex)]
     for x, T in enumerate(c.astype(complex)):
         refined = []

@@ -16,6 +16,7 @@ from hypermoment import (
     CFunction,
     DerivationFamily,
     DomainError,
+    FiniteHypergroup,
     Measure,
     MomentSequence,
     PreconditionError,
@@ -368,6 +369,14 @@ class TestExtension:
         phi0 = enumerate_exponentials(hg)[0]
         with pytest.raises(DomainError, match="missing"):
             extend_moment_sequence(hg, {(0,): phi0}, (2,))
+
+    def test_extension_system_over_the_dense_cap_is_refused(self):
+        # Z_210 enumerates, but its least-squares matrix (44100 x 210) exceeds DENSE_CAP: refused before any check
+        n = 210
+        hg = FiniteHypergroup(n, 0, [(a, b, [((a + b) % n, 1.0)]) for a in range(n) for b in range(n)])
+        phi0 = CFunction.from_table({x: 1.0 for x in range(n)})
+        with pytest.raises(DomainError, match=r"extension system of shape \(44100, 210\) exceeds 8388608 entries"):
+            extend_moment_sequence(hg, {(0,): phi0}, (1,))
 
     def test_infinite_carrier_rejected(self, cheb):
         with pytest.raises(DomainError):

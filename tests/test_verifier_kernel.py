@@ -677,7 +677,7 @@ def test_realline_entries_on_arrays_match_the_scalar_entries():
 
 @pytest.mark.parametrize("make", [chebyshev, real_line, lambda: two_point(0.6), lambda: cyclic(6),
                                   lambda: dtheta_product(0.5, 0.25)])
-def test_exponential_reports_match_one_check_per_function(make):
+def test_exponential_reports_match_one_check_per_function(make, monkeypatch):
     rng = random.Random(13)
     hg = make()
     if isinstance(hg, FiniteHypergroup):
@@ -694,6 +694,8 @@ def test_exponential_reports_match_one_check_per_function(make):
     assert [r.to_json() for r in reports] == [is_exponential(hg, f, pairs).to_json() for f in fns]
     for got, f in zip(reports, fns):
         assert_same(got, reference_is_exponential(hg, f, pairs))
+    monkeypatch.setattr(hypermoment.hypergroups, "BLOCK_ENTRIES", 1)  # each function its own block
+    assert [r.to_json() for r in exponential_reports(hg, fns, pairs)] == [r.to_json() for r in reports]
 
 
 def test_build_carries_a_passed_phi0(monkeypatch):
@@ -1093,9 +1095,19 @@ def test_pair_tables_are_bounded():
         is_exponential(hg, one, pairs)
         assert len(hg._pair_tables) <= PAIR_TABLES
     assert [key[0] for key in hg._pair_tables] == [tuple(p) for p in lists[-PAIR_TABLES:]]
-    finite = two_point(0.3)
-    is_exponential(finite, one, [(0, 1), (1, 1)] * (PAIR_TABLE_CAP // 2) + [(0, 0)])
+    finite = two_point(0.3)  # d1 * d1 has two entries: this list is within the cap in pairs, over it in entries
+    is_exponential(finite, one, [(1, 1)] * (PAIR_TABLE_CAP // 2) + [(0, 0)])
     assert not finite._pair_tables
+    is_exponential(finite, one, [(1, 1)] * (PAIR_TABLE_CAP // 2))
+    assert len(finite._pair_tables) == 1
+
+
+def test_pair_tables_are_capped_by_entries():
+    # the 64 x 64 grid: 8,065 entries on chebyshev are kept, 89,440 on legendre are not
+    grid, one = [(x, y) for x in range(64) for y in range(64)], CFunction.constant(1.0)
+    for hg, kept in ((chebyshev(), True), (legendre(), False)):
+        assert is_exponential(hg, one, grid).passed
+        assert bool(hg._pair_tables) == kept
 
 
 def test_complex_product_matches_python_products():
