@@ -1,16 +1,19 @@
 #!/usr/bin/env python3
-"""Time the large inputs: axiom checks at high bounds, deep linearizations,
+"""Time the large inputs: axiom checks at high bounds, deep and wide linearizations
+(one pair, 400 pairs on deep columns, the legendre 251 x 251 grid),
 Leibniz checks on convolutions of high degree, a moment identity on 4,096 pairs
 checked cold and warm, a transform of degree 200, its Taylor check at degree 150,
 the exponentials of the cyclic groups Z_64 and Z_256 and the moment extensions
 of Z_160 to order 2.
 
 Each case runs in a fresh interpreter and prints one JSON line: its name, the
-seconds the call took (`time.perf_counter`, import excluded), the peak
-resident memory of the interpreter (`ru_maxrss`, MB) and the outcome: "ok",
-"fail" for a check that fails, or the message of the DomainError raised, up to
-its first ";"; and `lin_tables`, the number of linearization tables the case
-built (calls of `PolynomialHypergroup._lin_table`).
+seconds the call took (`time.perf_counter`, import excluded, to the
+microsecond), the peak resident memory of the interpreter (`ru_maxrss`, MB)
+and the outcome: "ok", "fail" for a check that fails, or the message of the
+DomainError raised, up to its first ";"; `lin_tables`, the number of
+linearization runs the case made (calls of `PolynomialHypergroup._lin_table`);
+and `column_steps`, the recurrence work of those runs: per call, its distinct
+columns times its top step plus one.
 
     python scripts/large_inputs.py               # every case, in the order below
     python scripts/large_inputs.py lin1200 cheb80 leib120 moments64 transform200 taylor150 expo64 search160
@@ -21,8 +24,8 @@ With `--against OTHER_CHECKOUT`, each case runs `--runs` times (default 5) in
 fresh interpreters against this checkout's `src/` and against OTHER's, the
 tree that goes first alternating from run to run; each run checks that it
 imported the intended tree.  One JSON line per case gives, under "this" and
-"other", the tree, every run's seconds and rss_mb, their medians, the outcome
-and lin_tables:
+"other", the tree, every run's seconds and rss_mb, their medians, the outcome,
+lin_tables and column_steps:
 
     python scripts/large_inputs.py --against ../parent --runs 5 cheb80 leg120
 """
@@ -115,6 +118,9 @@ CASES = {
     "lin1200": lambda: chebyshev().linearization(1200, 3),
     "lin3x1200": lambda: chebyshev().linearization(3, 1200),
     "lin5000": lambda: chebyshev().linearization(5000, 5000),
+    "lin1x9m": lambda: chebyshev().linearization(1, 9_000_000),
+    "wide400": lambda: chebyshev().pair_supports([(1, n) for n in range(20000, 20400)]),  # 400 deep columns
+    "leggrid250": lambda: legendre().pair_supports([(x, y) for x in range(251) for y in range(251)]),
     "leib120": leibniz120,
     "moments64": moments64,
     "transform200": transform200,
@@ -130,7 +136,7 @@ def run(name: str) -> dict:
     tables, build = [], PolynomialHypergroup._lin_table
 
     def counted(hg, ms, ns, bound):
-        tables.append(len(ms))
+        tables.append(len(set(ns.tolist())) * (int(ms.max()) + 1))
         return build(hg, ms, ns, bound)
 
     PolynomialHypergroup._lin_table = counted
@@ -141,8 +147,8 @@ def run(name: str) -> dict:
         outcome = str(exc).split(";")[0]
     seconds = time.perf_counter() - start
     rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # kilobytes on Linux
-    return {"case": name, "seconds": round(seconds, 3), "rss_mb": round(rss_mb, 1), "outcome": outcome,
-            "lin_tables": len(tables)}
+    return {"case": name, "seconds": round(seconds, 6), "rss_mb": round(rss_mb, 1), "outcome": outcome,
+            "lin_tables": len(tables), "column_steps": sum(tables)}
 
 
 def fresh(name: str, tree: Path) -> dict:
@@ -166,11 +172,13 @@ def compare(name: str, other: Path, runs: int) -> dict:
     for label, got in results.items():
         seconds, rss = [r["seconds"] for r in got], [r["rss_mb"] for r in got]
         outcomes, tables = {r["outcome"] for r in got}, {r["lin_tables"] for r in got}
+        steps = {r["column_steps"] for r in got}
         line[label] = {
             "tree": str(trees[label]), "seconds": seconds, "rss_mb": rss,
-            "median_seconds": round(statistics.median(seconds), 3), "median_rss_mb": round(statistics.median(rss), 2),
+            "median_seconds": round(statistics.median(seconds), 6), "median_rss_mb": round(statistics.median(rss), 2),
             "outcome": outcomes.pop() if len(outcomes) == 1 else sorted(outcomes),
             "lin_tables": tables.pop() if len(tables) == 1 else sorted(tables),
+            "column_steps": steps.pop() if len(steps) == 1 else sorted(steps),
         }
     return line
 

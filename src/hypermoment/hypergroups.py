@@ -13,8 +13,9 @@ are *checked*, not assumed: defective tables and recurrences are constructible
 and `check_axioms` reports the first counterexample per axiom.  Each carrier
 states its point convolutions once, as flat entries (`_pairs`, one
 :class:`PairSupports`): per pair of points, the (point, weight) entries of
-delta_x * delta_y.  Only the associativity check scatters them into a dense
-C[i, j, k] (`_dense`); a finite table is held as its flat rows alone.
+delta_x * delta_y, from a finite table's flat rows (its only form), from the
+rows a polynomial carrier has run (each column on its own band), or x + y.
+Only the associativity check scatters them into a dense C[i, j, k] (`_dense`).
 """
 
 from __future__ import annotations
@@ -36,8 +37,10 @@ CoeffRow = tuple[float, float, float]
 # associativity sample of an infinite carrier, in points
 ASSOC_CAP = 48
 # entries of one dense array (64 MB of float64), over which associativity and the extension system are refused;
-# a polynomial carrier keeps its linearization table while its recurrence grid fits, else runs its columns in it
+# a polynomial carrier runs a read's band of columns while that recurrence grid fits, and keeps at most as many entries
 DENSE_CAP = 1 << 23
+# row (m, n) of a polynomial carrier's linearization table has the int64 key m * COLUMNS + n: n < 2^40, m < 2^23
+COLUMNS = 1 << 40
 # entries (functions x entries or pairs) of one block of functions judged by `PairSupports.products`
 BLOCK_ENTRIES = 1 << 18
 
@@ -278,12 +281,9 @@ class PolynomialHypergroup(Hypergroup):
             self._coeff_fn = None
             self._coeff_list = tuple((float(a), float(b), float(c)) for a, b, c in coeffs)
         self._rows: dict[int, CoeffRow] = {}
-        # recurrence rows as an array for `_lin_table`; row 0 is P_1 * P_0 = P_1
-        self._abc = np.array([[1.0, 0.0, 0.0]])
         self._row_errors: dict[int, str] = {}
-        # linearization table: slot of column n (-1 if absent), height, starts, rows ((m, n) at m * columns + slot[n])
-        self._lin: tuple[Any, ...] = ()
-        self._lin_bound: float | None = None  # the tolerance bound it was built for
+        # the linearization table of one tolerance bound: key m * COLUMNS + n of each row, their order, starts, rows
+        self._lin: dict[float, tuple] = {}
 
     def coefficient_row(self, n: int) -> CoeffRow:
         """Recurrence row (a_n, b_n, c_n) for n >= 1, validated on first use."""
@@ -311,18 +311,17 @@ class PolynomialHypergroup(Hypergroup):
         self._rows[n] = (a, b, c)
         return self._rows[n]
 
-    def _row_block(self, hi: int) -> np.ndarray:
-        """Rows 0..hi as an array; an invalid row is zeros, its error kept aside."""
-        fresh = []
-        for n in range(len(self._abc), hi + 1):
+    def _row_block(self, ls: np.ndarray) -> np.ndarray:
+        """Rows ls as a (len(ls), 3) array: row 0 is (1, 0, 0), for P_1 * P_0 = P_1; an invalid row zeros, error kept"""
+        distinct, at = np.unique(ls, return_inverse=True)
+        fetched = []
+        for n in distinct.tolist():
             try:
-                fresh.append(self.coefficient_row(n))
+                fetched.append(self.coefficient_row(n) if n and n not in self._row_errors else (n == 0, 0, 0))
             except DomainError as exc:
                 self._row_errors[n] = str(exc)
-                fresh.append((0.0, 0.0, 0.0))
-        if fresh:
-            self._abc = np.concatenate([self._abc, fresh])
-        return self._abc[: hi + 1]
+                fetched.append((0.0, 0.0, 0.0))
+        return np.array(fetched, dtype=float)[at]
 
     def linearization(self, m: int, n: int) -> tuple[tuple[int, float], ...]:
         """Coefficients [(l, c(m,n,l)), ...] of P_m * P_n in the P-basis, by the
@@ -337,49 +336,47 @@ class PolynomialHypergroup(Hypergroup):
         return tuple(zip(sup.points.tolist(), sup.weights.tolist()))
 
     def _lin_rows(self, ms: np.ndarray, ns: np.ndarray) -> PairSupports:
-        """The rows of P_ms[i] * P_ns[i] as flat entries (`_lin_table`), gathered from the carrier's table of
-        the current default tolerance: the flat rows (m, n) of its columns n at every step m below its height.
-        A pair outside the table rebuilds it in one `_lin_table` call on a (step, column) grid, up to the larger
-        height and on every column the rows of the held and requested columns reach (P_m * P_n lies on l in
-        [|n-m|, n+m], so at height h the band n-(h-1)..n+(h-1) of each column n, clipped at 0).  Where that grid
-        (columns x height x width) would exceed DENSE_CAP, the call runs on its own pairs (`_own_rows`) and the
-        table stays; the grid of the top column alone bounds it from below, so past DENSE_CAP no band is built."""
-        bound = default_tolerance().bound(1.0)
-        if bound != self._lin_bound:
-            self._lin, self._lin_bound = (np.zeros(0, dtype=np.intp), 0, None, None), bound
-        slot, height, starts, table = self._lin
-        if ns.max() >= len(slot) or ms.max() >= height or (slot[ns] < 0).any():
-            height, held = max(height, int(ms.max()) + 1), np.append(np.flatnonzero(slot >= 0), ns)
-            if height * (int(held.max()) + height) > DENSE_CAP:
-                return self._own_rows(ms, ns, bound)
-            band = np.flatnonzero(np.convolve(np.bincount(held), np.ones(2 * height - 1))[height - 1 :])
-            if len(band) * height * (int(band[-1]) + height) > DENSE_CAP:
-                return self._own_rows(ms, ns, bound)
-            table = self._lin_table(np.repeat(np.arange(height), len(band)), np.tile(band, height), bound)
-            slot = np.full(int(band[-1]) + 1, -1)
-            slot[band] = np.arange(len(band))
-            starts = np.searchsorted(table.rows, np.arange(table.count + 1))
-            self._lin = slot, height, starts, table
-        return _gather(table, starts, ms * (table.count // height) + slot[ns])
+        """The rows of P_ms[i] * P_ns[i] as flat entries (`_lin_table`), gathered from the carrier's table of the
+        current default tolerance.  Its missing rows run in one `_lin_table` call: every missing row below their
+        top step h on the band of their columns (P_m * P_n lies on l in [|n-m|, n+m]: n-(h-1)..n+(h-1), clipped
+        at 0) if that grid (columns x height x width) fits DENSE_CAP, so that an axiom check's sample grid also
+        runs the rows its associativity reads; else they alone.  A run is kept while the table holds at most
+        DENSE_CAP entries.  A pair whose key would leave int64 is refused."""
 
-    def _own_rows(self, ms: np.ndarray, ns: np.ndarray, bound: float) -> PairSupports:
-        """`_lin_table` on the distinct pairs of a call, gathered back to its pairs: in runs of consecutive
-        columns whose recurrence state (columns x width, also the bound of a step's read) fits DENSE_CAP.
-        A pair wider than DENSE_CAP is refused first: the first such pair in column order."""
-        if (ms + ns >= DENSE_CAP).any():
-            i = np.lexsort((ns, ms + ns < DENSE_CAP))[0]
-            _capped((1, int(ms[i] + ns[i]) + 1))
-        pairs, at = np.unique(ns * DENSE_CAP + ms, return_inverse=True)  # in column order
-        n, m = np.divmod(pairs, DENSE_CAP)
-        run = np.unique(n, return_inverse=True)[1] // max(1, DENSE_CAP // int(ms.max() + ns.max() + 1))
-        order = np.lexsort((n, m, run))  # each run's pairs by step, then column, as `_lin_table` takes them
-        firsts = np.flatnonzero(np.diff(run[order])) + 1
-        own, *more = parts = [self._lin_table(m[p], n[p], bound) for p in np.split(order, firsts)]
-        if more:  # a lone run is read as it is, without a copy of its entries
-            rows = np.concatenate([part.rows + first for part, first in zip(parts, [0, *firsts])])
-            points, weights, err = (np.concatenate([part[f] for part in parts]) for f in (1, 2, 4))
-            own = PairSupports(rows, points, weights, len(pairs), err)
-        return _gather(own, np.searchsorted(own.rows, np.arange(len(pairs) + 1)), np.argsort(order)[at])
+        def row_of(keys: np.ndarray) -> np.ndarray:  # the row of each key in the table `lin`, -1 if absent
+            if not lin:
+                return np.full(len(keys), -1)
+            at = lin[1].take(np.searchsorted(lin[0], keys, sorter=lin[1]), mode="wrap")  # past the last: the first
+            return np.where(lin[0][at] == keys, at, -1)
+
+        bound = default_tolerance().bound(1.0)
+        if ns.max() >= COLUMNS or ms.max() >= (1 << 63) // COLUMNS:  # m * COLUMNS + n would leave int64
+            i = int(np.argmax((ns >= COLUMNS) | (ms >= (1 << 63) // COLUMNS)))
+            raise DomainError(f"linearization({int(ms[i])},{int(ns[i])}) is too large for the int64 table keys")
+        keys = ms * COLUMNS + ns
+        lin = self._lin.get(bound, ())  # rows checked against another tolerance bound are not read
+        at = row_of(keys)
+        if (at < 0).any():
+            want = np.unique(keys[at < 0], return_inverse=True)[0]  # by step, then column; no numpy.ma
+            m, n = np.divmod(want, COLUMNS)
+            height = int(m[-1]) + 1
+            if height * (int(n.max()) + height) <= DENSE_CAP:  # the top column's grid alone bounds the band's
+                band = np.flatnonzero(np.convolve(np.bincount(n), np.ones(2 * height - 1))[height - 1 :])
+                if len(band) * height * (int(band[-1]) + height) <= DENSE_CAP:
+                    want = (np.arange(height)[:, None] * COLUMNS + band).ravel()
+                    m, n = np.divmod(want := want[row_of(want) < 0], COLUMNS)
+            run = self._lin_table(m, n, bound)
+            starts = np.searchsorted(run.rows, np.arange(run.count + 1))
+            if lin:  # the held rows first, then the run's: no copy into an empty table
+                want = np.concatenate([lin[0], want])
+                starts = np.concatenate([lin[2][:-1], lin[2][-1] + starts])
+                run = PairSupports(None, np.concatenate([lin[3].points, run.points]), np.concatenate(
+                    [lin[3].weights, run.weights]), lin[3].count + run.count, np.concatenate([lin[3].err, run.err]))
+            lin = want, np.argsort(want), starts, run._replace(rows=None)  # the starts hold the rows
+            if len(run.points) <= DENSE_CAP:
+                self._lin = {bound: lin}
+            at = row_of(keys)
+        return _gather(lin[3], lin[2], at)
 
     def _lin_table(self, ms: np.ndarray, ns: np.ndarray, bound: float) -> PairSupports:
         """Flat rows of P_ms[i] * P_ns[i], distinct pairs sorted by step m, then column n: the nonzeros
@@ -389,50 +386,53 @@ class PolynomialHypergroup(Hypergroup):
         column n at once, as numpy vectors over l and in the float order of
         the scalar recurrence: P_0 * P_n = P_n and, with (a_0, b_0, c_0) = (1, 0, 0),
         P_m * P_n = [P_1*(P_{m-1}*P_n) - b_{m-1} P_{m-1}*P_n - c_{m-1} P_{m-2}*P_n] / a_{m-1}.
+        Each column n holds its own band of l, from max(n - top, 0) and top + min(max n, top) + 1 wide:
+        every row it reaches lies there, and a term from outside it is a product with zero.
         A pair (m, n) first needs rows m-1, ..., 1: the highest invalid one is
         its error.  Otherwise a step that leaves the axioms (a coefficient below
         -bound, or above bound outside [|n-m|, n+m]) or uses an invalid row ends
         its column: every pair read from the column afterwards gets that step's message.
-        A step looks for invalid rows only if one lies below the width, and clears
+        A step looks for invalid rows only once the carrier has met one, and clears
         ended columns and writes errors only once a column has ended.
         """
-        top, width = int(ms[-1]), int(ns.max() + ms[-1]) + 1
+        top = int(ms[-1])
         reads = np.searchsorted(ms, np.arange(top + 2))  # step m reads the pairs reads[m]..reads[m + 1]
         cols, col_of = np.unique(ns, return_inverse=True)
-        rows = np.append(self._row_block(width - 2), np.zeros((1, 3)), axis=0)  # the last row only meets zeros
-        a_l, b_l, c_l = rows.T
-        ls, bad = np.arange(width), sorted(r for r in self._row_errors if r < width)
+        ls = np.maximum(cols - top, 0)[:, None] + np.arange(top + min(int(cols[-1]), top) + 1)  # each column's band
+        rows = self._row_block(np.concatenate([np.arange(top), ls.ravel()]))  # the step rows 0..top-1, then the bands'
+        steps, (a_l, b_l, c_l) = rows[:top], rows[top:].T.reshape(3, *ls.shape)
+        bad = np.flatnonzero(steps[:, 0] == 0)  # the invalid rows below the top step
         entries, err = [(np.zeros(0, dtype=np.intp),) * 2 + (np.zeros(0),)], _defined(len(ms))  # none read yet
         dead, alive, ended = _defined(len(cols)), np.ones(len(cols), dtype=bool), False
-        low, mid = np.zeros((2, len(cols), width))
-        mid[np.arange(len(cols)), cols] = 1.0
+        low, mid = np.zeros((2,) + ls.shape)
+        mid[np.arange(len(cols)), cols - ls[:, 0]] = 1.0
         for m in range(top + 1):
             if m > 1 and m - 1 in self._row_errors:
                 break  # every pair read from here on has an invalid row below it
             if m:
-                a, b, c = rows[m - 1] if m > 1 else (1.0, 0.0, 0.0)
+                a, b, c = steps[m - 1]
                 new = mid * b_l  # the b_l term; float addition commutes with the a_l term
-                new[:, 1:] += mid[:, :-1] * a_l[:-1]
+                new[:, 1:] += mid[:, :-1] * a_l[:, :-1]
                 if b:
                     new -= b * mid
-                new[:, :-1] += mid[:, 1:] * c_l[1:]
+                new[:, :-1] += mid[:, 1:] * c_l[:, 1:]
                 new -= c * low
                 new /= a
                 below = ls < np.abs(cols - m)[:, None]
                 viol = (new < -bound) | (below & (new > bound))
                 failing = viol.any(axis=1)
-                if bad:
-                    failing |= (mid[:, bad] != 0).any(axis=1)
+                if self._row_errors:  # an invalid row is zeros; a valid one has a_l > 0
+                    failing |= ((mid != 0) & (a_l == 0)).any(axis=1)
                 for i in np.flatnonzero(alive & failing):
-                    dead[i], alive[i], ended = self._step_error(m, int(cols[i]), new[i], viol[i], mid[i]), False, True
+                    dead[i], alive[i], ended = self._step_error(m, cols[i], ls[i], new[i], viol[i], mid[i]), False, True
                 new[below] = 0.0
                 if ended:
                     new[~alive] = 0.0
                 low, mid = mid, new
             at = slice(reads[m], reads[m + 1])
             if reads[m + 1] > reads[m]:
-                r, l = np.nonzero(read := mid[col_of[at]])
-                entries.append((r + reads[m], l, read[r, l]))
+                r, j = np.nonzero(read := mid[col_of[at]])
+                entries.append((r + reads[m], ls[col_of[at][r], j], read[r, j]))
             if ended:
                 err[at] = dead[col_of[at]]
         under = np.searchsorted(bad, ms - 1, side="right")  # the invalid rows below each pair's step
@@ -440,13 +440,13 @@ class PolynomialHypergroup(Hypergroup):
             err[i] = self._row_errors[bad[under[i] - 1]]
         return PairSupports(*(np.concatenate(part) for part in zip(*entries)), len(ms), err)
 
-    def _step_error(self, m: int, n: int, new: np.ndarray, viol: np.ndarray, mid: np.ndarray) -> str:
-        """Message for the first failure of step m in column n, whose previous row is `mid`."""
-        uses_bad = [l for l in np.flatnonzero(mid).tolist() if l in self._row_errors]
+    def _step_error(self, m: int, n: int, ls: np.ndarray, new: np.ndarray, viol: np.ndarray, mid: np.ndarray) -> str:
+        """Message for the first failure of step m in column n, on the band ls, whose previous row is `mid`."""
+        uses_bad = [l for l in ls[mid != 0].tolist() if l in self._row_errors]
         if uses_bad:
             return self._row_errors[uses_bad[0]]
-        l = int(np.argmax(viol))
-        w, lo = float(new[l]), abs(n - m)
+        j = int(np.argmax(viol))
+        l, w, lo = int(ls[j]), float(new[j]), abs(n - m)
         if l < lo:
             return f"linearization({m},{n}) produced coefficient {w} at l={l} outside [{lo},{n + m}]"
         return (

@@ -689,7 +689,11 @@ def extend_moment_sequence(
     for beta in needed:
         if beta != zero:
             b_mat += (multi_binomial(alpha, beta) * values[beta])[xs] * values[index_sub(alpha, beta)][ys]
-    solution, *_ = np.linalg.lstsq(a_mat, b_mat, rcond=None)
+    # one thin SVD gives the least-squares solution V S^+ U^H b and the null space; the rank counts the singular
+    # values above eps * max(shape) * s_max (lstsq's default rcond, scipy.linalg.null_space, numpy's matrix_rank)
+    u, sing, vh = np.linalg.svd(a_mat, full_matrices=False)  # n^2 rows >= n columns
+    rank = int(np.sum(sing > np.finfo(float).eps * max(a_mat.shape) * np.max(sing, initial=0.0)))
+    solution = vh[:rank].conj().T @ ((u[:, :rank].conj().T @ b_mat) / sing[:rank])
     residual = float(np.max(np.abs(a_mat @ solution - b_mat))) if len(b_mat) else 0.0
     scale = max(
         1.0,
@@ -697,10 +701,6 @@ def extend_moment_sequence(
         float(np.max(np.abs(a_mat))) * float(np.max(np.abs(solution), initial=0.0)),
     )
     consistent = tol.ok(residual, scale)
-    # null space by SVD, counting singular values above eps * max(shape) * s_max
-    # as rank (the rule of scipy.linalg.null_space and numpy's matrix_rank)
-    _, sing, vh = np.linalg.svd(a_mat, full_matrices=False)  # n^2 rows >= n columns
-    rank = int(np.sum(sing > np.finfo(float).eps * max(a_mat.shape) * np.max(sing, initial=0.0)))
     null = vh[rank:].conj().T
     return AffineSolutionSet(
         points=tuple(pts),

@@ -491,6 +491,42 @@ def test_linearization_equals_recursion_bit_for_bit(make):
             assert _outcome(lambda: hg.linearization(m, n)) == _outcome(lambda: reference_linearization(ref, m, n))
 
 
+WARM: dict = {}  # per entry of RECURRENCES: a warm kernel carrier, its reference carrier and memo, the pairs it ran
+
+
+@pytest.mark.parametrize("index", range(len(RECURRENCES)))
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 11), st.integers(0, 10**4), st.booleans()), min_size=1, max_size=12))
+def test_warm_reads_match_the_recursion_bit_for_bit(index, drawn):
+    # random pair lists read in turn from one warm carrier per recurrence, through pair_supports (each pair
+    # sorted, in either orientation) and linearization(step, column): values, point order and messages are the
+    # recursion's, and no pair's row is passed to _lin_table twice
+    if index not in WARM:
+        hg, ran = RECURRENCES[index](), []
+        table = hg._lin_table
+        hg._lin_table = lambda ms, ns, bound: ran.extend(zip(ms.tolist(), ns.tolist())) or table(ms, ns, bound)
+        WARM[index] = hg, RECURRENCES[index](), {}, ran
+    hg, ref, memo, ran = WARM[index]
+
+    def want(m: int, n: int) -> list | str:
+        out = _outcome(lambda: reference_linearization(ref, m, n, memo))
+        return out if isinstance(out, str) else sorted(out.items())
+
+    pairs = [(m, n) if keep else (n, m) for m, n, keep in drawn]
+    wants = [want(min(pair), max(pair)) for pair in pairs]
+    try:
+        sup, got = hg.pair_supports(pairs), [[] for _ in pairs]
+        for r, l, w in zip(sup.rows.tolist(), sup.points, sup.weights.tolist()):
+            got[r].append((l, w))
+    except DomainError as exc:
+        got = str(exc)
+    assert got == next((w for w in wants if isinstance(w, str)), wants)
+    for m, n, _ in drawn:
+        out = _outcome(lambda: hg.linearization(m, n))
+        assert (out if isinstance(out, str) else list(out.items())) == want(m, n)
+    assert len(ran) == len(set(ran))
+
+
 def test_linearization_reports_the_highest_invalid_row_below_m():
     hg = PolynomialHypergroup(1.0, 0.0, [(0.5, 0.0, 0.5)] * 5)
     with pytest.raises(DomainError, match="row 6 requested"):
@@ -500,8 +536,8 @@ def test_linearization_reports_the_highest_invalid_row_below_m():
 
 
 def test_own_pairs_past_an_invalid_row_report_it(monkeypatch):
-    # under this cap every call runs on its own pairs; a pair whose step lies past the invalid row 6
-    # is never read, so the run ends with no entries at all and each pair gets its row's message
+    # under this cap no band is run, so every call runs its own missing pairs; a pair whose step lies past the
+    # invalid row 6 is never read, so the run ends with no entries at all and each pair gets its row's message
     monkeypatch.setattr(hypermoment.hypergroups, "DENSE_CAP", 100)
     hg = PolynomialHypergroup(1.0, 0.0, [(0.5, 0.0, 0.5)] * 5)
     with pytest.raises(DomainError, match="row 6 requested"):
@@ -513,8 +549,9 @@ def test_own_pairs_past_an_invalid_row_report_it(monkeypatch):
 
 def test_linearization_deep_in_m():
     # the recursion raised RecursionError here; Chebyshev closed form T_m T_n = (T_{m+n} + T_{|m-n|})/2.
-    # On a fresh carrier the band of (3, 1200) is kept (7 columns of 4 steps), while those of (1200, 3)
-    # and (5000, 5000) exceed DENSE_CAP, so those pairs run alone: memory stays within twice the cap
+    # Each column runs on its own band of l (7 slots for (3, 1200), 1204 for (1200, 3), 10001 for
+    # (5000, 5000)); on a fresh carrier the band of columns of (3, 1200) is run (7 columns of 4 steps),
+    # while those of (1200, 3) and (5000, 5000) exceed DENSE_CAP, so those pairs run alone
     cases = [((1200, 3), ((1197, 0.5), (1203, 0.5))), ((3, 1200), ((1197, 0.5), (1203, 0.5))),
              ((5000, 5000), ((0, 0.5), (10000, 0.5)))]
     for (m, n), want in cases:
@@ -527,59 +564,81 @@ def test_linearization_deep_in_m():
         assert peak < 2 * 8 * hypermoment.hypergroups.DENSE_CAP
 
 
-def _held(hg) -> tuple[list[int], int]:
-    """The columns and the height of a polynomial carrier's linearization table."""
-    slot, height, _, _ = hg._lin
-    return np.flatnonzero(slot >= 0).tolist(), height
+def test_wide_linearizations_run_on_their_bands():
+    # P_1 P_n = (P_{n-1} + P_{n+1}) / 2: a column far out runs on a band of three slots, not on every l up to n
+    assert chebyshev().linearization(1, 9_000_000) == ((8999999, 0.5), (9000001, 0.5))
+    hg, pairs = chebyshev(), [(1, n) for n in range(20000, 20400)]
+    tracemalloc.start()
+    try:
+        sup = hg.pair_supports(pairs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sup.points == [l for _, n in pairs for l in (n - 1, n + 1)] and peak < 4 * 2**20
 
 
-def _count_tables(monkeypatch, hg) -> list[int]:
-    """The pairs of each `_lin_table` call that `hg` makes from here on."""
+@pytest.mark.parametrize("pair", [(1, 2**62), (1, 10**19), (1, 2**64), (1, 2**40), (2**62, 1), (2**23, 0)])
+def test_points_past_the_table_keys_are_refused(pair):
+    # the table keys row (m, n) as m * 2^40 + n in int64: a column from 2^40 or a step from 2^23 is refused by
+    # name, a DomainError; pair_supports reads each pair sorted, so (2^23, 0) is step 0 of column 2^23 there
+    m, n = pair
+    with pytest.raises(DomainError, match=rf"^linearization\({m},{n}\) is too large for the int64 table keys$"):
+        chebyshev().linearization(m, n)
+    lo, hi = sorted(pair)
+    if hi < 2**40:
+        assert chebyshev().pair_supports([(2, 3), pair]).points == [1, 5, hi]
+        return
+    with pytest.raises(DomainError, match=rf"^linearization\({lo},{hi}\) is too large"):
+        chebyshev().pair_supports([(2, 3), pair])
+
+
+def _count_tables(monkeypatch, hg) -> list[list[tuple[int, int]]]:
+    """The pairs (m, n) of each `_lin_table` call that `hg` makes from here on."""
     calls, table = [], hg._lin_table
-    monkeypatch.setattr(hg, "_lin_table", lambda ms, ns, bound: calls.append(len(ms)) or table(ms, ns, bound))
+    monkeypatch.setattr(hg, "_lin_table", lambda ms, ns, bound: calls.append(
+        list(zip(ms.tolist(), ns.tolist()))) or table(ms, ns, bound))
     return calls
 
 
 def test_linearization_table_per_carrier(monkeypatch):
-    # one table of rows that linearization and _pairs both read: a cold sample grid takes one
-    # _lin_table call and a warm one none; the table holds every column its rows reach (the band
-    # n-8..n+8 of each column n at height 9); a read past the reach or the height rebuilds it once
+    # one table of the rows a carrier has run, which linearization and _pairs both read: a cold sample grid
+    # runs every step below 9 on the columns 0..16 its rows reach (the band n-8..n+8 of each column n), in one
+    # _lin_table call; a second read of any held pair runs nothing; a wider or taller read runs only the
+    # pairs it misses on its band; no pair runs twice
     hg = chebyshev()
-    calls = _count_tables(monkeypatch, hg)
+    runs = _count_tables(monkeypatch, hg)
     grid = [(x, y) for x in range(9) for y in range(9)]
     cold = _supports(hg.pair_supports(grid))
-    assert calls == [17 * 9] and _held(hg) == (list(range(17)), 9)
+    assert runs == [[(m, n) for m in range(9) for n in range(17)]]
     assert _supports(hg.pair_supports(grid)) == cold and hg.linearization(8, 16) == ((8, 0.5), (24, 0.5))
-    assert len(calls) == 1
-    assert hg.linearization(3, 20) == ((17, 0.5), (23, 0.5))  # column 20: rebuilt on the union, with its band
-    assert calls[1:] == [29 * 9] and _held(hg) == (list(range(29)), 9)
-    assert hg.linearization(10, 2) == ((8, 0.5), (12, 0.5))  # step 10: rebuilt up to the larger height
-    assert calls[2:] == [39 * 11] and _held(hg) == (list(range(39)), 11)
-    hg.pair_supports(grid[::-1]), hg.linearization(10, 12), hg.linearization(0, 0)
-    assert len(calls) == 3
-    # a call whose table would exceed DENSE_CAP runs _lin_table on its own pairs and keeps nothing
-    pairs = [(1, 40), (40, 2), (5, 5)]
+    assert hg.linearization(4, 3) == hg.linearization(3, 4) == ((1, 0.5), (7, 0.5)) and len(runs) == 1
+    assert hg.linearization(3, 20) == ((17, 0.5), (23, 0.5))  # wider: column 20, band 17..23 at height 4
+    assert runs[1:] == [[(m, n) for m in range(4) for n in range(17, 24)]]
+    assert hg.linearization(10, 2) == ((8, 0.5), (12, 0.5))  # taller: steps 9 and 10 on the band 0..12
+    assert runs[2:] == [[(m, n) for m in (9, 10) for n in range(13)]]
+    hg.pair_supports(grid[::-1]), hg.linearization(10, 12), hg.linearization(0, 0), hg.linearization(2, 19)
+    assert len(runs) == 3
+    # a deep column runs only its band: 1197..1203 at height 4, not every column up to 1203
+    assert hg.linearization(3, 1200) == ((1197, 0.5), (1203, 0.5))
+    assert runs[3:] == [[(m, n) for m in range(4) for n in range(1197, 1204)]]
+    ran = [pair for run in runs for pair in run]
+    assert len(ran) == len(set(ran))
+
+
+def test_a_run_past_the_kept_entries_is_gathered_and_not_kept(monkeypatch):
+    # the table keeps at most DENSE_CAP entries: a run that would pass that gives the same rows, and the
+    # table stays as it was, so a second read runs those pairs again while the held ones run nothing
+    pairs = [(1, 40), (40, 2), (5, 5), (1, 1)]
     want = _supports(chebyshev().pair_supports(pairs))
-    monkeypatch.setattr(hypermoment.hypergroups, "DENSE_CAP", 3000)
+    hg = chebyshev()
+    runs = _count_tables(monkeypatch, hg)
+    assert hg.linearization(1, 1) == ((0, 0.5), (2, 0.5))  # holds steps 0 and 1 on the columns 0..2
+    monkeypatch.setattr(hypermoment.hypergroups, "DENSE_CAP", 12)
     before = hg._lin
     assert _supports(hg.pair_supports(pairs)) == want
-    assert calls[3:] == [3] and hg._lin is before
-    # a band over DENSE_CAP (17 x 9 x 25 = 3825 entries here) runs _lin_table on the call's 45 distinct
-    # pairs, keeps no table and gives the same rows
-    own = chebyshev()
-    own_calls = _count_tables(monkeypatch, own)
-    assert _supports(own.pair_supports(grid)) == cold
-    assert own_calls == [45] and _held(own) == ([], 0)
-    monkeypatch.undo()
-    # (m, n) reads column n at step m: (4, 3) and (3, 9) are in different columns, (9, 3) past the height
-    fresh = chebyshev()
-    assert fresh.linearization(4, 3) == ((1, 0.5), (7, 0.5)) and _held(fresh) == (list(range(8)), 5)
-    assert fresh.linearization(3, 4) == ((1, 0.5), (7, 0.5)) and _held(fresh) == (list(range(8)), 5)
-    assert fresh.linearization(3, 9) == ((6, 0.5), (12, 0.5)) and _held(fresh) == (list(range(14)), 5)
-    assert fresh.linearization(9, 3) == ((6, 0.5), (12, 0.5)) and _held(fresh) == (list(range(23)), 10)
-    # a deep column keeps only its band: 1197..1203 at height 4, not every column up to 1203
-    deep = chebyshev()
-    assert deep.linearization(3, 1200) == ((1197, 0.5), (1203, 0.5)) and _held(deep) == (list(range(1197, 1204)), 4)
+    assert hg._lin is before and runs[1:] == [[(1, 40), (2, 40), (5, 5)]]
+    assert _supports(hg.pair_supports(pairs)) == want and runs[2:] == runs[1:2]
+    assert hg.linearization(1, 2) == ((1, 0.5), (3, 0.5)) and len(runs) == 3
 
 
 def test_cold_grid_past_the_cap_holds_only_flat_rows(monkeypatch):
@@ -593,33 +652,9 @@ def test_cold_grid_past_the_cap_holds_only_flat_rows(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert calls == [201 * 202 // 2] and peak < 32 * 2**20
+    assert [len(call) for call in calls] == [201 * 202 // 2] and peak < 32 * 2**20
     assert sup.points == [l for x, y in grid for l in sorted({abs(x - y), x + y})]  # T_m T_n = (T_|m-n| + T_m+n) / 2
     assert sup.weights.tolist() == [w for x, y in grid for w in ([1.0] if x * y == 0 else [0.5, 0.5])]
-
-
-def test_own_pairs_run_in_column_runs_within_the_cap(monkeypatch):
-    # a 1-point measure times a wide one: the band exceeds DENSE_CAP, so the call runs on its own pairs, in
-    # runs of consecutive columns whose recurrence state (columns x width) fits the cap, with the same rows
-    def states(hg) -> list[int]:
-        seen, table = [], hg._lin_table
-        monkeypatch.setattr(hg, "_lin_table", lambda ms, ns, bound: seen.append(
-            len(np.unique(ns)) * int(ns.max() + ms.max() + 1)) or table(ms, ns, bound))
-        return seen
-
-    pairs = [(1, n) for n in range(300, 500)] + [(2, 310), (499, 0), (1, 300)]
-    want = _supports(chebyshev().pair_supports(pairs))
-    monkeypatch.setattr(hypermoment.hypergroups, "DENSE_CAP", 5000)
-    hg = chebyshev()
-    seen = states(hg)
-    assert _supports(hg.pair_supports(pairs)) == want
-    assert len(seen) == 23 and max(seen) <= 5000 and _held(hg) == ([], 0)  # 200 columns, 9 per run of width 502
-    # each pair fits the cap, but the widest column and the highest step together do not: a column per run
-    monkeypatch.setattr(hypermoment.hypergroups, "DENSE_CAP", 100)
-    hg = chebyshev()
-    seen = states(hg)
-    assert _supports(hg.pair_supports([(40, 50), (0, 95)])) == [[0, 0, 1], [10, 90, 95], [0.5, 0.5, 1.0], 2]
-    assert seen == [91, 96]
 
 
 def test_rebuild_past_the_cap_builds_no_band(monkeypatch):

@@ -39,7 +39,7 @@ def test_large_inputs_prints_one_json_line_per_case():
     result = json.loads(line)
     assert result["case"] == "lin1200" and result["outcome"] == "ok"
     assert result["seconds"] > 0 and result["rss_mb"] > 0
-    assert result["lin_tables"] == 1  # the 1201 steps of column 3, in one linearization table
+    assert result["lin_tables"] == 1 and result["column_steps"] == 1201  # the 1201 steps of column 3, in one run
 
 
 def test_large_inputs_against_a_checkout_prints_one_line_per_case():
