@@ -1,10 +1,10 @@
 #!/usr/bin/env python3
 """Time the large inputs: axiom checks at high bounds, deep and wide linearizations
 (one pair, 400 pairs on deep columns, the legendre 251 x 251 grid),
-Leibniz checks on convolutions of high degree, a moment identity on 4,096 pairs
-checked cold and warm, a transform of degree 200, its Taylor check at degree 150,
-the exponentials of the cyclic groups Z_64 and Z_256 and the moment extensions
-of Z_160 to order 2.
+Leibniz checks on convolutions of high degree (families of 10 and of 21
+multi-indices), a moment identity on 4,096 pairs checked cold and warm, a
+transform of degree 200, its Taylor check at degree 150, the exponentials of
+the cyclic groups Z_64 and Z_256 and the moment extensions of Z_160 to order 2.
 
 Each case runs in a fresh interpreter and prints one JSON line: its name, the
 seconds the call took (`time.perf_counter`, import excluded, to the
@@ -16,7 +16,7 @@ and `column_steps`, the recurrence work of those runs: per call, its distinct
 columns times its top step plus one.
 
     python scripts/large_inputs.py               # every case, in the order below
-    python scripts/large_inputs.py lin1200 cheb80 leib120 moments64 transform200 taylor150 expo64 search160
+    python scripts/large_inputs.py lin1200 cheb80 leib120 leib21 moments64 transform200 taylor150 expo64 search160
 
 With `hypermoment` not installed, put `src` on PYTHONPATH.
 
@@ -56,11 +56,12 @@ from hypermoment.cli import main as cli_main
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def leibniz120() -> bool:
-    """Both Leibniz checks of a rank-2 chebyshev family on 12 cyclic pairs of 8-point
-    measures in 0..60, so the convolutions reach degree 120; True when both pass."""
+def leibniz120(order: int = 3) -> bool:
+    """Both Leibniz checks of a rank-2 chebyshev family of `order` (10 multi-indices at 3,
+    21 at 5) on 12 cyclic pairs of 8-point measures in 0..60, so the convolutions reach
+    degree 120; True when both pass."""
     hg, rng = chebyshev(), random.Random(120)
-    family = derivation_from_moments(rank_lift(poly_derivative_moments(hg, 0.3, 3), [1, 0.5j]))
+    family = derivation_from_moments(rank_lift(poly_derivative_moments(hg, 0.3, order), [1, 0.5j]))
     ms = [
         Measure.from_items(hg, [(n, complex(rng.uniform(-1, 1), rng.uniform(-1, 1))) for n in rng.sample(range(61), 8)])
         for _ in range(12)
@@ -122,6 +123,7 @@ CASES = {
     "wide400": lambda: chebyshev().pair_supports([(1, n) for n in range(20000, 20400)]),  # 400 deep columns
     "leggrid250": lambda: legendre().pair_supports([(x, y) for x in range(251) for y in range(251)]),
     "leib120": leibniz120,
+    "leib21": lambda: leibniz120(5),  # the leib120 samples under a family of 21 multi-indices
     "moments64": moments64,
     "transform200": transform200,
     "taylor150": taylor150,

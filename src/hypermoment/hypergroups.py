@@ -131,7 +131,10 @@ class Hypergroup:
                 failure = exc
                 break
         empty = PairSupports(np.zeros(0, dtype=np.intp), np.zeros(0), np.zeros(0), 0, _defined(0))
-        flat = self._pairs(*np.array(valid).T) if valid else empty
+        points = np.array(valid)
+        if valid and points.dtype.kind == "f" and type(valid[0][0]) is int:  # an int past int64 made them floats
+            points = np.array(valid, dtype=object)  # kept whole, so a refusal names the point given
+        flat = self._pairs(*points.T) if valid else empty
         bad = flat.err.astype(bool)
         if bad.any():
             raise DomainError(flat.err[np.argmax(bad)])

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Mapping, Union
+from typing import Any, Callable, Iterable, Mapping, NamedTuple, Union
 
 import numpy as np
 
@@ -100,7 +100,7 @@ class CFunction:
 
     Backed by a callable plus a descriptor (`kind`, `params`) used for
     serialisation and reporting.  Evaluation is deterministic.  A built-in moment
-    entry sets `_many` (see `evaluate`); `_exponential_on` is set by `MomentSequence.build`.
+    entry sets `_many`, its `TableRow`; `_exponential_on` is set by `MomentSequence.build`.
     """
 
     __slots__ = ("_fn", "kind", "params", "_many", "_exponential_on")
@@ -166,10 +166,40 @@ def _evaluate(f: CFunction | Callable[[Point], Any], x: Point) -> complex:
         raise DomainError(f"function evaluation failed at point {x!r}: {exc}") from exc
 
 
+class TableRow(NamedTuple):
+    """The `_many` of a family entry: row `alpha` of its family's table rule, which gives the entries
+    at `points` as one (alphas x points) array, each value bitwise the entry's own, or None where it
+    declines (see `evaluate`)."""
+
+    rule: Callable[[list, list], np.ndarray | None]
+    alpha: tuple[int, ...]
+
+    def __call__(self, points: list) -> np.ndarray | None:
+        table = self.rule(points, [self.alpha])
+        return None if table is None else table[0]
+
+
+def table_rows(fns: list, points: list) -> dict[int, np.ndarray]:
+    """The values at `points` of every f in `fns` whose `_many` is a `TableRow`, from one call of
+    each rule: {index in fns: values}.  A rule that declines or raises gives no rows."""
+    rules: dict[Any, list[int]] = {}
+    for i, f in enumerate(fns if points else ()):
+        if isinstance(many := getattr(f, "_many", None), TableRow):
+            rules.setdefault(many.rule, []).append(i)
+    out = {}
+    for rule, rows in rules.items():
+        try:
+            table = rule(points, [fns[i]._many.alpha for i in rows])
+        except Exception:  # the entries raise it one by one, as `evaluate` words it
+            continue
+        out.update(zip(rows, table) if table is not None else ())
+    return out
+
+
 def evaluate(f: CFunction | Callable[[Point], Any], points: list) -> tuple[np.ndarray, DomainError | None]:
     """f at the points, in order: the values before the first DomainError and that error (None if none).
-    A built-in entry's `_many` gives in one call the values `_evaluate` gives; where it declines (None)
-    or raises, `_evaluate` runs point by point, so the values and the error are the loop's."""
+    A family entry's `_many` (`TableRow`) gives in one call the values `_evaluate` gives; where it
+    declines (None) or raises, `_evaluate` runs point by point, so the values and the error are the loop's."""
     many = f._many if isinstance(f, CFunction) else None
     try:
         out = many(points) if many is not None and points else None
@@ -218,17 +248,18 @@ def pair(mu: Measure, f: CFunction | Callable[[Point], Any]) -> complex:
 
 def convolve(mu: Measure, nu: Measure) -> Measure:
     """Convolution, extended bilinearly from the hypergroup's point convolution."""
-    points, _, weights = convolutions(mu.hypergroup, [(mu, nu)])
+    points, _, weights, _ = convolutions(mu.hypergroup, [(mu, nu)])
     return Measure(mu.hypergroup, tuple(zip(points, weights.tolist())))
 
 
-def convolutions(hg: Any, samples: list[tuple[Measure, Measure]]) -> tuple[list, np.ndarray, np.ndarray]:
+def convolutions(hg: Any, samples: list[tuple[Measure, Measure]]) -> tuple[list, np.ndarray, np.ndarray, Any]:
     """mu*nu of every sample (mu, nu), from one `pair_supports` call, on one table:
-    weights[e] at the point points[e] of sample blocks[e].  The items wx * wy * w of
-    every pair of support points, in pair order, are merged per point as
-    `Measure.from_items` merges them: points validated, exact zeros dropped, a
-    non-finite item refused, points sorted.  For one sample the DomainError is the
-    one `from_items` raises; over several it need not be the first sample's."""
+    weights[e] at the point points[e] of sample blocks[e]; and the supports that call
+    read, of the pairs (x, y) of every sample, x in mu's support, y in nu's, in that
+    order.  The items wx * wy * w of every pair of support points, in pair order, are
+    merged per point as `Measure.from_items` merges them: points validated, exact zeros
+    dropped, a non-finite item refused, points sorted.  For one sample the DomainError
+    is the one `from_items` raises; over several it need not be the first sample's."""
     pairs, wxy, owner = [], [], []
     for s, (mu, nu) in enumerate(samples):
         _require_same(mu, nu)
@@ -245,7 +276,7 @@ def convolutions(hg: Any, samples: list[tuple[Measure, Measure]]) -> tuple[list,
         raise DomainError(f"non-finite weight {complex(items[bad[0]])!r}")
     keys, weights = merge(list(zip(np.array(owner, dtype=np.intp)[sup.rows].tolist(), sup.points)), items)
     keep = np.flatnonzero(weights != 0).tolist()
-    return [keys[i][1] for i in keep], np.array([keys[i][0] for i in keep], dtype=np.intp), weights[keep]
+    return [keys[i][1] for i in keep], np.array([keys[i][0] for i in keep], dtype=np.intp), weights[keep], sup
 
 
 def merge(keys: list, items: np.ndarray) -> tuple[list, np.ndarray]:
@@ -273,7 +304,7 @@ def multiply(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
         raw = complex_product(values, weights)
     bad = np.flatnonzero(~np.isfinite(raw))
     if len(bad):
-        raise DomainError(f"non-finite weight {complex(raw[bad[0]])!r}")
+        raise DomainError(f"non-finite weight {complex(raw.flat[bad[0]])!r}")
     return 0j + raw
 
 

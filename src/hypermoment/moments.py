@@ -30,10 +30,13 @@ import numpy as np
 
 from .config import Tolerance, default_tolerance
 from .errors import DomainError, PreconditionError
-from .hypergroups import DerivativeRun, FiniteHypergroup, Hypergroup, PolynomialHypergroup, RealLineHypergroup, _capped
+from .hypergroups import (
+    DerivativeRun, FiniteHypergroup, Hypergroup, PairSupports, PolynomialHypergroup, RealLineHypergroup, _capped,
+    _gather,
+)
 from .measures import (
-    CFunction, Measure, Point, _evaluate, as_literal, complex_abs, complex_product, convolve, convolutions, evaluate,
-    merge, multiply, pair,
+    CFunction, Measure, Point, TableRow, _evaluate, as_literal, complex_abs, complex_product, convolve, convolutions,
+    evaluate, merge, multiply, pair, table_rows,
 )
 from .operators import (
     MeasureOperator,
@@ -198,48 +201,48 @@ class DerivationFamily:
 
 
 def realline_moments(lam: complex, order: int, hg: RealLineHypergroup | None = None) -> MomentSequence:
-    """Rank-1 family phi_k(x) = x^k exp(lam x) on the real line.  At float points an entry takes x ** k
-    and the product in Python floats, as the scalar entry does, and exp(lam x) from one np.exp shared
-    by every k (bitwise cmath.exp below the range edge, where the scalar path takes over)."""
+    """Rank-1 family phi_k(x) = x^k exp(lam x) on the real line.  Its table rule takes, at float points,
+    x ** k and the product in Python floats, as the scalar entry does, and exp(lam x) from one np.exp
+    shared by every k (bitwise cmath.exp below the range edge, where the scalar entry takes over)."""
     hg = hg or RealLineHypergroup()
     lam = complex(lam)
 
-    @functools.lru_cache(maxsize=1)  # keyed on the points' bits: -0.0 and 0.0 may give other zeros
-    def exps(bits: bytes) -> np.ndarray | None:
-        args = np.array([lam * x for x in np.frombuffer(bits).tolist()], dtype=complex)
-        return np.exp(args) if (args.real < 708.0).all() and np.isfinite(args.imag).all() else None
-
-    def many(xs: list, k: int) -> np.ndarray | None:  # x ** k may leave the floats: it raises as the scalar entry does
-        at = exps(np.array(xs).tobytes()) if all(type(x) is float for x in xs) else None
-        return None if at is None else np.array([x**k * e for x, e in zip(xs, at.tolist())], dtype=complex)
+    def rule(xs: list, alphas: list) -> np.ndarray | None:  # x ** k may leave the floats: it raises as the entry does
+        args = np.array([lam * x for x in xs], dtype=complex) if all(type(x) is float for x in xs) else None
+        if args is None or not ((args.real < 708.0).all() and np.isfinite(args.imag).all()):
+            return None
+        at = np.exp(args).tolist()
+        return np.array([[x**k * e for x, e in zip(xs, at)] for (k,) in alphas], dtype=complex)
 
     def entry(alpha: MultiIndex) -> CFunction:
         k = alpha[0]
         f = CFunction(lambda x, _k=k: (x ** _k) * cmath.exp(lam * x), kind="moment", params={"k": k, "lambda": lam})
-        f._many = functools.partial(many, k=k)
+        f._many = TableRow(rule, alpha)
         return f
 
     return MomentSequence.build(hg, 1, order, entry)
 
 
 def poly_derivative_moments(hg: PolynomialHypergroup, z: complex, order: int) -> MomentSequence:
-    """Rank-1 family phi_k(n) = P_n^(k)(z) on a polynomial hypergroup.  Every entry reads one
-    `DerivativeRun` of rows P_n^(0..order)(z), grown on demand; a point that is not a nonnegative
-    int, such as 2.0, takes `poly_derivatives`, which fails as it did."""
+    """Rank-1 family phi_k(n) = P_n^(k)(z) on a polynomial hypergroup.  Every entry, and the table
+    rule at lists of points, reads one `DerivativeRun` of rows P_n^(0..order)(z), grown on demand; a
+    point that is not a nonnegative int, such as 2.0, takes `poly_derivatives`, which fails as it did."""
     z = complex(z)
     run = DerivativeRun(hg, z, order)
 
     def row(n: Point) -> list[complex]:
         return run.upto(n)[n] if type(n) is int and n >= 0 else hg.poly_derivatives(n, z, order)
 
-    def many(ns: list, k: int) -> np.ndarray | None:  # an invalid row raises in `upto`, as for the scalar entry
-        rows = run.upto(max(ns)) if all(type(n) is int and n >= 0 for n in ns) else None
-        return None if rows is None else np.array([rows[n][k] for n in ns], dtype=complex)
+    def rule(ns: list, alphas: list) -> np.ndarray | None:  # an invalid row raises in `upto`, as for the entry
+        if not all(type(n) is int and n >= 0 for n in ns):
+            return None
+        rows = run.upto(max(ns))
+        return np.array([rows[n] for n in ns], dtype=complex)[:, [k for (k,) in alphas]].T
 
     def entry(alpha: MultiIndex) -> CFunction:
         k = alpha[0]
         f = CFunction(lambda n, _k=k: row(n)[_k], kind="moment", params={"k": k, "z": z})
-        f._many = functools.partial(many, k=k)
+        f._many = TableRow(rule, alpha)
         return f
 
     return MomentSequence.build(hg, 1, order, entry)
@@ -251,22 +254,31 @@ def rank_lift(seq: MomentSequence, weights: Sequence[complex]) -> MomentSequence
     Valid because sum_{beta <= alpha, |beta| = s} binom(alpha, beta) = binom(|alpha|, s)
     reduces the rank-r identity to the rank-1 one.  The lift's phi_0 is the base's
     (times 1), so a base whose phi_0 was verified is not checked again, and the lift's
-    phi_0 carries the base's `_exponential_on`.
+    phi_0 carries the base's `_exponential_on`.  Its table rule multiplies the base's rows
+    by each alpha's factor, rounded as `factor * base(x)`.
     """
     if seq.rank != 1:
         raise DomainError("rank_lift starts from a rank-1 sequence")
     ws = tuple(complex(w) for w in weights)
     if not ws:
         raise DomainError("need at least one axis weight")
+    bases, factors = [seq.phi((k,)) for k in range(seq.order + 1)], {}
+
+    def rule(xs: list, alphas: list) -> np.ndarray | None:  # every base row from one call of the base's rule
+        rows = table_rows(bases, xs)
+        if len(rows) < len(bases):
+            return None
+        scale = np.array([factors[a] for a in alphas])[:, None]
+        return complex_product(scale, np.array([rows[sum(a)] for a in alphas]))
 
     def entry(alpha: MultiIndex) -> CFunction:
         factor = 1.0 + 0j
         for w, a in zip(ws, alpha):
             factor *= w**a
-        base = seq.phi((sum(alpha),))
+        factors[alpha], base = factor, bases[sum(alpha)]
         lifted = factor * base
-        if base._many is not None:  # the base's values times the factor, rounded as `factor * base(x)`
-            lifted._many = lambda xs: None if (v := base._many(xs)) is None else complex_product(factor, v)
+        if base._many is not None:
+            lifted._many = TableRow(rule, alpha)
         return lifted
 
     verified = seq.meta.get("phi0") == "exponential verified"
@@ -452,7 +464,7 @@ def verify_leibniz(
     grid = {key: (np.flatnonzero(live[bounds[j] : bounds[j + 1]]) + bounds[j]).tolist() for key, j in app.slot.items()}
     cells = [(s, x, y) for s, (mu, nu) in enumerate(samples) for x in grid[id(mu)] for y in grid[id(nu)]]
     owner, ex, ey = np.array(cells, dtype=np.intp).reshape(-1, 3).T
-    sup = family.hypergroup.pair_supports([(app.points[x], app.points[y]) for _, x, y in cells])
+    sup = _grid_supports(family.hypergroup, app, samples, cells, bounds)
     values = [{p: _evaluate(f, p) for p in dict.fromkeys(sup.points)} for f in probes]
     # D_a(mu*nu) paired with each probe, summed in support order as `pair` sums; a point no
     # term reaches is evaluated where `pair` first meets it: by alpha, sample, probe, point
@@ -484,33 +496,52 @@ def verify_leibniz(
     return report
 
 
+def _grid_supports(hg: Hypergroup, app: Applied, samples: list, cells: list, bounds: list) -> PairSupports:
+    """The supports of the pairs (points[x], points[y]) of the cells (s, x, y) of `app`, in cell order:
+    gathered from the pairs `convolutions` read (sample s's pair of the i-th point of mu and the j-th of
+    nu is i * len(nu.support) + j after the pairs of the samples before it), or read anew by one
+    `pair_supports` call where an operator without a symbol may have added points."""
+    if app.pairs is None:
+        return hg.pair_supports([(app.points[x], app.points[y]) for _, x, y in cells])
+    firsts = list(itertools.accumulate((len(mu.support) * len(nu.support) for mu, nu in samples), initial=0))
+    at = [firsts[s] + (x - bounds[app.slot[id(mu)]]) * len(nu.support) + y - bounds[app.slot[id(nu)]]
+          for s, x, y in cells for mu, nu in [samples[s]]]
+    conv = app.pairs._replace(points=np.array(app.pairs.points, dtype=object))
+    sup = _gather(conv, np.searchsorted(conv.rows, np.arange(conv.count + 1)), np.array(at, dtype=np.intp))
+    return sup._replace(points=sup.points.tolist())
+
+
 class Applied(NamedTuple):
     """D_a of mu*nu for every sample (blocks 0..S-1, in sample order) and of every
     distinct sample measure m (block slot[id(m)]) on one table: entry e is the point
     points[e] of block blocks[e], in support order, and weights[a, e] is the weight
-    of D_a there, 0j where D_a drops the point."""
+    of D_a there, 0j where D_a drops the point.  `pairs` are the supports `convolutions`
+    read, None once an operator without a symbol has returned a support."""
 
     points: list
     blocks: np.ndarray
     weights: np.ndarray
     slot: dict[int, int]
+    pairs: PairSupports | None
 
 
 def apply_family(family: DerivationFamily, samples: list[tuple[Measure, Measure]]) -> Applied:
     """Apply the family as a loop over alphas and samples first needs it: D_a(mu*nu),
     then D_a mu and D_a nu (D_a nu first after alpha 0), each once, on one table.  An
-    operator with a symbol multiplies by it as `module_action` does, with one `evaluate`
-    over the distinct points in the order that loop first meets them: the first DomainError
-    is the loop's, raised after the blocks the loop finished are multiplied.  Any other
-    operator is called on each measure, and the support it returns joins the table.  A call
-    on the last call's objects (hypergroup, operators, sample measures) reads the table the
-    family keeps, read-only."""
+    operator whose symbol is a family entry (`table_rows`) multiplies by one table of its
+    family's rule at the distinct points, as `module_action` does.  The loop runs every
+    other operator, and all of them where that table declines, raises or gives a
+    non-finite weight: an operator with a symbol takes one `evaluate` over the distinct
+    points in the order the loop first meets them, so the first DomainError is the loop's,
+    raised after the blocks the loop finished are multiplied.  Any other operator is called
+    on each measure, and the support it returns joins the table.  A call on the last call's
+    objects (hypergroup, operators, sample measures) reads the table the family keeps, read-only."""
     hg, alphas, failure = family.hypergroup, family.alphas, None
     inputs = (hg, *map(family.entries.get, alphas), *itertools.chain.from_iterable(samples))
     if len(family._applied[0]) == len(inputs) and all(a is b for a, b in zip(family._applied[0], inputs)):
         return family._applied[1]
     try:
-        points, blocks, weights = convolutions(hg, samples)
+        points, blocks, weights, pairs = convolutions(hg, samples)
     except DomainError:
         for s in range(len(samples)):  # the loop applies D_0 to the samples before the first it cannot convolve
             try:
@@ -518,7 +549,7 @@ def apply_family(family: DerivationFamily, samples: list[tuple[Measure, Measure]
             except DomainError as exc:
                 failure, samples, alphas = exc, samples[:s], alphas[:1]
                 break
-        points, blocks, weights = convolutions(hg, samples)
+        points, blocks, weights, pairs = convolutions(hg, samples)
     measures = list({id(m): m for sample in samples for m in sample}.values())
     slot = {id(m): len(samples) + j for j, m in enumerate(measures)}
     points += [x for m in measures for x, _ in m.support]
@@ -526,24 +557,33 @@ def apply_family(family: DerivationFamily, samples: list[tuple[Measure, Measure]
     blocks = np.concatenate([blocks, np.repeat(np.arange(len(measures)) + len(samples), sizes)])
     weights = np.concatenate([weights, np.array([w for m in measures for _, w in m.support], dtype=complex)])
     bounds = np.searchsorted(blocks, np.arange(len(samples) + len(measures) + 1)).tolist()
+    symbols, index = [family.op(alpha).symbol for alpha in alphas], {}
+    at = np.array([index.setdefault(x, len(index)) for x in points], dtype=np.intp)
+    covered = table_rows(symbols, list(index))
+    table, calls, done = np.zeros((len(alphas), len(points)), dtype=complex), [], []
+    if covered:
+        try:
+            table[list(covered)] = multiply(np.array(list(covered.values()))[:, at], weights)
+        except DomainError:  # a non-finite weight: the loop finds the error it meets first
+            covered = {}
+    loop = [a for a in range(len(alphas)) if a not in covered]
     seqs = [dict.fromkeys(b for s, pair in enumerate(samples) for b in (s, *(slot[id(m)] for m in pair[::step])))
             for step in (1, -1)]
     walks = []  # per block order: its entries, where each one's block starts, each one's distinct point, the points
-    for seq in seqs:
+    for seq in seqs if any(symbols[a] is not None for a in loop) else ():
         cols, first, sizes = [e for j in seq for e in range(bounds[j], bounds[j + 1])], {}, np.diff(bounds)[list(seq)]
         at = np.array([first.setdefault(points[e], len(first)) for e in cols], dtype=np.intp)
         walks.append((np.array(cols, dtype=np.intp), np.repeat(np.cumsum(sizes) - sizes, sizes), at, list(first)))
-    table, calls, done = np.zeros((len(alphas), len(points)), dtype=complex), [], []
     try:
-        for a, alpha in enumerate(alphas):
-            op = family.op(alpha)
-            cols, block_at, at, distinct = walks[a > 0]
+        for a in loop:
+            op = family.op(alphas[a])
             if op.symbol is None:
                 for j in seqs[a > 0]:
                     span = slice(bounds[j], bounds[j + 1])
                     out = op(Measure(hg, tuple(zip(points[span], weights[span].tolist()))))
                     calls += [(j, x, a, w) for x, w in out.support]
                 continue
+            cols, block_at, at, distinct = walks[a > 0]
             values, error = evaluate(op.symbol, distinct)  # on an error, the blocks before the failing point's are done
             end = len(cols) if error is None else block_at[np.argmax(at >= len(values))]
             done.append((np.full(end, a), cols[:end], values[at[:end]]))
@@ -557,13 +597,13 @@ def apply_family(family: DerivationFamily, samples: list[tuple[Measure, Measure]
     if failure:
         raise failure
     if calls:  # the supports the operators return join the table, each block's points sorted
-        extra = np.zeros((len(calls), len(alphas)), dtype=complex)
+        pairs, extra = None, np.zeros((len(calls), len(alphas)), dtype=complex)
         extra[np.arange(len(calls)), [a for _, _, a, _ in calls]] = [w for *_, w in calls]
         keys, table = merge(list(zip(blocks.tolist(), points)) + [(j, x) for j, x, _, _ in calls],
                             np.concatenate([table.T, extra]))
         points, blocks, table = [x for _, x in keys], np.array([j for j, _ in keys], dtype=np.intp), table.T
     blocks.flags.writeable = table.flags.writeable = False  # the checks share it
-    family._applied = inputs, Applied(points, blocks, table, slot)
+    family._applied = inputs, Applied(points, blocks, table, slot, pairs)
     return family._applied[1]
 
 

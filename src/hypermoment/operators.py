@@ -28,6 +28,7 @@ from .measures import (
     measure_residual,
     module_action,
     pair,
+    table_rows,
     values_at,
 )
 from .reports import Report
@@ -175,14 +176,20 @@ def tabulate_on_pairs(
     """The pairs' point convolutions, and every f in `fns` evaluated once per distinct point.
 
     Returns the supports, the values (fns x distinct points) and the indices that gather them at
-    the entries, at each x and at each y.  Each f takes one `values_at` over the points in the order a
-    loop over the pairs first meets them: each pair's support, then x and y, y first for every
-    function after the first, as the lower terms of the moment identity reach them.
+    the entries, at each x and at each y.  The family entries among `fns` take one call of their
+    table rule (`table_rows`).  Each other f, and each entry whose rule declines or raises, takes
+    one `values_at` over the points in the order a loop over the pairs first meets them: each
+    pair's support, then x and y, y first for every function after the first, as the lower terms
+    of the moment identity reach them.
     """
     sup, orders, size, scatter, at_k, at_x, at_y = _pair_table(hg, pairs)
     values = np.empty((len(fns), size), dtype=complex)
+    rows = table_rows(fns, orders[1])
     for a, f in enumerate(fns):
-        values[a, scatter if a == 0 else slice(None)] = values_at(f, orders[a > 0])
+        if a in rows:
+            values[a] = rows[a]
+        else:
+            values[a, scatter if a == 0 else slice(None)] = values_at(f, orders[a > 0])
     return sup, values, at_k, at_x, at_y
 
 

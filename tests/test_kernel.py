@@ -592,6 +592,13 @@ def test_points_past_the_table_keys_are_refused(pair):
         chebyshev().pair_supports([(2, 3), pair])
 
 
+@pytest.mark.parametrize("pairs", [[(5, 6), (1, 10**19 + 1)], [(1, 10**19 + 1)]])
+def test_a_point_past_int64_is_refused_by_its_own_name(pairs):
+    # an int in [2^63, 2^64) among small ones made the point array float64, whose refusal named 10^19
+    with pytest.raises(DomainError, match=r"^linearization\(1,10000000000000000001\) is too large for the int64"):
+        chebyshev().pair_supports(pairs)
+
+
 def _count_tables(monkeypatch, hg) -> list[list[tuple[int, int]]]:
     """The pairs (m, n) of each `_lin_table` call that `hg` makes from here on."""
     calls, table = [], hg._lin_table

@@ -71,10 +71,10 @@ import numpy as np
 from hypermoment.config import Tolerance, default_tolerance, scale_of, set_default_tolerance
 from hypermoment.fourier import derivative_moments
 from hypermoment.hypergroups import DerivativeRun
-from hypermoment.measures import _evaluate, as_literal, complex_product, values_at
+from hypermoment.measures import _evaluate, as_literal, complex_product, table_rows, values_at
 from hypermoment.moments import _identity_records, apply_family, binomial_terms, index_order, index_sub, indices_up_to
 from hypermoment.operators import PAIR_TABLE_CAP, PAIR_TABLES, exponential_reports
-from tests.test_kernel import chebyshev_dip, reference_convolve, reference_rule
+from tests.test_kernel import RECURRENCES, chebyshev_dip, reference_convolve, reference_rule
 
 # ---------------------------------------------------------------------------
 # the loops the kernel replaces
@@ -675,6 +675,95 @@ def test_realline_entries_on_arrays_match_the_scalar_entries():
         "DomainError: function evaluation failed at point 800.0: math range error")
 
 
+def unchecked(monkeypatch, build):
+    """`build()` with phi_0 taken as an exponential unchecked, so that a family builds on a broken recurrence."""
+    with monkeypatch.context() as patch:
+        patch.setattr(hypermoment.moments, "is_exponential", lambda *args: Report(title="unchecked"))
+        return build()
+
+
+@pytest.mark.parametrize("make", RECURRENCES + [real_line])
+def test_family_tables_are_the_entries_bit_for_bit(make, monkeypatch):
+    # ranks 1-2, orders 0-5: one rule call gives every entry's values, bitwise the entry's own; where an
+    # entry raises, or a point is not of the rule's kind (2.0, -1, an int on the line), the rule gives no rows
+    hg, rng = make(), random.Random(17)
+    line = isinstance(hg, type(real_line()))
+    floats = [rng.uniform(-4, 4) for _ in range(30)] + [0.5 * j for j in range(-8, 9)] + [-0.0, 1e-300]
+    lists = ([floats, [1.0, 800.0], [1, 2.5]] if line
+             else [[7, 0, 12, 3, 12, 5, 9, 1, 2], [3, 0, 2, 3, 1], [3, 2.0], [3, -1]])
+    for order in range(6):
+        param = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+        base = unchecked(monkeypatch, lambda: realline_moments(param, order, hg) if line
+                         else poly_derivative_moments(hg, param, order))
+        for seq in (base, rank_lift(base, [1.0, complex(rng.uniform(-1, 1), rng.uniform(-1, 1))])):
+            fns = [seq.phi(alpha) for alpha in seq.alphas]
+            for points in lists:
+                want = [[outcome(lambda: f(x)) for x in points] for f in fns]
+                kind = all(type(x) is float for x in points) if line else all(type(x) is int and x >= 0 for x in points)
+                rows = table_rows(fns, points)
+                if kind and not any(isinstance(v, str) for row in want for v in row):
+                    assert [bits(rows[a].tolist()) for a in range(len(fns))] == [bits(row) for row in want]
+                else:
+                    assert rows == {}
+
+
+def the_loops(monkeypatch, check):
+    """`check()` with every family table declined: each entry evaluated on its own, as the loop did."""
+    with monkeypatch.context() as patch:
+        for module in (hypermoment.moments, hypermoment.operators):
+            patch.setattr(module, "table_rows", lambda fns, points: {})
+        return outcome(check)
+
+
+def test_table_errors_are_the_loops(monkeypatch):
+    # a point 2.0 and a negative point (entries of a polynomial carrier applied on the line), a row the
+    # recurrence cannot run, and a weight past the floats (the moment identity weighs none): each check
+    # raises the loop's first DomainError
+    line, cheb = real_line(), chebyshev()
+    broken = PolynomialHypergroup(1.0, 0.0, [(0.5, 0.0, 0.5)] * 6 + [(0.5, 0.1, 0.5)] + [(0.5, 0.0, 0.5)] * 6)
+    on_line = [replace(seq, hypergroup=line) for seq in (poly_derivative_moments(cheb, 0.3 - 0.1j, 3),
+                                                         rank_lift(poly_derivative_moments(cheb, 0.2, 2), [1.0, 0.5j]))]
+    cases = [(seq, [(1.0, 1.0), (0.5, 0.5)], [[(0.5, 1.0)], [(1.5, 0.5j)]] * 2, "2.0") for seq in on_line]
+    cases += [(seq, [(0.0, 0.0), (-0.5, -0.5)], [[(-0.5, 1.0)], [(0.0, 0.5j)]] * 2, "nonnegative") for seq in on_line]
+    for seq in (poly_derivative_moments, lambda hg, z, k: rank_lift(poly_derivative_moments(hg, z, k), [1.0, 2.0])):
+        made = unchecked(monkeypatch, lambda: seq(broken, 0.4, 3))
+        cases.append((made, [(1, 2), (0, 8)], [[(0, 1.0)], [(8, 0.5), (2, 1.0)]] * 2, "row 7"))
+    # mu*nu of the first sample is finite, D_0 of its mu is not, and D_0 of the second mu*nu is another infinity
+    huge = [[(705.0, 1e10)], [(-705.0, 1.0)], [(351.0, 1e5j)], [(351.0, 1e5)]]
+    cases.append((realline_moments(1.0, 3, line), None, huge, "non-finite weight (inf+0j)"))
+    for seq, pairs, supports, names in cases:
+        hg = seq.hypergroup
+        ms = [Measure.from_items(hg, support) for support in supports]
+        samples = [(ms[0], ms[1]), (ms[2], ms[3])]
+        family = derivation_from_moments(seq, skip_verification=True)
+        checks = [lambda: verify_moment_sequence(seq, pairs).to_json(), lambda: apply_family(replace(family), samples),
+                  lambda: verify_leibniz(replace(family), samples).to_json()]
+        for check in checks if pairs else checks[1:]:
+            got = outcome(check)
+            assert isinstance(got, str) and names in got and got == the_loops(monkeypatch, check)
+        assert outcome(checks[2]) == outcome(lambda: head_verify_leibniz(family, samples).to_json())
+
+
+def test_an_operator_without_a_symbol_leaves_the_term_grid_its_own_pairs(monkeypatch):
+    # D_(1,0) shifts the measures that hold 0 by one step: their blocks gain points, so the term grid
+    # reads its pairs anew, in one call after the convolution's and the operator's own
+    hg = chebyshev()
+    family = derivation_from_moments(rank_lift(poly_derivative_moments(hg, 0.3 - 0.2j, 2), [1.0, 0.5j]))
+    op, step = family.op((1, 0)), Measure.from_items(hg, [(1, 1.0)])
+    family.entries[(1, 0)] = MeasureOperator(hg, lambda m: convolve(op(m), step) if 0 in m.points else op(m))
+    supports = [[(0, 1.0), (3, 0.5j)], [(2, 1.0), (4, -0.5)], [(1, 0.25), (5, 1.0)]]
+    ms = [Measure.from_items(hg, support) for support in supports]
+    samples = [(ms[1], ms[2]), (ms[0], ms[1]), (ms[2], ms[1])]
+    assert_same_application(family, samples)
+    grown = sorted({*ms[0].points, *family.op((1, 0))(ms[0]).points})
+    assert len(grown) > len(ms[0].support)
+    seen = []
+    run = hg.pair_supports
+    monkeypatch.setattr(hg, "pair_supports", lambda pairs: seen.append(list(pairs)) or run(pairs))
+    verify_leibniz(replace(family), samples)
+    assert seen[-1] == [(x, y) for mu, nu in samples for x in (grown if mu is ms[0] else mu.points) for y in nu.points]
+
+
 @pytest.mark.parametrize("make", [chebyshev, real_line, lambda: two_point(0.6), lambda: cyclic(6),
                                   lambda: dtheta_product(0.5, 0.25)])
 def test_exponential_reports_match_one_check_per_function(make, monkeypatch):
@@ -893,12 +982,14 @@ def test_a_point_every_derivation_drops_leaves_the_grid(make, monkeypatch):
     ms = [Measure.from_items(hg, [(2, 1.0), (x, complex(0.5, -0.2 * x))]) for x in (0, 1, 3, 5)]
     samples = [(ms[i], ms[(i + 1) % 4]) for i in range(4)] + [(ms[3], Measure.from_items(hg, [(2, 0.7j)]))]
     assert_same_application(family, samples)
-    seen = []
-    run = hg.pair_supports
+    seen, gathered = [], []
+    run, gather = hg.pair_supports, hypermoment.moments._gather
     monkeypatch.setattr(hg, "pair_supports", lambda pairs: seen.append(list(pairs)) or run(pairs))
-    verify_leibniz(replace(family), samples)  # a cold memo: the check convolves the samples itself
-    conv, grid = seen
-    assert any(2 in pair for pair in conv) and not any(2 in pair for pair in grid)
+    monkeypatch.setattr(hypermoment.moments, "_gather", lambda *a: gathered.append(a[2].tolist()) or gather(*a))
+    verify_leibniz(replace(family), samples)  # a cold memo: the check convolves the samples itself, once
+    [conv], [grid] = seen, gathered
+    grid = [conv[p] for p in grid]  # the term grid's pairs, read from the convolutions' pairs
+    assert any(2 in pair for pair in conv) and grid and not any(2 in pair for pair in grid)
 
 
 def test_no_samples_give_an_empty_table():
@@ -912,7 +1003,7 @@ def test_no_samples_give_an_empty_table():
 
 
 def test_one_application_per_check(monkeypatch):
-    # a rank-2 family on 6 samples: one convolution call, one term grid, no Measure convolution,
+    # a rank-2 family on 6 samples: one convolution call, whose pairs the term grid reads, no Measure convolution,
     # and every symbol evaluated at most once per distinct point in each check
     hg = chebyshev()
     seq = rank_lift(poly_derivative_moments(hg, 0.3, 3), [1.0, 0.5j])
@@ -930,7 +1021,7 @@ def test_one_application_per_check(monkeypatch):
     monkeypatch.setattr(hg, "pair_supports", lambda pairs: calls.append("pair_supports") or run(pairs))
     for module in (hypermoment.measures, hypermoment.moments):
         monkeypatch.setattr(module, "convolve", lambda *args: calls.append("convolve"))
-    for check, want in ((verify_leibniz, ["pair_supports"] * 2), (verify_fourier_leibniz, ["pair_supports"])):
+    for check, want in ((verify_leibniz, ["pair_supports"]), (verify_fourier_leibniz, ["pair_supports"])):
         calls.clear(), evals.clear()
         assert check(replace(family), samples).passed  # a cold memo: the check applies the family itself
         assert calls == want
@@ -963,7 +1054,7 @@ def test_both_checks_share_one_table_per_family_and_samples(monkeypatch):
     assert apply_family(family, list(samples)) is app and calls == evals == []
     assert verify_leibniz(family, samples).to_json() == want[0]
     assert verify_fourier_leibniz(family, samples).to_json() == want[1]
-    assert len(calls) == 1 and evals == []  # verify_leibniz's term grid only: both read the table
+    assert calls == evals == []  # both read the table; the term grid reads the pairs its convolutions read
     assert not (app.weights.flags.writeable or app.blocks.flags.writeable)
     for table in (app.weights, app.blocks):
         with pytest.raises(ValueError, match="read-only"):
