@@ -3,14 +3,16 @@
 (one pair, 400 pairs on deep columns, the legendre 251 x 251 grid),
 Leibniz checks on convolutions of high degree (families of 10 and of 21
 multi-indices), a moment identity on 4,096 pairs checked cold and warm, a
-transform of degree 200, its Taylor check at degree 150, the exponentials of
-the cyclic groups Z_64 and Z_256 and the moment extensions of Z_160 to order 2.
+transform of degree 200, its Taylor check at degree 150, the axiom check of
+the cyclic group Z_128, the exponentials of the cyclic groups Z_64 and Z_256
+and the moment extensions of Z_160 to order 2.
 
 Each case runs in a fresh interpreter and prints one JSON line: its name, the
 seconds the call took (`time.perf_counter`, import excluded, to the
-microsecond), the peak resident memory of the interpreter (`ru_maxrss`, MB)
-and the outcome: "ok", "fail" for a check that fails, or the message of the
-DomainError raised, up to its first ";"; `lin_tables`, the number of
+microsecond), the peak resident memory of the interpreter (`ru_maxrss`, MB),
+its minor page faults (`ru_minflt`, import included) and the outcome: "ok",
+"fail" for a check that fails, or the message of the DomainError raised, up
+to its first ";"; `lin_tables`, the number of
 linearization runs the case made (calls of `PolynomialHypergroup._lin_table`);
 and `column_steps`, the recurrence work of those runs: per call, its distinct
 columns times its top step plus one.
@@ -24,8 +26,8 @@ With `--against OTHER_CHECKOUT`, each case runs `--runs` times (default 5) in
 fresh interpreters against this checkout's `src/` and against OTHER's, the
 tree that goes first alternating from run to run; each run checks that it
 imported the intended tree.  One JSON line per case gives, under "this" and
-"other", the tree, every run's seconds and rss_mb, their medians, the outcome,
-lin_tables and column_steps:
+"other", the tree, every run's seconds, rss_mb and minflt, their medians, the
+outcome, lin_tables and column_steps:
 
     python scripts/large_inputs.py --against ../parent --runs 5 cheb80 leg120
 """
@@ -48,8 +50,9 @@ from pathlib import Path
 
 import hypermoment
 from hypermoment import (
-    DomainError, Measure, PolynomialHypergroup, check_axioms, chebyshev, derivation_from_moments, legendre,
-    poly_derivative_moments, rank_lift, real_line, verify_fourier_leibniz, verify_leibniz, verify_moment_sequence,
+    DomainError, FiniteHypergroup, Measure, PolynomialHypergroup, check_axioms, chebyshev, derivation_from_moments,
+    legendre, poly_derivative_moments, rank_lift, real_line, verify_fourier_leibniz, verify_leibniz,
+    verify_moment_sequence,
 )
 from hypermoment.cli import main as cli_main
 
@@ -94,10 +97,15 @@ def taylor150() -> bool:
         return cli_main(argv) == 0
 
 
+def cyclic_table(n: int) -> list:
+    """The convolution table of the cyclic group Z_n, as the finite spec lists it."""
+    return [[a, b, [[(a + b) % n, 1.0]]] for a in range(n) for b in range(n)]
+
+
 def cyclic_cli(n: int, *args: str) -> bool:
     """A CLI subcommand on the cyclic group Z_n, its spec written to a temporary file and its
     report discarded; True when it exits 0.  A refusal (exit 2) raises its message."""
-    table = [[a, b, [[(a + b) % n, 1.0]]] for a in range(n) for b in range(n)]
+    table = cyclic_table(n)
     with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()), \
             contextlib.redirect_stderr(io.StringIO()) as err:
         spec = Path(tmp) / f"Z{n}.json"
@@ -116,6 +124,7 @@ CASES = {
     "leg200": lambda: check_axioms(legendre(), 200),
     "line200": lambda: check_axioms(real_line(), 200),
     "line1000": lambda: check_axioms(real_line(), 1000),
+    "axZ128": lambda: check_axioms(FiniteHypergroup(128, 0, cyclic_table(128))),  # associativity on 128^3 cases
     "lin1200": lambda: chebyshev().linearization(1200, 3),
     "lin3x1200": lambda: chebyshev().linearization(3, 1200),
     "lin5000": lambda: chebyshev().linearization(5000, 5000),
@@ -148,9 +157,9 @@ def run(name: str) -> dict:
     except DomainError as exc:
         outcome = str(exc).split(";")[0]
     seconds = time.perf_counter() - start
-    rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # kilobytes on Linux
-    return {"case": name, "seconds": round(seconds, 6), "rss_mb": round(rss_mb, 1), "outcome": outcome,
-            "lin_tables": len(tables), "column_steps": sum(tables)}
+    usage = resource.getrusage(resource.RUSAGE_SELF)
+    return {"case": name, "seconds": round(seconds, 6), "rss_mb": round(usage.ru_maxrss / 1024, 1),  # KB on Linux
+            "minflt": usage.ru_minflt, "outcome": outcome, "lin_tables": len(tables), "column_steps": sum(tables)}
 
 
 def fresh(name: str, tree: Path) -> dict:
@@ -172,12 +181,13 @@ def compare(name: str, other: Path, runs: int) -> dict:
             results[label].append(fresh(name, trees[label]))
     line: dict = {"case": name}
     for label, got in results.items():
-        seconds, rss = [r["seconds"] for r in got], [r["rss_mb"] for r in got]
+        seconds, rss, faults = [r["seconds"] for r in got], [r["rss_mb"] for r in got], [r["minflt"] for r in got]
         outcomes, tables = {r["outcome"] for r in got}, {r["lin_tables"] for r in got}
         steps = {r["column_steps"] for r in got}
         line[label] = {
-            "tree": str(trees[label]), "seconds": seconds, "rss_mb": rss,
+            "tree": str(trees[label]), "seconds": seconds, "rss_mb": rss, "minflt": faults,
             "median_seconds": round(statistics.median(seconds), 6), "median_rss_mb": round(statistics.median(rss), 2),
+            "median_minflt": statistics.median(faults),
             "outcome": outcomes.pop() if len(outcomes) == 1 else sorted(outcomes),
             "lin_tables": tables.pop() if len(tables) == 1 else sorted(tables),
             "column_steps": steps.pop() if len(steps) == 1 else sorted(steps),

@@ -15,7 +15,7 @@ states its point convolutions once, as flat entries (`_pairs`, one
 :class:`PairSupports`): per pair of points, the (point, weight) entries of
 delta_x * delta_y, from a finite table's flat rows (its only form), from the
 rows a polynomial carrier has run (each column on its own band), or x + y.
-Only the associativity check scatters them into a dense C[i, j, k] (`_dense`).
+Only the associativity check scatters them into dense arrays (`_dense`).
 """
 
 from __future__ import annotations
@@ -633,12 +633,10 @@ def assoc_sample(hg: Hypergroup, n_points: int) -> np.ndarray:
 
 
 def _residuals(lhs: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per case, over the last axis: worst weight difference and max(1, |weights|), through one scratch
-    array: fresh arrays of this size per x fault their pages in again once glibc trims the heap."""
-    d = lhs - rhs
-    res = np.abs(d, out=d).max(axis=-1).ravel()
-    scl = np.maximum(1.0, np.maximum(np.abs(lhs, out=d).max(axis=-1), np.abs(rhs, out=d).max(axis=-1)))
-    return res, scl.ravel()
+    """Per case, over the points (axis 1 of [x, point, case]): worst weight difference and max(1, |weights|),
+    each max one vectorized pass over the cases; lhs is overwritten by the differences."""
+    scl = np.maximum(1.0, np.maximum.reduce([lhs.max(axis=1), -lhs.min(axis=1), rhs.max(axis=1), -rhs.min(axis=1)]))
+    return np.abs(np.subtract(lhs, rhs, out=lhs), out=lhs).max(axis=1), scl
 
 
 def check_axioms(hg: Hypergroup, sample_bound: int = 8, tol: Tolerance | None = None) -> Report:
@@ -717,19 +715,25 @@ def _index(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.unique(points, return_inverse=True)
 
 
-def _grid(hg: Hypergroup, xs: np.ndarray, ys: np.ndarray) -> tuple[PairSupports, np.ndarray, np.ndarray]:
-    """The flat entries of xs against ys, pair i * len(ys) + j, and their `_index`."""
-    flat = hg._pairs(np.repeat(xs, len(ys)), np.tile(ys, len(xs)))
+def _grid(hg: Hypergroup, xs: np.ndarray, ys: np.ndarray, by_y: bool = False) -> tuple[PairSupports, Any, Any]:
+    """The flat entries of xs against ys, pair i * len(ys) + j (j * len(xs) + i if `by_y`), and their `_index`."""
+    i, j = (np.tile(xs, len(ys)), np.repeat(ys, len(xs))) if by_y else (np.repeat(xs, len(ys)), np.tile(ys, len(xs)))
+    flat = hg._pairs(i, j)
     return (flat, *_index(flat.points))
 
 
-def _dense(grid: tuple, shape: tuple[int, int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The `_grid` of xs against ys, shape (len(xs), len(ys)), scattered into C[i, j, k], the weight at
-    points[k] of delta_xs[i] * delta_ys[j], with the points and err[i, j]; refused over DENSE_CAP entries."""
-    flat, points, at = grid
-    c = np.zeros(_capped((shape[0] * shape[1], len(points))))
-    c[flat.rows, at] = flat.weights
-    return c.reshape(*shape, len(points)), points, flat.err.reshape(shape)
+def _dense(grid: tuple, shape: tuple[int, int], points: np.ndarray | None = None,
+           points_first: bool = False) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A `_grid` of `shape` pairs scattered into C[pair, k], the weight at points[k] (a sorted superset of the
+    grid's points, by default its own) of that pair's convolution, or into C[k, pair] if `points_first`; with
+    the points and err[pair] in `shape`.  Refused over DENSE_CAP entries."""
+    flat, own, at = grid
+    points, pairs = (own if points is None else points), shape[0] * shape[1]
+    if len(own) and points[len(own) - 1] != own[-1]:  # the grid's points are not the first of `points`
+        at = np.searchsorted(points, own)[at]
+    c = np.zeros(_capped((len(points), pairs) if points_first else (pairs, len(points))))
+    (c.T if points_first else c)[flat.rows, at] = flat.weights
+    return c, points, flat.err.reshape(shape)
 
 
 def _reached(mask: np.ndarray) -> np.ndarray:
@@ -737,71 +741,81 @@ def _reached(mask: np.ndarray) -> np.ndarray:
     return mask if mask.any() else np.arange(len(mask)) == 0
 
 
-def _on(c: np.ndarray, points: np.ndarray, target: np.ndarray) -> np.ndarray:
-    """Weights c over the sorted `points` moved onto their sorted superset `target`."""
-    if len(points) == len(target):
-        return c
-    out = np.zeros(c.shape[:-1] + (len(target),))
-    out[..., np.searchsorted(target, points)] = c
-    return out
-
-
 def _associativity(hg: Hypergroup, small: np.ndarray, pair: tuple, width: int) -> Iterator[tuple]:
-    """Case blocks of (dx*dy)*dz against dx*(dy*dz), one x of the sample at a time.
+    """Case blocks of (dx*dy)*dz against dx*(dy*dz), in (x, y, z) order, one block of x at a time.
 
-    With C[y, z, k] the convolutions `pair` (a `_grid`) of the sample, the left side contracts
-    C[x, y, k] with C[k, z, .] and the right side C[y, z, k] with C[x, k, .].
-    Runs of x share the tensors dk*dz and dx*dk, kept within DENSE_CAP by
-    `width`, a bound on the points they reach; an x that does not fit on that
-    bound runs alone, and one whose arrays exceed DENSE_CAP raises DomainError
-    here, before any block, unless a convolution that an earlier x needs is
-    undefined: the scan stops there first.  A case that needs an undefined
-    convolution errs with the first message in the structures of its run.
+    With C[y, z, k] the convolutions `pair` (a `_grid`) of the sample, the left side contracts dk*dz as
+    [(point, z), k] with C[x, k, y], the right side dx*dk as [x, point, k] with C[y, z, k] as [k, (z, y)]:
+    both come out as [x, point, (z, y)], so each max over the points is one pass over the cases of a block.
+    Runs of x share dk*dz and dx*dk on the points either reaches, kept within DENSE_CAP by `width`, a
+    bound on those points; an x that does not fit on that bound runs alone, and one whose arrays exceed
+    DENSE_CAP raises DomainError here, before any block, unless a convolution that an earlier x needs is
+    undefined: the scan stops there first.  A block holds the x of a run whose lhs, rhs and scratch
+    arrays fit BLOCK_ENTRIES, and ends at the first x with a case that needs an undefined convolution;
+    such a case errs with the first message in the structures of its run.
     """
     s = len(small)
     c, points, err = _dense(pair, (s, s))
-    nz, bad = c != 0, err.astype(bool)
+    c, bad = c.reshape(s, s, -1), err.astype(bool)
+    nz = c != 0
     used, reach = _reached(nz.any(axis=(0, 1))), nz.any(axis=1)
-    lone = np.flatnonzero((reach.sum(axis=1) * s + used.sum()) * width > DENSE_CAP)
+    u = int(used.sum())
+    lone = np.flatnonzero((reach.sum(axis=1) * s + u) * width > DENSE_CAP)
     if lone.size:  # dk * dz for every k reached up to the last such x, and dx * dk
         held = np.flatnonzero(reach[: lone[-1] + 1].any(axis=0) | (np.arange(len(points)) == 0))
         right, left = _grid(hg, points[held], small)[0], _grid(hg, small, points[used])[0]
     for i in lone.tolist():
         ks = _reached(reach[i])
-        shapes = [(int(ks.sum()) * s, len(_index(right.points[ks[held[right.rows // s]]])[0])),
-                  (int(used.sum()), len(_index(left.points[left.rows // used.sum() == i])[0]))]
+        t = len(np.unique(np.concatenate([_index(right.points[ks[held[right.rows // s]]])[0],
+                                          _index(left.points[left.rows // u == i])[0]]), return_inverse=True)[0])
+        shapes = [(int(ks.sum()) * s, t), (u, t)]
         if all(math.prod(shape) <= DENSE_CAP for shape in shapes):
             continue
-        if reach[:i].any(axis=0)[held[np.flatnonzero(right.err) // s]].any() or left.err[: i * used.sum()].any():
+        if reach[:i].any(axis=0)[held[np.flatnonzero(right.err) // s]].any() or left.err[: i * u].any():
             break
         for shape in shapes:
             _capped(shape)
-    closure = c[:, :, used].reshape(s * s, -1)
-    closure_nz = closure != 0
 
     def blocks() -> Iterator[tuple]:
-        first = 0
+        first, closure = 0, None
         while first < s:
             reach = np.logical_or.accumulate(nz[first:].any(axis=1), axis=0).sum(axis=1)
-            cost = (reach * s + np.arange(1, s - first + 1) * used.sum()) * width
-            end = first + max(1, int(np.sum(cost <= DENSE_CAP)))
+            end = first + max(1, int(np.sum((reach * s + np.arange(1, s - first + 1) * u) * width <= DENSE_CAP)))
             mask = _reached(nz[first:end].any(axis=(0, 1)))
-            right, right_points, right_err = _dense(_grid(hg, points[mask], small), (int(mask.sum()), s))  # dk * dz
-            left, left_points, left_err = _dense(  # dx * dk
-                _grid(hg, small[first:end], points[used]), (end - first, int(used.sum())))
-            target = np.unique(np.concatenate([right_points, left_points]), return_inverse=True)[0]  # no numpy.ma
+            k, n = int(mask.sum()), end - first
+            grids = [_grid(hg, points[mask], small, by_y=True), _grid(hg, small[first:end], points[used])]
+            target = np.unique(np.concatenate([grids[0][1], grids[1][1]]), return_inverse=True)[0]  # no numpy.ma
+            t = len(target)
+            right, _, right_err = _dense(grids.pop(0), (s, k), target, points_first=True)  # popped: freed once dense
+            left, _, left_err = _dense(grids.pop(), (n, u), target)  # dx * dk as [x, k, p]
+            right, left, right_err = right.reshape(-1, k), left.reshape(n, u, t), right_err.T
+            if closure is None:  # C[y, z, k] as [k, (z, y)], made after the first run's dense arrays, off their peak
+                closure = np.take(c.transpose(2, 1, 0), np.flatnonzero(used), axis=0).reshape(u, s * s)
+                closure_nz = closure != 0
+            run = np.take(c[first:end].transpose(0, 2, 1), np.flatnonzero(mask), axis=1)  # C[x, k, y]
+            # the cases of x reach no k past ends[x]; dx * dk has no point past pend[x], nor dk * dz past
+            # kend[k - 1] in its first k columns: a block contracts and compares up to its last k and point
+            live = run.any(axis=2)
+            ends, pend = k - np.argmax(live[:, ::-1], axis=1), t - np.argmax(left.any(axis=1)[:, ::-1], axis=1)
+            kend = np.maximum.accumulate(t - np.argmax(right.reshape(t, s, k).any(axis=1)[::-1], axis=0))
             right_bad, left_bad = right_err.astype(bool), left_err.astype(bool)
             msg = next((m for e in (err, right_err, left_err) for m in e[e.astype(bool)]), None)
-            right, run = right.reshape(mask.sum(), -1), c[first:end][:, :, mask]
-            for i in range(first, end):
-                t = run[i - first]
-                lhs = _on((t @ right).reshape(s, s, -1), right_points, target)
-                rhs = _on((closure @ left[i - first]).reshape(s, s, -1), left_points, target)
-                if msg is None:
-                    yield (*_residuals(lhs, rhs), None)
-                    continue
-                errs = bad[i][:, None] | ((t != 0) @ right_bad) | bad | (closure_nz @ left_bad[i - first]).reshape(s, s)
-                yield (*_residuals(lhs, rhs), np.where(errs.ravel(), msg, "").astype(object))
+            erring = np.flatnonzero(bad[first:end].any(axis=1) | bad.any() | (live @ right_bad.any(axis=1))
+                                    | (left_bad @ closure_nz.any(axis=1))) if msg is not None else []  # x that err
+            stop = int(erring[0]) + 1 if len(erring) else n
+            step = max(1, BLOCK_ENTRIES // max(1, 4 * s * s * t))
+            out = np.empty((2, min(step, n) * t * s * s))  # lhs and rhs of each block
+            for i, j in ((i, min(i + step, hi)) for lo, hi in ((0, stop), (stop, n)) for i in range(lo, hi, step)):
+                top = int(ends[i:j].max())
+                p = max(int(kend[top - 1]), int(pend[i:j].max()))
+                lhs, rhs = (o[: (j - i) * p * s * s].reshape(j - i, p, s * s) for o in out)
+                np.matmul(right[: p * s, :top], run[i:j, :top], out=lhs.reshape(j - i, -1, s))
+                np.matmul(left[i:j, :, :p].transpose(0, 2, 1), closure, out=rhs)
+                res, scl = (r.reshape(-1, s, s).transpose(0, 2, 1).ravel() for r in _residuals(lhs, rhs))  # (x, y, z)
+                if msg is not None:  # [x, y, z]: dx*dy, dk*dz for k of dx*dy, dy*dz or dx*dk for k of dy*dz undefined
+                    errs = (bad[first + i : first + j, :, None] | (run[i:j].transpose(0, 2, 1) != 0) @ right_bad | bad
+                            | (left_bad[i:j] @ closure_nz).reshape(-1, s, s).transpose(0, 2, 1))
+                yield res, scl, None if msg is None else np.where(errs.ravel(), msg, "").astype(object)
             first = end
 
     return blocks()

@@ -272,6 +272,50 @@ def test_slices_and_runs_match_reference(monkeypatch, cap, assoc_cap):
         assert_matches_reference(make, 30)
 
 
+# (carrier, bound, BLOCK_ENTRIES that puts a few x in each block of associativity cases, so that blocks split
+# its run of x, and the x of its first block): the redirected table first FAILs at x = 1, inside the first
+# block of 4; the dip at row 3 with a = 0.05 first ERRs at x = 2, which ends the first block at 3 x; the dip
+# at a = 0.8 ERRs from x = 0, which ends the first block at 1 x
+BLOCK_EDGES = {"chebyshev": (chebyshev, 16, 170_000, 3), "legendre": (legendre, 16, 170_000, 3),
+               "realline": (real_line, 8, 170_000, 3), "dip": (lambda: chebyshev_dip(3, 0.8, 30), 16, 170_000, 1),
+               "late-dip": (lambda: chebyshev_dip(3, 0.05, 30), 2, 800, 3),
+               "redirected": (lambda: FiniteHypergroup(6, 0, redirected(6, 2, 5)), 8, 3_500, 4)}
+
+
+@pytest.mark.parametrize("split", [False, True])
+@pytest.mark.parametrize("name", list(BLOCK_EDGES))
+def test_blocks_of_x_match_reference(monkeypatch, name, split):
+    make, bound, entries, first = BLOCK_EDGES[name]
+    monkeypatch.setattr(hypermoment.hypergroups, "BLOCK_ENTRIES", entries if split else 1)
+    sizes, assoc = [], hypermoment.hypergroups._associativity
+
+    def counted(hg, small, pair, width):
+        for block in assoc(hg, small, pair, width):
+            sizes.append(len(block[0]) // len(small) ** 2)  # the x of the block
+            yield block
+
+    monkeypatch.setattr(hypermoment.hypergroups, "_associativity", counted)
+    assert_matches_reference(make, bound)
+    assert sizes[0] == (first if split else 1) >= max(sizes)
+
+
+@pytest.mark.parametrize("entries", [1, hypermoment.hypergroups.BLOCK_ENTRIES])
+def test_blocks_compare_every_point_either_side_reaches(monkeypatch, entries):
+    # tables without an identity, each point mass rows[x][y] = (point, weight): in the first, (dx*dy)*dz
+    # reaches points that dx*(dy*dz) does not; in the second, at x = 2, dx*(dy*dz) = -2 d0 + 3 d1 reaches
+    # point 1, past every point of dk*dz for the k of dx*dy, while (dx*dy)*dz = d0, so the scale is 3
+    def table(rows):
+        return [[x, y, [list(entry) for entry in rows[x][y]]] for x in range(3) for y in range(3)]
+
+    left_past = [[[(0, 2.0)], [(0, 0.5)], [(1, 1.0)]], [[(0, 1.0)], [(1, 2.0)], [(0, 0.5)]],
+                 [[(0, 2.0)], [(0, 1.0)], [(1, 2.0)]]]
+    right_past = [[[(0, 1.0)]] * 3, [[(0, 1.0)]] * 3, [[(0, -2.0), (1, 3.0)]] * 3]
+    monkeypatch.setattr(hypermoment.hypergroups, "BLOCK_ENTRIES", entries)
+    for rows in (left_past, right_past):
+        assert_matches_reference(lambda: FiniteHypergroup(3, 0, table(rows)))
+    assert check_axioms(FiniteHypergroup(3, 0, table(right_past))).records[-1].scale == 3.0
+
+
 def test_oversized_slice_is_refused(monkeypatch):
     monkeypatch.setattr(hypermoment.hypergroups, "DENSE_CAP", 500)
     with pytest.raises(DomainError, match="exceeds 500 entries"):
@@ -306,7 +350,7 @@ def _capped_run(monkeypatch, name, bound, cap, assoc_cap):
     hg, grids = CARRIERS[name](), []
     dense = hypermoment.hypergroups._dense
     monkeypatch.setattr(hypermoment.hypergroups, "_dense",
-                        lambda grid, shape: grids.append(shape) or dense(grid, shape))
+                        lambda grid, shape, *args, **layout: grids.append(shape) or dense(grid, shape, *args, **layout))
     return hg, grids
 
 

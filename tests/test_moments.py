@@ -135,6 +135,13 @@ class TestVerifyMomentSequence:
         first_fail = next(r for r in report.records if r.status == "fail")
         assert first_fail.name == "moment-identity alpha=[1]"
 
+    def test_values_past_the_floats_fail_without_warnings(self):
+        # phi_k(700) = 700^k e^700 overflows: the identity of orders 2 and 3 fails, as a report under the
+        # suite's error::RuntimeWarning filter, not a NumPy overflow or invalid-value warning
+        report = verify_moment_sequence(realline_moments(1.0, 3), [(350.0, 350.0)])
+        assert [r.status for r in report.records] == ["pass", "pass", "fail", "fail"]
+        assert report.records[2].counterexample[:3] == [[2], 350.0, 350.0]
+
     def test_phi0_must_be_exponential(self, cheb):
         entries = {(0,): CFunction(lambda n: float(n)), (1,): CFunction.constant(0.0)}
         with pytest.raises(PreconditionError):
