@@ -74,6 +74,14 @@ CASES = {
                     "--samples", "[[[[3,1]],[[4,1]]]]"],
     "verify-moments-dip": ["verify-moments", "--hypergroup", "{specs}/dip.json", "--family", CHEB_FAMILY,
                            "--order", "2", "--bound", "3"],
+    # exp(800 x) leaves the floats at the first sample point: the error names that point
+    "leibniz-realline-range": ["leibniz", "--hypergroup", "realline", "--family",
+                               '{"family":"realline-moment","lambda":800}', "--order", "2", "--rank", "2",
+                               "--count", "2"],
+    # exp(0.3 x) leaves the floats at the pair's far point, x = 1e200
+    "verify-moments-realline-far": ["verify-moments", "--hypergroup", "realline", "--family",
+                                    '{"family":"realline-moment","lambda":0.3}', "--order", "3", "--rank", "2",
+                                    "--pairs", "[[1e200, 2]]"],
     "search-moments-Z5": ["search-moments", "--hypergroup", "{specs}/Z5.json", "--phi0", "m0", "--alpha", "2"],
     "search-moments-product": ["search-moments", "--hypergroup", "{specs}/product.json", "--phi0", "m1",
                                "--alpha", "1,1"],
