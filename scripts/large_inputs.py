@@ -3,9 +3,10 @@
 (one pair, 400 pairs on deep columns, the legendre 251 x 251 grid),
 Leibniz checks on convolutions of high degree (families of 10 and of 21
 multi-indices), a moment identity on 4,096 pairs checked cold and warm, a
-transform of degree 200, its Taylor check at degree 150, the axiom check of
-the cyclic group Z_128, the exponentials of the cyclic groups Z_64 and Z_256
-and the moment extensions of Z_160 to order 2.
+real-line moment identity on 14,641 pairs, a transform of degree 200, its
+Taylor check at degree 150, the axiom check of the cyclic group Z_128, the
+exponentials of the cyclic groups Z_64 and Z_256 and the moment extensions of
+Z_160 to order 2.
 
 Each case runs in a fresh interpreter and prints one JSON line: its name, the
 seconds the call took (`time.perf_counter`, import excluded, to the
@@ -18,7 +19,7 @@ and `column_steps`, the recurrence work of those runs: per call, its distinct
 columns times its top step plus one.
 
     python scripts/large_inputs.py               # every case, in the order below
-    python scripts/large_inputs.py lin1200 cheb80 leib120 leib21 moments64 transform200 taylor150 expo64 search160
+    python scripts/large_inputs.py lin1200 cheb80 leib120 leib21 moments64 line121 transform200 taylor150 expo64 search160
 
 With `hypermoment` not installed, put `src` on PYTHONPATH.
 
@@ -51,8 +52,8 @@ from pathlib import Path
 import hypermoment
 from hypermoment import (
     DomainError, FiniteHypergroup, Measure, PolynomialHypergroup, check_axioms, chebyshev, derivation_from_moments,
-    legendre, poly_derivative_moments, rank_lift, real_line, verify_fourier_leibniz, verify_leibniz,
-    verify_moment_sequence,
+    legendre, poly_derivative_moments, rank_lift, real_line, realline_moments, verify_fourier_leibniz,
+    verify_leibniz, verify_moment_sequence,
 )
 from hypermoment.cli import main as cli_main
 
@@ -79,6 +80,14 @@ def moments64() -> bool:
     when both pass."""
     seq = rank_lift(poly_derivative_moments(chebyshev(), 0.3, 3), [1, 0.5j])
     return all([verify_moment_sequence(seq, [(x, y) for x in range(64) for y in range(64)]).passed for _ in range(2)])
+
+
+def line121() -> bool:
+    """`verify_moment_sequence` of a rank-2 real-line family of order 5 (21 multi-indices) on the
+    121 x 121 grid of points 0.25 j, |j| <= 60; True when it passes."""
+    seq = rank_lift(realline_moments(0.3 - 0.2j, 5), [1, 0.5j])
+    points = [0.25 * j for j in range(-60, 61)]
+    return verify_moment_sequence(seq, [(x, y) for x in points for y in points]).passed
 
 
 def transform200() -> bool:
@@ -134,6 +143,7 @@ CASES = {
     "leib120": leibniz120,
     "leib21": lambda: leibniz120(5),  # the leib120 samples under a family of 21 multi-indices
     "moments64": moments64,
+    "line121": line121,
     "transform200": transform200,
     "taylor150": taylor150,
     "expo64": lambda: cyclic_cli(64, "exponentials"),  # 64 exponentials judged on 4,096 pairs

@@ -100,16 +100,16 @@ class CFunction:
 
     Backed by a callable plus a descriptor (`kind`, `params`) used for
     serialisation and reporting.  Evaluation is deterministic.  A built-in moment
-    entry sets `_many`, its `TableRow`; `_exponential_on` is set by `MomentSequence.build`.
+    entry's callable is its `TableRow`; `_exponential_on` is set by `MomentSequence.build`.
     """
 
-    __slots__ = ("_fn", "kind", "params", "_many", "_exponential_on")
+    __slots__ = ("_fn", "kind", "params", "_exponential_on")
 
     def __init__(self, fn: Callable[[Point], Any], kind: str = "callable", params: Mapping[str, Any] | None = None):
         self._fn = fn
         self.kind = kind
         self.params = dict(params or {})
-        self._many = self._exponential_on = None
+        self._exponential_on = None
 
     def __call__(self, x: Point) -> complex:
         return _evaluate(self._fn, x)
@@ -167,46 +167,38 @@ def _evaluate(f: CFunction | Callable[[Point], Any], x: Point) -> complex:
 
 
 class TableRow(NamedTuple):
-    """The `_many` of a family entry: row `alpha` of its family's table rule, which gives the entries
-    at `points` as one (alphas x points) array, each value bitwise the entry's own, or None where it
-    declines (see `evaluate`)."""
+    """A family entry's callable: row `alpha` of its family's table rule, which gives the entries at a
+    list of points as (alphas x points) lists of complex values, or raises.  At one point it is the entry."""
 
-    rule: Callable[[list, list], np.ndarray | None]
+    rule: Callable[[list, list], list]
     alpha: tuple[int, ...]
 
-    def __call__(self, points: list) -> np.ndarray | None:
-        table = self.rule(points, [self.alpha])
-        return None if table is None else table[0]
+    def __call__(self, x: Point) -> complex:
+        return self.rule([x], [self.alpha])[0][0]
 
 
-def table_rows(fns: list, points: list) -> dict[int, np.ndarray]:
-    """The values at `points` of every f in `fns` whose `_many` is a `TableRow`, from one call of
-    each rule: {index in fns: values}.  A rule that declines or raises gives no rows."""
+def table_rows(fns: list, points: list) -> dict[int, list]:
+    """The values at `points` of every f in `fns` whose callable is a `TableRow`, from one call of
+    each rule: {index in fns: values}.  A rule that raises gives no rows (`evaluate` finds its error)."""
     rules: dict[Any, list[int]] = {}
     for i, f in enumerate(fns if points else ()):
-        if isinstance(many := getattr(f, "_many", None), TableRow):
-            rules.setdefault(many.rule, []).append(i)
+        if isinstance(fn := getattr(f, "_fn", None), TableRow):
+            rules.setdefault(fn.rule, []).append(i)
     out = {}
     for rule, rows in rules.items():
         try:
-            table = rule(points, [fns[i]._many.alpha for i in rows])
-        except Exception:  # the entries raise it one by one, as `evaluate` words it
-            continue
-        out.update(zip(rows, table) if table is not None else ())
+            out.update(zip(rows, rule(points, [fns[i]._fn.alpha for i in rows])))
+        except Exception:  # each entry's own `evaluate` raises the error the loop meets first
+            pass
     return out
 
 
 def evaluate(f: CFunction | Callable[[Point], Any], points: list) -> tuple[np.ndarray, DomainError | None]:
     """f at the points, in order: the values before the first DomainError and that error (None if none).
-    A family entry's `_many` (`TableRow`) gives in one call the values `_evaluate` gives; where it
-    declines (None) or raises, `_evaluate` runs point by point, so the values and the error are the loop's."""
-    many = f._many if isinstance(f, CFunction) else None
-    try:
-        out = many(points) if many is not None and points else None
-    except Exception:  # as where `_many` declines: the loop below raises it as `_evaluate` words it
-        out = None
-    if out is not None:
-        return out, None
+    A family entry takes one call of its table rule (`table_rows`); where that raises, and for any
+    other f, `_evaluate` runs point by point, so the values and the error are the loop's."""
+    if rows := table_rows([f], points):
+        return np.array(rows[0], dtype=complex), None
     values: list[complex] = []
     try:
         for x in points:

@@ -36,7 +36,7 @@ from .hypergroups import (
 )
 from .measures import (
     CFunction, Measure, Point, TableRow, _evaluate, as_literal, complex_abs, complex_product, convolve, convolutions,
-    evaluate, merge, multiply, pair, table_rows,
+    evaluate, merge, multiply, pair, table_rows, values_at,
 )
 from .operators import (
     MeasureOperator,
@@ -201,49 +201,32 @@ class DerivationFamily:
 
 
 def realline_moments(lam: complex, order: int, hg: RealLineHypergroup | None = None) -> MomentSequence:
-    """Rank-1 family phi_k(x) = x^k exp(lam x) on the real line.  Its table rule takes, at float points,
-    x ** k and the product in Python floats, as the scalar entry does, and exp(lam x) from one np.exp
-    shared by every k (bitwise cmath.exp below the range edge, where the scalar entry takes over)."""
+    """Rank-1 family phi_k(x) = x^k exp(lam x) on the real line, each entry a row of one table rule."""
     hg = hg or RealLineHypergroup()
     lam = complex(lam)
 
-    def rule(xs: list, alphas: list) -> np.ndarray | None:  # x ** k may leave the floats: it raises as the entry does
-        args = np.array([lam * x for x in xs], dtype=complex) if all(type(x) is float for x in xs) else None
-        if args is None or not ((args.real < 708.0).all() and np.isfinite(args.imag).all()):
-            return None
-        at = np.exp(args).tolist()
-        return np.array([[x**k * e for x, e in zip(xs, at)] for (k,) in alphas], dtype=complex)
+    def rule(xs: list, alphas: list) -> list:
+        return [[x**k * cmath.exp(lam * x) for x in xs] for (k,) in alphas]
 
     def entry(alpha: MultiIndex) -> CFunction:
-        k = alpha[0]
-        f = CFunction(lambda x, _k=k: (x ** _k) * cmath.exp(lam * x), kind="moment", params={"k": k, "lambda": lam})
-        f._many = TableRow(rule, alpha)
-        return f
+        return CFunction(TableRow(rule, alpha), kind="moment", params={"k": alpha[0], "lambda": lam})
 
     return MomentSequence.build(hg, 1, order, entry)
 
 
 def poly_derivative_moments(hg: PolynomialHypergroup, z: complex, order: int) -> MomentSequence:
-    """Rank-1 family phi_k(n) = P_n^(k)(z) on a polynomial hypergroup.  Every entry, and the table
-    rule at lists of points, reads one `DerivativeRun` of rows P_n^(0..order)(z), grown on demand; a
-    point that is not a nonnegative int, such as 2.0, takes `poly_derivatives`, which fails as it did."""
+    """Rank-1 family phi_k(n) = P_n^(k)(z) on a polynomial hypergroup.  The table rule reads, at each
+    nonnegative int point, one `DerivativeRun` of rows P_n^(0..order)(z), grown on demand; any other
+    point, such as 2.0 or -1, takes `poly_derivatives`, which fails as it did."""
     z = complex(z)
     run = DerivativeRun(hg, z, order)
 
-    def row(n: Point) -> list[complex]:
-        return run.upto(n)[n] if type(n) is int and n >= 0 else hg.poly_derivatives(n, z, order)
-
-    def rule(ns: list, alphas: list) -> np.ndarray | None:  # an invalid row raises in `upto`, as for the entry
-        if not all(type(n) is int and n >= 0 for n in ns):
-            return None
-        rows = run.upto(max(ns))
-        return np.array([rows[n] for n in ns], dtype=complex)[:, [k for (k,) in alphas]].T
+    def rule(ns: list, alphas: list) -> list:  # an invalid row raises in `upto`
+        rows = [run.upto(n)[n] if type(n) is int and n >= 0 else hg.poly_derivatives(n, z, order) for n in ns]
+        return [[complex(row[k]) for row in rows] for (k,) in alphas]
 
     def entry(alpha: MultiIndex) -> CFunction:
-        k = alpha[0]
-        f = CFunction(lambda n, _k=k: row(n)[_k], kind="moment", params={"k": k, "z": z})
-        f._many = TableRow(rule, alpha)
-        return f
+        return CFunction(TableRow(rule, alpha), kind="moment", params={"k": alpha[0], "z": z})
 
     return MomentSequence.build(hg, 1, order, entry)
 
@@ -254,8 +237,8 @@ def rank_lift(seq: MomentSequence, weights: Sequence[complex]) -> MomentSequence
     Valid because sum_{beta <= alpha, |beta| = s} binom(alpha, beta) = binom(|alpha|, s)
     reduces the rank-r identity to the rank-1 one.  The lift's phi_0 is the base's
     (times 1), so a base whose phi_0 was verified is not checked again, and the lift's
-    phi_0 carries the base's `_exponential_on`.  Its table rule multiplies the base's rows
-    by each alpha's factor, rounded as `factor * base(x)`.
+    phi_0 carries the base's `_exponential_on`.  Its table rule reads each base row its
+    alphas need by `values_at` and multiplies it by each alpha's factor, as `factor * base(x)`.
     """
     if seq.rank != 1:
         raise DomainError("rank_lift starts from a rank-1 sequence")
@@ -264,22 +247,15 @@ def rank_lift(seq: MomentSequence, weights: Sequence[complex]) -> MomentSequence
         raise DomainError("need at least one axis weight")
     bases, factors = [seq.phi((k,)) for k in range(seq.order + 1)], {}
 
-    def rule(xs: list, alphas: list) -> np.ndarray | None:  # every base row from one call of the base's rule
-        rows = table_rows(bases, xs)
-        if len(rows) < len(bases):
-            return None
-        scale = np.array([factors[a] for a in alphas])[:, None]
-        return complex_product(scale, np.array([rows[sum(a)] for a in alphas]))
+    def rule(xs: list, alphas: list) -> list:
+        at = {k: values_at(bases[k], xs).tolist() for k in dict.fromkeys(sum(alpha) for alpha in alphas)}
+        return [[factors[alpha] * v for v in at[sum(alpha)]] for alpha in alphas]
 
     def entry(alpha: MultiIndex) -> CFunction:
-        factor = 1.0 + 0j
+        factors[alpha] = 1.0 + 0j
         for w, a in zip(ws, alpha):
-            factor *= w**a
-        factors[alpha], base = factor, bases[sum(alpha)]
-        lifted = factor * base
-        if base._many is not None:
-            lifted._many = TableRow(rule, alpha)
-        return lifted
+            factors[alpha] *= w**a
+        return CFunction(TableRow(rule, alpha), kind="composite")
 
     verified = seq.meta.get("phi0") == "exponential verified"
     lifted = MomentSequence.build(seq.hypergroup, len(ws), seq.order, entry, check_phi0=not verified)
@@ -531,8 +507,8 @@ def apply_family(family: DerivationFamily, samples: list[tuple[Measure, Measure]
     then D_a mu and D_a nu (D_a nu first after alpha 0), each once, on one table.  An
     operator whose symbol is a family entry (`table_rows`) multiplies by one table of its
     family's rule at the distinct points, as `module_action` does.  The loop runs every
-    other operator, and all of them where that table declines, raises or gives a
-    non-finite weight: an operator with a symbol takes one `evaluate` over the distinct
+    other operator, and all of them where that table raises or gives a non-finite
+    weight: an operator with a symbol takes one `evaluate` over the distinct
     points in the order the loop first meets them, so the first DomainError is the loop's,
     raised after the blocks the loop finished are multiplied.  Any other operator is called
     on each measure, and the support it returns joins the table.  A call on the last call's

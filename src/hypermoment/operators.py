@@ -177,8 +177,8 @@ def tabulate_on_pairs(
 
     Returns the supports, the values (fns x distinct points) and the indices that gather them at
     the entries, at each x and at each y.  The family entries among `fns` take one call of their
-    table rule (`table_rows`).  Each other f, and each entry whose rule declines or raises, takes
-    one `values_at` over the points in the order a loop over the pairs first meets them: each
+    table rule (`table_rows`).  Each other f, and each entry whose rule raises, takes one
+    `values_at` over the points in the order a loop over the pairs first meets them: each
     pair's support, then x and y, y first for every function after the first, as the lower terms
     of the moment identity reach them.
     """

@@ -656,23 +656,98 @@ def test_moment_entries_read_one_derivative_run(monkeypatch):
     assert outcome(lambda: values_at(lifted.phi((0, 1)), [3, 2.0])) == scalar
 
 
+def reference_entry(hg, param, order, alpha, weights=()):
+    """Entry alpha of `realline_moments(param, order)` on the line or of `poly_derivative_moments(hg,
+    param, order)`, or of their `rank_lift` by `weights`, stated on its own: x ** k * exp(lam x), row n
+    of a recurrence run of its own, and the lift's factor (the w**a loop) times the base."""
+    k, lam = sum(alpha), complex(param)
+    if isinstance(hg, type(real_line())):
+        def base(x):
+            return x ** k * cmath.exp(lam * x)
+    else:
+        def base(n):
+            return reference_poly_derivatives(hg, n, param, order)[k]
+    if not weights:
+        return base
+    factor = lift_factor(weights, alpha)
+    return lambda x: factor * complex(base(x))
+
+
+def lift_factor(weights, alpha) -> complex:
+    """prod w_i ** alpha_i, multiplied up axis by axis from 1."""
+    factor = 1.0 + 0j
+    for w, a in zip(weights, alpha):
+        factor *= complex(w) ** a
+    return factor
+
+
+def values_or_error(fn):
+    """`fn()`'s values as exact complex reprs, or its DomainError."""
+    return outcome(lambda: [bits(complex(v)) for v in fn()])
+
+
 def test_realline_entries_on_arrays_match_the_scalar_entries():
+    # on arrays and point by point, bitwise x ** k * exp(lam x) and the lift's factor times it, int points too
     rng = random.Random(5)
     points = [rng.uniform(-4, 4) for _ in range(200)] + [0.5 * j for j in range(-20, 21)] + [-0.0, 1e-300, -5e-324]
+    weights = [1.0, 0.5 - 0.25j]
     for lam in (0.2 - 0.1j, -1.5, 0.7j, 0j, -0.3 + 0j):
         seq = realline_moments(lam, 6)
-        lifted = rank_lift(seq, [1.0, 0.5 - 0.25j])
-        for f in [seq.phi((k,)) for k in range(7)] + [lifted.phi(alpha) for alpha in lifted.alphas]:
-            assert f._many is not None
-            for pts in (points, points[::-1], [0.0, 1.5], [-0.0, 1.5]):  # a zero's sign is its own point
-                assert bits(values_at(f, pts).tolist()) == bits([f(x) for x in pts])
-    # past the range of exp or of x ** k, and points that are not floats, take the scalar entry
+        lifted = rank_lift(seq, weights)
+        fns = [(seq.phi(a), reference_entry(real_line(), lam, 6, a)) for a in seq.alphas]
+        fns += [(lifted.phi(a), reference_entry(real_line(), lam, 6, a, weights)) for a in lifted.alphas]
+        for f, ref in fns:
+            for pts in (points, points[::-1], [0.0, 1.5], [-0.0, 1.5], [2, -3, 0]):  # a zero's sign is its own point
+                want = values_or_error(lambda: [ref(x) for x in pts])
+                assert values_or_error(lambda: values_at(f, pts)) == want
+                assert values_or_error(lambda: [f(x) for x in pts]) == want
+    # past the range of exp or of x ** k, each entry raises the first error the loop meets
     for lam, pts in ((1.0, [1.0, 800.0, 2.0]), (0.5j, [1.0, 1e200]), (-1.0, [1, 2.5]), (-150.0, [0.5, -4.72, -4.7])):
         seq = realline_moments(lam, 3)
-        for f in seq.entries.values():
-            assert outcome(lambda: bits(values_at(f, pts).tolist())) == outcome(lambda: bits([f(x) for x in pts]))
+        for alpha, f in seq.entries.items():
+            ref = reference_entry(real_line(), lam, 3, alpha)
+            want = values_or_error(lambda: [_evaluate(ref, x) for x in pts])
+            assert values_or_error(lambda: values_at(f, pts)) == want
+            assert values_or_error(lambda: [f(x) for x in pts]) == want
     assert outcome(lambda: values_at(realline_moments(1.0, 3).phi((3,)), [0.5, 800.0])) == (
         "DomainError: function evaluation failed at point 800.0: math range error")
+
+
+def test_a_lift_of_a_table_base_is_its_factor_times_the_base():
+    # phi_0 a table, every other entry the constant 0, lifted to rank 2 with one entry perturbed: each
+    # value is bitwise factor * base(x), the checks report as the lift by `factor * base` composites
+    # (CFunction arithmetic) reports, and a point the table lacks raises the table's error in both
+    hg, weights, order = two_point(0.35), [1.0, 0.5 - 0.25j], 3
+    phi0, zero = CFunction.from_table({0: 1.0, 1: -0.35}, kind="exponential"), CFunction.constant(0.0)
+    base = MomentSequence.build(hg, 1, order, lambda a: phi0 if a == (0,) else zero)
+    lifted = rank_lift(base, weights)
+    composites = {}
+    for alpha in lifted.alphas:
+        factor = lift_factor(weights, alpha)
+        composites[alpha] = factor * base.phi((sum(alpha),))
+        want = [bits(factor * base.phi((sum(alpha),))(x)) for x in (1, 0, 1)]
+        assert [bits(lifted.phi(alpha)(x)) for x in (1, 0, 1)] == want
+        assert [bits(v) for v in values_at(lifted.phi(alpha), [1, 0, 1]).tolist()] == want
+    seqs = []
+    for entries in (dict(lifted.entries), composites):
+        entries[(1, 1)] = entries[(1, 1)] + CFunction.constant(1e-6)
+        seqs.append(MomentSequence.build(hg, 2, order, entries))
+    ms = [Measure.from_items(hg, support) for support in ([(0, 1.0), (1, 0.5j)], [(1, -0.25)], [(1, 2.0)])]
+    samples = [(ms[0], ms[1]), (ms[2], ms[0]), (ms[1], ms[1])]
+    pairs = [(x, y) for x in range(2) for y in range(2)]
+    got, want = ([verify_moment_sequence(seq, pairs).to_json(),
+                  verify_leibniz(derivation_from_moments(seq, skip_verification=True), samples).to_json()]
+                 for seq in seqs)
+    assert got == want and '"passed": false' in got[0]
+    z3 = cyclic(3)  # the point 2 is not in phi_0's table
+    three = [Measure.from_items(z3, support) for support in ([(1, 1.0)], [(2, 0.5), (0, 1.0)])]
+    for check in (lambda seq: verify_moment_sequence(replace(seq, hypergroup=z3), [(0, 1), (1, 1)]).to_json(),
+                  lambda seq: verify_leibniz(derivation_from_moments(replace(seq, hypergroup=z3),
+                                                                     skip_verification=True),
+                                             [(three[0], three[0]), (three[1], three[0])]).to_json(),
+                  lambda seq: values_at(seq.phi((0, 1)), [0, 1, 2]).tolist() + values_at(seq.phi((0, 0)), [0, 2])):
+        errors = [outcome(lambda: check(seq)) for seq in seqs]
+        assert errors[0] == errors[1] == "DomainError: function table has no value at point 2"
 
 
 def unchecked(monkeypatch, build):
@@ -684,33 +759,37 @@ def unchecked(monkeypatch, build):
 
 @pytest.mark.parametrize("make", RECURRENCES + [real_line])
 def test_family_tables_are_the_entries_bit_for_bit(make, monkeypatch):
-    # ranks 1-2, orders 0-5: one rule call gives every entry's values, bitwise the entry's own; where an
-    # entry raises, or a point is not of the rule's kind (2.0, -1, an int on the line), the rule gives no rows
+    # ranks 1-2, orders 0-5: one rule call gives every entry's values, and each entry at one point its
+    # value, bitwise the entry stated on its own; where an entry raises (2.0 or -1 on a polynomial
+    # carrier, a row the recurrence cannot run, past the floats), the rule gives no rows and the entry
+    # raises that error
     hg, rng = make(), random.Random(17)
     line = isinstance(hg, type(real_line()))
     floats = [rng.uniform(-4, 4) for _ in range(30)] + [0.5 * j for j in range(-8, 9)] + [-0.0, 1e-300]
-    lists = ([floats, [1.0, 800.0], [1, 2.5]] if line
-             else [[7, 0, 12, 3, 12, 5, 9, 1, 2], [3, 0, 2, 3, 1], [3, 2.0], [3, -1]])
+    lists = ([floats, [1.0, 800.0], [1, 2.5], [3, -2, 0]] if line
+             else [[7, 0, 12, 3, 12, 5, 9, 1, 2], [3, 0, 2, 3, 1], [3, 2.0], [3, -1], [0.0, 4]])
     for order in range(6):
         param = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
         base = unchecked(monkeypatch, lambda: realline_moments(param, order, hg) if line
                          else poly_derivative_moments(hg, param, order))
-        for seq in (base, rank_lift(base, [1.0, complex(rng.uniform(-1, 1), rng.uniform(-1, 1))])):
+        weights = [1.0, complex(rng.uniform(-1, 1), rng.uniform(-1, 1))]
+        for seq, ws in ((base, ()), (rank_lift(base, weights), weights)):
             fns = [seq.phi(alpha) for alpha in seq.alphas]
+            refs = [reference_entry(hg, param, order, alpha, ws) for alpha in seq.alphas]
             for points in lists:
-                want = [[outcome(lambda: f(x)) for x in points] for f in fns]
-                kind = all(type(x) is float for x in points) if line else all(type(x) is int and x >= 0 for x in points)
+                want = [[values_or_error(lambda: [_evaluate(ref, x)]) for x in points] for ref in refs]
+                assert [[values_or_error(lambda: [f(x)]) for x in points] for f in fns] == want
                 rows = table_rows(fns, points)
-                if kind and not any(isinstance(v, str) for row in want for v in row):
-                    assert [bits(rows[a].tolist()) for a in range(len(fns))] == [bits(row) for row in want]
-                else:
+                if any(isinstance(v, str) for row in want for v in row):
                     assert rows == {}
+                else:
+                    assert [[values_or_error(lambda: [v]) for v in rows[a]] for a in range(len(fns))] == want
 
 
 def the_loops(monkeypatch, check):
-    """`check()` with every family table declined: each entry evaluated on its own, as the loop did."""
+    """`check()` with no family table: each entry evaluated point by point, as the loop did."""
     with monkeypatch.context() as patch:
-        for module in (hypermoment.moments, hypermoment.operators):
+        for module in (hypermoment.measures, hypermoment.moments, hypermoment.operators):
             patch.setattr(module, "table_rows", lambda fns, points: {})
         return outcome(check)
 
