@@ -5,8 +5,10 @@ Leibniz checks on convolutions of high degree (families of 10 and of 21
 multi-indices), a moment identity on 4,096 pairs checked cold and warm, a
 real-line moment identity on 14,641 pairs, a transform of degree 200, its
 Taylor check at degree 150, the axiom check of the cyclic group Z_128, the
-exponentials of the cyclic groups Z_64 and Z_256 and the moment extensions of
-Z_160 to order 2.
+exponentials of the cyclic groups Z_64 and Z_256, the moment extensions of
+Z_160 to order 2, and 100 fresh axiom checks each of chebyshev at bound 16 and
+of a recurrence whose linearization goes negative, at bound 12, as the
+axioms-cold workload of `perfbench/run.py` runs them.
 
 Each case runs in a fresh interpreter and prints one JSON line: its name, the
 seconds the call took (`time.perf_counter`, import excluded, to the
@@ -20,6 +22,7 @@ columns times its top step plus one.
 
     python scripts/large_inputs.py               # every case, in the order below
     python scripts/large_inputs.py lin1200 cheb80 leib120 leib21 moments64 line121 transform200 taylor150 expo64 search160
+    python scripts/large_inputs.py cold16 dip12
 
 With `hypermoment` not installed, put `src` on PYTHONPATH.
 
@@ -106,6 +109,13 @@ def taylor150() -> bool:
         return cli_main(argv) == 0
 
 
+def dip12() -> bool:
+    """100 fresh `check_axioms` at bound 12 of the chebyshev rows with row 5 replaced by (0.3, 0, 0.7), whose
+    linearization goes negative; False when every check fails, as each should."""
+    rows = [(0.5, 0.0, 0.5)] * 4 + [(0.3, 0.0, 0.7)] + [(0.5, 0.0, 0.5)] * 21
+    return any(check_axioms(PolynomialHypergroup(1.0, 0.0, rows), 12).passed for _ in range(100))
+
+
 def cyclic_table(n: int) -> list:
     """The convolution table of the cyclic group Z_n, as the finite spec lists it."""
     return [[a, b, [[(a + b) % n, 1.0]]] for a in range(n) for b in range(n)]
@@ -134,6 +144,8 @@ CASES = {
     "line200": lambda: check_axioms(real_line(), 200),
     "line1000": lambda: check_axioms(real_line(), 1000),
     "axZ128": lambda: check_axioms(FiniteHypergroup(128, 0, cyclic_table(128))),  # associativity on 128^3 cases
+    "cold16": lambda: all(check_axioms(chebyshev(), 16).passed for _ in range(100)),  # each on a fresh carrier
+    "dip12": dip12,
     "lin1200": lambda: chebyshev().linearization(1200, 3),
     "lin3x1200": lambda: chebyshev().linearization(3, 1200),
     "lin5000": lambda: chebyshev().linearization(5000, 5000),

@@ -41,7 +41,8 @@ ASSOC_CAP = 48
 DENSE_CAP = 1 << 23
 # row (m, n) of a polynomial carrier's linearization table has the int64 key m * COLUMNS + n: n < 2^40, m < 2^23
 COLUMNS = 1 << 40
-# entries (functions x entries or pairs) of one block of functions judged by `PairSupports.products`
+# entries of one block: of functions (functions x entries or pairs) judged by `PairSupports.products`, and of
+# the ring of rows a `_lin_table` run holds between two reads of its pairs
 BLOCK_ENTRIES = 1 << 18
 
 
@@ -383,61 +384,86 @@ class PolynomialHypergroup(Hypergroup):
 
     def _lin_table(self, ms: np.ndarray, ns: np.ndarray, bound: float) -> PairSupports:
         """Flat rows of P_ms[i] * P_ns[i], distinct pairs sorted by step m, then column n: the nonzeros
-        of each row in point order, taken at the step that reads it, and its error ("" where defined).
+        of each row in point order, and its error ("" where defined).
 
         The recurrence runs in m, without recursion, over every requested
         column n at once, as numpy vectors over l and in the float order of
         the scalar recurrence: P_0 * P_n = P_n and, with (a_0, b_0, c_0) = (1, 0, 0),
         P_m * P_n = [P_1*(P_{m-1}*P_n) - b_{m-1} P_{m-1}*P_n - c_{m-1} P_{m-2}*P_n] / a_{m-1}.
         Each column n holds its own band of l, from max(n - top, 0) and top + min(max n, top) + 1 wide:
-        every row it reaches lies there, and a term from outside it is a product with zero.
+        every row it reaches lies there, and a term from outside it is a product with zero.  A step is
+        one flat row, each band followed by a guard slot whose coefficients are 0, so that l - 1 and l + 1
+        are shifts of the whole row.  Step m lies in row m % ring of a ring of at most BLOCK_ENTRIES
+        entries (3 rows at least); its pairs are read (one gather, one nonzero) before the row is reused.
         A pair (m, n) first needs rows m-1, ..., 1: the highest invalid one is
         its error.  Otherwise a step that leaves the axioms (a coefficient below
         -bound, or above bound outside [|n-m|, n+m]) or uses an invalid row ends
-        its column: every pair read from the column afterwards gets that step's message.
-        A step looks for invalid rows only once the carrier has met one, and clears
-        ended columns and writes errors only once a column has ended.
+        its column: every pair of the column from that step on gets that step's message.
+        Only a step that may fail is checked in full: its least value is below -bound, a value on the slots
+        l = m-n-1, m-n-2 of a column n < m (the only ones below |n-m| that the step reaches) exceeds
+        bound, or, once the carrier has met an invalid row, the previous row is nonzero on one.
         """
         top = int(ms[-1])
         reads = np.searchsorted(ms, np.arange(top + 2))  # step m reads the pairs reads[m]..reads[m + 1]
         cols, col_of = np.unique(ns, return_inverse=True)
         ls = np.maximum(cols - top, 0)[:, None] + np.arange(top + min(int(cols[-1]), top) + 1)  # each column's band
         rows = self._row_block(np.concatenate([np.arange(top), ls.ravel()]))  # the step rows 0..top-1, then the bands'
-        steps, (a_l, b_l, c_l) = rows[:top], rows[top:].T.reshape(3, *ls.shape)
-        bad = np.flatnonzero(steps[:, 0] == 0)  # the invalid rows below the top step
-        entries, err = [(np.zeros(0, dtype=np.intp),) * 2 + (np.zeros(0),)], _defined(len(ms))  # none read yet
-        dead, alive, ended = _defined(len(cols)), np.ones(len(cols), dtype=bool), False
-        low, mid = np.zeros((2,) + ls.shape)
-        mid[np.arange(len(cols)), cols - ls[:, 0]] = 1.0
-        for m in range(top + 1):
-            if m > 1 and m - 1 in self._row_errors:
-                break  # every pair read from here on has an invalid row below it
-            if m:
-                a, b, c = steps[m - 1]
-                new = mid * b_l  # the b_l term; float addition commutes with the a_l term
-                new[:, 1:] += mid[:, :-1] * a_l[:, :-1]
-                if b:
-                    new -= b * mid
-                new[:, :-1] += mid[:, 1:] * c_l[:, 1:]
-                new -= c * low
-                new /= a
-                below = ls < np.abs(cols - m)[:, None]
-                viol = (new < -bound) | (below & (new > bound))
+        width, span = ls.shape[1], len(cols) * (ls.shape[1] + 1)
+        coef = np.zeros((3, len(cols), width + 1))  # a_l, b_l, c_l of each band, then its guard slot
+        coef[:, :, :width] = rows[top:].T.reshape(3, *ls.shape)
+        (a_l, b_l, c_l), steps, b_any = coef.reshape(3, span), rows[:top].tolist(), coef[1].any()
+        bad = np.flatnonzero(rows[:top, 0] == 0)  # the invalid rows below the top step
+        ring = max(3, min(top + 1, BLOCK_ENTRIES // span))  # row -1 (step -1) stays 0 until step ring - 1
+        buf = np.zeros((ring, span))
+        grid = buf.reshape(ring, len(cols), width + 1)
+        grid[0, np.arange(len(cols)), cols - ls[:, 0]] = 1.0
+        reach = ((np.arange(len(cols)) * (width + 1) - cols)[:, None] - [1, 2]).ravel()  # + m: slots m-n-1, m-n-2
+        lows = np.searchsorted(cols, np.arange(top + 1)).tolist()  # the columns n < m at step m
+        on_bad = np.flatnonzero(a_l == 0) if self._row_errors else ()  # invalid rows (zeros) and the guards, held 0
+        entries = [(np.zeros(0, dtype=np.intp),) * 2 + (np.zeros(0),)]  # none read yet
+        end, dead, gone, unread = np.full(len(cols), top + 1), _defined(len(cols)), (), 0
+
+        def read(stop: int) -> None:  # the pairs of the steps unread..stop-1, from their rows in the ring
+            if reads[stop] > reads[unread]:
+                at = slice(reads[unread], reads[stop])
+                r, j = np.divmod(np.flatnonzero((got := grid[ms[at] % ring, col_of[at], :width]) != 0), width)
+                entries.append((r + reads[unread], ls[col_of[at][r], j], got[r, j]))
+
+        for m in range(1, top + 2):
+            if m > top or m > 1 and m - 1 in self._row_errors:
+                break  # past the top, or every pair read from here on has an invalid row below it
+            if m - unread == ring:  # row m % ring holds step m - ring, not read yet
+                read(m)
+                unread = m
+            low, mid, new = buf[(m - 2) % ring], buf[(m - 1) % ring], buf[m % ring]
+            a, b, c = steps[m - 1]
+            np.multiply(mid[:-1], a_l[:-1], out=new[1:])  # the a_l term; float addition commutes with the b_l term
+            new[0] = 0.0
+            if b_any:
+                new += mid * b_l
+            if b:
+                new -= b * mid
+            new[:-1] += mid[1:] * c_l[1:]
+            new -= c * low
+            new /= a
+            if len(gone):
+                grid[m % ring, gone] = 0.0  # an ended column stays 0
+            at = reach[: 2 * lows[m]] + m
+            if (np.fmin.reduce(new) < -bound or np.fmax.reduce(new[at], initial=0.0) > bound
+                    or len(on_bad) and mid[on_bad].any()):
+                row, prev = grid[m % ring, :, :width], grid[(m - 1) % ring, :, :width]
+                viol = (row < -bound) | ((ls < np.abs(cols - m)[:, None]) & (row > bound))
                 failing = viol.any(axis=1)
                 if self._row_errors:  # an invalid row is zeros; a valid one has a_l > 0
-                    failing |= ((mid != 0) & (a_l == 0)).any(axis=1)
-                for i in np.flatnonzero(alive & failing):
-                    dead[i], alive[i], ended = self._step_error(m, cols[i], ls[i], new[i], viol[i], mid[i]), False, True
-                new[below] = 0.0
-                if ended:
-                    new[~alive] = 0.0
-                low, mid = mid, new
-            at = slice(reads[m], reads[m + 1])
-            if reads[m + 1] > reads[m]:
-                r, j = np.nonzero(read := mid[col_of[at]])
-                entries.append((r + reads[m], ls[col_of[at][r], j], read[r, j]))
-            if ended:
-                err[at] = dead[col_of[at]]
+                    failing |= ((prev != 0) & (coef[0, :, :width] == 0)).any(axis=1)
+                for i in np.flatnonzero(failing & (end > m)):
+                    dead[i], end[i] = self._step_error(m, cols[i], ls[i], row[i], viol[i], prev[i]), m
+                gone = np.flatnonzero(end <= m)
+                grid[m % ring, gone] = 0.0
+            new[at] = 0.0
+        read(m)
+        err, late = _defined(len(ms)), ms >= end[col_of]  # read at or after the step that ended its column
+        err[late] = dead[col_of[late]]
         under = np.searchsorted(bad, ms - 1, side="right")  # the invalid rows below each pair's step
         for i in np.flatnonzero(under):
             err[i] = self._row_errors[bad[under[i] - 1]]

@@ -535,6 +535,46 @@ def test_linearization_equals_recursion_bit_for_bit(make):
             assert _outcome(lambda: hg.linearization(m, n)) == _outcome(lambda: reference_linearization(ref, m, n))
 
 
+@pytest.mark.parametrize("entries", [1, 1 << 12])
+@pytest.mark.parametrize("make", RECURRENCES + [lambda: chebyshev_dip(3, 1e-7, 15)])
+def test_reads_across_ring_buffers_match_the_recursion_bit_for_bit(monkeypatch, make, entries):
+    # under these caps the ring of a run holds 3 rows (a few more for narrow runs), so a run of 31 steps reads
+    # its pairs from 11 fills of the ring or more; linearization(m, n) in both orders reads steps past the
+    # column (the slots below |n-m| zeroed), the dips end columns inside a fill (a_3 = 1e-7 with
+    # linearization(5,1) = 1.7e-9 at l=2, above the bound and below |n-m|) and meet an invalid row in one
+    monkeypatch.setattr(hypermoment.hypergroups, "BLOCK_ENTRIES", entries)
+    ref, memo = make(), {}
+
+    def want(m: int, n: int) -> str:
+        return _bits(lambda: tuple(sorted(reference_linearization(ref, m, n, memo).items())))
+
+    hg = make()
+    for m in range(31):
+        for n in range(31):
+            assert _bits(lambda: hg.linearization(m, n)) == want(m, n)
+    # a cold grid in one run: every pair's row or message, an erring pair with no entries; then read warm
+    hg, grid = make(), [(x, y) for x in range(31) for y in range(31)]
+    wants, flat, got = [want(min(pair), max(pair)) for pair in grid], hg._pairs(*np.array(grid).T), [[] for _ in grid]
+    for r, l, w in zip(flat.rows.tolist(), flat.points.tolist(), flat.weights.tolist()):
+        got[r].append((l, w))
+    assert [f"DomainError: {e}" if e else repr(tuple(row)) for e, row in zip(flat.err, got)] == wants
+    assert not flat.err[flat.rows].astype(bool).any()
+    first = next((w for w in wants if w.startswith("DomainError")), None)  # pair_supports raises the first message
+    held = repr((flat.rows.tolist(), flat.points.tolist(), flat.weights.tolist(), len(grid), flat.err.tolist()))
+    assert _flat_bits(lambda: hg.pair_supports(grid)) == (first or held)
+
+
+def test_a_coefficient_above_the_bound_below_its_band_ends_the_column(monkeypatch):
+    # with a_3 = 1e-7, P_5 * P_1 holds 1.7e-9 at l = 2, below |5 - 1|, while no coefficient of column 1 is below
+    # -bound; under this cap each pair (m, 1) runs alone, so only the test of the slots below |n-m| sees it
+    monkeypatch.setattr(hypermoment.hypergroups, "DENSE_CAP", 100)
+    hg, ref = chebyshev_dip(3, 1e-7, 15), chebyshev_dip(3, 1e-7, 15)
+    for m in range(9):
+        assert _outcome(lambda: hg.linearization(m, 1)) == _outcome(lambda: reference_linearization(ref, m, 1))
+    with pytest.raises(DomainError, match=r"^linearization\(5,1\) produced coefficient 1.69\d+e-09 at l=2 outside"):
+        hg.linearization(8, 1)
+
+
 WARM: dict = {}  # per entry of RECURRENCES: a warm kernel carrier, its reference carrier and memo, the pairs it ran
 
 

@@ -42,6 +42,19 @@ def test_large_inputs_prints_one_json_line_per_case():
     assert result["lin_tables"] == 1 and result["column_steps"] == 1201  # the 1201 steps of column 3, in one run
 
 
+def test_large_inputs_cold_checks_run_one_linearization_table_each():
+    # 100 axiom checks at bound 16, each on a fresh chebyshev carrier: one _lin_table run per check, of the 33
+    # columns its sample grid's band reaches, 17 steps high
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "large_inputs.py"), "cold16"],
+        capture_output=True, text=True, env=ENV, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    result = json.loads(done.stdout)
+    assert result["case"] == "cold16" and result["outcome"] == "ok"
+    assert result["lin_tables"] == 100 and result["column_steps"] == 100 * 33 * 17
+
+
 def test_large_inputs_against_a_checkout_prints_one_line_per_case():
     done = subprocess.run(
         [sys.executable, str(ROOT / "scripts" / "large_inputs.py"), "--against", str(ROOT), "--runs", "2", "lin3x1200"],
