@@ -17,8 +17,10 @@ its minor page faults (`ru_minflt`, import included) and the outcome: "ok",
 "fail" for a check that fails, or the message of the DomainError raised, up
 to its first ";"; `lin_tables`, the number of
 linearization runs the case made (calls of `PolynomialHypergroup._lin_table`);
-and `column_steps`, the recurrence work of those runs: per call, its distinct
-columns times its top step plus one.
+`column_steps`, the recurrence work of those runs: per call, its distinct
+columns times its top step plus one; and `upto_calls`, the reads of derivative
+rows the case made (calls of `DerivativeRun.upto`, one per point a
+polynomial-derivative table reads).
 
     python scripts/large_inputs.py               # every case, in the order below
     python scripts/large_inputs.py lin1200 cheb80 leib120 leib21 moments64 line121 transform200 taylor150 expo64 search160
@@ -31,7 +33,7 @@ fresh interpreters against this checkout's `src/` and against OTHER's, the
 tree that goes first alternating from run to run; each run checks that it
 imported the intended tree.  One JSON line per case gives, under "this" and
 "other", the tree, every run's seconds, rss_mb and minflt, their medians, the
-outcome, lin_tables and column_steps:
+outcome, lin_tables, column_steps and upto_calls:
 
     python scripts/large_inputs.py --against ../parent --runs 5 cheb80 leg120
 """
@@ -59,6 +61,7 @@ from hypermoment import (
     verify_leibniz, verify_moment_sequence,
 )
 from hypermoment.cli import main as cli_main
+from hypermoment.hypergroups import DerivativeRun
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -166,13 +169,17 @@ CASES = {
 
 def run(name: str) -> dict:
     """One case in this interpreter."""
-    tables, build = [], PolynomialHypergroup._lin_table
+    tables, reads, build, upto = [], [], PolynomialHypergroup._lin_table, DerivativeRun.upto
 
     def counted(hg, ms, ns, bound):
         tables.append(len(set(ns.tolist())) * (int(ms.max()) + 1))
         return build(hg, ms, ns, bound)
 
-    PolynomialHypergroup._lin_table = counted
+    def read(derivative_run, top):
+        reads.append(top)
+        return upto(derivative_run, top)
+
+    PolynomialHypergroup._lin_table, DerivativeRun.upto = counted, read
     start = time.perf_counter()
     try:
         outcome = "fail" if CASES[name]() is False else "ok"
@@ -181,7 +188,8 @@ def run(name: str) -> dict:
     seconds = time.perf_counter() - start
     usage = resource.getrusage(resource.RUSAGE_SELF)
     return {"case": name, "seconds": round(seconds, 6), "rss_mb": round(usage.ru_maxrss / 1024, 1),  # KB on Linux
-            "minflt": usage.ru_minflt, "outcome": outcome, "lin_tables": len(tables), "column_steps": sum(tables)}
+            "minflt": usage.ru_minflt, "outcome": outcome, "lin_tables": len(tables), "column_steps": sum(tables),
+            "upto_calls": len(reads)}
 
 
 def fresh(name: str, tree: Path) -> dict:
@@ -205,7 +213,7 @@ def compare(name: str, other: Path, runs: int) -> dict:
     for label, got in results.items():
         seconds, rss, faults = [r["seconds"] for r in got], [r["rss_mb"] for r in got], [r["minflt"] for r in got]
         outcomes, tables = {r["outcome"] for r in got}, {r["lin_tables"] for r in got}
-        steps = {r["column_steps"] for r in got}
+        steps, reads = {r["column_steps"] for r in got}, {r["upto_calls"] for r in got}
         line[label] = {
             "tree": str(trees[label]), "seconds": seconds, "rss_mb": rss, "minflt": faults,
             "median_seconds": round(statistics.median(seconds), 6), "median_rss_mb": round(statistics.median(rss), 2),
@@ -213,6 +221,7 @@ def compare(name: str, other: Path, runs: int) -> dict:
             "outcome": outcomes.pop() if len(outcomes) == 1 else sorted(outcomes),
             "lin_tables": tables.pop() if len(tables) == 1 else sorted(tables),
             "column_steps": steps.pop() if len(steps) == 1 else sorted(steps),
+            "upto_calls": reads.pop() if len(reads) == 1 else sorted(reads),
         }
     return line
 

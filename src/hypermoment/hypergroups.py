@@ -118,11 +118,8 @@ class Hypergroup:
         return {}
 
     def pair_supports(self, pairs: Sequence[tuple[Point, Point]]) -> PairSupports:
-        """The point convolutions of `pairs`, from one `_pairs` call.
-
-        Raises the DomainError that a loop over the pairs meets first: an
-        invalid point or an undefined convolution.
-        """
+        """The point convolutions of `pairs`: their points validated, then one `_read`.  Raises the
+        DomainError that a loop over the pairs meets first: an invalid point or an undefined convolution."""
         valid, failure, seen, pairs = [], None, {}, list(pairs)  # held, so each point keeps its id
         for x, y in pairs:
             try:  # each point object validated once, keyed by id: -0.0 and 0.0 stay apart
@@ -131,16 +128,22 @@ class Hypergroup:
             except DomainError as exc:
                 failure = exc
                 break
+        sup = self._read(valid)
+        if failure is not None:
+            raise failure
+        return sup
+
+    def _read(self, pairs: list[tuple[Point, Point]]) -> PairSupports:
+        """The point convolutions of `pairs` of valid points, from one `_pairs` call, the points
+        as Python scalars; raises the DomainError of the first undefined convolution."""
+        points = np.array(pairs)
+        if pairs and points.dtype.kind == "f" and type(pairs[0][0]) is int:  # an int past int64 made them floats
+            points = np.array(pairs, dtype=object)  # kept whole, so a refusal names the point given
         empty = PairSupports(np.zeros(0, dtype=np.intp), np.zeros(0), np.zeros(0), 0, _defined(0))
-        points = np.array(valid)
-        if valid and points.dtype.kind == "f" and type(valid[0][0]) is int:  # an int past int64 made them floats
-            points = np.array(valid, dtype=object)  # kept whole, so a refusal names the point given
-        flat = self._pairs(*points.T) if valid else empty
+        flat = self._pairs(*points.T) if pairs else empty
         bad = flat.err.astype(bool)
         if bad.any():
             raise DomainError(flat.err[np.argmax(bad)])
-        if failure is not None:
-            raise failure
         return flat._replace(points=flat.points.tolist())
 
     def convolve_points(self, x: Point, y: Point) -> Measure:

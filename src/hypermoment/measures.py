@@ -10,6 +10,7 @@ associative at the cost of not merging nearly-equal points.
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Mapping, NamedTuple, Union
 
@@ -83,6 +84,11 @@ class Measure:
     def __repr__(self) -> str:
         inner = " + ".join(f"({w:.6g})d[{x}]" for x, w in self.support) or "0"
         return f"Measure({inner})"
+
+
+def _point_keys(points: Iterable[Point]) -> list:
+    """Each point as a key of distinct points: itself, but "-0.0" for a float -0.0, which `==` merges with 0.0."""
+    return [x if x or not isinstance(x, float) or math.copysign(1.0, x) > 0 else "-0.0" for x in points]
 
 
 def dirac(hypergroup: Any, x: Point) -> Measure:
@@ -194,26 +200,20 @@ def table_rows(fns: list, points: list) -> dict[int, list]:
 
 
 def evaluate(f: CFunction | Callable[[Point], Any], points: list) -> tuple[np.ndarray, DomainError | None]:
-    """f at the points, in order: the values before the first DomainError and that error (None if none).
-    A family entry takes one call of its table rule (`table_rows`); where that raises, and for any
-    other f, `_evaluate` runs point by point, so the values and the error are the loop's."""
-    if rows := table_rows([f], points):
-        return np.array(rows[0], dtype=complex), None
-    values: list[complex] = []
+    """f at the points, in order, by `_evaluate` point by point: the values before the first DomainError and
+    that error (None if none).  This is the loop every table (`table_rows`) is tested against."""
+    values, failure = [], None
     try:
         for x in points:
             values.append(_evaluate(f, x))
     except DomainError as exc:
-        return np.array(values, dtype=complex), exc
-    return np.array(values, dtype=complex), None
+        failure = exc
+    return np.array(values, dtype=complex), failure
 
 
 def values_at(f: CFunction | Callable[[Point], Any], points: list) -> np.ndarray:
-    """f at every point of `points` (`evaluate`), raising the first DomainError."""
-    values, failure = evaluate(f, points)
-    if failure is not None:
-        raise failure
-    return values
+    """f at every point of `points`, point by point (`_evaluate`), raising the first DomainError."""
+    return np.array([_evaluate(f, x) for x in points], dtype=complex)
 
 
 def complex_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -240,18 +240,17 @@ def pair(mu: Measure, f: CFunction | Callable[[Point], Any]) -> complex:
 
 def convolve(mu: Measure, nu: Measure) -> Measure:
     """Convolution, extended bilinearly from the hypergroup's point convolution."""
-    points, _, weights, _ = convolutions(mu.hypergroup, [(mu, nu)])
+    points, _, weights = convolutions(mu.hypergroup, [(mu, nu)])
     return Measure(mu.hypergroup, tuple(zip(points, weights.tolist())))
 
 
-def convolutions(hg: Any, samples: list[tuple[Measure, Measure]]) -> tuple[list, np.ndarray, np.ndarray, Any]:
-    """mu*nu of every sample (mu, nu), from one `pair_supports` call, on one table:
-    weights[e] at the point points[e] of sample blocks[e]; and the supports that call
-    read, of the pairs (x, y) of every sample, x in mu's support, y in nu's, in that
-    order.  The items wx * wy * w of every pair of support points, in pair order, are
-    merged per point as `Measure.from_items` merges them: points validated, exact zeros
-    dropped, a non-finite item refused, points sorted.  For one sample the DomainError
-    is the one `from_items` raises; over several it need not be the first sample's."""
+def convolutions(hg: Any, samples: list[tuple[Measure, Measure]]) -> tuple[list, np.ndarray, np.ndarray]:
+    """mu*nu of every sample (mu, nu), on one table: weights[e] at the point points[e] of sample
+    blocks[e], from one `pair_supports` call of the pairs (x, y) of every sample, x in mu's support,
+    y in nu's, in that order.  The items wx * wy * w of every pair, in pair order, are merged per
+    point as `Measure.from_items` merges them: points validated, exact zeros dropped, a non-finite
+    item refused, points sorted.  For one sample the DomainError is the one `from_items` raises;
+    over several it need not be the first sample's."""
     pairs, wxy, owner = [], [], []
     for s, (mu, nu) in enumerate(samples):
         _require_same(mu, nu)
@@ -268,7 +267,7 @@ def convolutions(hg: Any, samples: list[tuple[Measure, Measure]]) -> tuple[list,
         raise DomainError(f"non-finite weight {complex(items[bad[0]])!r}")
     keys, weights = merge(list(zip(np.array(owner, dtype=np.intp)[sup.rows].tolist(), sup.points)), items)
     keep = np.flatnonzero(weights != 0).tolist()
-    return [keys[i][1] for i in keep], np.array([keys[i][0] for i in keep], dtype=np.intp), weights[keep], sup
+    return [keys[i][1] for i in keep], np.array([keys[i][0] for i in keep], dtype=np.intp), weights[keep]
 
 
 def merge(keys: list, items: np.ndarray) -> tuple[list, np.ndarray]:

@@ -30,13 +30,10 @@ import numpy as np
 
 from .config import Tolerance, default_tolerance
 from .errors import DomainError, PreconditionError
-from .hypergroups import (
-    DerivativeRun, FiniteHypergroup, Hypergroup, PairSupports, PolynomialHypergroup, RealLineHypergroup, _capped,
-    _gather,
-)
+from .hypergroups import DerivativeRun, FiniteHypergroup, Hypergroup, PolynomialHypergroup, RealLineHypergroup, _capped
 from .measures import (
-    CFunction, Measure, Point, TableRow, _evaluate, as_literal, complex_abs, complex_product, convolve, convolutions,
-    evaluate, merge, multiply, pair, table_rows, values_at,
+    CFunction, Measure, Point, TableRow, _evaluate, _point_keys, as_literal, complex_abs, complex_product, convolve,
+    convolutions, evaluate, merge, multiply, pair, table_rows, values_at,
 )
 from .operators import (
     MeasureOperator,
@@ -234,11 +231,11 @@ def poly_derivative_moments(hg: PolynomialHypergroup, z: complex, order: int) ->
 def rank_lift(seq: MomentSequence, weights: Sequence[complex]) -> MomentSequence:
     """Lift a rank-1 sequence to rank r: phi_alpha = (prod w_i^alpha_i) f_{|alpha|}.
 
-    Valid because sum_{beta <= alpha, |beta| = s} binom(alpha, beta) = binom(|alpha|, s)
-    reduces the rank-r identity to the rank-1 one.  The lift's phi_0 is the base's
-    (times 1), so a base whose phi_0 was verified is not checked again, and the lift's
-    phi_0 carries the base's `_exponential_on`.  Its table rule reads each base row its
-    alphas need by `values_at` and multiplies it by each alpha's factor, as `factor * base(x)`.
+    Valid because sum_{beta <= alpha, |beta| = s} binom(alpha, beta) = binom(|alpha|, s) reduces the
+    rank-r identity to the rank-1 one.  The lift's phi_0 is the base's (times 1), so a base whose phi_0
+    was verified is not checked again, and the lift's phi_0 carries the base's `_exponential_on`.  Its
+    table rule reads the base rows its alphas need by one `table_rows` call (`values_at` for a base that
+    is not a family entry) and multiplies each by each alpha's factor, as `factor * base(x)`.
     """
     if seq.rank != 1:
         raise DomainError("rank_lift starts from a rank-1 sequence")
@@ -248,7 +245,9 @@ def rank_lift(seq: MomentSequence, weights: Sequence[complex]) -> MomentSequence
     bases, factors = [seq.phi((k,)) for k in range(seq.order + 1)], {}
 
     def rule(xs: list, alphas: list) -> list:
-        at = {k: values_at(bases[k], xs).tolist() for k in dict.fromkeys(sum(alpha) for alpha in alphas)}
+        ks = list(dict.fromkeys(sum(alpha) for alpha in alphas))
+        rows = table_rows([bases[k] for k in ks], xs)
+        at = {k: rows[i] if i in rows else values_at(bases[k], xs).tolist() for i, k in enumerate(ks)}
         return [[factors[alpha] * v for v in at[sum(alpha)]] for alpha in alphas]
 
     def entry(alpha: MultiIndex) -> CFunction:
@@ -441,17 +440,20 @@ def verify_leibniz(
     grid = {key: (np.flatnonzero(live[bounds[j] : bounds[j + 1]]) + bounds[j]).tolist() for key, j in app.slot.items()}
     cells = [(s, x, y) for s, (mu, nu) in enumerate(samples) for x in grid[id(mu)] for y in grid[id(nu)]]
     owner, ex, ey = np.array(cells, dtype=np.intp).reshape(-1, 3).T
-    sup = _grid_supports(family.hypergroup, app, samples, cells, bounds)
-    values = [{p: _evaluate(f, p) for p in dict.fromkeys(sup.points)} for f in probes]
+    hg = family.hypergroup  # `convolutions` validated the grid's points, unless an operator without a symbol gave them
+    read = hg.pair_supports if any(family.op(alpha).symbol is None for alpha in family.alphas) else hg._read
+    sup = read([(app.points[x], app.points[y]) for _, x, y in cells])
+    values = [{k: _evaluate(f, p) for k, p in dict(zip(_point_keys(sup.points), sup.points)).items()} for f in probes]
     # D_a(mu*nu) paired with each probe, summed in support order as `pair` sums; a point no
     # term reaches is evaluated where `pair` first meets it: by alpha, sample, probe, point
     points, lhs = app.points[: bounds[count]], app.weights[:, : bounds[count]]
-    late = [s for s in range(count) if any(p not in values[0] for p in points[bounds[s] : bounds[s + 1]])]
+    keyed = _point_keys(points)
+    late = [s for s in range(count) if any(key not in values[0] for key in keyed[bounds[s] : bounds[s + 1]])]
     for a, s, (f, table) in itertools.product(range(n), late, zip(probes, values)):
         for e in range(bounds[s], bounds[s + 1]):
-            if lhs[a, e] != 0 and points[e] not in table:
-                table[points[e]] = _evaluate(f, points[e])
-    at_f = np.array([[table.get(p, 0j) for p in points] for table in values], dtype=complex).reshape(len(probes), -1)
+            if lhs[a, e] != 0 and keyed[e] not in table:
+                table[keyed[e]] = _evaluate(f, points[e])
+    at_f = np.array([[table.get(key, 0j) for key in keyed] for table in values], dtype=complex).reshape(len(probes), -1)
     lv = np.zeros((count, n, len(probes)), dtype=complex)
     with np.errstate(invalid="ignore"):  # inf * 0 where lhs is 0 is masked out here
         paired = np.where(lhs[:, None] != 0, complex_product(at_f, lhs[:, None]), 0)
@@ -462,7 +464,7 @@ def verify_leibniz(
     keys, merged = merge(list(zip(owner[sup.rows].tolist(), sup.points)), (items * sup.weights).T)
     terms = np.zeros((count, len(probes), len(beta)), dtype=complex)
     for q, table in enumerate(values):
-        paired = complex_product(np.array([table[p] for _, p in keys], dtype=complex)[:, None], merged * coef)
+        paired = complex_product(np.array([table[k] for k in _point_keys(p for _, p in keys)])[:, None], merged * coef)
         np.add.at(terms[:, q], np.array([s for s, _ in keys], dtype=np.intp), paired)
     law = "D_a(mu*nu) = sum_{b<=a} binom(a,b) D_b mu * D_{a-b} nu, paired with probes"
     details = ("order 0: reduces to multiplicativity of D_0", "order 1: reduces to D_0 mu * D_a nu + D_a mu * D_0 nu")
@@ -473,33 +475,15 @@ def verify_leibniz(
     return report
 
 
-def _grid_supports(hg: Hypergroup, app: Applied, samples: list, cells: list, bounds: list) -> PairSupports:
-    """The supports of the pairs (points[x], points[y]) of the cells (s, x, y) of `app`, in cell order:
-    gathered from the pairs `convolutions` read (sample s's pair of the i-th point of mu and the j-th of
-    nu is i * len(nu.support) + j after the pairs of the samples before it), or read anew by one
-    `pair_supports` call where an operator without a symbol may have added points."""
-    if app.pairs is None:
-        return hg.pair_supports([(app.points[x], app.points[y]) for _, x, y in cells])
-    firsts = list(itertools.accumulate((len(mu.support) * len(nu.support) for mu, nu in samples), initial=0))
-    at = [firsts[s] + (x - bounds[app.slot[id(mu)]]) * len(nu.support) + y - bounds[app.slot[id(nu)]]
-          for s, x, y in cells for mu, nu in [samples[s]]]
-    conv = app.pairs._replace(points=np.array(app.pairs.points, dtype=object))
-    sup = _gather(conv, np.searchsorted(conv.rows, np.arange(conv.count + 1)), np.array(at, dtype=np.intp))
-    return sup._replace(points=sup.points.tolist())
-
-
 class Applied(NamedTuple):
-    """D_a of mu*nu for every sample (blocks 0..S-1, in sample order) and of every
-    distinct sample measure m (block slot[id(m)]) on one table: entry e is the point
-    points[e] of block blocks[e], in support order, and weights[a, e] is the weight
-    of D_a there, 0j where D_a drops the point.  `pairs` are the supports `convolutions`
-    read, None once an operator without a symbol has returned a support."""
+    """D_a of mu*nu for every sample (blocks 0..S-1, in sample order) and of every distinct sample
+    measure m (block slot[id(m)]) on one table: entry e is the point points[e] of block blocks[e], in
+    support order, and weights[a, e] is the weight of D_a there, 0j where D_a drops the point."""
 
     points: list
     blocks: np.ndarray
     weights: np.ndarray
     slot: dict[int, int]
-    pairs: PairSupports | None
 
 
 def apply_family(family: DerivationFamily, samples: list[tuple[Measure, Measure]]) -> Applied:
@@ -518,7 +502,7 @@ def apply_family(family: DerivationFamily, samples: list[tuple[Measure, Measure]
     if len(family._applied[0]) == len(inputs) and all(a is b for a, b in zip(family._applied[0], inputs)):
         return family._applied[1]
     try:
-        points, blocks, weights, pairs = convolutions(hg, samples)
+        points, blocks, weights = convolutions(hg, samples)
     except DomainError:
         for s in range(len(samples)):  # the loop applies D_0 to the samples before the first it cannot convolve
             try:
@@ -526,7 +510,7 @@ def apply_family(family: DerivationFamily, samples: list[tuple[Measure, Measure]
             except DomainError as exc:
                 failure, samples, alphas = exc, samples[:s], alphas[:1]
                 break
-        points, blocks, weights, pairs = convolutions(hg, samples)
+        points, blocks, weights = convolutions(hg, samples)
     measures = list({id(m): m for sample in samples for m in sample}.values())
     slot = {id(m): len(samples) + j for j, m in enumerate(measures)}
     points += [x for m in measures for x, _ in m.support]
@@ -534,9 +518,9 @@ def apply_family(family: DerivationFamily, samples: list[tuple[Measure, Measure]
     blocks = np.concatenate([blocks, np.repeat(np.arange(len(measures)) + len(samples), sizes)])
     weights = np.concatenate([weights, np.array([w for m in measures for _, w in m.support], dtype=complex)])
     bounds = np.searchsorted(blocks, np.arange(len(samples) + len(measures) + 1)).tolist()
-    symbols, index = [family.op(alpha).symbol for alpha in alphas], {}
-    at = np.array([index.setdefault(x, len(index)) for x in points], dtype=np.intp)
-    covered = table_rows(symbols, list(index))
+    symbols, index = [family.op(alpha).symbol for alpha in alphas], {}  # per point key: a number, the first point
+    at = [index.setdefault(key, (len(index), x))[0] for key, x in zip(_point_keys(points), points)]
+    covered = table_rows(symbols, firsts := [x for _, x in index.values()])
     table, calls, done = np.zeros((len(alphas), len(points)), dtype=complex), [], []
     if covered:
         try:
@@ -546,11 +530,11 @@ def apply_family(family: DerivationFamily, samples: list[tuple[Measure, Measure]
     loop = [a for a in range(len(alphas)) if a not in covered]
     seqs = [dict.fromkeys(b for s, pair in enumerate(samples) for b in (s, *(slot[id(m)] for m in pair[::step])))
             for step in (1, -1)]
-    walks = []  # per block order: its entries, where each one's block starts, each one's distinct point, the points
+    walks = []  # per block order: its entries, where each one's block starts, each one's distinct point, their `at`
     for seq in seqs if any(symbols[a] is not None for a in loop) else ():
         cols, first, sizes = [e for j in seq for e in range(bounds[j], bounds[j + 1])], {}, np.diff(bounds)[list(seq)]
-        at = np.array([first.setdefault(points[e], len(first)) for e in cols], dtype=np.intp)
-        walks.append((np.array(cols, dtype=np.intp), np.repeat(np.cumsum(sizes) - sizes, sizes), at, list(first)))
+        order = np.array([first.setdefault(at[e], len(first)) for e in cols], dtype=np.intp)
+        walks.append((np.array(cols, dtype=np.intp), np.repeat(np.cumsum(sizes) - sizes, sizes), order, [*first]))
     try:
         for a in loop:
             op = family.op(alphas[a])
@@ -560,10 +544,10 @@ def apply_family(family: DerivationFamily, samples: list[tuple[Measure, Measure]
                     out = op(Measure(hg, tuple(zip(points[span], weights[span].tolist()))))
                     calls += [(j, x, a, w) for x, w in out.support]
                 continue
-            cols, block_at, at, distinct = walks[a > 0]
-            values, error = evaluate(op.symbol, distinct)  # on an error, the blocks before the failing point's are done
-            end = len(cols) if error is None else block_at[np.argmax(at >= len(values))]
-            done.append((np.full(end, a), cols[:end], values[at[:end]]))
+            cols, block_at, order, distinct = walks[a > 0]
+            values, error = evaluate(op.symbol, [firsts[i] for i in distinct])  # the blocks before an error's are done
+            end = len(cols) if error is None else block_at[np.argmax(order >= len(values))]
+            done.append((np.full(end, a), cols[:end], values[order[:end]]))
             if error is not None:
                 raise error
     finally:  # the loop multiplies each measure once its points are evaluated, so a non-finite
@@ -574,13 +558,13 @@ def apply_family(family: DerivationFamily, samples: list[tuple[Measure, Measure]
     if failure:
         raise failure
     if calls:  # the supports the operators return join the table, each block's points sorted
-        pairs, extra = None, np.zeros((len(calls), len(alphas)), dtype=complex)
+        extra = np.zeros((len(calls), len(alphas)), dtype=complex)
         extra[np.arange(len(calls)), [a for _, _, a, _ in calls]] = [w for *_, w in calls]
         keys, table = merge(list(zip(blocks.tolist(), points)) + [(j, x) for j, x, _, _ in calls],
                             np.concatenate([table.T, extra]))
         points, blocks, table = [x for _, x in keys], np.array([j for j, _ in keys], dtype=np.intp), table.T
     blocks.flags.writeable = table.flags.writeable = False  # the checks share it
-    family._applied = inputs, Applied(points, blocks, table, slot, pairs)
+    family._applied = inputs, Applied(points, blocks, table, slot)
     return family._applied[1]
 
 

@@ -21,6 +21,7 @@ from .measures import (
     CFunction,
     Measure,
     Point,
+    _point_keys,
     as_literal,
     complex_abs,
     convolve,
@@ -215,11 +216,12 @@ def _pair_table(hg: Any, pairs: Sequence[tuple[Point, Point]]) -> tuple:
     for (x, y), start, end in zip(pairs, ends, ends[1:]):
         meet_xy += sup.points[start:end] + [x, y]
         meet_yx += sup.points[start:end] + [y, x]
-    orders = (list(dict.fromkeys(meet_xy)), list(dict.fromkeys(meet_yx)))
-    index = {p: i for i, p in enumerate(orders[1])}
+    keys = [list(dict.fromkeys(_point_keys(meet))) for meet in (meet_xy, meet_yx)]  # the points first met, or "-0.0"
+    orders = tuple([-0.0 if isinstance(key, str) else key for key in order] for order in keys)
+    index = {key: i for i, key in enumerate(keys[1])}
 
     def at(points: Iterable[Point]) -> np.ndarray:
-        return np.array([index[p] for p in points], dtype=np.intp)
+        return np.array([index[key] for key in _point_keys(points)], dtype=np.intp)
 
     table = (sup, orders, len(index), at(orders[0]), at(sup.points), at(x for x, _ in pairs), at(y for _, y in pairs))
     if keep and len(sup.rows) <= PAIR_TABLE_CAP:  # read-only, as `apply_family` holds its table

@@ -55,6 +55,18 @@ def test_large_inputs_cold_checks_run_one_linearization_table_each():
     assert result["lin_tables"] == 100 and result["column_steps"] == 100 * 33 * 17
 
 
+def test_large_inputs_counts_the_derivative_row_reads():
+    # the 12 samples of a rank-2 order-5 lifted family: the lift reads every base row it needs by one
+    # call of the base's rule, so each distinct point a table reads takes one `DerivativeRun.upto`
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "large_inputs.py"), "leib21"],
+        capture_output=True, text=True, env=ENV, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    result = json.loads(done.stdout)
+    assert result["case"] == "leib21" and result["outcome"] == "ok" and result["upto_calls"] == 137
+
+
 def test_large_inputs_against_a_checkout_prints_one_line_per_case():
     done = subprocess.run(
         [sys.executable, str(ROOT / "scripts" / "large_inputs.py"), "--against", str(ROOT), "--runs", "2", "lin3x1200"],

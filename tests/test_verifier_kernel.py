@@ -71,7 +71,7 @@ import numpy as np
 from hypermoment.config import Tolerance, default_tolerance, scale_of, set_default_tolerance
 from hypermoment.fourier import derivative_moments
 from hypermoment.hypergroups import DerivativeRun
-from hypermoment.measures import _evaluate, as_literal, complex_product, table_rows, values_at
+from hypermoment.measures import TableRow, _evaluate, as_literal, complex_product, module_action, table_rows, values_at
 from hypermoment.moments import _identity_records, apply_family, binomial_terms, index_order, index_sub, indices_up_to
 from hypermoment.operators import PAIR_TABLE_CAP, PAIR_TABLES, exponential_reports
 from tests.test_kernel import RECURRENCES, chebyshev_dip, reference_convolve, reference_rule
@@ -960,12 +960,25 @@ def head_verify_fourier_leibniz(family, samples) -> Report:
     return report
 
 
+def same_supports(got, want) -> bool:
+    """Two `PairSupports` bit for bit, the points' types included."""
+    return (got.rows.tolist(), bits(got.points), bits(got.weights.tolist()), got.count, got.err.tolist()) == (
+        want.rows.tolist(), bits(want.points), bits(want.weights.tolist()), want.count, want.err.tolist())
+
+
 def assert_same_application(family, samples, probes=None) -> None:
     """Both Leibniz checks against their Measure-loop forms: the same JSON to the byte, or the same error.
     Each check runs once on a copy of the family, whose memo is cold, so that it reads a table it
-    built itself; the transform-side check runs again on the table `verify_leibniz` left."""
-    warm = replace(family)
-    got = outcome(lambda: verify_leibniz(warm, samples, probes).to_json())
+    built itself; the transform-side check runs again on the table `verify_leibniz` left.  Every carrier
+    read `verify_leibniz` makes (the convolutions' and the term grid's) is `pair_supports` of its pairs."""
+    warm, hg, reads = replace(family), family.hypergroup, []
+    read = hg._read
+    hg._read = lambda pairs: reads.append((pairs, read(pairs))) or reads[-1][1]
+    try:
+        got = outcome(lambda: verify_leibniz(warm, samples, probes).to_json())
+    finally:
+        del hg._read
+    assert all(same_supports(sup, hg.pair_supports(pairs)) for pairs, sup in reads)
     assert got == outcome(lambda: head_verify_leibniz(family, samples, probes).to_json())
     if isinstance(family.hypergroup, PolynomialHypergroup):
         want = outcome(lambda: head_verify_fourier_leibniz(family, samples).to_json())
@@ -1061,14 +1074,63 @@ def test_a_point_every_derivation_drops_leaves_the_grid(make, monkeypatch):
     ms = [Measure.from_items(hg, [(2, 1.0), (x, complex(0.5, -0.2 * x))]) for x in (0, 1, 3, 5)]
     samples = [(ms[i], ms[(i + 1) % 4]) for i in range(4)] + [(ms[3], Measure.from_items(hg, [(2, 0.7j)]))]
     assert_same_application(family, samples)
-    seen, gathered = [], []
-    run, gather = hg.pair_supports, hypermoment.moments._gather
-    monkeypatch.setattr(hg, "pair_supports", lambda pairs: seen.append(list(pairs)) or run(pairs))
-    monkeypatch.setattr(hypermoment.moments, "_gather", lambda *a: gathered.append(a[2].tolist()) or gather(*a))
+    seen, read = [], hg._read
+    monkeypatch.setattr(hg, "_read", lambda pairs: seen.append(list(pairs)) or read(pairs))
     verify_leibniz(replace(family), samples)  # a cold memo: the check convolves the samples itself, once
-    [conv], [grid] = seen, gathered
-    grid = [conv[p] for p in grid]  # the term grid's pairs, read from the convolutions' pairs
+    [conv, grid] = seen  # the convolutions' pairs (`pair_supports` reads them), then the term grid's
     assert any(2 in pair for pair in conv) and grid and not any(2 in pair for pair in grid)
+
+
+def test_a_signed_zero_is_its_own_point():
+    # -0.0 == 0.0, but the loops evaluate each point as it is: copysign(1, x) is not an exponential, the
+    # family D_0 = copysign(1, x) breaks the Leibniz rule at (d[-0.0], d[-0.0]), and a symbol weighs d[-0.0] at -0.0
+    hg = real_line()
+    sign = CFunction(lambda x: math.copysign(1.0, x))
+    pairs = [(0.0, 0.0), (-0.0, -0.0)]
+    report = is_exponential(hg, sign, pairs)
+    assert not report.passed and report.records[-1].residual == 2.0
+    assert_same(report, reference_is_exponential(hg, sign, pairs))
+    ms = [Measure.from_items(hg, [(x, 1.0)]) for x in (0.0, 0.0, -0.0, -0.0)]
+    samples = [(ms[0], ms[1]), (ms[2], ms[3])]
+    family = _family(hg, [sign])
+    assert not verify_leibniz(replace(family), samples).passed
+    assert_same(verify_leibniz(replace(family), samples), reference_verify_leibniz(family, samples))
+    shifted = CFunction(lambda x: math.copysign(1.0, x) + 2)
+    for symbols in ([sign], [shifted], [shifted, sign], [sign, None]):
+        assert_same_application(_family(hg, symbols), samples)
+    app = apply_family(_family(hg, [shifted]), samples)
+    want = [module_action(shifted, m) for m in [convolve(mu, nu) for mu, nu in samples] + ms]
+    assert bits(app.points) == bits([x for m in want for x in m.points])
+    assert bits(app.weights[0].tolist()) == bits([w for m in want for _, w in m.support])  # 1 at -0.0, 3 at 0.0
+    # a probe that tells -0.0 from 0.0, paired with both sides by the loop
+    family = _family(hg, [CFunction.constant(1.0), CFunction(lambda x: x)])
+    assert_same(verify_leibniz(family, samples, [sign]), reference_verify_leibniz(family, samples, [sign]))
+
+
+def test_values_at_is_the_loop_for_a_family_entry():
+    # `evaluate` calls an entry point by point, each call its rule at one point; the rule reads
+    # the list of points only from `table_rows`
+    hg = chebyshev()
+    seq = poly_derivative_moments(hg, 0.3 - 0.2j, 3)
+    calls, entry = [], seq.phi((2,))
+    spy = CFunction(TableRow(lambda xs, alphas: calls.append(list(xs)) or entry._fn.rule(xs, alphas), (2,)))
+    points = [7, 0, 3, 3, 12]
+    assert bits(values_at(spy, points).tolist()) == bits([entry(x) for x in points])
+    assert calls == [[x] for x in points]
+    calls.clear()
+    assert bits(table_rows([spy], points)[0]) == bits([entry(x) for x in points]) and calls == [points]
+
+
+def test_a_lifted_table_reads_each_base_row_once(monkeypatch):
+    # one `table_rows` call of the base for every order the alphas need: one `DerivativeRun.upto` per point
+    hg = chebyshev()
+    lifted = rank_lift(poly_derivative_moments(hg, 0.3 + 0.1j, 5), [1.0, 0.5j])
+    fns, points, tops = [lifted.phi(alpha) for alpha in lifted.alphas], list(range(40)), []
+    upto = DerivativeRun.upto
+    monkeypatch.setattr(DerivativeRun, "upto", lambda run, top: tops.append(top) or upto(run, top))
+    rows = table_rows(fns, points)
+    assert tops == points and len(rows) == len(fns) == 21
+    assert bits([rows[a] for a in range(len(fns))]) == bits([[f(x) for x in points] for f in fns])
 
 
 def test_no_samples_give_an_empty_table():
