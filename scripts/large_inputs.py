@@ -2,28 +2,31 @@
 """Time the large inputs: axiom checks at high bounds, deep and wide linearizations
 (one pair, 400 pairs on deep columns, the legendre 251 x 251 grid),
 Leibniz checks on convolutions of high degree (families of 10 and of 21
-multi-indices), a moment identity on 4,096 pairs checked cold and warm, a
-real-line moment identity on 14,641 pairs, a transform of degree 200, its
-Taylor check at degree 150, the axiom check of the cyclic group Z_128, the
-exponentials of the cyclic groups Z_64 and Z_256, the moment extensions of
-Z_160 to order 2, and 100 fresh axiom checks each of chebyshev at bound 16 and
-of a recurrence whose linearization goes negative, at bound 12, as the
-axioms-cold workload of `perfbench/run.py` runs them.
+multi-indices), the two operator checks of an order-1 chebyshev family on 40
+pairs of 4-point measures (mult40, d0deriv40), a moment identity on 4,096
+pairs checked cold and warm, a real-line moment identity on 14,641 pairs, a
+transform of degree 200, its Taylor check at degree 150, the axiom check of
+the cyclic group Z_128, the exponentials of the cyclic groups Z_64 and Z_256,
+the moment extensions of Z_160 to order 2, and 100 fresh axiom checks each of
+chebyshev at bound 16 and of a recurrence whose linearization goes negative,
+at bound 12, as the axioms-cold workload of `perfbench/run.py` runs them.
 
 Each case runs in a fresh interpreter and prints one JSON line: its name, the
 seconds the call took (`time.perf_counter`, import excluded, to the
-microsecond), the peak resident memory of the interpreter (`ru_maxrss`, MB),
-its minor page faults (`ru_minflt`, import included) and the outcome: "ok",
-"fail" for a check that fails, or the message of the DomainError raised, up
-to its first ";"; `lin_tables`, the number of
-linearization runs the case made (calls of `PolynomialHypergroup._lin_table`);
-`column_steps`, the recurrence work of those runs: per call, its distinct
-columns times its top step plus one; and `upto_calls`, the reads of derivative
-rows the case made (calls of `DerivativeRun.upto`, one per point a
-polynomial-derivative table reads).
+microsecond; mult40 and d0deriv40 make their operators and samples before the
+clock starts, so they time the check alone), the peak resident memory of the
+interpreter (`ru_maxrss`, MB), its minor page faults (`ru_minflt`, import and
+set-up included) and the outcome: "ok", "fail" for a check that fails, or the
+message of the DomainError raised, up to its first ";"; `lin_tables`, the
+number of linearization runs the timed call made (calls of
+`PolynomialHypergroup._lin_table`); `column_steps`, the recurrence work of
+those runs: per call, its distinct columns times its top step plus one; and
+`upto_calls`, the reads of derivative rows the timed call made (calls of
+`DerivativeRun.upto`, one per point a polynomial-derivative table reads).
 
     python scripts/large_inputs.py               # every case, in the order below
-    python scripts/large_inputs.py lin1200 cheb80 leib120 leib21 moments64 line121 transform200 taylor150 expo64 search160
+    python scripts/large_inputs.py lin1200 cheb80 leib120 leib21 mult40 d0deriv40 moments64 line121 transform200
+    python scripts/large_inputs.py taylor150 expo64 search160
     python scripts/large_inputs.py cold16 dip12
 
 With `hypermoment` not installed, put `src` on PYTHONPATH.
@@ -57,8 +60,8 @@ from pathlib import Path
 import hypermoment
 from hypermoment import (
     DomainError, FiniteHypergroup, Measure, PolynomialHypergroup, check_axioms, chebyshev, derivation_from_moments,
-    legendre, poly_derivative_moments, rank_lift, real_line, realline_moments, verify_fourier_leibniz,
-    verify_leibniz, verify_moment_sequence,
+    is_multiplicative_hom, legendre, poly_derivative_moments, rank_lift, real_line, realline_moments,
+    verify_d0_derivation, verify_fourier_leibniz, verify_leibniz, verify_moment_sequence,
 )
 from hypermoment.cli import main as cli_main
 from hypermoment.hypergroups import DerivativeRun
@@ -78,6 +81,18 @@ def leibniz120(order: int = 3) -> bool:
     ]
     samples = [(ms[i], ms[(i + 1) % 12]) for i in range(12)]
     return verify_leibniz(family, samples).passed and verify_fourier_leibniz(family, samples).passed
+
+
+def operator_samples() -> tuple:
+    """D_0 and D_1 of the order-1 chebyshev family at 0.3+0.2i (its moment identity not checked) and
+    40 cyclic pairs of 4-point measures in 0..19, their weights drawn from seed 40."""
+    hg, rng = chebyshev(), random.Random(40)
+    family = derivation_from_moments(poly_derivative_moments(hg, 0.3 + 0.2j, 1), skip_verification=True)
+    ms = [
+        Measure.from_items(hg, [(n, complex(rng.uniform(-1, 1), rng.uniform(-1, 1))) for n in rng.sample(range(20), 4)])
+        for _ in range(40)
+    ]
+    return family.op((0,)), family.op((1,)), [(ms[i], ms[(i + 1) % 40]) for i in range(40)]
 
 
 def moments64() -> bool:
@@ -157,6 +172,8 @@ CASES = {
     "leggrid250": lambda: legendre().pair_supports([(x, y) for x in range(251) for y in range(251)]),
     "leib120": leibniz120,
     "leib21": lambda: leibniz120(5),  # the leib120 samples under a family of 21 multi-indices
+    "mult40": lambda d0, d1, samples: is_multiplicative_hom(d0, samples).passed,  # on operator_samples()
+    "d0deriv40": lambda d0, d1, samples: verify_d0_derivation(d0, d1, samples).passed,
     "moments64": moments64,
     "line121": line121,
     "transform200": transform200,
@@ -166,9 +183,13 @@ CASES = {
     "search160": lambda: cyclic_cli(160, "search-moments", "--phi0", "m1", "--alpha", "2"),
 }
 
+# the inputs a case is called with, made before its clock starts
+SETUP = {"mult40": operator_samples, "d0deriv40": operator_samples}
+
 
 def run(name: str) -> dict:
     """One case in this interpreter."""
+    made = SETUP[name]() if name in SETUP else ()
     tables, reads, build, upto = [], [], PolynomialHypergroup._lin_table, DerivativeRun.upto
 
     def counted(hg, ms, ns, bound):
@@ -182,7 +203,7 @@ def run(name: str) -> dict:
     PolynomialHypergroup._lin_table, DerivativeRun.upto = counted, read
     start = time.perf_counter()
     try:
-        outcome = "fail" if CASES[name]() is False else "ok"
+        outcome = "fail" if CASES[name](*made) is False else "ok"
     except DomainError as exc:
         outcome = str(exc).split(";")[0]
     seconds = time.perf_counter() - start

@@ -59,6 +59,7 @@ from .moments import (
     derivation_from_moments,
     extend_moment_sequence,
     indices_up_to,
+    is_multiplicative_hom,
     iterated_extension,
     lower_indices,
     moments_from_derivation,
@@ -75,7 +76,6 @@ from .operators import (
     identity_operator,
     is_exponential,
     is_module_hom,
-    is_multiplicative_hom,
     make_module_hom,
     symbol_of,
     zero_operator,

@@ -23,8 +23,6 @@ from .measures import (
     Point,
     _point_keys,
     as_literal,
-    complex_abs,
-    convolve,
     dirac,
     measure_residual,
     module_action,
@@ -106,35 +104,6 @@ def is_module_hom(
     report.add_worst(
         "symbol-identity", "F(mu) = symbol(F) mu with symbol(F)(x) = <F(dx), 1>", res, scl, tol,
         lambda i: as_literal(measures[i]),
-    )
-    return report
-
-
-def is_multiplicative_hom(
-    op: MeasureOperator,
-    samples: list[tuple[Measure, Measure]],
-    tol: Tolerance | None = None,
-) -> Report:
-    """Check F(mu*nu) = F(mu)*F(nu) on sample pairs, through the total-mass pairing.
-
-    Both sides are compared as <., 1> functionals: this is the sense in which
-    multiplication by an exponential preserves convolution on a hypergroup
-    (the canonical measures themselves differ whenever a point convolution has
-    more than one support point).  On group carriers the two senses coincide.
-    """
-    if not samples:
-        raise ValueError("samples must be nonempty")
-    tol = tol or default_tolerance()
-    one = CFunction.constant(1.0)
-    report = Report(title=f"multiplicative homomorphism: {op.name}")
-    sides = [(pair(op(convolve(mu, nu)), one), pair(convolve(op(mu), op(nu)), one)) for mu, nu in samples]
-    lhs, rhs = np.array(sides).T
-    size = np.maximum(complex_abs(lhs), complex_abs(rhs))
-    zero = size.max() <= tol.bound(1.0)
-    report.add_worst(
-        "multiplicativity", "<F(mu*nu), 1> = <F(mu)*F(nu), 1>", complex_abs(lhs - rhs), np.maximum(1.0, size), tol,
-        lambda i: [*map(as_literal, samples[i]), complex(lhs[i]), complex(rhs[i])],
-        detail="operator is zero on all samples; multiplicativity holds trivially" if zero else "",
     )
     return report
 

@@ -266,14 +266,21 @@ class TestVerifyLeibniz:
         failed = [r.name for r in report.failed_records]
         assert failed == ["leibniz alpha=[1]"]
 
-    def test_order_zero_matches_multiplicativity_check(self, cheb):
+    def test_order_zero_matches_multiplicativity_check(self, cheb, cheb_measures):
+        # the operator checks are the alpha = 0 and 1 rows of the Leibniz rule: the same residual and scale, bit for bit
         fam = derivation_from_moments(poly_derivative_moments(cheb, 0.4, 2))
-        samples = [(dirac(cheb, x), dirac(cheb, y)) for x in range(3) for y in range(3)]
-        leib = verify_leibniz(fam, samples)
-        mult = is_multiplicative_hom(fam.op((0,)), samples)
-        zero_row = next(r for r in leib.records if r.name == "leibniz alpha=[0]")
-        assert (zero_row.status == "pass") == mult.passed
-        assert abs(zero_row.residual - mult.records[0].residual) <= 1e-12
+        diracs = [(dirac(cheb, x), dirac(cheb, y)) for x in range(3) for y in range(3)]
+        for samples in (diracs, list(zip(cheb_measures, cheb_measures[1:]))):
+            leib = verify_leibniz(fam, samples)
+            mult = is_multiplicative_hom(fam.op((0,)), samples)
+            zero_row = next(r for r in leib.records if r.name == "leibniz alpha=[0]")
+            assert (zero_row.status == "pass") == mult.passed
+            assert (zero_row.residual, zero_row.scale) == (mult.records[0].residual, mult.records[0].scale)
+            one_row = next(r for r in leib.records if r.name == "leibniz alpha=[1]")
+            product = verify_d0_derivation(fam.op((0,)), fam.op((1,)), samples).records
+            assert [r.name for r in product] == ["precondition: multiplicativity", "product-rule"]
+            assert (one_row.residual, one_row.scale) == (product[1].residual, product[1].scale)
+            assert (zero_row.residual, zero_row.scale) == (product[0].residual, product[0].scale)
 
 
 class TestVerifyD0Derivation:

@@ -67,6 +67,19 @@ def test_large_inputs_counts_the_derivative_row_reads():
     assert result["case"] == "leib21" and result["outcome"] == "ok" and result["upto_calls"] == 137
 
 
+def test_large_inputs_times_the_derivation_check_alone():
+    # d0deriv40 makes its operators and 40 sample pairs before the clock; the check reads each derivative
+    # row once, for its one application table (the Measure loops read 2,700)
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "large_inputs.py"), "d0deriv40"],
+        capture_output=True, text=True, env=ENV, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    result = json.loads(done.stdout)
+    assert result["case"] == "d0deriv40" and result["outcome"] == "ok" and result["seconds"] > 0
+    assert result["upto_calls"] == 38
+
+
 def test_large_inputs_against_a_checkout_prints_one_line_per_case():
     done = subprocess.run(
         [sys.executable, str(ROOT / "scripts" / "large_inputs.py"), "--against", str(ROOT), "--runs", "2", "lin3x1200"],

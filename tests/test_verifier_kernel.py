@@ -71,7 +71,9 @@ import numpy as np
 from hypermoment.config import Tolerance, default_tolerance, scale_of, set_default_tolerance
 from hypermoment.fourier import derivative_moments
 from hypermoment.hypergroups import DerivativeRun
-from hypermoment.measures import TableRow, _evaluate, as_literal, complex_product, module_action, table_rows, values_at
+from hypermoment.measures import (
+    TableRow, _evaluate, _point_keys, as_literal, complex_product, module_action, table_rows, values_at,
+)
 from hypermoment.moments import _identity_records, apply_family, binomial_terms, index_order, index_sub, indices_up_to
 from hypermoment.operators import PAIR_TABLE_CAP, PAIR_TABLES, exponential_reports
 from tests.test_kernel import RECURRENCES, chebyshev_dip, reference_convolve, reference_rule
@@ -398,6 +400,22 @@ def test_operator_checks_match_loop(make):
     assert zero.status == "pass" and zero.detail.endswith("holds trivially")
 
 
+def test_operator_checks_read_one_application_table(monkeypatch):
+    # each check is rows of one `apply_family` table of the family {D0} or {D0, D}: no operator is called on a Measure
+    hg = chebyshev()
+    family = derivation_from_moments(poly_derivative_moments(hg, 0.3 + 0.2j, 1))
+    samples = cyclic_samples(hg, random.Random(40), range(8), count=6)
+    tables, called = [], []
+    apply = hypermoment.moments.apply_family
+    monkeypatch.setattr(hypermoment.moments, "apply_family", lambda fam, s: tables.append(fam) or apply(fam, s))
+    d0, d = (replace(op, fn=lambda m, op=op: called.append(m) or op(m)) for op in map(family.op, family.alphas))
+    assert verify_d0_derivation(d0, d, samples).passed
+    assert [list(fam.entries.values()) for fam in tables] == [[d0, d]]
+    tables.clear()
+    assert is_multiplicative_hom(d0, samples).passed
+    assert [list(fam.entries.values()) for fam in tables] == [[d0]] and called == []
+
+
 def test_split_blocks_match_loop(monkeypatch):
     # a cap this small keeps no linearization table: every pair list of a polynomial carrier runs on its own pairs
     monkeypatch.setattr(hypermoment.hypergroups, "DENSE_CAP", 40)
@@ -494,6 +512,61 @@ def test_failing_entry_gives_the_loop_error(entry, broken):
         assert_same_outcome(lambda: verify_fourier_leibniz(family, samples),
                             lambda: reference_verify_fourier_leibniz(family, samples))
         assert_same_application(family, samples)
+
+
+def _operator_cases(hg):
+    """Operators whose check errs somewhere: a symbol that raises at 3, one infinite at 4, one NaN at 2, and
+    an operator without a symbol that raises at 5; and the identity and zero, whose derivation check passes."""
+    return [
+        make_module_hom(hg, _raising(3)), make_module_hom(hg, CFunction(lambda n: math.inf if n == 4 else 1.0)),
+        make_module_hom(hg, CFunction(lambda n: math.nan if n == 2 else 0.5 ** n)),
+        MeasureOperator(hg, lambda m: module_action(_raising(5), m), name="no symbol"),
+        make_module_hom(hg, CFunction(lambda n: 0.1 * n)), identity_operator(hg), zero_operator(hg),
+    ]
+
+
+@pytest.mark.parametrize("make", [chebyshev, negative_dip])
+def test_operator_check_errors_are_the_loops(make):
+    # on negative_dip the convolution of (2, 2) is refused, in mu*nu or in D0 mu * D nu
+    hg = make()
+    rng = random.Random(41)
+    supports = [[0, 1], [1, 2], [2, 3], [0, 4], [1, 5], [3, 4]]
+    ms = [Measure.from_items(hg, [(x, complex(rng.uniform(-1, 1), rng.uniform(-1, 1))) for x in support])
+          for support in supports]
+    sample_lists = [[(ms[0], ms[3]), (ms[i], ms[(i + 1) % 6])] for i in range(6)]
+    ops, outcomes = _operator_cases(hg), set()
+    for samples in sample_lists:
+        for op in ops:
+            assert_same_outcome(lambda: is_multiplicative_hom(op, samples),
+                                lambda: reference_is_multiplicative_hom(op, samples))
+            for d0, d in ((ops[-2], op), (op, ops[-1])):
+                assert_same_outcome(lambda: verify_d0_derivation(d0, d, samples),
+                                    lambda: reference_verify_d0_derivation(d0, d, samples))
+                outcomes.add(outcome(lambda: verify_d0_derivation(d0, d, samples).passed))
+    assert {True, False} < outcomes and len(outcomes) > 5  # passes, fails and the errors of every operator
+    assert any("linearization(2,2)" in str(e) for e in outcomes) == (make is negative_dip)
+
+
+def test_an_overflowing_term_fails_the_rows_the_operator_checks_are():
+    # D0 weighs 1e200 (n + 1), so D0 mu * D0 nu leaves the floats: the loops raise where they would make that
+    # Measure, the table carries NaN, and each check fails as the Leibniz row it is, counterexample and all
+    hg = chebyshev()
+    d0, d = make_module_hom(hg, CFunction(lambda n: 1e200 * (n + 1))), make_module_hom(hg, CFunction(lambda n: 0.5 * n))
+    rng = random.Random(3)
+    ms = [Measure.from_items(hg, [(x, complex(rng.uniform(-1, 1), rng.uniform(-1, 1))) for x in support])
+          for support in ((0, 1), (1, 2), (1, 4), (0, 2))]
+    samples = [(ms[i], ms[(i + 1) % 4]) for i in range(4)]
+    for loop in (lambda: reference_is_multiplicative_hom(d0, samples),
+                 lambda: reference_verify_d0_derivation(d0, d, samples)):
+        assert outcome(loop) == "DomainError: non-finite weight (nan+nanj)"
+    checks = [(is_multiplicative_hom(d0, samples), DerivationFamily(hg, 1, 0, {(0,): d0})),
+              (verify_d0_derivation(d0, d, samples), DerivationFamily(hg, 1, 1, {(0,): d0, (1,): d}))]
+    for report, family in checks:
+        rows = verify_leibniz(family, samples).records
+        assert len(report.records) == len(rows) and report.records[0].status == "fail"
+        for got, row in zip(report.records, rows):
+            assert (got.status, got.residual, got.scale) == (row.status, row.residual, row.scale)
+            assert str(got.counterexample) == str(row.counterexample[1:])  # NaN in both: compared as text
 
 
 # ---------------------------------------------------------------------------
@@ -912,7 +985,9 @@ def head_verify_leibniz(family, samples, f_probe=None) -> Report:
         starts.append(len(pairs))
         pairs += [(x, y) for x in grids[id(mu)][0] for y in grids[id(nu)][0]]
     sup = family.hypergroup.pair_supports(pairs)
-    values = [{p: _evaluate(f, p) for p in dict.fromkeys(sup.points)} for f in probes]
+    # keyed as the loop tells points apart: -0.0 and 0.0 of two measures are two points, while a
+    # measure merges them into the first it meets, as `Measure.from_items` does
+    values = [{k: _evaluate(f, p) for k, p in dict(zip(_point_keys(sup.points), sup.points)).items()} for f in probes]
     lv = np.array([[[pair(m, f) for f in probes] for m in row] for row in lhs], dtype=complex)
     terms = np.zeros((len(beta),) + lv.shape[1:], dtype=complex)
     bounds = np.searchsorted(sup.rows, starts + [len(pairs)]).tolist()
@@ -920,12 +995,14 @@ def head_verify_leibniz(family, samples, f_probe=None) -> Report:
         entries = slice(bounds[s], bounds[s + 1])
         (_, a_mu), (ys, c_nu) = grids[id(mu)], grids[id(nu)]
         rows = sup.rows[entries] - starts[s]
-        points, at = np.unique(sup.points[entries], return_inverse=True)
+        points = sorted(dict.fromkeys(sup.points[entries]))
+        index = {p: i for i, p in enumerate(points)}
+        at = np.array([index[p] for p in sup.points[entries]], dtype=np.intp)
         items = complex_product(a_mu[beta][:, rows // len(ys)], c_nu[gamma][:, rows % len(ys)])
         merged = np.zeros((len(points), len(beta)), dtype=complex)
         np.add.at(merged, at, items.T * sup.weights[entries, None])
         for q in range(len(probes)):
-            at_f = np.array([values[q][p] for p in points.tolist()], dtype=complex)
+            at_f = np.array([values[q][k] for k in _point_keys(points)], dtype=complex)
             paired = np.zeros((1, len(beta)), dtype=complex)
             np.add.at(paired, np.zeros(len(points), dtype=np.intp), complex_product(at_f[:, None], merged * coef))
             terms[:, s, q] = paired[0]
@@ -1102,9 +1179,19 @@ def test_a_signed_zero_is_its_own_point():
     want = [module_action(shifted, m) for m in [convolve(mu, nu) for mu, nu in samples] + ms]
     assert bits(app.points) == bits([x for m in want for x in m.points])
     assert bits(app.weights[0].tolist()) == bits([w for m in want for _, w in m.support])  # 1 at -0.0, 3 at 0.0
-    # a probe that tells -0.0 from 0.0, paired with both sides by the loop
+    # a probe that tells -0.0 from 0.0, paired with both sides by the loop and by the table reference
     family = _family(hg, [CFunction.constant(1.0), CFunction(lambda x: x)])
     assert_same(verify_leibniz(family, samples, [sign]), reference_verify_leibniz(family, samples, [sign]))
+    for symbols in ([sign], [CFunction.constant(1.0)], [CFunction.constant(1.0), CFunction(lambda x: x)]):
+        assert_same(verify_leibniz(_family(hg, symbols), samples, [sign]),
+                    reference_verify_leibniz(_family(hg, symbols), samples, [sign]))
+        assert_same_application(_family(hg, symbols), samples, [sign])
+    # the operator checks, rows of the same table, against their loops
+    for d0 in (make_module_hom(hg, sign), make_module_hom(hg, shifted), identity_operator(hg)):
+        assert_same(is_multiplicative_hom(d0, samples), reference_is_multiplicative_hom(d0, samples))
+        for d in (make_module_hom(hg, sign), make_module_hom(hg, CFunction(lambda x: x))):
+            assert_same(verify_d0_derivation(d0, d, samples), reference_verify_d0_derivation(d0, d, samples))
+    assert not is_multiplicative_hom(make_module_hom(hg, sign), samples).passed
 
 
 def test_values_at_is_the_loop_for_a_family_entry():
