@@ -3,7 +3,9 @@
 (one pair, 400 pairs on deep columns, the legendre 251 x 251 grid),
 Leibniz checks on convolutions of high degree (families of 10 and of 21
 multi-indices), the two operator checks of an order-1 chebyshev family on 40
-pairs of 4-point measures (mult40, d0deriv40), a moment identity on 4,096
+pairs of 4-point measures (mult40, d0deriv40), the Leibniz check of a rank-2
+real-line family on 40 pairs of 6-point measures, some holding -0.0 (lineleib,
+the one large Leibniz case whose points are floats), a moment identity on 4,096
 pairs checked cold and warm, a real-line moment identity on 14,641 pairs, a
 transform of degree 200, its Taylor check at degree 150, the axiom check of
 the cyclic group Z_128, the exponentials of the cyclic groups Z_64 and Z_256,
@@ -13,10 +15,10 @@ at bound 12, as the axioms-cold workload of `perfbench/run.py` runs them.
 
 Each case runs in a fresh interpreter and prints one JSON line: its name, the
 seconds the call took (`time.perf_counter`, import excluded, to the
-microsecond; mult40 and d0deriv40 make their operators and samples before the
-clock starts, so they time the check alone), the peak resident memory of the
-interpreter (`ru_maxrss`, MB), its minor page faults (`ru_minflt`, import and
-set-up included) and the outcome: "ok", "fail" for a check that fails, or the
+microsecond; mult40, d0deriv40 and lineleib make their operators and samples
+before the clock starts, so they time the check alone), the peak resident
+memory of the interpreter (`ru_maxrss`, MB), its minor page faults
+(`ru_minflt`, import and set-up included) and the outcome: "ok", "fail" for a check that fails, or the
 message of the DomainError raised, up to its first ";"; `lin_tables`, the
 number of linearization runs the timed call made (calls of
 `PolynomialHypergroup._lin_table`); `column_steps`, the recurrence work of
@@ -25,8 +27,8 @@ those runs: per call, its distinct columns times its top step plus one; and
 `DerivativeRun.upto`, one per point a polynomial-derivative table reads).
 
     python scripts/large_inputs.py               # every case, in the order below
-    python scripts/large_inputs.py lin1200 cheb80 leib120 leib21 mult40 d0deriv40 moments64 line121 transform200
-    python scripts/large_inputs.py taylor150 expo64 search160
+    python scripts/large_inputs.py lin1200 cheb80 leib120 leib21 mult40 d0deriv40 lineleib moments64 line121
+    python scripts/large_inputs.py transform200 taylor150 expo64 search160
     python scripts/large_inputs.py cold16 dip12
 
 With `hypermoment` not installed, put `src` on PYTHONPATH.
@@ -93,6 +95,21 @@ def operator_samples() -> tuple:
         for _ in range(40)
     ]
     return family.op((0,)), family.op((1,)), [(ms[i], ms[(i + 1) % 40]) for i in range(40)]
+
+
+def line_samples() -> tuple:
+    """The rank-2 real-line family of order 3 at 0.3-0.2i (10 multi-indices, its moment identity not checked)
+    and 40 cyclic pairs of 6-point measures on the points 0.25 j, 0 < |j| <= 40, every third with -0.0 in
+    place of one point, their points and weights drawn from seed 41."""
+    rng, hg = random.Random(41), real_line()
+    family = derivation_from_moments(rank_lift(realline_moments(0.3 - 0.2j, 3, hg), [1, 0.5j]), skip_verification=True)
+    points = [0.25 * j for j in range(-40, 41) if j]
+    ms = [
+        Measure.from_items(hg, [(-0.0 if i % 3 == 0 and k == 0 else x, complex(rng.uniform(-1, 1), rng.uniform(-1, 1)))
+                                for k, x in enumerate(rng.sample(points, 6))])
+        for i in range(40)
+    ]
+    return family, [(ms[i], ms[(i + 1) % 40]) for i in range(40)]
 
 
 def moments64() -> bool:
@@ -174,6 +191,7 @@ CASES = {
     "leib21": lambda: leibniz120(5),  # the leib120 samples under a family of 21 multi-indices
     "mult40": lambda d0, d1, samples: is_multiplicative_hom(d0, samples).passed,  # on operator_samples()
     "d0deriv40": lambda d0, d1, samples: verify_d0_derivation(d0, d1, samples).passed,
+    "lineleib": lambda family, samples: verify_leibniz(family, samples).passed,  # on line_samples()
     "moments64": moments64,
     "line121": line121,
     "transform200": transform200,
@@ -184,7 +202,7 @@ CASES = {
 }
 
 # the inputs a case is called with, made before its clock starts
-SETUP = {"mult40": operator_samples, "d0deriv40": operator_samples}
+SETUP = {"mult40": operator_samples, "d0deriv40": operator_samples, "lineleib": line_samples}
 
 
 def run(name: str) -> dict:

@@ -29,7 +29,7 @@ import numpy as np
 
 from .config import Tolerance, default_tolerance
 from .errors import DecompositionError, DomainError
-from .measures import CFunction, Measure, Point, complex_abs, complex_product
+from .measures import CFunction, Measure, Point, _points, complex_abs, complex_product
 from .reports import Report
 
 CoeffRow = tuple[float, float, float]
@@ -59,12 +59,11 @@ def _defined(count: int) -> np.ndarray:
 class PairSupports(NamedTuple):
     """Point convolutions of `count` pairs as flat entries, in pair order and
     within a pair in point order, as `convolve_points` lists its support: the
-    convolution of pair ``rows[e]`` has weight ``weights[e]`` at ``points[e]``
-    (an array from `_pairs`, Python scalars from `pair_supports`); ``err[p]``
-    is the message of an undefined pair p, which has no entries ("" if defined)."""
+    convolution of pair ``rows[e]`` has weight ``weights[e]`` at ``points[e]``;
+    ``err[p]`` is the message of an undefined pair p, which has no entries ("" if defined)."""
 
     rows: np.ndarray
-    points: Any
+    points: np.ndarray
     weights: np.ndarray
     count: int
     err: np.ndarray
@@ -134,22 +133,20 @@ class Hypergroup:
         return sup
 
     def _read(self, pairs: list[tuple[Point, Point]]) -> PairSupports:
-        """The point convolutions of `pairs` of valid points, from one `_pairs` call, the points
-        as Python scalars; raises the DomainError of the first undefined convolution."""
-        points = np.array(pairs)
-        if pairs and points.dtype.kind == "f" and type(pairs[0][0]) is int:  # an int past int64 made them floats
-            points = np.array(pairs, dtype=object)  # kept whole, so a refusal names the point given
+        """The point convolutions of `pairs` of valid points, from one `_pairs` call; raises the
+        DomainError of the first undefined convolution."""
+        points = _points(pairs)  # an int past int64 kept whole, so a refusal names the point given
         empty = PairSupports(np.zeros(0, dtype=np.intp), np.zeros(0), np.zeros(0), 0, _defined(0))
         flat = self._pairs(*points.T) if pairs else empty
         bad = flat.err.astype(bool)
         if bad.any():
             raise DomainError(flat.err[np.argmax(bad)])
-        return flat._replace(points=flat.points.tolist())
+        return flat
 
     def convolve_points(self, x: Point, y: Point) -> Measure:
         """Convolution of the point masses at x and y, as a probability measure."""
         sup = self.pair_supports([(x, y)])
-        return Measure.from_items(self, zip(sup.points, sup.weights.tolist()))
+        return Measure.from_items(self, zip(sup.points.tolist(), sup.weights.tolist()))
 
     def sample_points(self, bound: int) -> list[Point]:
         """Deterministic point sample used by axiom and identity checks."""
@@ -701,7 +698,7 @@ def check_axioms(hg: Hypergroup, sample_bound: int = 8, tol: Tolerance | None = 
     k = int(np.argmax(bad))
     for name, law, res, witness in (
         ("nonnegativity", "weights of dx*dy are >= 0", -low,
-         lambda k: [pts[k // n], pts[k % n], hg.pair_supports([(pts[k // n], pts[k % n])]).points]),
+         lambda k: [pts[k // n], pts[k % n], hg.pair_supports([(pts[k // n], pts[k % n])]).points.tolist()]),
         ("normalization", "weights of dx*dy sum to 1", np.abs(mass - 1.0),
          lambda k: [pts[k // n], pts[k % n], [float(mass[k]), 0.0]]),
     ):

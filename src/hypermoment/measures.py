@@ -10,7 +10,6 @@ associative at the cost of not merging nearly-equal points.
 from __future__ import annotations
 
 import cmath
-import math
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Mapping, NamedTuple, Union
 
@@ -84,11 +83,6 @@ class Measure:
     def __repr__(self) -> str:
         inner = " + ".join(f"({w:.6g})d[{x}]" for x, w in self.support) or "0"
         return f"Measure({inner})"
-
-
-def _point_keys(points: Iterable[Point]) -> list:
-    """Each point as a key of distinct points: itself, but "-0.0" for a float -0.0, which `==` merges with 0.0."""
-    return [x if x or not isinstance(x, float) or math.copysign(1.0, x) > 0 else "-0.0" for x in points]
 
 
 def dirac(hypergroup: Any, x: Point) -> Measure:
@@ -241,10 +235,10 @@ def pair(mu: Measure, f: CFunction | Callable[[Point], Any]) -> complex:
 def convolve(mu: Measure, nu: Measure) -> Measure:
     """Convolution, extended bilinearly from the hypergroup's point convolution."""
     points, _, weights = convolutions(mu.hypergroup, [(mu, nu)])
-    return Measure(mu.hypergroup, tuple(zip(points, weights.tolist())))
+    return Measure(mu.hypergroup, tuple(zip(points.tolist(), weights.tolist())))
 
 
-def convolutions(hg: Any, samples: list[tuple[Measure, Measure]]) -> tuple[list, np.ndarray, np.ndarray]:
+def convolutions(hg: Any, samples: list[tuple[Measure, Measure]]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """mu*nu of every sample (mu, nu), on one table: weights[e] at the point points[e] of sample
     blocks[e], from one `pair_supports` call of the pairs (x, y) of every sample, x in mu's support,
     y in nu's, in that order.  The items wx * wy * w of every pair, in pair order, are merged per
@@ -261,23 +255,52 @@ def convolutions(hg: Any, samples: list[tuple[Measure, Measure]]) -> tuple[list,
     with np.errstate(all="ignore"):  # a non-finite item is refused below
         items = complex_product(np.array(wxy, dtype=complex)[sup.rows], sup.weights)
     bad = np.flatnonzero(~np.isfinite(items))
-    for x in dict.fromkeys(sup.points[: bad[0] + 1] if len(bad) else sup.points):
+    met = sup.points[: bad[0] + 1] if len(bad) else sup.points
+    for x in met[_distinct(met)[1]].tolist():
         hg.validate_point(x)  # `from_items` validates each point before its weight
     if len(bad):
         raise DomainError(f"non-finite weight {complex(items[bad[0]])!r}")
-    keys, weights = merge(list(zip(np.array(owner, dtype=np.intp)[sup.rows].tolist(), sup.points)), items)
-    keep = np.flatnonzero(weights != 0).tolist()
-    return [keys[i][1] for i in keep], np.array([keys[i][0] for i in keep], dtype=np.intp), weights[keep]
+    blocks = np.array(owner, dtype=np.intp)[sup.rows]
+    first, weights = merge(blocks, sup.points, items)
+    keep = weights != 0
+    return sup.points[first[keep]], blocks[first[keep]], weights[keep]
 
 
-def merge(keys: list, items: np.ndarray) -> tuple[list, np.ndarray]:
-    """The items (along the first axis) summed per key in item order, the keys sorted:
-    the merge of `Measure.from_items`, which keeps the first of equal keys."""
-    order = sorted(dict.fromkeys(keys))
-    at = {key: i for i, key in enumerate(order)}
-    merged = np.zeros((len(order),) + items.shape[1:], dtype=complex)
-    np.add.at(merged, np.array([at[key] for key in keys], dtype=np.intp), items)
-    return order, merged
+def _points(points: list) -> np.ndarray:
+    """Points, or pairs of points, as an array: ints past int64, which NumPy makes floats, kept whole as objects."""
+    array = np.array(points)
+    if array.dtype.kind == "f" and points and type(points[0][0] if array.ndim > 1 else points[0]) is int:
+        return np.array(points, dtype=object)
+    return array
+
+
+def _distinct(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct points of an int or float array, told apart by their bits (a float -0.0 apart from 0.0),
+    numbered in the order they are first met: each point's number, and where each number is first met."""
+    keys = points.view(np.int64) if points.dtype.kind == "f" else points
+    order = keys.argsort(kind="stable")
+    ranked = keys[order]
+    head = np.empty(len(keys), dtype=bool)
+    head[:1], head[1:] = True, ranked[1:] != ranked[:-1]
+    first = order[head]
+    rank = first.argsort()
+    ids = np.empty(len(keys), dtype=np.intp)
+    ids[order] = rank.argsort()[np.add.accumulate(head, dtype=np.intp) - 1]
+    return ids, first[rank]
+
+
+def merge(owner: np.ndarray, points: np.ndarray, items: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The items (along the first axis) summed per owner and point in item order, as `Measure.from_items` merges
+    them (-0.0 with 0.0, the first point met kept): the index of that first item, sorted by owner, then point."""
+    order = np.lexsort((points, owner))
+    owned, ranked = owner[order], points[order]
+    head = np.empty(len(order), dtype=bool)
+    head[:1], head[1:] = True, (owned[1:] != owned[:-1]) | (ranked[1:] != ranked[:-1])
+    at = np.empty(len(order), dtype=np.intp)
+    at[order] = np.add.accumulate(head, dtype=np.intp) - 1
+    merged = np.zeros((np.count_nonzero(head),) + items.shape[1:], dtype=complex)
+    np.add.at(merged, at, items)
+    return order[head], merged
 
 
 def module_action(phi: CFunction | Callable[[Point], Any], mu: Measure) -> Measure:

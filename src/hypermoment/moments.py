@@ -32,7 +32,7 @@ from .config import Tolerance, default_tolerance
 from .errors import DomainError, PreconditionError
 from .hypergroups import DerivativeRun, FiniteHypergroup, Hypergroup, PolynomialHypergroup, RealLineHypergroup, _capped
 from .measures import (
-    CFunction, Measure, Point, TableRow, _evaluate, _point_keys, as_literal, complex_abs, complex_product, convolve,
+    CFunction, Measure, Point, TableRow, _distinct, _points, as_literal, complex_abs, complex_product,
     convolutions, evaluate, merge, multiply, table_rows, values_at,
 )
 from .operators import (
@@ -455,28 +455,28 @@ def _leibniz_sides(family: DerivationFamily, samples: list, probes: list) -> tup
     hg = family.hypergroup  # `convolutions` validated the grid's points, unless an operator without a symbol gave them
     read = hg.pair_supports if any(family.op(alpha).symbol is None for alpha in family.alphas) else hg._read
     sup = read([(app.points[x], app.points[y]) for _, x, y in cells])
-    values = [{k: _evaluate(f, p) for k, p in dict(zip(_point_keys(sup.points), sup.points)).items()} for f in probes]
-    # D_a(mu*nu) paired with each probe, summed in support order as `pair` sums; a point no
-    # term reaches is evaluated where `pair` first meets it: by alpha, sample, probe, point
-    points, lhs = app.points[: bounds[count]], app.weights[:, : bounds[count]]
-    keyed = _point_keys(points)
-    late = [s for s in range(count) if any(key not in values[0] for key in keyed[bounds[s] : bounds[s + 1]])]
-    for a, s, (f, table) in itertools.product(range(n), late, zip(probes, values)):
-        for e in range(bounds[s], bounds[s + 1]):
-            if lhs[a, e] != 0 and keyed[e] not in table:
-                table[keyed[e]] = _evaluate(f, points[e])
-    at_f = np.array([[table.get(key, 0j) for key in keyed] for table in values], dtype=complex).reshape(len(probes), -1)
+    # each probe at the grid's distinct points (numbered first), then at the points of D_a(mu*nu) no
+    # term reaches, where `pair` first meets them: by alpha, sample, probe, point
+    points, lhs = _points(app.points[: bounds[count]]), app.weights[:, : bounds[count]]
+    ids, first = _distinct(np.concatenate([sup.points, points]))
+    reached, at = np.searchsorted(first, len(sup.points)), ids[len(sup.points) :]
+    at_f, done = np.zeros((len(probes), len(first)), dtype=complex), np.arange(len(first)) < reached
+    at_f[:, :reached] = [values_at(f, sup.points[first[:reached]].tolist()) for f in probes]
+    late = sorted(set(app.blocks[: bounds[count]][at >= reached].tolist()))  # the samples holding such points
+    for a, s in itertools.product(range(n), late):  # a block's points are distinct
+        span = slice(bounds[s], bounds[s + 1])
+        new = np.flatnonzero((lhs[a, span] != 0) & ~done[at[span]]) + bounds[s]
+        at_f[:, at[new]], done[at[new]] = [values_at(f, points[new].tolist()) for f in probes], True
+    # D_a(mu*nu) paired with each probe, summed in support order as `pair` sums
     lv = np.zeros((count, n, len(probes)), dtype=complex)
-    paired = np.where(lhs[:, None] != 0, complex_product(at_f, lhs[:, None]), 0)  # inf * 0 where lhs is 0 is masked
+    paired = np.where(lhs[:, None] != 0, complex_product(at_f[:, at], lhs[:, None]), 0)  # masks inf * 0 where lhs is 0
     np.add.at(lv, app.blocks[: bounds[count]], paired.transpose(2, 0, 1))
     # D_b mu * D_c nu for every term, merged per point in the order `convolve` adds its items,
     # then paired with each probe, summed in point order
     items = complex_product(app.weights[beta[:, None], ex[sup.rows]], app.weights[gamma[:, None], ey[sup.rows]])
-    keys, merged = merge(list(zip(owner[sup.rows].tolist(), sup.points)), (items * sup.weights).T)
+    kept, merged = merge(owner[sup.rows], sup.points, (items * sup.weights).T)
     terms = np.zeros((count, len(probes), len(beta)), dtype=complex)
-    for q, table in enumerate(values):
-        paired = complex_product(np.array([table[k] for k in _point_keys(p for _, p in keys)])[:, None], merged * coef)
-        np.add.at(terms[:, q], np.array([s for s, _ in keys], dtype=np.intp), paired)
+    np.add.at(terms, owner[sup.rows][kept], complex_product(at_f[:, ids[kept]].T[:, :, None], (merged * coef)[:, None]))
     return lv.transpose(1, 0, 2), terms.transpose(2, 0, 1)
 
 
@@ -518,14 +518,13 @@ def apply_family(family: DerivationFamily, samples: list[tuple[Measure, Measure]
         points, blocks, weights = convolutions(hg, samples)
     measures = list({id(m): m for sample in samples for m in sample}.values())
     slot = {id(m): len(samples) + j for j, m in enumerate(measures)}
-    points += [x for m in measures for x, _ in m.support]
+    points = _points([*points.tolist(), *(x for m in measures for x, _ in m.support)])
     sizes = [len(m.support) for m in measures]
     blocks = np.concatenate([blocks, np.repeat(np.arange(len(measures)) + len(samples), sizes)])
     weights = np.concatenate([weights, np.array([w for m in measures for _, w in m.support], dtype=complex)])
     bounds = np.searchsorted(blocks, np.arange(len(samples) + len(measures) + 1)).tolist()
-    symbols, index = [family.op(alpha).symbol for alpha in alphas], {}  # per point key: a number, the first point
-    at = [index.setdefault(key, (len(index), x))[0] for key, x in zip(_point_keys(points), points)]
-    covered = table_rows(symbols, firsts := [x for _, x in index.values()])
+    symbols, (at, first) = [family.op(alpha).symbol for alpha in alphas], _distinct(points)  # a number per point
+    covered = table_rows(symbols, points[first].tolist())
     table, calls, done = np.zeros((len(alphas), len(points)), dtype=complex), [], []
     if covered:
         try:
@@ -535,22 +534,22 @@ def apply_family(family: DerivationFamily, samples: list[tuple[Measure, Measure]
     loop = [a for a in range(len(alphas)) if a not in covered]
     seqs = [dict.fromkeys(b for s, pair in enumerate(samples) for b in (s, *(slot[id(m)] for m in pair[::step])))
             for step in (1, -1)]
-    walks = []  # per block order: its entries, where each one's block starts, each one's distinct point, their `at`
+    walks = []  # per block order: its entries, where each one's block starts, each one's point's number, those points
     for seq in seqs if any(symbols[a] is not None for a in loop) else ():
-        cols, first, sizes = [e for j in seq for e in range(bounds[j], bounds[j + 1])], {}, np.diff(bounds)[list(seq)]
-        order = np.array([first.setdefault(at[e], len(first)) for e in cols], dtype=np.intp)
-        walks.append((np.array(cols, dtype=np.intp), np.repeat(np.cumsum(sizes) - sizes, sizes), order, [*first]))
+        cols = np.array([e for j in seq for e in range(bounds[j], bounds[j + 1])], dtype=np.intp)
+        sizes, (order, met) = np.diff(bounds)[list(seq)], _distinct(at[cols])
+        walks.append((cols, np.repeat(np.cumsum(sizes) - sizes, sizes), order, points[cols[met]].tolist()))
     try:
         for a in loop:
             op = family.op(alphas[a])
             if op.symbol is None:
                 for j in seqs[a > 0]:
                     span = slice(bounds[j], bounds[j + 1])
-                    out = op(Measure(hg, tuple(zip(points[span], weights[span].tolist()))))
+                    out = op(Measure(hg, tuple(zip(points[span].tolist(), weights[span].tolist()))))
                     calls += [(j, x, a, w) for x, w in out.support]
                 continue
             cols, block_at, order, distinct = walks[a > 0]
-            values, error = evaluate(op.symbol, [firsts[i] for i in distinct])  # the blocks before an error's are done
+            values, error = evaluate(op.symbol, distinct)  # the blocks before an error's are done
             end = len(cols) if error is None else block_at[np.argmax(order >= len(values))]
             done.append((np.full(end, a), cols[:end], values[order[:end]]))
             if error is not None:
@@ -565,11 +564,12 @@ def apply_family(family: DerivationFamily, samples: list[tuple[Measure, Measure]
     if calls:  # the supports the operators return join the table, each block's points sorted
         extra = np.zeros((len(calls), len(alphas)), dtype=complex)
         extra[np.arange(len(calls)), [a for _, _, a, _ in calls]] = [w for *_, w in calls]
-        keys, table = merge(list(zip(blocks.tolist(), points)) + [(j, x) for j, x, _, _ in calls],
-                            np.concatenate([table.T, extra]))
-        points, blocks, table = [x for _, x in keys], np.array([j for j, _ in keys], dtype=np.intp), table.T
+        blocks = np.concatenate([blocks, [j for j, *_ in calls]])
+        points = _points([*points.tolist(), *(x for _, x, _, _ in calls)])
+        kept, table = merge(blocks, points, np.concatenate([table.T, extra]))
+        points, blocks, table = points[kept], blocks[kept], table.T
     blocks.flags.writeable = table.flags.writeable = False  # the checks share it
-    family._applied = inputs, Applied(points, blocks, table, slot)
+    family._applied = inputs, Applied(points.tolist(), blocks, table, slot)
     return family._applied[1]
 
 

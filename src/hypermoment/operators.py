@@ -21,7 +21,7 @@ from .measures import (
     CFunction,
     Measure,
     Point,
-    _point_keys,
+    _distinct,
     as_literal,
     dirac,
     measure_residual,
@@ -180,21 +180,18 @@ def _pair_table(hg: Any, pairs: Sequence[tuple[Point, Point]]) -> tuple:
         tables[key] = table = tables.pop(key)  # most recently used last
         return table
     sup = hg.pair_supports(pairs)
-    ends = np.searchsorted(sup.rows, np.arange(sup.count + 1)).tolist()  # pair i's entries: ends[i]..ends[i + 1]
-    meet_xy, meet_yx = [], []
-    for (x, y), start, end in zip(pairs, ends, ends[1:]):
-        meet_xy += sup.points[start:end] + [x, y]
-        meet_yx += sup.points[start:end] + [y, x]
-    keys = [list(dict.fromkeys(_point_keys(meet))) for meet in (meet_xy, meet_yx)]  # the points first met, or "-0.0"
-    orders = tuple([-0.0 if isinstance(key, str) else key for key in order] for order in keys)
-    index = {key: i for i, key in enumerate(keys[1])}
-
-    def at(points: Iterable[Point]) -> np.ndarray:
-        return np.array([index[key] for key in _point_keys(points)], dtype=np.intp)
-
-    table = (sup, orders, len(index), at(orders[0]), at(sup.points), at(x for x, _ in pairs), at(y for _, y in pairs))
+    count, end = len(pairs), len(sup.rows)
+    met = sup.points.tolist() + [x for x, _ in pairs] + [y for _, y in pairs]  # the entries, then the x's and y's
+    at_pair = np.concatenate([sup.rows, np.arange(count), np.arange(count)])
+    # the two walks a loop makes: each pair's support, then x and y (first order) or y and x (second)
+    meets = [np.lexsort((np.repeat(kind, [end, count, count]), at_pair)) for kind in ((0, 1, 2), (0, 2, 1))]
+    points = np.array(met)
+    (_, first_xy), (ids, first_yx) = (_distinct(points[meet]) for meet in meets)
+    at = ids[np.argsort(meets[1])]  # each point's number in the second order
+    orders = tuple([met[i] for i in meet[first].tolist()] for meet, first in zip(meets, (first_xy, first_yx)))
+    table = (sup, orders, len(first_yx), at[meets[0][first_xy]], at[:end], at[end : end + count], at[end + count :])
     if keep and len(sup.rows) <= PAIR_TABLE_CAP:  # read-only, as `apply_family` holds its table
-        for array in (sup.rows, sup.weights, sup.err, *table[3:]):
+        for array in (sup.rows, sup.points, sup.weights, sup.err, *table[3:]):
             array.flags.writeable = False
         tables[key] = table
         if len(tables) > PAIR_TABLES:

@@ -110,3 +110,14 @@ def test_cli_diff_of_the_checkout_against_itself_finds_nothing():
     )
     assert done.returncode == 0, done.stdout + done.stderr
     assert done.stdout.splitlines() == [f"{2 * len(CASES)} runs, 0 differences"]
+
+
+def test_large_inputs_checks_a_real_line_leibniz_family():
+    # lineleib: the one large Leibniz case whose points are floats, -0.0 among them; the family passes
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "large_inputs.py"), "lineleib"],
+        capture_output=True, text=True, env=ENV, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    result = json.loads(done.stdout)
+    assert result["case"] == "lineleib" and result["outcome"] == "ok" and result["seconds"] > 0

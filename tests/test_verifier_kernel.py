@@ -72,7 +72,7 @@ from hypermoment.config import Tolerance, default_tolerance, scale_of, set_defau
 from hypermoment.fourier import derivative_moments
 from hypermoment.hypergroups import DerivativeRun
 from hypermoment.measures import (
-    TableRow, _evaluate, _point_keys, as_literal, complex_product, module_action, table_rows, values_at,
+    TableRow, _distinct, _evaluate, as_literal, complex_product, merge, module_action, table_rows, values_at,
 )
 from hypermoment.moments import _identity_records, apply_family, binomial_terms, index_order, index_sub, indices_up_to
 from hypermoment.operators import PAIR_TABLE_CAP, PAIR_TABLES, exponential_reports
@@ -547,15 +547,20 @@ def test_operator_check_errors_are_the_loops(make):
     assert any("linearization(2,2)" in str(e) for e in outcomes) == (make is negative_dip)
 
 
-def test_an_overflowing_term_fails_the_rows_the_operator_checks_are():
-    # D0 weighs 1e200 (n + 1), so D0 mu * D0 nu leaves the floats: the loops raise where they would make that
-    # Measure, the table carries NaN, and each check fails as the Leibniz row it is, counterexample and all
+def overflow_case() -> tuple:
+    """Chebyshev, D0 weighing 1e200 (n + 1), D weighing 0.5 n, and 4 cyclic pairs of 2-point measures."""
     hg = chebyshev()
     d0, d = make_module_hom(hg, CFunction(lambda n: 1e200 * (n + 1))), make_module_hom(hg, CFunction(lambda n: 0.5 * n))
     rng = random.Random(3)
     ms = [Measure.from_items(hg, [(x, complex(rng.uniform(-1, 1), rng.uniform(-1, 1))) for x in support])
           for support in ((0, 1), (1, 2), (1, 4), (0, 2))]
-    samples = [(ms[i], ms[(i + 1) % 4]) for i in range(4)]
+    return hg, d0, d, [(ms[i], ms[(i + 1) % 4]) for i in range(4)]
+
+
+def test_an_overflowing_term_fails_the_rows_the_operator_checks_are():
+    # D0 weighs 1e200 (n + 1), so D0 mu * D0 nu leaves the floats: the loops raise where they would make that
+    # Measure, the table carries NaN, and each check fails as the Leibniz row it is, counterexample and all
+    hg, d0, d, samples = overflow_case()
     for loop in (lambda: reference_is_multiplicative_hom(d0, samples),
                  lambda: reference_verify_d0_derivation(d0, d, samples)):
         assert outcome(loop) == "DomainError: non-finite weight (nan+nanj)"
@@ -567,6 +572,18 @@ def test_an_overflowing_term_fails_the_rows_the_operator_checks_are():
         for got, row in zip(report.records, rows):
             assert (got.status, got.residual, got.scale) == (row.status, row.residual, row.scale)
             assert str(got.counterexample) == str(row.counterexample[1:])  # NaN in both: compared as text
+        # the table reference fails the same rows, with no RuntimeWarning
+        assert verify_leibniz(family, samples).to_json() == head_verify_leibniz(family, samples).to_json()
+
+
+def test_an_overflowing_term_fails_the_transform_side_rows():
+    # the products of total masses leave the floats as the Leibniz terms do: each row fails, with no RuntimeWarning
+    hg, d0, d, samples = overflow_case()
+    family = DerivationFamily(hg, 1, 1, {(0,): d0, (1,): d})
+    rows = verify_leibniz(family, samples).records
+    report = verify_fourier_leibniz(family, samples)
+    assert [r.status for r in report.records] == [r.status for r in rows] == ["fail", "fail"]
+    assert [r.residual for r in report.records] == [r.residual for r in rows]
 
 
 # ---------------------------------------------------------------------------
@@ -607,7 +624,7 @@ def head_convolve(mu, nu) -> Measure:
     hg = mu.hypergroup
     sup = hg.pair_supports([(x, y) for x, _ in mu.support for y, _ in nu.support])
     wxy = [wx * wy for _, wx in mu.support for _, wy in nu.support]
-    items = zip(sup.points, sup.rows.tolist(), sup.weights.tolist())
+    items = zip(sup.points.tolist(), sup.rows.tolist(), sup.weights.tolist())
     return Measure.from_items(hg, [(z, wxy[p] * complex(w)) for z, p, w in items])
 
 
@@ -963,6 +980,12 @@ def test_build_carries_a_passed_phi0(monkeypatch):
         assert checked == [entries[(0,)]]
 
 
+def point_keys(points) -> list:
+    """Each point as a key of distinct points: itself, but "-0.0" for a float -0.0, which `==` merges with 0.0."""
+    return [x if x or not isinstance(x, float) or math.copysign(1.0, x) > 0 else "-0.0" for x in points]
+
+
+@np.errstate(over="ignore", invalid="ignore")  # a term past the floats fails its case, as in `verify_leibniz`
 def head_verify_leibniz(family, samples, f_probe=None) -> Report:
     """verify_leibniz as it read on Measure loops: its grids rebuilt from every D_b m
     that `reference_apply_family` makes, D_a(mu*nu) paired with `pair`."""
@@ -985,9 +1008,10 @@ def head_verify_leibniz(family, samples, f_probe=None) -> Report:
         starts.append(len(pairs))
         pairs += [(x, y) for x in grids[id(mu)][0] for y in grids[id(nu)][0]]
     sup = family.hypergroup.pair_supports(pairs)
+    sup = sup._replace(points=sup.points.tolist())
     # keyed as the loop tells points apart: -0.0 and 0.0 of two measures are two points, while a
     # measure merges them into the first it meets, as `Measure.from_items` does
-    values = [{k: _evaluate(f, p) for k, p in dict(zip(_point_keys(sup.points), sup.points)).items()} for f in probes]
+    values = [{k: _evaluate(f, p) for k, p in dict(zip(point_keys(sup.points), sup.points)).items()} for f in probes]
     lv = np.array([[[pair(m, f) for f in probes] for m in row] for row in lhs], dtype=complex)
     terms = np.zeros((len(beta),) + lv.shape[1:], dtype=complex)
     bounds = np.searchsorted(sup.rows, starts + [len(pairs)]).tolist()
@@ -1002,7 +1026,7 @@ def head_verify_leibniz(family, samples, f_probe=None) -> Report:
         merged = np.zeros((len(points), len(beta)), dtype=complex)
         np.add.at(merged, at, items.T * sup.weights[entries, None])
         for q in range(len(probes)):
-            at_f = np.array([values[q][k] for k in _point_keys(points)], dtype=complex)
+            at_f = np.array([values[q][k] for k in point_keys(points)], dtype=complex)
             paired = np.zeros((1, len(beta)), dtype=complex)
             np.add.at(paired, np.zeros(len(points), dtype=np.intp), complex_product(at_f[:, None], merged * coef))
             terms[:, s, q] = paired[0]
@@ -1039,8 +1063,8 @@ def head_verify_fourier_leibniz(family, samples) -> Report:
 
 def same_supports(got, want) -> bool:
     """Two `PairSupports` bit for bit, the points' types included."""
-    return (got.rows.tolist(), bits(got.points), bits(got.weights.tolist()), got.count, got.err.tolist()) == (
-        want.rows.tolist(), bits(want.points), bits(want.weights.tolist()), want.count, want.err.tolist())
+    return (got.rows.tolist(), bits(got.points.tolist()), bits(got.weights.tolist()), got.count, got.err.tolist()) == (
+        want.rows.tolist(), bits(want.points.tolist()), bits(want.weights.tolist()), want.count, want.err.tolist())
 
 
 def assert_same_application(family, samples, probes=None) -> None:
@@ -1158,6 +1182,111 @@ def test_a_point_every_derivation_drops_leaves_the_grid(make, monkeypatch):
     assert any(2 in pair for pair in conv) and grid and not any(2 in pair for pair in grid)
 
 
+def reference_merge(keys: list, items: np.ndarray) -> tuple[list, np.ndarray]:
+    """`measures.merge` as it read: the items summed per (owner, point) key of a dict, which keeps the first
+    of equal keys (-0.0 and 0.0 are equal), the keys sorted."""
+    order = sorted(dict.fromkeys(keys))
+    at = {key: i for i, key in enumerate(order)}
+    merged = np.zeros((len(order),) + items.shape[1:], dtype=complex)
+    np.add.at(merged, np.array([at[key] for key in keys], dtype=np.intp), items)
+    return order, merged
+
+
+POINT_POOLS = (
+    list(range(-6, 7)),
+    [0.25 * k for k in range(-8, 9)] + [-0.0],
+    [0.0, -0.0, 1e-300, -1e-300, 5e-324, -5e-324, 1e308, -1e308, 1.0],
+)
+
+
+def test_distinct_numbers_points_as_the_key_rule_did():
+    # first-meet numbering by bits: equal to dict.fromkeys of the signed-zero key rule
+    rng = random.Random(27)
+    cases = [[], [5], [2.5], [-0.0], [0.0, -0.0, 0.0, -0.0]]
+    cases += [[rng.choice(pool) for _ in range(rng.randint(1, 40))] for pool in POINT_POOLS for _ in range(60)]
+    for points in cases:
+        keys = point_keys(points)
+        order = list(dict.fromkeys(keys))
+        ids, first = _distinct(np.array(points))
+        assert ids.tolist() == [order.index(key) for key in keys]
+        assert first.tolist() == [keys.index(key) for key in order]
+
+
+def test_merge_is_the_dict_merge_bit_for_bit():
+    # the first point met of equal ones kept (its sign included), items summed in item order, sorted by value
+    rng = random.Random(28)
+    pools = [*POINT_POOLS, [0, 3, 2**40, 2**63, 2**64 + 1, 2**70]]
+    for pool in pools:
+        for size in [0, 1, 2] + [rng.randint(3, 60) for _ in range(40)]:
+            owner = [rng.randint(0, 3) for _ in range(size)]
+            points = [rng.choice(pool) for _ in range(size)]
+            items = np.array([complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(2 * size)])
+            items = items.reshape(size, 2)
+            array = np.array(points, dtype=object if pool is pools[-1] else None)
+            want_keys, want = reference_merge(list(zip(owner, points)), items)
+            for got_items in (items, items[:, 0]):
+                first, got = merge(np.array(owner, dtype=np.intp), array, got_items)
+                assert bits([(owner[i], points[i]) for i in first.tolist()]) == bits(want_keys)
+                assert bits(got.tolist()) == bits((want if got_items is items else want[:, 0]).tolist())
+    # an owner holding both zeros keeps the one it met first; another owner keeps its own
+    first, got = merge(np.array([1, 0, 1, 0]), np.array([-0.0, 0.0, 0.0, -0.0]), np.array([1, 2, 4, 8], dtype=complex))
+    assert bits(np.array([-0.0, 0.0, 0.0, -0.0])[first].tolist()) == bits([0.0, -0.0]) and got.tolist() == [10, 5]
+
+
+def test_an_operator_without_a_symbol_may_return_ints_past_int64():
+    # its supports join the table through the merge, whole; the term grid's read then refuses them as the loop does
+    hg = chebyshev()
+    far = MeasureOperator(hg, lambda m: Measure.from_items(hg, [*m.support, (2**70, 1.0), (2**63, 0.5)]), name="far")
+    family = DerivationFamily(hg, 1, 1, {(0,): identity_operator(hg), (1,): far})
+    rng = random.Random(29)
+    samples = cyclic_samples(hg, rng, range(6), count=3)
+    app = apply_family(family, samples)
+    lhs, applied = reference_apply_family(family, samples)
+    bounds = np.searchsorted(app.blocks, np.arange(len(samples) + len(app.slot) + 1)).tolist()
+    wants = [*lhs[1], *(applied[1, key] for key in app.slot)]
+    for j, want in enumerate(wants):
+        span = slice(bounds[j], bounds[j + 1])
+        got = [(x, w) for x, w in zip(app.points[span], app.weights[1, span].tolist()) if w != 0]
+        assert bits(got) == bits(list(want.support))
+    assert_same_application(family, samples)
+    # a sample measure whose partner is zero is never convolved: its point 2**63 joins the table whole, an int
+    big, zero = Measure.from_items(hg, [(2**63, 1.0), (3, 0.5)]), Measure(hg, ())
+    family = _family(hg, [CFunction(lambda n: float(type(n) is int))])
+    app = apply_family(family, [(big, zero)])
+    assert app.points == [3, 2**63] and app.weights.tolist() == [[0.5, 1.0]]
+    assert_same_application(family, [(big, zero)])
+
+
+@pytest.mark.parametrize("make", [real_line, chebyshev])
+def test_functions_receive_python_scalars(make):
+    # every user function, probe and family rule is called with Python ints or floats, never NumPy scalars
+    hg, seen = make(), []
+    base = realline_moments(0.3, 2, hg) if make is real_line else poly_derivative_moments(hg, 0.3, 2)
+
+    def spy(f):
+        return CFunction(lambda x: seen.append(type(x)) or f(x))
+
+    rule = base.phi((0,))._fn.rule
+    table = TableRow(lambda xs, alphas: seen.extend(map(type, xs)) or rule(xs, alphas), (0,))
+    entries = {alpha: spy(base.phi(alpha)) for alpha in base.alphas}
+    seq = MomentSequence.build(hg, 1, 2, entries, check_phi0=False)
+    points = [0.5 * k for k in range(-3, 4)] + [-0.0] if make is real_line else list(range(6))
+    pairs = [(x, y) for x in points for y in points[::2]]
+    rng = random.Random(30)
+    samples = cyclic_samples(hg, rng, points, count=4)
+    verify_moment_sequence(seq, pairs)
+    is_exponential(hg, spy(base.phi((0,))), pairs)
+    is_exponential(hg, CFunction(table), pairs)
+    verify_leibniz(derivation_from_moments(seq, skip_verification=True), samples, [spy(CFunction(lambda x: x))])
+    verify_leibniz(_family(hg, [CFunction(table), None]), samples, [spy(CFunction(lambda x: 1.0))])
+    # D_0 drops the point p of every measure, so the probe meets points of D_0(mu*nu) late, off the term grid
+    p = points[1]
+    ms = [Measure.from_items(hg, [(p, 1.0), (x, 0.5j)]) for x in points[2:6]]
+    dropping = spy(CFunction(lambda x: 0.0 if x == p else 1.0))
+    verify_leibniz(_family(hg, [dropping]), [(ms[i], ms[(i + 1) % 4]) for i in range(4)], [spy(CFunction(abs))])
+    assert seen and set(seen) == {float if make is real_line else int}
+
+
 def test_a_signed_zero_is_its_own_point():
     # -0.0 == 0.0, but the loops evaluate each point as it is: copysign(1, x) is not an exponential, the
     # family D_0 = copysign(1, x) breaks the Leibniz rule at (d[-0.0], d[-0.0]), and a symbol weighs d[-0.0] at -0.0
@@ -1247,7 +1376,7 @@ def test_one_application_per_check(monkeypatch):
     calls = []
     run = hg.pair_supports
     monkeypatch.setattr(hg, "pair_supports", lambda pairs: calls.append("pair_supports") or run(pairs))
-    for module in (hypermoment.measures, hypermoment.moments):
+    for module in (hypermoment.measures, hypermoment.fourier):
         monkeypatch.setattr(module, "convolve", lambda *args: calls.append("convolve"))
     for check, want in ((verify_leibniz, ["pair_supports"]), (verify_fourier_leibniz, ["pair_supports"])):
         calls.clear(), evals.clear()
@@ -1396,7 +1525,7 @@ def test_kept_tables_are_read_only():
     is_exponential(hg, CFunction.constant(1.0), [(0, 1), (1, 1)])
     (table,) = hg._pair_tables.values()
     arrays = [a for a in (*table[0], *table) if isinstance(a, np.ndarray)]
-    assert len(arrays) == 7 and not any(a.flags.writeable for a in arrays)
+    assert len(arrays) == 8 and not any(a.flags.writeable for a in arrays)
     with pytest.raises(ValueError, match="read-only"):
         table[4][0] = 1
 
