@@ -7,7 +7,8 @@ pairs of 4-point measures (mult40, d0deriv40), the Leibniz check of a rank-2
 real-line family on 40 pairs of 6-point measures, some holding -0.0 (lineleib,
 the one large Leibniz case whose points are floats), a moment identity on 4,096
 pairs checked cold and warm, a real-line moment identity on 14,641 pairs, a
-transform of degree 200, its Taylor check at degree 150, the axiom check of
+transform of degree 200, its Taylor check at degree 150, the monomial
+coefficients of a transform of degree 300, the axiom check of
 the cyclic group Z_128, the exponentials of the cyclic groups Z_64 and Z_256,
 the moment extensions of Z_160 to order 2, and 100 fresh axiom checks each of
 chebyshev at bound 16 and of a recurrence whose linearization goes negative,
@@ -28,7 +29,7 @@ those runs: per call, its distinct columns times its top step plus one; and
 
     python scripts/large_inputs.py               # every case, in the order below
     python scripts/large_inputs.py lin1200 cheb80 leib120 leib21 mult40 d0deriv40 lineleib moments64 line121
-    python scripts/large_inputs.py transform200 taylor150 expo64 search160
+    python scripts/large_inputs.py transform200 taylor150 mono300 expo64 search160
     python scripts/large_inputs.py cold16 dip12
 
 With `hypermoment` not installed, put `src` on PYTHONPATH.
@@ -144,6 +145,14 @@ def taylor150() -> bool:
         return cli_main(argv) == 0
 
 
+def mono300() -> bool:
+    """`transform` of P_300 + 0.5i P_150 + 0.25 P_3 on legendre, its monomial coefficients
+    from one backward pass, its report discarded; True when it exits 0."""
+    argv = ["transform", "--hypergroup", "legendre", "--measure", "[[3,0.25],[150,[0,0.5]],[300,1]]"]
+    with contextlib.redirect_stdout(io.StringIO()):
+        return cli_main(argv) == 0
+
+
 def dip12() -> bool:
     """100 fresh `check_axioms` at bound 12 of the chebyshev rows with row 5 replaced by (0.3, 0, 0.7), whose
     linearization goes negative; False when every check fails, as each should."""
@@ -196,6 +205,7 @@ CASES = {
     "line121": line121,
     "transform200": transform200,
     "taylor150": taylor150,
+    "mono300": mono300,
     "expo64": lambda: cyclic_cli(64, "exponentials"),  # 64 exponentials judged on 4,096 pairs
     "expo256": lambda: cyclic_cli(256, "exponentials"),  # 256 on 65,536 pairs
     "search160": lambda: cyclic_cli(160, "search-moments", "--phi0", "m1", "--alpha", "2"),

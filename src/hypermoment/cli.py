@@ -14,23 +14,24 @@ import random
 import sys
 from typing import Callable
 
+import numpy as np
+
 from .config import Tolerance, default_tolerance
 from .errors import DomainError, HypermomentError, PreconditionError, SpecError
 from .fourier import (
-    check_derivative_identity, derivative_moments, poly_residual, taylor_reconstruct, transform, verify_fourier_leibniz,
+    check_derivative_identity, derivative_moments, taylor_reconstruct, transform, verify_fourier_leibniz,
 )
 from .hypergroups import (
-    FiniteHypergroup, Hypergroup, PolynomialHypergroup, RealLineHypergroup, check_axioms, enumerate_exponentials,
+    FiniteHypergroup, Hypergroup, PolynomialHypergroup, RealLineHypergroup, _exponentials, check_axioms,
 )
 from .io import (
     family_from_literal, load_hypergroup, measure_from_literal, pairs_from_literal, resolve_phi0, samples_from_literal,
 )
-from .measures import Measure, Point
+from .measures import Measure, Point, complex_abs
 from .moments import (
     MomentSequence, _default_pairs, derivation_from_moments, iterated_extension, rank_lift, verify_leibniz,
     verify_moment_sequence,
 )
-from .operators import exponential_reports
 from .reports import Report
 
 
@@ -98,19 +99,12 @@ def cmd_axioms(args: argparse.Namespace, hg: Hypergroup) -> Report:
 def cmd_exponentials(args: argparse.Namespace, hg: Hypergroup) -> Report:
     if not isinstance(hg, FiniteHypergroup):
         raise SpecError("exponential enumeration needs a finite hypergroup")
-    expos = enumerate_exponentials(hg, tol=args.tol)
+    expos = _exponentials(hg, tol=args.tol)  # each re-verified on the n^2 pairs, with its worst residual/scale
     report = Report(title="exponentials", meta={"count": len(expos)})
-    for i, (m, sub) in enumerate(zip(expos, exponential_reports(hg, expos, _default_pairs(hg), tol=args.tol))):
+    for i, (m, worst) in enumerate(expos):
         values = {str(x): [v.real, v.imag] for x, v in enumerate(map(m, range(hg.size)))}
-        report.add(
-            f"m{i}",
-            "m(o) = 1 and <dx*dy, m> = m(x) m(y)",
-            sub.passed,
-            sub.worst_residual(),
-            1.0,
-            counterexample=None if sub.passed else values,
-            detail=str(values),
-        )
+        report.check(f"m{i}", "m(o) = 1 and <dx*dy, m> = m(x) m(y)", max(abs(m(hg.identity) - 1.0), worst), 1.0,
+                     args.tol, lambda: values, detail=str(values))
     return report
 
 
@@ -158,13 +152,12 @@ def cmd_transform(args: argparse.Namespace, hg: Hypergroup) -> Report:
         report.meta["value"] = [value.real, value.imag]
     if args.taylor:
         top = max(mu.points, default=0)
-        values = derivative_moments(hg, mu, int(top), z=0.0)
-        rebuilt = taylor_reconstruct(hg, values, degree=args.degree)
-        truncated = args.degree is not None and args.degree < top
-        report.check(
-            "taylor-reconstruction", "mu^(lam) = sum_k lam^k/k! <D_k mu, 1>", *poly_residual(rebuilt, poly), args.tol,
-            lambda: [[c.real, c.imag] for c in rebuilt.coeffs],
-            detail="truncated reconstruction" if truncated else rebuilt.pretty("lam"),
+        rebuilt = taylor_reconstruct(hg, derivative_moments(hg, mu, top, z=0.0))
+        got, want = (np.array(p.coeffs + (0j,) * (top + 1 - len(p.coeffs))) for p in (rebuilt, poly))
+        report.add_worst(
+            "taylor-reconstruction", "mu^(lam) = sum_k lam^k/k! <D_k mu, 1>", complex_abs(got - want),
+            np.maximum(1.0, poly.bounds), args.tol, lambda k: [[c.real, c.imag] for c in rebuilt.coeffs],
+            detail=rebuilt.pretty("lam"),
         )
     return report
 
@@ -221,7 +214,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--z", type=complex, default=None, help="evaluate and check derivatives at z")
     p.add_argument("--k", type=bound, default=2, help="max derivative order checked with --z")
     p.add_argument("--taylor", action="store_true", help="check the Taylor reconstruction")
-    p.add_argument("--degree", type=int, default=None, help="truncate the reconstruction")
     return parser
 
 

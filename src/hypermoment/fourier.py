@@ -2,29 +2,31 @@
 
 On a polynomial hypergroup the transform of a finitely supported measure is
 the polynomial z -> sum_n mu({n}) P_n(z), so its P-basis coefficients are the
-weights of mu.  Values and derivatives are read from those weights:
-`transform_derivatives` runs the differentiated Clenshaw backward recurrence
-over the carrier's rows, and the derivative identity and the multiplicativity
-check compare values, not coefficients.  The monomial form (`transform`,
-whose coefficients grow with the degree) remains only for output, for
-`hat_derivation` and for the Taylor reconstruction.  The transform-side
-Leibniz check reads total masses, the values at z = 1.  On the real line the
-transform has no finite coefficient form and is kept evaluation-only.
+weights of mu.  One backward pass over the carrier's rows reads them
+(`_taylor_rows`): `transform_derivatives` gives the values and derivatives
+that the derivative identity and the multiplicativity check compare, and
+`transform` the monomial coefficients with their a priori bounds, kept for
+output, `hat_derivation` and the Taylor check, coefficient by coefficient.
+The transform-side Leibniz check reads total masses, the values at z = 1.  On
+the real line the transform has no finite coefficient form and is kept
+evaluation-only.
 """
 
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
-from dataclasses import dataclass
-from typing import Any, Iterator, Sequence
+import operator
+from dataclasses import dataclass, field
+from typing import Any, Sequence
 
 import numpy as np
 
 from .config import Tolerance, default_tolerance, scale_of
 from .errors import DomainError
 from .hypergroups import DerivativeRun, PolynomialHypergroup, RealLineHypergroup
-from .measures import Measure, as_literal, complex_abs, complex_product, convolve, pair
+from .measures import Measure, as_literal, complex_abs, complex_product, convolve, dirac, pair
 from .moments import DerivationFamily, _identity_records, apply_family, as_index, binomial_terms
 from .reports import Report
 
@@ -34,18 +36,20 @@ class TransformPoly:
     """Transform of a measure on a polynomial hypergroup, in the monomial basis: an
     output form, not evaluated here (see `transform_derivatives`).
 
-    Coefficients are lowest-degree first with exact trailing zeros trimmed.
+    Coefficients are lowest-degree first with exact trailing zeros trimmed.  `transform` also
+    gives bounds[k], the a priori bound of coefficient k, for every k up to the measure's top point.
     """
 
     hypergroup: Any
     coeffs: tuple[complex, ...]
+    bounds: tuple[float, ...] = field(default=(), compare=False)
 
     @classmethod
-    def from_coeffs(cls, hg: Any, coeffs: Sequence[complex]) -> "TransformPoly":
+    def from_coeffs(cls, hg: Any, coeffs: Sequence[complex], bounds: Sequence[float] = ()) -> "TransformPoly":
         out = [complex(c) for c in coeffs]
         while out and out[-1] == 0:
             out.pop()
-        return cls(hg, tuple(out))
+        return cls(hg, tuple(out), tuple(bounds))
 
     @property
     def degree(self) -> int:
@@ -80,36 +84,8 @@ def poly_residual(p: TransformPoly, q: TransformPoly) -> tuple[float, float]:
 
 
 def p_to_monomial(hg: PolynomialHypergroup, n: int) -> tuple[float, ...]:
-    """Monomial coefficients of P_n, by running the recurrence on coefficient lists."""
-    if not isinstance(hg, PolynomialHypergroup):
-        raise DomainError("monomial conversion needs a polynomial hypergroup")
-    if n < 0:
-        raise DomainError("index must be nonnegative")
-    for row in _monomial_rows(hg, n):
-        pass
-    return tuple(row)
-
-
-def _monomial_rows(hg: PolynomialHypergroup, top: int) -> Iterator[list[float]]:
-    """The monomial coefficients of P_0, P_1, ..., P_top, from one run of the recurrence."""
-    prev = [1.0]  # P_0
-    yield prev
-    if top == 0:
-        return
-    cur = [-hg.b0 / hg.a0, 1.0 / hg.a0]  # P_1
-    yield cur
-    for m in range(1, top):
-        a, b, c = hg.coefficient_row(m)
-        # P_{m+1} = ((x - b0)/a0 * P_m - b_m P_m - c_m P_{m-1}) / a_m
-        nxt = [0.0] * (m + 2)
-        for j, v in enumerate(cur):
-            nxt[j + 1] += v / hg.a0
-            nxt[j] -= v * hg.b0 / hg.a0
-            nxt[j] -= b * v
-        for j, v in enumerate(prev):
-            nxt[j] -= c * v
-        prev, cur = cur, [v / a for v in nxt]
-        yield cur
+    """Monomial coefficients of P_n: the transform of the point mass at n."""
+    return tuple(c.real for c in transform(hg, dirac(hg, n)).coeffs)
 
 
 def _on_polynomial_carrier(hg: Any, mu: Measure) -> None:
@@ -121,44 +97,58 @@ def _on_polynomial_carrier(hg: Any, mu: Measure) -> None:
 
 
 def transform(hg: PolynomialHypergroup, mu: Measure) -> TransformPoly:
-    """Fourier-Laplace transform: z -> sum_n mu({n}) P_n(z), as monomial coefficients."""
-    _on_polynomial_carrier(hg, mu)
-    coeffs, weights = [0j] * (max(mu.points, default=0) + 1), dict(mu.support)
-    for n, mono in enumerate(_monomial_rows(hg, len(coeffs) - 1)):  # support points in order, as the run meets them
-        for j, v in enumerate(mono if n in weights else ()):
-            coeffs[j] += weights[n] * v
-    if not all(map(cmath.isfinite, coeffs)):
-        raise DomainError(f"transform of degree {len(coeffs) - 1}: monomial coefficients leave the float range")
-    return TransformPoly.from_coeffs(hg, coeffs)
+    """Fourier-Laplace transform: z -> sum_n mu({n}) P_n(z), as monomial coefficients, the Taylor
+    rows of `_taylor_rows` at z = 0, each with its a priori bound."""
+    rows = _taylor_rows(hg, mu, max(mu.points, default=0), np.zeros(1), bound=True)
+    if not np.isfinite(rows).all():
+        raise DomainError(f"transform of degree {len(rows) - 1}: monomial coefficients leave the float range")
+    return TransformPoly.from_coeffs(hg, rows[:, 0].tolist(), rows[:, 1].real.tolist())
 
 
 def transform_derivatives(hg: PolynomialHypergroup, mu: Measure, k: int, zs: Sequence[complex]) -> np.ndarray:
-    """mu^(i)(z) for i = 0..k (rows) and z in zs (columns), from the P-basis weights w_n of mu
-    by the differentiated Clenshaw backward recurrence (Clenshaw 1955; Smith 1965): with
-    P_{n+1} = al_n P_n - be_n P_{n-1}, al_n = (P_1 - b_n)/a_n, be_n = c_n/a_n and al_0 = P_1,
-    the sums s_n = w_n + al_n s_{n+1} - be_{n+1} s_{n+2} end in s_0 = mu^(z); their i-th derivatives
-    drop w_n and add i al_n' s_{n+1}^(i-1), where al_n' = 1/(a0 a_n) (1/a0 for n = 0).
-    """
+    """mu^(i)(z) for i = 0..k (rows) and z in zs (columns): row i of `_taylor_rows` times i!,
+    scaled exactly (as m 2^e), so a zero row stays zero past 170!."""
+    zs = np.asarray(zs, dtype=complex)
+    factorials = [1, *itertools.accumulate(range(1, k + 1), operator.mul)]  # i! = m_i 2^e_i, 1 <= m_i < 2
+    e = [f.bit_length() - 1 for f in factorials]
+    m = [f / (1 << b) for f, b in zip(factorials, e)]
+    with np.errstate(over="ignore"):  # a non-finite derivative is refused below
+        rows = np.ldexp(_taylor_rows(hg, mu, k, zs).view(float) * np.array(m)[:, None], np.array(e)[:, None])
+    rows = rows.view(complex)
+    bad = ~np.isfinite(rows).all(axis=0)
+    if bad.any():
+        raise DomainError(f"transform derivatives up to order {k} at z={complex(zs[bad][0])} leave the float range")
+    return rows
+
+
+def _taylor_rows(hg: PolynomialHypergroup, mu: Measure, k: int, zs: np.ndarray, bound: bool = False) -> np.ndarray:
+    """mu^(i)(z)/i! for i = 0..k (rows) and z in zs (columns), from the P-basis weights w_n of mu by the
+    differentiated Clenshaw backward recurrence (Clenshaw 1955; Smith 1965): with P_{n+1} = al_n P_n -
+    be_n P_{n-1}, al_n = (P_1 - b_n)/a_n, be_n = c_n/a_n and al_0 = P_1, the sums s_n = w_n + al_n s_{n+1}
+    - be_{n+1} s_{n+2} end in s_0 = mu^(z); row i drops w_n and adds al_n' times row i - 1 of s_{n+1}, where
+    al_n' = 1/(a0 a_n) (1/a0 for n = 0).  With `bound`, len(zs) more columns run the same recurrence on
+    |al_n|, be_n, al_n' and |w_n| with all terms added: each value's a priori bound (Higham 2002, ch. 5)."""
     _on_polynomial_carrier(hg, mu)
     if k < 0:
         raise DomainError("derivative order must be nonnegative")
-    zs = np.asarray(zs, dtype=complex)
-    top, weights = max(mu.points, default=0), dict(mu.support)
+    top = max(mu.points, default=0)
     rows = np.array([(1.0, 0.0, 0.0), *map(hg.coefficient_row, range(1, top))])  # row 0 is P_1 * P_0 = P_1
-    slopes = np.arange(1, k + 1)[:, None] / (hg.a0 * rows[:, :1, None])
-    be = [*(rows[1:, 2] / rows[1:, 0]).tolist(), 0.0]  # be[n] is be_{n+1}
-    s1, s2 = np.zeros((2, k + 1, len(zs)), dtype=complex)
-    s1[0] = weights.get(top, 0j)
-    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite sum is refused below
-        al = ((zs - hg.b0) / hg.a0 - rows[:, 1:2]) / rows[:, :1]
+    slopes = (1.0 / (hg.a0 * rows[:, 0])).tolist()
+    be = np.append(rows[1:, 2] / rows[1:, 0], 0.0)[:, None]  # be[n] is be_{n+1}
+    weights = np.zeros((top + 1, 1), dtype=complex)
+    weights[[n for n, _ in mu.support], 0] = [w for _, w in mu.support]
+    al = ((zs - hg.b0) / hg.a0 - rows[:, 1:2]) / rows[:, :1]
+    if bound:  # -be_n in the bound columns, so that s2's term is added
+        al, be = np.hstack([al, np.abs(al)]), be * np.repeat([1.0, -1.0], len(zs))
+        weights = np.hstack([weights, np.abs(weights)]).repeat(len(zs), axis=1)
+    s1, s2 = np.zeros((2, k + 1, al.shape[1]), dtype=complex)
+    s1[0] = weights[top]
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite sum is refused by the readers
         for n in range(top - 1, -1, -1):
             s = al[n] * s1 - be[n] * s2
             s[1:] += slopes[n] * s1[:-1]
-            s[0] += weights.get(n, 0j)
+            s[0] += weights[n]
             s1, s2 = s, s1
-    bad = ~np.isfinite(s1).all(axis=0)
-    if bad.any():
-        raise DomainError(f"transform derivatives up to order {k} at z={complex(zs[bad][0])} leave the float range")
     return s1
 
 

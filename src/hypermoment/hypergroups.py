@@ -136,7 +136,7 @@ class Hypergroup:
         """The point convolutions of `pairs` of valid points, from one `_pairs` call; raises the
         DomainError of the first undefined convolution."""
         points = _points(pairs)  # an int past int64 kept whole, so a refusal names the point given
-        empty = PairSupports(np.zeros(0, dtype=np.intp), np.zeros(0), np.zeros(0), 0, _defined(0))
+        empty = PairSupports(np.zeros(0, dtype=np.intp), np.zeros(0, type(self.identity)), np.zeros(0), 0, _defined(0))
         flat = self._pairs(*points.T) if pairs else empty
         bad = flat.err.astype(bool)
         if bad.any():
@@ -897,7 +897,12 @@ def _joint_eigenbases(hg: FiniteHypergroup) -> list[np.ndarray]:
 
 
 def enumerate_exponentials(hg: FiniteHypergroup, tol: Tolerance | None = None) -> list[CFunction]:
-    """All exponentials of a finite hypergroup.
+    """All exponentials of a finite hypergroup (`_exponentials`)."""
+    return [f for f, _ in _exponentials(hg, tol)]
+
+
+def _exponentials(hg: FiniteHypergroup, tol: Tolerance | None = None) -> list[tuple[CFunction, float]]:
+    """All exponentials of a finite hypergroup, each with the worst residual/scale of its re-verification.
 
     An exponential is a joint eigenvector of the translation matrices
     T_x = C[x], normalised to 1 at the identity.  Eigenspaces are intersected
@@ -925,14 +930,16 @@ def enumerate_exponentials(hg: FiniteHypergroup, tol: Tolerance | None = None) -
     # re-verification: <dx*dy, v> = v(x) v(y) for every pair (x, y) at x * n + y, per candidate
     xs, ys = np.divmod(np.arange(n * n), n)
     vs = np.array(found).reshape(len(found), n)
+    worst: list[float] = []
     for _, _, _, res, scl in hg._entries.products(vs, hg._entries.points, xs, ys):
         fails = tol.fails(res, scl)
         if fails.any():  # reported at the worst failing case of the first failing candidate
             b = int(np.argmax(fails.any(axis=1)))
             i = np.argmax(np.where(fails[b], res[b] / scl[b], -np.inf))
             raise DecompositionError(f"joint eigenvector failed exponential re-verification (residual {res[b, i]:.3e})")
+        worst += (res / scl).max(axis=1, initial=0.0).tolist()
     if len(found) < len(blocks):
         raise DecompositionError("joint eigenvector vanishes at the identity")
     # sorted on their values, read from the eigenvectors: v.tolist()[x] is the complex(v[x]) `from_table` stores
-    found.sort(key=lambda v: tuple((-round(c.real, 10), -round(c.imag, 10)) for c in v.tolist()))
-    return [CFunction.from_table(dict(enumerate(v.tolist())), kind="exponential") for v in found]
+    judged = sorted(zip(found, worst), key=lambda p: [(-round(c.real, 10), -round(c.imag, 10)) for c in p[0].tolist()])
+    return [(CFunction.from_table(dict(enumerate(v.tolist())), kind="exponential"), w) for v, w in judged]

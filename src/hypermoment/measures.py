@@ -306,7 +306,11 @@ def merge(owner: np.ndarray, points: np.ndarray, items: np.ndarray) -> tuple[np.
 def module_action(phi: CFunction | Callable[[Point], Any], mu: Measure) -> Measure:
     """Multiplication of a measure by a function: weight at x becomes phi(x)*mu({x}),
     weighed by `multiply` once phi is evaluated at every point, exact zeros dropped."""
-    values = values_at(phi, [x for x, _ in mu.support])
+    return weigh(mu, values_at(phi, [x for x, _ in mu.support]))
+
+
+def weigh(mu: Measure, values: np.ndarray) -> Measure:
+    """mu with the weight at its i-th support point multiplied by values[i] (`multiply`), exact zeros dropped."""
     weights = multiply(values, np.array([w for _, w in mu.support], dtype=complex)).tolist()
     return Measure(mu.hypergroup, tuple((x, w) for (x, _), w in zip(mu.support, weights) if w != 0))
 

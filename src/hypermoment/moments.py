@@ -454,10 +454,10 @@ def _leibniz_sides(family: DerivationFamily, samples: list, probes: list) -> tup
     owner, ex, ey = np.array(cells, dtype=np.intp).reshape(-1, 3).T
     hg = family.hypergroup  # `convolutions` validated the grid's points, unless an operator without a symbol gave them
     read = hg.pair_supports if any(family.op(alpha).symbol is None for alpha in family.alphas) else hg._read
-    sup = read([(app.points[x], app.points[y]) for _, x, y in cells])
+    sup = read([*zip(app.points[ex].tolist(), app.points[ey].tolist())])
     # each probe at the grid's distinct points (numbered first), then at the points of D_a(mu*nu) no
     # term reaches, where `pair` first meets them: by alpha, sample, probe, point
-    points, lhs = _points(app.points[: bounds[count]]), app.weights[:, : bounds[count]]
+    points, lhs = app.points[: bounds[count]], app.weights[:, : bounds[count]]
     ids, first = _distinct(np.concatenate([sup.points, points]))
     reached, at = np.searchsorted(first, len(sup.points)), ids[len(sup.points) :]
     at_f, done = np.zeros((len(probes), len(first)), dtype=complex), np.arange(len(first)) < reached
@@ -485,7 +485,7 @@ class Applied(NamedTuple):
     measure m (block slot[id(m)]) on one table: entry e is the point points[e] of block blocks[e], in
     support order, and weights[a, e] is the weight of D_a there, 0j where D_a drops the point."""
 
-    points: list
+    points: np.ndarray
     blocks: np.ndarray
     weights: np.ndarray
     slot: dict[int, int]
@@ -518,7 +518,8 @@ def apply_family(family: DerivationFamily, samples: list[tuple[Measure, Measure]
         points, blocks, weights = convolutions(hg, samples)
     measures = list({id(m): m for sample in samples for m in sample}.values())
     slot = {id(m): len(samples) + j for j, m in enumerate(measures)}
-    points = _points([*points.tolist(), *(x for m in measures for x, _ in m.support)])
+    extra = [x for m in measures for x, _ in m.support]
+    points = np.concatenate([points, _points(extra)]) if extra else points
     sizes = [len(m.support) for m in measures]
     blocks = np.concatenate([blocks, np.repeat(np.arange(len(measures)) + len(samples), sizes)])
     weights = np.concatenate([weights, np.array([w for m in measures for _, w in m.support], dtype=complex)])
@@ -565,11 +566,11 @@ def apply_family(family: DerivationFamily, samples: list[tuple[Measure, Measure]
         extra = np.zeros((len(calls), len(alphas)), dtype=complex)
         extra[np.arange(len(calls)), [a for _, _, a, _ in calls]] = [w for *_, w in calls]
         blocks = np.concatenate([blocks, [j for j, *_ in calls]])
-        points = _points([*points.tolist(), *(x for _, x, _, _ in calls)])
+        points = np.concatenate([points, _points([x for _, x, _, _ in calls])])
         kept, table = merge(blocks, points, np.concatenate([table.T, extra]))
         points, blocks, table = points[kept], blocks[kept], table.T
-    blocks.flags.writeable = table.flags.writeable = False  # the checks share it
-    family._applied = inputs, Applied(points.tolist(), blocks, table, slot)
+    points.flags.writeable = blocks.flags.writeable = table.flags.writeable = False  # the checks share it
+    family._applied = inputs, Applied(points, blocks, table, slot)
     return family._applied[1]
 
 

@@ -22,6 +22,7 @@ from .measures import (
     Measure,
     Point,
     _distinct,
+    _points,
     as_literal,
     dirac,
     measure_residual,
@@ -29,6 +30,7 @@ from .measures import (
     pair,
     table_rows,
     values_at,
+    weigh,
 )
 from .reports import Report
 
@@ -98,9 +100,12 @@ def is_module_hom(
         lambda i: [as_literal(samples[i][0]), samples[i][1].describe()],
     )
 
-    support = list(dict.fromkeys(x for mu in measures for x in mu.points))
-    sym = symbol_of(op, support) if support else CFunction.constant(0.0)
-    res, scl = np.array([measure_residual(op(mu), module_action(sym, mu)) for mu in measures]).T
+    # the symbol <F(dx), 1> at each distinct support point, read by the point's number: -0.0 apart from 0.0
+    points, one = _points([x for mu in measures for x in mu.points]), CFunction.constant(1.0)
+    ids, first = _distinct(points)
+    sym = np.array([pair(op(dirac(op.hypergroup, x)), one) for x in points[first].tolist()], dtype=complex)
+    at = np.split(ids, np.cumsum([len(mu.support) for mu in measures])[:-1])
+    res, scl = np.array([measure_residual(op(mu), weigh(mu, sym[a])) for mu, a in zip(measures, at)]).T
     report.add_worst(
         "symbol-identity", "F(mu) = symbol(F) mu with symbol(F)(x) = <F(dx), 1>", res, scl, tol,
         lambda i: as_literal(measures[i]),

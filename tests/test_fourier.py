@@ -7,9 +7,11 @@ chebval/legval with chebder/legder for values and derivatives of transforms.
 from __future__ import annotations
 
 import cmath
+import functools
 import json
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -50,7 +52,7 @@ from hypermoment import (
     verify_transform_multiplicativity,
 )
 from hypermoment.cli import main
-from hypermoment.fourier import TransformPoly, _monomial_rows, check_derivative_identity
+from hypermoment.fourier import TransformPoly, check_derivative_identity
 from tests.conftest import random_measure
 from tests.test_pipeline import gegenbauer
 
@@ -109,17 +111,65 @@ def reference_transform_coeffs(hg, mu: Measure) -> tuple[complex, ...]:
     return TransformPoly.from_coeffs(hg, coeffs).coeffs
 
 
-@pytest.mark.parametrize("hg", [chebyshev(), legendre(), PolynomialHypergroup(0.6, 0.4, [(0.4, 0.2, 0.4)] * 130)],
+@functools.cache
+def exact_rows(hg, top: int = 300) -> list[tuple[list[int], int, Fraction]]:
+    """P_0, ..., P_top exactly: P_n = R_n / K_n with K_{n+1} = a0 a_n K_n (K_0 = 1, a_0 = 1), where
+    R_{n+1} = (x - b0 - a0 b_n) R_n - a0^2 c_n a_{n-1} R_{n-1} has dyadic terms, so row n is R_n as
+    integers over 2**e, e and K_n."""
+    a0, b0 = Fraction(hg.a0), Fraction(hg.b0)
+    rows = [([1], 0, Fraction(1)), ([-b0.numerator, b0.denominator], b0.denominator.bit_length() - 1, a0)]
+    a_prev = 1
+    for m in range(1, top):
+        a, b, c = map(Fraction, hg.coefficient_row(m))
+        (r1, e1, k1), (r0, e0, _) = rows[-1], rows[-2]
+        al, ga = b0 + a0 * b, a0 * a0 * c * a_prev
+        ae, ge = al.denominator.bit_length() - 1, ga.denominator.bit_length() - 1
+        e = max(e1 + ae, e0 + ge, e1)
+        xr = [0] + [v << (e - e1) for v in r1]
+        alr = [v * al.numerator << (e - e1 - ae) for v in r1] + [0]
+        gar = [v * ga.numerator << (e - e0 - ge) for v in r0] + [0, 0]
+        rows.append(([x - y - z for x, y, z in zip(xr, alr, gar)], e, a0 * a * k1))
+        a_prev = a
+    return rows
+
+
+def exact_errors(hg, mu: Measure, got: tuple[complex, ...]) -> list[float]:
+    """|got_k - c_k| for each exact monomial coefficient c_k of mu^ (from `exact_rows`), rounded once."""
+    rows, big = exact_rows(hg), 1 << 1074  # every float is an integer over `big`
+    dens = {n: rows[n][2].numerator << rows[n][1] for n, _ in mu.support}  # P_n = R_n K.denominator / dens[n]
+    den = math.prod(dens.values())
+    terms = [(rows[n][0], [int(Fraction(part) * big) * rows[n][2].denominator * (den // dens[n])
+                           for part in (w.real, w.imag)]) for n, w in mu.support]
+    errors = []
+    for k, g in enumerate(got + (0j,) * (max(mu.points) + 1 - len(got))):
+        exact = [sum(w[p] * row[k] for row, w in terms if k < len(row)) for p in (0, 1)]
+        parts = [(int(Fraction(v) * big) * den - e) / (big * den) for v, e in zip((g.real, g.imag), exact)]
+        errors.append(abs(complex(*parts)))
+    return errors
+
+
+@pytest.mark.parametrize("hg", [chebyshev(), legendre(), PolynomialHypergroup(0.6, 0.4, [(0.4, 0.2, 0.4)] * 300)],
                          ids=["chebyshev", "legendre", "rows"])
 def test_one_monomial_run_matches_a_run_per_point(hg):
-    rows, ns = list(_monomial_rows(hg, 120)), [*range(21), *range(27, 121, 13), 119, 120]
-    assert [repr(tuple(rows[n])) for n in ns] == [repr(reference_p_to_monomial(hg, n)) for n in ns]
-    assert repr(p_to_monomial(hg, 120)) == repr(reference_p_to_monomial(hg, 120))
-    rng = random.Random(7)
-    for top in (0, 5, 60, 120):
+    # the backward pass at z = 0 against the forward run per support point and against the exact rows:
+    # every coefficient within 2 (top + 1) eps of its a priori bound; chebyshev point masses bit for bit
+    # while their coefficients are integers below 2**53 (n <= 82), but for the sign of P_1's zero constant term
+    if hg == chebyshev():
+        ns = [0, *range(2, 83)]
+        assert [repr(p_to_monomial(hg, n)) for n in ns] == [repr(reference_p_to_monomial(hg, n)) for n in ns]
+        assert repr(p_to_monomial(hg, 1)) == "(0.0, 1.0)" and repr(reference_p_to_monomial(hg, 1)) == "(-0.0, 1.0)"
+    rng, eps = random.Random(7), np.finfo(float).eps
+    for top in (0, 5, 60, 120, 300):
         points = sorted({top, *rng.sample(range(top + 1), min(2, top + 1))})
-        mu = Measure.from_items(hg, [(n, complex(rng.uniform(-1, 1), rng.uniform(-1, 1))) for n in points])
-        assert repr(transform(hg, mu).coeffs) == repr(reference_transform_coeffs(hg, mu))
+        for mu in (dirac(hg, top), Measure.from_items(hg, [(n, complex(rng.uniform(-1, 1), rng.uniform(-1, 1)))
+                                                           for n in points])):
+            poly = transform(hg, mu)
+            allowed = 2 * (top + 1) * eps * np.array(poly.bounds)
+            got = np.array(poly.coeffs + (0j,) * (top + 1 - len(poly.coeffs)))
+            want = reference_transform_coeffs(hg, mu)
+            assert np.all(np.abs(got - np.array(want + (0j,) * (top + 1 - len(want)))) <= allowed), top
+            assert np.all(np.array(exact_errors(hg, mu, poly.coeffs)) <= allowed), top
+        assert p_to_monomial(hg, top) == tuple(c.real for c in transform(hg, dirac(hg, top)).coeffs)
     assert transform(hg, Measure.from_items(hg, [])).coeffs == ()
 
 
@@ -365,6 +415,67 @@ class TestTaylor:
         values = derivative_moments(cheb, dirac(cheb, 3), 3, z=0.0)
         truncated = taylor_reconstruct(cheb, values, degree=1)
         assert truncated.degree <= 1
+
+
+TAYLOR_CARRIERS = {
+    "chebyshev": chebyshev, "legendre": legendre, "gegenbauer-0.8": lambda: gegenbauer(0.8),
+    "gegenbauer-2.5": lambda: gegenbauer(2.5), "rows": lambda: PolynomialHypergroup(0.6, 0.4, [(0.4, 0.2, 0.4)] * 400),
+}
+
+
+def taylor_record(capsys, hg, measure: list) -> tuple[int, dict | None]:
+    """`transform --taylor` of `measure` on an inline spec of hg's rows: the exit code and the Taylor record."""
+    top = max(n for n, _ in measure)
+    spec = json.dumps({"kind": "polynomial", "a0": hg.a0, "b0": hg.b0,
+                       "coeffs": [hg.coefficient_row(m) for m in range(1, max(top, 2))]})
+    code = main(["transform", "--hypergroup", spec, "--measure", json.dumps(measure), "--taylor", "--format", "json"])
+    out = capsys.readouterr().out
+    records = {r["name"]: r for r in json.loads(out)["records"]} if out else {}
+    return code, records.get("taylor-reconstruction")
+
+
+class TestTaylorRecord:
+    """The Taylor record judges each monomial coefficient c_k against its own a priori bound."""
+
+    @pytest.mark.parametrize("name", ["chebyshev", "legendre", "gegenbauer-0.8", "gegenbauer-2.5"])
+    def test_a_constant_term_off_by_one_fails_at_every_degree(self, name, capsys, monkeypatch):
+        # judged under one scale, max(1, |coefficients|), this copy passed on chebyshev at n = 30, 60 and 140
+        def shifted(hg, mu, kmax, z=0.0):
+            return [v + (k == 0) for k, v in enumerate(derivative_moments(hg, mu, kmax, z))]
+
+        monkeypatch.setattr("hypermoment.cli.derivative_moments", shifted)
+        hg = TAYLOR_CARRIERS[name]()
+        for n in (20, 30, 45, 60, 90, 120, 140):
+            code, record = taylor_record(capsys, hg, [[n, 1], [3, 0.5]])
+            assert code == 1 and record["status"] == "fail", n
+            assert record["residual"] / record["scale"] > 0.5, n
+        if name == "chebyshev":  # the derivative moments of T_160 leave the floats: refused, not judged
+            assert taylor_record(capsys, hg, [[160, 1], [3, 0.5]]) == (2, None)
+
+    @pytest.mark.parametrize("name", sorted(TAYLOR_CARRIERS))
+    def test_valid_measures_pass_to_degree_140(self, name, capsys):
+        hg, rng = TAYLOR_CARRIERS[name](), random.Random(11)
+        for top in (1, 5, 20, 60, 100, 130 if name == "rows" else 140):  # k! c_k leaves the floats from 135 on rows
+            points = sorted({top, *rng.sample(range(top), min(top, 3))})
+            code, record = taylor_record(capsys, hg, [[n, [rng.uniform(-1, 1), rng.uniform(-1, 1)]] for n in points])
+            assert code == 0 and record["status"] == "pass", top
+            assert record["residual"] <= 1e-13 * record["scale"], top
+
+    @pytest.mark.parametrize("make,to_poly", [(chebyshev, C.cheb2poly), (legendre, L.leg2poly)])
+    def test_coefficients_and_bounds_against_numpy_in_extended_precision(self, make, to_poly):
+        # on these b = 0 carriers the a priori bound of c_k is sum_n |w_n| |c_{n,k}|
+        hg, rng, eps = make(), random.Random(12), np.finfo(float).eps
+        for top in (3, 40, 140, 300):
+            points = sorted({top, *rng.sample(range(top), 3)})
+            weights = {n: complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for n in points}
+            poly = transform(hg, Measure.from_items(hg, list(weights.items())))
+            series = np.zeros(top + 1, dtype=np.clongdouble)
+            series[points] = [weights[n] for n in points]
+            units = np.eye(top + 1, dtype=np.longdouble)  # cheb2poly / leg2poly trim trailing zeros
+            sums = sum(abs(w) * np.abs(np.pad(to_poly(units[n]), (0, top - n))) for n, w in weights.items())
+            got = np.array(poly.coeffs + (0j,) * (top + 1 - len(poly.coeffs)))
+            assert np.all(np.abs(got - to_poly(series)) <= 2 * (top + 1) * eps * np.array(poly.bounds)), top
+            assert np.all(np.abs(np.array(poly.bounds) - sums) <= 1e-13 * sums), top
 
 
 class TestModuleActionCompatibility:

@@ -9,6 +9,8 @@ The two characterizations under test, at desk scale:
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from hypermoment import (
@@ -27,6 +29,7 @@ from hypermoment import (
     measure_residual,
     module_action,
     pair,
+    real_line,
     symbol_of,
     two_point,
     zero_operator,
@@ -85,6 +88,17 @@ class TestIsModuleHom:
     def test_translation_fails(self, cheb, hom_samples):
         report = is_module_hom(translation_by(cheb, 1), hom_samples)
         assert not report.passed
+
+    @pytest.mark.parametrize("order", [(0.0, -0.0), (-0.0, 0.0)])
+    def test_a_signed_zero_reads_its_own_symbol_value(self, order):
+        # multiplication by copysign(1, x) is multiplication by its symbol, -1 at -0.0 and 1 at 0.0; only
+        # additivity fails, as mu + nu merges -0.0 into 0.0 (the package's merge convention)
+        hg, one = real_line(), CFunction.constant(1.0)
+        op = make_module_hom(hg, CFunction(lambda x: math.copysign(1.0, x)))
+        report = is_module_hom(op, [(dirac(hg, x), one) for x in order])
+        records = {r.name: (r.status, r.residual) for r in report.records}
+        assert records == {"additivity": ("fail", 2.0), "module-homogeneity": ("pass", 0.0),
+                           "symbol-identity": ("pass", 0.0)}
 
 
 class TestSymbolOf:

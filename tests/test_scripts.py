@@ -67,6 +67,18 @@ def test_large_inputs_counts_the_derivative_row_reads():
     assert result["case"] == "leib21" and result["outcome"] == "ok" and result["upto_calls"] == 137
 
 
+def test_large_inputs_reads_the_monomial_coefficients_of_degree_300():
+    # legendre P_300 + 0.5i P_150 + 0.25 P_3: one backward pass, no linearization and no forward derivative rows
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "large_inputs.py"), "mono300"],
+        capture_output=True, text=True, env=ENV, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    result = json.loads(done.stdout)
+    assert result["case"] == "mono300" and result["outcome"] == "ok"
+    assert result["lin_tables"] == 0 and result["upto_calls"] == 0
+
+
 def test_large_inputs_times_the_derivation_check_alone():
     # d0deriv40 makes its operators and 40 sample pairs before the clock; the check reads each derivative
     # row once, for its one application table (the Measure loops read 2,700)
