@@ -6,9 +6,11 @@ multi-indices), the two operator checks of an order-1 chebyshev family on 40
 pairs of 4-point measures (mult40, d0deriv40), the Leibniz check of a rank-2
 real-line family on 40 pairs of 6-point measures, some holding -0.0 (lineleib,
 the one large Leibniz case whose points are floats), a moment identity on 4,096
-pairs checked cold and warm, a real-line moment identity on 14,641 pairs, a
-transform of degree 200, its Taylor check at degree 150, the monomial
-coefficients of a transform of degree 300, the axiom check of
+pairs checked cold and warm, a real-line moment identity on 14,641 pairs, the
+moment sequence read back from an order-2 chebyshev family on the points 0..40,
+its phi_0 checked on the 861 pairs whose convolutions stay inside them
+(fromderiv40), a transform of degree 200, its Taylor check at degree 150, the
+monomial coefficients of a transform of degree 300, the axiom check of
 the cyclic group Z_128, the exponentials of the cyclic groups Z_64 and Z_256,
 the moment extensions of Z_160 to order 2, and 100 fresh axiom checks each of
 chebyshev at bound 16 and of a recurrence whose linearization goes negative,
@@ -16,9 +18,9 @@ at bound 12, as the axioms-cold workload of `perfbench/run.py` runs them.
 
 Each case runs in a fresh interpreter and prints one JSON line: its name, the
 seconds the call took (`time.perf_counter`, import excluded, to the
-microsecond; mult40, d0deriv40 and lineleib make their operators and samples
-before the clock starts, so they time the check alone), the peak resident
-memory of the interpreter (`ru_maxrss`, MB), its minor page faults
+microsecond; mult40, d0deriv40, lineleib and fromderiv40 make their operators,
+samples and family before the clock starts, so they time the check alone), the
+peak resident memory of the interpreter (`ru_maxrss`, MB), its minor page faults
 (`ru_minflt`, import and set-up included) and the outcome: "ok", "fail" for a check that fails, or the
 message of the DomainError raised, up to its first ";"; `lin_tables`, the
 number of linearization runs the timed call made (calls of
@@ -29,6 +31,7 @@ those runs: per call, its distinct columns times its top step plus one; and
 
     python scripts/large_inputs.py               # every case, in the order below
     python scripts/large_inputs.py lin1200 cheb80 leib120 leib21 mult40 d0deriv40 lineleib moments64 line121
+    python scripts/large_inputs.py fromderiv40
     python scripts/large_inputs.py transform200 taylor150 mono300 expo64 search160
     python scripts/large_inputs.py cold16 dip12
 
@@ -63,8 +66,8 @@ from pathlib import Path
 import hypermoment
 from hypermoment import (
     DomainError, FiniteHypergroup, Measure, PolynomialHypergroup, check_axioms, chebyshev, derivation_from_moments,
-    is_multiplicative_hom, legendre, poly_derivative_moments, rank_lift, real_line, realline_moments,
-    verify_d0_derivation, verify_fourier_leibniz, verify_leibniz, verify_moment_sequence,
+    is_multiplicative_hom, legendre, moments_from_derivation, poly_derivative_moments, rank_lift, real_line,
+    realline_moments, verify_d0_derivation, verify_fourier_leibniz, verify_leibniz, verify_moment_sequence,
 )
 from hypermoment.cli import main as cli_main
 from hypermoment.hypergroups import DerivativeRun
@@ -127,6 +130,11 @@ def line121() -> bool:
     seq = rank_lift(realline_moments(0.3 - 0.2j, 5), [1, 0.5j])
     points = [0.25 * j for j in range(-60, 61)]
     return verify_moment_sequence(seq, [(x, y) for x in points for y in points]).passed
+
+
+def from_derivation_family() -> tuple:
+    """The order-2 chebyshev family at 0.3, its moment identity checked on the default pairs."""
+    return (derivation_from_moments(poly_derivative_moments(chebyshev(), 0.3, 2)),)
 
 
 def transform200() -> bool:
@@ -203,6 +211,8 @@ CASES = {
     "lineleib": lambda family, samples: verify_leibniz(family, samples).passed,  # on line_samples()
     "moments64": moments64,
     "line121": line121,
+    # phi_alpha(x) = <D_alpha dx, 1> on 0..40, phi_0 checked on its 861 pairs; on from_derivation_family()
+    "fromderiv40": lambda family: moments_from_derivation(family, range(41)).meta["phi0"] == "exponential verified",
     "transform200": transform200,
     "taylor150": taylor150,
     "mono300": mono300,
@@ -212,7 +222,8 @@ CASES = {
 }
 
 # the inputs a case is called with, made before its clock starts
-SETUP = {"mult40": operator_samples, "d0deriv40": operator_samples, "lineleib": line_samples}
+SETUP = {"mult40": operator_samples, "d0deriv40": operator_samples, "lineleib": line_samples,
+         "fromderiv40": from_derivation_family}
 
 
 def run(name: str) -> dict:

@@ -287,21 +287,13 @@ def fourier_derivative_identity(
     return report
 
 
-def taylor_reconstruct(
-    hg: PolynomialHypergroup,
-    moment_values: Sequence[complex],
-    degree: int | None = None,
-) -> TransformPoly:
+def taylor_reconstruct(hg: PolynomialHypergroup, moment_values: Sequence[complex]) -> TransformPoly:
     """Polynomial sum_k (lam^k / k!) <D_k mu, 1> from derivative moments at z = 0.
 
     Equals the transform of mu when the values are complete up to the source
-    measure's maximal support index; a shorter `degree` truncates.
+    measure's maximal support index.
     """
     values = [complex(v) for v in moment_values]
-    if degree is not None:
-        if degree < 0:
-            raise DomainError("degree must be nonnegative")
-        values = values[: degree + 1]
     try:
         return TransformPoly.from_coeffs(hg, [v / math.factorial(k) for k, v in enumerate(values)])
     except OverflowError:

@@ -41,8 +41,8 @@ ASSOC_CAP = 48
 DENSE_CAP = 1 << 23
 # row (m, n) of a polynomial carrier's linearization table has the int64 key m * COLUMNS + n: n < 2^40, m < 2^23
 COLUMNS = 1 << 40
-# entries of one block: of functions (functions x entries or pairs) judged by `PairSupports.products`, and of
-# the ring of rows a `_lin_table` run holds between two reads of its pairs
+# entries of one block: of the candidates (candidates x entries or pairs) `_exponentials` re-verifies at once, and
+# of the ring of rows a `_lin_table` run holds between two reads of its pairs
 BLOCK_ENTRIES = 1 << 18
 
 
@@ -75,16 +75,12 @@ class PairSupports(NamedTuple):
         np.add.at(out.T, self.rows, (values * self.weights).T)
         return out
 
-    def products(self, values: np.ndarray, at_k: np.ndarray, at_x: np.ndarray, at_y: np.ndarray) -> Iterator[tuple]:
+    def products(self, values: np.ndarray, at_k: np.ndarray, at_x: np.ndarray, at_y: np.ndarray) -> tuple:
         """<dx*dy, f> against f(x) f(y) per row f of `values` (functions x points), gathered by at_k at the entries
-        and by at_x, at_y at the pairs; per block of rows within BLOCK_ENTRIES: first row, lhs, rhs, res, scale."""
-        step = max(1, BLOCK_ENTRIES // max(1, len(at_k), self.count))
-        for first in range(0, len(values), step):
-            block = values[first : first + step]
-            with np.errstate(over="ignore", invalid="ignore"):  # a product past the floats fails its case
-                lhs, rhs = self.pairings(block[:, at_k]), complex_product(block[:, at_x], block[:, at_y])
-                res, scl = complex_abs(lhs - rhs), np.maximum(1.0, np.maximum(complex_abs(lhs), complex_abs(rhs)))
-            yield first, lhs, rhs, res, scl
+        and by at_x, at_y at the pairs: lhs, rhs, res, scale."""
+        with np.errstate(over="ignore", invalid="ignore"):  # a product past the floats fails its case
+            lhs, rhs = self.pairings(values[:, at_k]), complex_product(values[:, at_x], values[:, at_y])
+            return lhs, rhs, complex_abs(lhs - rhs), np.maximum(1.0, np.maximum(complex_abs(lhs), complex_abs(rhs)))
 
 
 def _gather(table: PairSupports, starts: np.ndarray, p: np.ndarray) -> PairSupports:
@@ -698,7 +694,7 @@ def check_axioms(hg: Hypergroup, sample_bound: int = 8, tol: Tolerance | None = 
     k = int(np.argmax(bad))
     for name, law, res, witness in (
         ("nonnegativity", "weights of dx*dy are >= 0", -low,
-         lambda k: [pts[k // n], pts[k % n], hg.pair_supports([(pts[k // n], pts[k % n])]).points.tolist()]),
+         lambda k: [pts[k // n], pts[k % n], flat.points[rows == k].tolist()]),
         ("normalization", "weights of dx*dy sum to 1", np.abs(mass - 1.0),
          lambda k: [pts[k // n], pts[k % n], [float(mass[k]), 0.0]]),
     ):
@@ -929,9 +925,11 @@ def _exponentials(hg: FiniteHypergroup, tol: Tolerance | None = None) -> list[tu
         found.append(v / pivot)
     # re-verification: <dx*dy, v> = v(x) v(y) for every pair (x, y) at x * n + y, per candidate
     xs, ys = np.divmod(np.arange(n * n), n)
-    vs = np.array(found).reshape(len(found), n)
+    vs, sup = np.array(found).reshape(len(found), n), hg._entries
+    step = max(1, BLOCK_ENTRIES // max(1, len(sup.points), n * n))
     worst: list[float] = []
-    for _, _, _, res, scl in hg._entries.products(vs, hg._entries.points, xs, ys):
+    for first in range(0, len(vs), step):
+        *_, res, scl = sup.products(vs[first : first + step], sup.points, xs, ys)
         fails = tol.fails(res, scl)
         if fails.any():  # reported at the worst failing case of the first failing candidate
             b = int(np.argmax(fails.any(axis=1)))

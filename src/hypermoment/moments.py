@@ -369,18 +369,15 @@ def derivation_from_moments(
 
 
 def _checkable_pairs(hg: Hypergroup, points: Sequence[Point]) -> list[tuple[Point, Point]]:
-    """Pairs whose point convolution stays inside the tabulated points."""
-    available = set(points)
-    out = []
-    for x in points:
-        for y in points:
-            try:
-                conv = hg.convolve_points(x, y)
-            except DomainError:
-                continue
-            if all(p in available for p in conv.points):
-                out.append((x, y))
-    return out
+    """Pairs, in loop order over x then y, whose point convolution is defined and stays inside the
+    tabulated points: one read of every pair; a refused read raises."""
+    if not points:
+        return []
+    n, grid = len(points), _points(list(points))
+    sup = hg._pairs(np.repeat(grid, n), np.tile(grid, n))
+    out = sup.err.astype(bool)
+    out[sup.rows[~np.isin(sup.points, grid)]] = True
+    return [(points[p // n], points[p % n]) for p in np.flatnonzero(~out).tolist()]
 
 
 def moments_from_derivation(
@@ -760,6 +757,8 @@ def iterated_extension(
     """
     tol = tol or default_tolerance()
     alpha = as_index(alpha)
+    if index_order(alpha) == 0:
+        raise DomainError("alpha must have positive order")
     rank = len(alpha)
     entries: dict[MultiIndex, CFunction] = {(0,) * rank: phi0}
     report = Report(

@@ -119,30 +119,21 @@ def is_exponential(
     samples: list[tuple[Point, Point]],
     tol: Tolerance | None = None,
 ) -> Report:
-    """Check f(o) = 1 and <dx*dy, f> = f(x) f(y) on sampled point pairs."""
-    return exponential_reports(hg, [f], samples, tol)[0]
-
-
-def exponential_reports(
-    hg: Any, fns: Sequence[CFunction], samples: list[tuple[Point, Point]], tol: Tolerance | None = None,
-) -> list[Report]:
-    """`is_exponential` of every f in `fns` on the same pairs: each f evaluated at the
-    identity, then all of them by one `tabulate_on_pairs`, judged in blocks (`PairSupports.products`)."""
+    """Check f(o) = 1 and <dx*dy, f> = f(x) f(y) on sampled point pairs: f evaluated at the identity,
+    then at the pairs' points by one `tabulate_on_pairs`, judged by one `PairSupports.products`."""
     if not samples:
         raise ValueError("samples must be nonempty")
     tol = tol or default_tolerance()
-    at_identity = [f(hg.identity) for f in fns]
-    sup, *table = tabulate_on_pairs(hg, samples, fns)
-    reports = [Report(title=f"exponential: {f.describe()}") for f in fns]
-    for first, lhs, rhs, res, scl in sup.products(*table):
-        for b in range(len(lhs)):
-            report, one = reports[first + b], at_identity[first + b]
-            report.check("normalization-at-identity", "f(o) = 1", abs(one - 1.0), 1.0, tol, lambda: [hg.identity, one])
-            report.add_worst(
-                "multiplicativity-on-pairs", "<dx*dy, f> = f(x) f(y)", res[b], scl[b], tol,
-                lambda i: [*samples[i], complex(lhs[b, i]), complex(rhs[b, i])],
-            )
-    return reports
+    one = f(hg.identity)
+    sup, *table = tabulate_on_pairs(hg, samples, [f])
+    (lhs,), (rhs,), (res,), (scl,) = sup.products(*table)
+    report = Report(title=f"exponential: {f.describe()}")
+    report.check("normalization-at-identity", "f(o) = 1", abs(one - 1.0), 1.0, tol, lambda: [hg.identity, one])
+    report.add_worst(
+        "multiplicativity-on-pairs", "<dx*dy, f> = f(x) f(y)", res, scl, tol,
+        lambda i: [*samples[i], complex(lhs[i]), complex(rhs[i])],
+    )
+    return report
 
 
 def tabulate_on_pairs(

@@ -411,11 +411,6 @@ class TestTaylor:
             res, scl = poly_residual(taylor_reconstruct(cheb, values), transform(cheb, mu))
             assert res <= 1e-9 * scl
 
-    def test_truncation(self, cheb):
-        values = derivative_moments(cheb, dirac(cheb, 3), 3, z=0.0)
-        truncated = taylor_reconstruct(cheb, values, degree=1)
-        assert truncated.degree <= 1
-
 
 TAYLOR_CARRIERS = {
     "chebyshev": chebyshev, "legendre": legendre, "gegenbauer-0.8": lambda: gegenbauer(0.8),

@@ -381,6 +381,12 @@ class TestCliExitCodes:
         assert main(["axioms", "--hypergroup", str(path)]) == 1
         assert main(["axioms", "--hypergroup", str(path), "--tol", "0.2"]) == 0
 
+    @pytest.mark.parametrize("alpha", ["0", "0,0"])
+    def test_search_moments_order_zero_is_refused(self, alpha, capsys):
+        assert main(["search-moments", "--hypergroup", "dtheta:0.3", "--phi0", "m0", "--alpha", alpha]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "alpha must have positive order" in err
+
     def test_search_moments_bad_phi0(self, capsys):
         code = main(
             [

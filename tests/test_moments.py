@@ -406,6 +406,12 @@ class TestExtension:
             for alpha in ((1,), (2,), (3,)):
                 assert all(abs(entries[alpha](x)) <= 1e-9 for x in range(2))
 
+    @pytest.mark.parametrize("alpha", [(0,), (0, 0)])
+    def test_iterated_extension_refuses_order_zero(self, alpha):
+        hg = two_point(0.3)
+        with pytest.raises(DomainError, match="alpha must have positive order"):
+            iterated_extension(hg, enumerate_exponentials(hg)[0], alpha)
+
     def test_iterated_extension_rank_two(self):
         hg = two_point(0.5)
         phi0 = enumerate_exponentials(hg)[1]

@@ -92,6 +92,17 @@ def test_large_inputs_times_the_derivation_check_alone():
     assert result["upto_calls"] == 38
 
 
+def test_large_inputs_reads_a_moment_sequence_back_from_its_family():
+    # fromderiv40 makes its family before the clock; phi_0 is checked on the 861 pairs inside 0..40
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "large_inputs.py"), "fromderiv40"],
+        capture_output=True, text=True, env=ENV, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    result = json.loads(done.stdout)
+    assert result["case"] == "fromderiv40" and result["outcome"] == "ok" and result["seconds"] > 0
+
+
 def test_large_inputs_against_a_checkout_prints_one_line_per_case():
     done = subprocess.run(
         [sys.executable, str(ROOT / "scripts" / "large_inputs.py"), "--against", str(ROOT), "--runs", "2", "lin3x1200"],

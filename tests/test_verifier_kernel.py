@@ -53,6 +53,7 @@ from hypermoment import (
     legendre,
     lower_indices,
     make_module_hom,
+    moments_from_derivation,
     multi_binomial,
     pair,
     poly_derivative_moments,
@@ -74,8 +75,10 @@ from hypermoment.hypergroups import DerivativeRun
 from hypermoment.measures import (
     TableRow, _distinct, _evaluate, as_literal, complex_product, merge, module_action, table_rows, values_at,
 )
-from hypermoment.moments import _identity_records, apply_family, binomial_terms, index_order, index_sub, indices_up_to
-from hypermoment.operators import PAIR_TABLE_CAP, PAIR_TABLES, exponential_reports
+from hypermoment.moments import (
+    _checkable_pairs, _identity_records, apply_family, binomial_terms, index_order, index_sub, indices_up_to,
+)
+from hypermoment.operators import PAIR_TABLE_CAP, PAIR_TABLES
 from tests.test_kernel import RECURRENCES, chebyshev_dip, reference_convolve, reference_rule
 
 # ---------------------------------------------------------------------------
@@ -935,7 +938,7 @@ def test_an_operator_without_a_symbol_leaves_the_term_grid_its_own_pairs(monkeyp
 
 @pytest.mark.parametrize("make", [chebyshev, real_line, lambda: two_point(0.6), lambda: cyclic(6),
                                   lambda: dtheta_product(0.5, 0.25)])
-def test_exponential_reports_match_one_check_per_function(make, monkeypatch):
+def test_exponential_reports_match_one_check_per_function(make):
     rng = random.Random(13)
     hg = make()
     if isinstance(hg, FiniteHypergroup):
@@ -947,13 +950,49 @@ def test_exponential_reports_match_one_check_per_function(make, monkeypatch):
         fns = [exponential_function(hg, complex(rng.uniform(-1, 1), rng.uniform(-1, 1))) for _ in range(3)]
         pairs = [(rng.choice(points), rng.choice(points)) for _ in range(30)]
         fns.append(fns[0] * CFunction(lambda x: 1.0 + 0.01 * (x == 1)))
-    reports = exponential_reports(hg, fns, pairs)
+    reports = [is_exponential(hg, f, pairs) for f in fns]
     assert not reports[-1].passed  # the perturbed candidate fails
-    assert [r.to_json() for r in reports] == [is_exponential(hg, f, pairs).to_json() for f in fns]
     for got, f in zip(reports, fns):
         assert_same(got, reference_is_exponential(hg, f, pairs))
-    monkeypatch.setattr(hypermoment.hypergroups, "BLOCK_ENTRIES", 1)  # each function its own block
-    assert [r.to_json() for r in exponential_reports(hg, fns, pairs)] == [r.to_json() for r in reports]
+
+
+def reference_checkable_pairs(hg, points) -> list:
+    """`_checkable_pairs` as a loop: one `convolve_points` per pair, an undefined pair skipped."""
+    available, out = set(points), []
+    for x in points:
+        for y in points:
+            try:
+                conv = hg.convolve_points(x, y)
+            except DomainError:
+                continue
+            if all(p in available for p in conv.points):
+                out.append((x, y))
+    return out
+
+
+@pytest.mark.parametrize("make, points", [
+    (chebyshev, range(9)),
+    (legendre, range(7)),
+    (lambda: chebyshev_dip(3, 0.8, 4), range(9)),  # its linearization goes negative
+    (lambda: PolynomialHypergroup(1.0, 0.0, [(0.5, 0.0, 0.5)] * 5), range(9)),  # rows that run out after row 5
+    (real_line, [0.0, -0.0, 0.5, -0.5, 1.0, 2.0, 1e308, -1e308]),  # sums past the floats
+    (lambda: cyclic(6), range(6)),
+    (lambda: two_point(0.3), range(2)),
+], ids=["chebyshev", "legendre", "dip", "short-rows", "real-line", "Z6", "D(0.3)"])
+def test_checkable_pairs_match_the_loop(make, points):
+    hg = make()
+    points = [hg.validate_point(x) for x in points]
+    got = _checkable_pairs(hg, points)
+    assert repr(got) == repr(reference_checkable_pairs(make(), points))
+    assert 0 < len(got) < len(points) ** 2 or isinstance(hg, FiniteHypergroup)
+
+
+def test_checkable_pairs_refuse_a_point_past_the_table_keys():
+    # the one read is refused whole, where a loop over the pairs dropped each pair holding 2**50 unchecked
+    hg = chebyshev()
+    family = DerivationFamily(hg, 1, 0, {(0,): identity_operator(hg)})
+    with pytest.raises(DomainError, match=r"linearization\(0,1125899906842624\) is too large for the int64 table keys"):
+        moments_from_derivation(family, [0, 1, 2, 2**50])
 
 
 def test_build_carries_a_passed_phi0(monkeypatch):
